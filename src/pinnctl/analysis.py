@@ -224,28 +224,6 @@ def amplitude_error_sweep(
     )
 
 
-def lls_readout_transform(rho: np.ndarray, system: SpinSystem) -> np.ndarray:
-    """Model of the post-sequence readout: free evolution for 1/(4*Delta)
-    followed by a collective (pi/2)_y pulse.
-
-    Documented convenience for trajectory post-processing; no lineshape or
-    acquisition simulation is attempted.
-    """
-    from .propagation import expm_hermitian
-    from .spins import drift_hamiltonian, spin_half_operator
-
-    offsets = [abs(o) for o in system.offsets_hz if o != 0.0]
-    if not offsets:
-        raise ValueError("readout delay requires a nonzero shift difference")
-    delta_hz = 2.0 * max(offsets)
-    delay = 1.0 / (4.0 * delta_hz)
-    u_delay = expm_hermitian(drift_hamiltonian(system), delay)
-    iy = spin_half_operator(system.n_spins, 0, "y") + spin_half_operator(system.n_spins, 1, "y")
-    u_pulse = expm_hermitian(iy * (np.pi / 2.0), 1.0)
-    u = u_pulse @ u_delay
-    return u @ rho @ u.conj().T
-
-
 def robust_width(sweep: SweepResult, level: float = 0.95) -> float:
     """Width of the contiguous deviation interval (around the peak) with
     fidelity >= level * peak."""

@@ -204,6 +204,8 @@ def cmd_sample(args) -> int:
 def _parse_segments(text: str, log2: bool) -> list[int]:
     if ".." in text:
         lo, hi = (int(x) for x in text.split("..", 1))
+        if lo < 1 or lo > hi:
+            raise ValueError(f"segment range {text!r} needs 1 <= lo <= hi")
         if log2:
             vals = []
             n = lo
@@ -330,7 +332,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

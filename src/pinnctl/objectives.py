@@ -3,7 +3,9 @@
 Gradients are reverse-mode derivatives of the discretized dynamics: the
 eigendecomposition-based Frechet derivative of each segment exponential
 (Daleckii-Krein) chained into the network backprop for the unitary path, and
-the exact adjoint of the per-segment RK4 polynomial for the dissipative path.
+the exact adjoint of the per-segment RK4 polynomial for the dissipative path,
+taken in real arithmetic in the orthonormal Hermitian basis of
+``propagation.LindbladProblem``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .network import (
 from .propagation import (
     DEFAULT_N_FINE,
     DEFAULT_SUBSTEP_TOL,
+    lindblad_problem,
     lindblad_substeps,
     prefix_products,
     segment_hamiltonians,
@@ -229,14 +232,6 @@ def _unitary_pulse_gradient(
     return raw, du, u_total
 
 
-def _control_generators(system: SpinSystem) -> np.ndarray:
-    """d L / d u_c as dense superoperators, shape (2M, d^2, d^2)."""
-    ops = control_operator_stack(system)
-    d = system.dimension
-    eye = np.eye(d)
-    return np.stack([-1j * (np.kron(o, eye) - np.kron(eye, o.T)) for o in ops])
-
-
 def _lindblad_pulse_gradient(
     system: SpinSystem,
     table: PulseTable,
@@ -244,75 +239,43 @@ def _lindblad_pulse_gradient(
     substeps: int,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Raw fidelity, amplitude-table gradient, and rho(T) for the dissipative path."""
-    noise = objective.noise
-    r_mats, maps = segment_lindblad_maps(system, table, noise, substeps)
-    n = table.n_segments
-    d = system.dimension
-    v0 = objective.initial.reshape(-1).astype(complex)
-    w = objective.target.reshape(-1).astype(complex)
+    problem = lindblad_problem(system, objective.noise)
+    lv, r_mats, maps = segment_lindblad_maps(problem, table, substeps)
+    n, dd, _ = lv.shape
 
-    # states entering each segment and costates leaving each segment
-    a_in = np.empty((n + 1, d * d), dtype=complex)
-    a_in[0] = v0
+    # substep states alpha_p = R^p x_s entering segment s, costates
+    # beta_p = (R^T)^(m-1-p) y_s leaving it, and Z = sum_p alpha_p beta_p^T
+    alphas = np.empty((n, dd, substeps))
+    betas = np.empty((n, dd, substeps))
+    x = problem.coordinates(objective.initial)
     for s in range(n):
-        a_in[s + 1] = maps[s] @ a_in[s]
-    b_out = np.empty((n + 1, d * d), dtype=complex)
-    b_out[n] = w
-    maps_h = maps.conj().transpose(0, 2, 1)
+        alphas[s, :, 0] = x
+        x = maps[s] @ x
+    y = problem.coordinates(objective.target)
+    raw = float(y @ x)
     for s in range(n - 1, -1, -1):
-        b_out[s] = maps_h[s] @ b_out[s + 1]
-    raw = float(np.real(np.vdot(w, a_in[n])))
+        betas[s, :, -1] = y
+        y = y @ maps[s]
+    r_t = r_mats.transpose(0, 2, 1)
+    for p in range(1, substeps):
+        alphas[:, :, p] = np.matmul(r_mats, alphas[:, :, p - 1, None])[:, :, 0]
+        betas[:, :, -1 - p] = np.matmul(r_t, betas[:, :, -p, None])[:, :, 0]
+    z_mat = np.matmul(alphas, betas.transpose(0, 2, 1))
 
-    # substep states alpha_p = R^p a_in, costates beta_p = (R^dag)^(m-1-p) b_out
-    alphas = np.empty((substeps, n, d * d), dtype=complex)
-    cur = a_in[:n]
-    for p in range(substeps):
-        alphas[p] = cur
-        if p + 1 < substeps:
-            cur = np.einsum("nij,nj->ni", r_mats, cur)
-    betas = np.empty((substeps, n, d * d), dtype=complex)
-    r_h = r_mats.conj().transpose(0, 2, 1)
-    cur = b_out[1:]
-    for p in range(substeps - 1, -1, -1):
-        betas[p] = cur
-        if p > 0:
-            cur = np.einsum("nij,nj->ni", r_h, cur)
-
-    z_mat = np.einsum("pni,pnj->nij", alphas, betas.conj(), optimize=True)
-
-    # W = sum_{a+b<=3} h^{a+b+1}/(a+b+1)! L^b Z L^a; grads = Re Tr(E_c W)
+    # W = sum_{a+b<=3} c_{a+b+1} L^b Z L^a with c_k = h^k / k!, by Horner on
+    # both sides: Y_3 = c_4 Z, Y_b = c_{b+1} Z + Y_{b+1} L, and
+    # W = Y_0 + L (Y_1 + L (Y_2 + L Y_3))
     h_sub = table.dt / substeps
-    lv = _segment_liouvillians(system, table, noise)
-    l_pows = [np.broadcast_to(np.eye(d * d), lv.shape), lv]
-    l_pows.append(np.matmul(lv, lv))
-    l_pows.append(np.matmul(l_pows[2], lv))
-    fact = [1.0, 1.0, 2.0, 6.0, 24.0]
-    w_mat = np.zeros_like(z_mat)
-    for b_pow in range(4):
-        inner = np.zeros_like(z_mat)
-        for a_pow in range(4 - b_pow):
-            coef = h_sub ** (a_pow + b_pow + 1) / fact[a_pow + b_pow + 1]
-            inner = inner + coef * np.matmul(z_mat, l_pows[a_pow])
-        w_mat = w_mat + np.matmul(l_pows[b_pow], inner)
+    ys = [h_sub**4 / 24.0 * z_mat]
+    for k, k_fact in ((3, 6.0), (2, 2.0), (1, 1.0)):
+        ys.append(h_sub**k / k_fact * z_mat + np.matmul(ys[-1], lv))
+    w_mat = ys[0]
+    for y_b in ys[1:]:
+        w_mat = y_b + np.matmul(lv, w_mat)
 
-    gens = _control_generators(system)
-    du = np.real(np.einsum("nij,cji->nc", w_mat, gens, optimize=True))
-    return raw, du, a_in[n].reshape(d, d)
-
-
-def _segment_liouvillians(system: SpinSystem, table: PulseTable, noise: NoiseModel) -> np.ndarray:
-    from .propagation import liouvillian
-
-    h_batch = segment_hamiltonians(system, table)
-    d = system.dimension
-    eye = np.eye(d)
-    lv = -1j * (
-        np.einsum("nij,kl->nikjl", h_batch, eye).reshape(-1, d * d, d * d)
-        - np.einsum("ij,nkl->nikjl", eye, h_batch.transpose(0, 2, 1)).reshape(-1, d * d, d * d)
-    )
-    if noise.gamma > 0:
-        lv = lv + liouvillian(np.zeros((d, d)), noise)[None, :, :]
-    return lv
+    # dF/du_c = Tr(G_c W)
+    du = np.tensordot(w_mat, problem.controls, axes=([1, 2], [2, 1]))
+    return raw, du, problem.density(x)
 
 
 def pulse_table_gradient(

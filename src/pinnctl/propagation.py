@@ -2,20 +2,24 @@
 
 The primary propagator multiplies exact segment exponentials (eigendecomposition
 of each 4x4 Hermitian segment Hamiltonian).  Dissipative evolution integrates
-the vectorized master equation with fixed-step RK4 inside each segment.  An
-adaptive Dormand-Prince integrator treating the network as a continuous-time
-Hamiltonian serves as an independent cross-check.
+the vectorized master equation with fixed-step RK4 inside each segment, in
+real arithmetic: in an orthonormal basis of Hermitian matrices every
+Hermiticity-preserving generator is a real d^2 x d^2 matrix, and density
+matrices are real coordinate vectors.  An adaptive Dormand-Prince integrator
+treating the network as a continuous-time Hamiltonian serves as an
+independent cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .network import NetworkParams, PulseTable, forward_batch, sample_pulse
-from .spins import NoiseModel, SpinSystem, control_operator_stack, drift_hamiltonian
+from .spins import NoiseModel, SpinSystem, control_operator_stack, drift_hamiltonian, drift_norm
 
 DEFAULT_N_FINE = 4096  # 2**12
 # Per-RK4-substep cap on (gamma*||H0|| + ||H||)*h; 0.005 keeps the gamma=0
@@ -161,16 +165,82 @@ def liouvillian(h: np.ndarray, noise: NoiseModel | None = None) -> np.ndarray:
     return lv
 
 
-def rk4_step_matrix(lv: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step for the linear system y' = L y.
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal basis of the d x d Hermitian matrices, as columns vec(B_k).
 
-    With a constant generator the RK4 update collapses to the 4th-order
-    Taylor polynomial of exp(h L).
+    B_k with k = i*d + j is E_ii on the diagonal, (E_ij + E_ji)/sqrt2 above
+    it and i(E_ij - E_ji)/sqrt2 below it.  The (d^2, d^2) matrix is unitary.
     """
-    d = lv.shape[0]
-    hl = h * lv
-    hl2 = hl @ hl
-    return np.eye(d) + hl + hl2 / 2.0 + (hl2 @ hl) / 6.0 + (hl2 @ hl2) / 24.0
+    s = 1.0 / np.sqrt(2.0)
+    basis = np.zeros((d, d, d, d), dtype=complex)  # basis[i, j] = B_{i*d+j}
+    for i in range(d):
+        basis[i, i, i, i] = 1.0
+        for j in range(i + 1, d):
+            basis[i, j, i, j] = basis[i, j, j, i] = s
+            basis[j, i, j, i] = 1j * s
+            basis[j, i, i, j] = -1j * s
+    return basis.reshape(d * d, d * d).T
+
+
+@dataclass(frozen=True)
+class LindbladProblem:
+    """The master equation in coordinates x_k = Tr(B_k rho) of an orthonormal
+    Hermitian basis, where every Hermiticity-preserving generator is real.
+
+    basis: (d^2, d^2) unitary whose column k is vec(B_k).
+    drift: (d^2, d^2) real generator of H0 plus the dissipator.
+    controls: (2M, d^2, d^2) real generators dL/du_c, in control-stack order.
+    h0_norm, op_norms: spectral norms of H0 and of each control operator.
+    """
+
+    basis: np.ndarray
+    drift: np.ndarray
+    controls: np.ndarray
+    h0_norm: float
+    op_norms: np.ndarray
+
+    def coordinates(self, rho: np.ndarray) -> np.ndarray:
+        return (self.basis.conj().T @ rho.reshape(-1)).real
+
+    def density(self, x: np.ndarray) -> np.ndarray:
+        d = int(round(np.sqrt(x.shape[-1])))
+        return (self.basis @ x).reshape(d, d)
+
+
+def _real_superoperator(basis: np.ndarray, lv: np.ndarray) -> np.ndarray:
+    """B^H L B for a Hermiticity-preserving L, whose imaginary part is round-off."""
+    out = basis.conj().T @ lv @ basis
+    if np.max(np.abs(out.imag)) > 1e-12 * max(1.0, np.max(np.abs(out.real))):
+        raise ValueError("superoperator does not preserve Hermiticity")
+    return out.real
+
+
+@functools.lru_cache(maxsize=16)
+def _noiseless_problem(system: SpinSystem) -> LindbladProblem:
+    basis = _hermitian_basis(system.dimension)
+    h0 = drift_hamiltonian(system)
+    ops = control_operator_stack(system)
+    problem = LindbladProblem(
+        basis=basis,
+        drift=_real_superoperator(basis, liouvillian(h0)),
+        controls=np.stack([_real_superoperator(basis, liouvillian(o)) for o in ops]),
+        h0_norm=drift_norm(system),
+        op_norms=np.array([np.max(np.abs(np.linalg.eigvalsh(o))) for o in ops]),
+    )
+    for a in (problem.basis, problem.drift, problem.controls, problem.op_norms):
+        a.setflags(write=False)  # shared by every caller through the cache
+    return problem
+
+
+def lindblad_problem(system: SpinSystem, noise: NoiseModel) -> LindbladProblem:
+    """Real generators of the system's master equation under a noise model.
+
+    The system part is built once per system; the dissipator is added per call.
+    """
+    problem = _noiseless_problem(system)
+    d = system.dimension
+    dissipator = _real_superoperator(problem.basis, liouvillian(np.zeros((d, d)), noise))
+    return replace(problem, drift=problem.drift + dissipator)
 
 
 def lindblad_substeps(
@@ -181,14 +251,12 @@ def lindblad_substeps(
     When amp_bound is given the bound uses it instead of the realized
     amplitudes, making the count independent of the pulse values.
     """
-    ops = control_operator_stack(system)
-    op_norms = np.array([np.max(np.abs(np.linalg.eigvalsh(o))) for o in ops])
-    h0_norm = float(np.max(np.abs(np.linalg.eigvalsh(drift_hamiltonian(system)))))
+    problem = _noiseless_problem(system)
     if amp_bound is not None:
-        ctrl = amp_bound * float(op_norms.sum())
+        ctrl = amp_bound * float(problem.op_norms.sum())
     else:
-        ctrl = float(np.max(np.abs(table.flat_amplitudes()) @ op_norms))
-    rate_total = noise.rate + h0_norm + ctrl
+        ctrl = float(np.max(np.abs(table.flat_amplitudes()) @ problem.op_norms))
+    rate_total = noise.rate + problem.h0_norm + ctrl
     needed = rate_total * table.dt / tol
     m = 1
     while m < needed:
@@ -199,34 +267,26 @@ def lindblad_substeps(
 
 
 def segment_lindblad_maps(
-    system: SpinSystem,
+    problem: LindbladProblem,
     table: PulseTable,
-    noise: NoiseModel,
     substeps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment RK4 substep matrices R and segment maps M = R^substeps.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-segment real Liouvillians L, RK4 substep maps R and segment maps
+    M = R^substeps (substeps a power of two).
 
-    Returns (R, M), each of shape (N, d^2, d^2).
+    With a constant generator one RK4 step is the 4th-order Taylor polynomial
+    of exp(h L), evaluated here by Horner.  Returns (L, R, M), each (N, d^2, d^2).
     """
-    h_batch = segment_hamiltonians(system, table)
-    d = system.dimension
-    eye = np.eye(d)
-    lv = -1j * (
-        np.einsum("nij,kl->nikjl", h_batch, eye).reshape(-1, d * d, d * d)
-        - np.einsum("ij,nkl->nikjl", eye, h_batch.transpose(0, 2, 1)).reshape(-1, d * d, d * d)
-    )
-    if noise.gamma > 0:
-        lv = lv + liouvillian(np.zeros((d, d)), noise)[None, :, :]
-    h_sub = table.dt / substeps
-    hl = h_sub * lv
-    hl2 = np.matmul(hl, hl)
-    r = np.eye(d * d)[None, :, :] + hl + hl2 / 2.0 + np.matmul(hl2, hl) / 6.0 + np.matmul(hl2, hl2) / 24.0
+    lv = problem.drift + np.tensordot(table.flat_amplitudes(), problem.controls, axes=1)
+    hl = (table.dt / substeps) * lv
+    eye = np.eye(lv.shape[-1])
+    r = eye + hl / 4.0
+    for k in (3.0, 2.0, 1.0):
+        r = eye + np.matmul(hl, r) / k
     m = r
-    k = substeps
-    while k > 1:
+    for _ in range(substeps.bit_length() - 1):
         m = np.matmul(m, m)
-        k //= 2
-    return r, m
+    return lv, r, m
 
 
 def propagate_lindblad(
@@ -243,20 +303,20 @@ def propagate_lindblad(
     _hermitian_check(rho0)
     table = _as_pulse(system, pulse, n_fine)
     m_sub = lindblad_substeps(system, table, noise, substep_tol)
-    _, maps = segment_lindblad_maps(system, table, noise, m_sub)
-    d = system.dimension
+    problem = lindblad_problem(system, noise)
+    _, _, maps = segment_lindblad_maps(problem, table, m_sub)
     n = table.n_segments
     snap = _snapshot_indices(sample_times, table.duration, n)
     traj = [] if sample_times is not None else None
-    vec = rho0.reshape(-1).astype(complex)
+    x = problem.coordinates(rho0)
     if 0 in snap:
-        traj.append((snap[0], vec.reshape(d, d).copy()))
+        traj.append((snap[0], problem.density(x)))
     for s in range(n):
-        vec = maps[s] @ vec
+        x = maps[s] @ x
         if s + 1 in snap:
-            traj.append((snap[s + 1], vec.reshape(d, d).copy()))
+            traj.append((snap[s + 1], problem.density(x)))
     return EvolutionResult(
-        final=vec.reshape(d, d), trajectory=traj, method="pwc_expm", n_steps=n * m_sub
+        final=problem.density(x), trajectory=traj, method="pwc_expm", n_steps=n * m_sub
     )
 
 

@@ -79,6 +79,22 @@ class TestSweep:
         assert rc == 1
         assert "output width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("segments", ["0..8", "-4..8", "16..8"])
+    def test_bad_segment_range_is_one_line_error(self, defm_params, tmp_path, capsys, segments):
+        rc = main(["sweep", "discretization", "--params", defm_params,
+                   f"--segments={segments}", "--log2", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_lindblad_step_underflow_is_one_line_error(self, tcp_params, tmp_path, capsys):
+        rc = main(["sweep", "noise", "--params", tcp_params, "--system", "tcp",
+                   "--target", "lls", "--gammas", "1e12", "--noise", "local",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "underflow" in err and err.count("\n") == 1
+
 
 class TestFft:
     def test_spectrum_and_sidecar(self, defm_params, tmp_path):
@@ -142,6 +158,26 @@ class TestSynthesize:
         record = json.loads((out / "run_record.json").read_text())
         assert record["converged"] is True
         assert record["context"]["config"]["system"] == "defm"
+
+    def test_divergence_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        from pinnctl import cli
+        from pinnctl.optimizer import DivergenceError
+
+        def diverge(*args, **kwargs):
+            raise DivergenceError("fidelity collapsed at iteration 7")
+
+        monkeypatch.setattr(cli, "train", diverge)
+        cfg = {
+            "system": "defm",
+            "objective": {"target": "cnot:0,1"},
+            "network": {"layer_sizes": [1, 8, 4], "duration_s": 0.02},
+            "optimizer": {"max_iters": 3, "n_fine": 64, "seed": 0},
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["synthesize", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: fidelity collapsed at iteration 7\n"
 
     def test_config_validation(self, tmp_path, capsys):
         cfg = {

@@ -1,18 +1,28 @@
+from math import factorial
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from pinnctl.network import apply_update, flatten_grads, init_params
+from pinnctl.network import PulseTable, apply_update, flatten_grads, init_params
 from pinnctl.objectives import (
     ObjectiveSpec,
     evaluate_fidelity,
     gate_fidelity,
     loss_and_gradient,
+    pulse_table_gradient,
     shape_penalty,
     state_fidelity,
     transfer_bound,
 )
-from pinnctl.spins import PRESETS, SpinSystem, noise_operators
+from pinnctl.propagation import lindblad_substeps, liouvillian
+from pinnctl.spins import (
+    PRESETS,
+    SpinSystem,
+    control_operator_stack,
+    drift_hamiltonian,
+    noise_operators,
+)
 from pinnctl.targets import (
     cnot,
     cnot_objective,
@@ -149,6 +159,56 @@ def fd_check(params, system, objective, n_fine, rng, n_probes, eps=1e-6, **kwarg
     return fid, max_rel
 
 
+def reference_lindblad_gradient(system, table, objective, substeps):
+    """Raw fidelity Tr(rho_t rho(T)) and its amplitude-table gradient from
+    complex superoperators, differentiating each RK4 substep in turn."""
+    h0 = drift_hamiltonian(system)
+    ops = control_operator_stack(system)
+    gens = [liouvillian(o) for o in ops]
+    h = table.dt / substeps
+    maps, d_maps = [], []
+    for u in table.flat_amplitudes():
+        lv = liouvillian(h0 + np.einsum("c,cij->ij", u, ops), objective.noise)
+        pw = [np.linalg.matrix_power(lv, k) for k in range(4)]
+        maps.append(sum(np.linalg.matrix_power(h * lv, k) / factorial(k) for k in range(5)))
+        # dR/du_c = sum_k h^k/k! sum_{a+b=k-1} L^b G_c L^a
+        d_maps.append([
+            sum(h**k / factorial(k) * sum(pw[k - 1 - a] @ g @ pw[a] for a in range(k))
+                for k in range(1, 5))
+            for g in gens
+        ])
+    states = []
+    x = objective.initial.reshape(-1).astype(complex)
+    for r in maps:
+        for _ in range(substeps):
+            states.append(x)
+            x = r @ x
+    costate = objective.target.reshape(-1).astype(complex)
+    fid = float(np.real(np.vdot(costate, x)))
+    grad = np.zeros((table.n_segments, len(ops)))
+    for s in range(table.n_segments - 1, -1, -1):
+        for _ in range(substeps):
+            alpha = states.pop()
+            for c, dr in enumerate(d_maps[s]):
+                grad[s, c] += np.real(np.vdot(costate, dr @ alpha))
+            costate = maps[s].conj().T @ costate
+    return fid, grad
+
+
+class TestLindbladGradientReference:
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_matches_complex_reference(self, kind):
+        system = PRESETS["tcp"]
+        noise = noise_operators(system, kind, 0.05)
+        obj = replace(lls_objective(), noise=noise, normalization="raw")
+        table = PulseTable(0.02, np.random.default_rng(5).normal(0, 300, size=(16, 1, 2)))
+        fid, grad = pulse_table_gradient(system, table, obj, substep_tol=0.05)
+        substeps = lindblad_substeps(system, table, noise, 0.05)
+        ref_fid, ref_grad = reference_lindblad_gradient(system, table, obj, substeps)
+        assert abs(fid - ref_fid) < 1e-12 * abs(ref_fid)
+        assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
+
+
 class TestLossAndGradient:
     def test_stationary_at_identity_target(self):
         sys_ = SpinSystem(2, ((0,), (1,)))
@@ -178,6 +238,14 @@ class TestLossAndGradient:
         _, rel = fd_check(
             p, PRESETS["tcp"], obj, 32, rng, 20, substep_tol=0.05
         )
+        assert rel < 1e-4
+
+    def test_lindblad_gradient_matches_fd_at_default_tolerance(self):
+        rng = np.random.default_rng(19)
+        noise = noise_operators(PRESETS["tcp"], "global", 0.05)
+        obj = replace(lls_objective(), noise=noise)
+        p = init_params((1, 4, 4, 2), 2 * np.pi * 200, 0.1, seed=20)
+        _, rel = fd_check(p, PRESETS["tcp"], obj, 32, rng, 10)
         assert rel < 1e-4
 
     def test_raw_and_normalized_differ_by_constant(self):

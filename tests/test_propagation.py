@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
@@ -5,6 +7,9 @@ from scipy.linalg import expm as scipy_expm
 from pinnctl.network import PulseTable, init_params, sample_pulse
 from pinnctl.propagation import (
     expm_hermitian,
+    lindblad_problem,
+    lindblad_substeps,
+    liouvillian,
     propagate_density,
     propagate_lindblad,
     propagate_oracle,
@@ -13,6 +18,7 @@ from pinnctl.propagation import (
 from pinnctl.spins import (
     PRESETS,
     SpinSystem,
+    control_operator_stack,
     drift_hamiltonian,
     noise_operators,
     spin_half_operator,
@@ -171,6 +177,53 @@ class TestPropagateLindblad:
         rho0 = np.eye(4) / 4
         res = propagate_lindblad(PRESETS["tcp"], zero_pulse(0.05, 128, 1), rho0, noise)
         assert np.linalg.norm(res.final - rho0) < 1e-10
+
+
+def reference_lindblad(system, table, noise, rho0, substeps):
+    """rho(T) from complex superoperators, one RK4 substep at a time."""
+    h0 = drift_hamiltonian(system)
+    ops = control_operator_stack(system)
+    h = table.dt / substeps
+    x = rho0.reshape(-1).astype(complex)
+    for u in table.flat_amplitudes():
+        hl = h * liouvillian(h0 + np.einsum("c,cij->ij", u, ops), noise)
+        r = sum(np.linalg.matrix_power(hl, k) / factorial(k) for k in range(5))
+        for _ in range(substeps):
+            x = r @ x
+    return x.reshape(rho0.shape)
+
+
+class TestLindbladRealBasis:
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    def test_generators_are_real(self, kind, gamma):
+        system = PRESETS["tcp"]
+        noise = noise_operators(system, kind, gamma)
+        problem = lindblad_problem(system, noise)
+        b = problem.basis
+        assert np.linalg.norm(b.conj().T @ b - np.eye(16)) < 1e-12
+        for k in range(16):
+            bk = b[:, k].reshape(4, 4)
+            assert np.array_equal(bk, bk.conj().T)
+        pairs = [(problem.drift, liouvillian(drift_hamiltonian(system), noise))]
+        pairs += zip(problem.controls, [liouvillian(o) for o in control_operator_stack(system)])
+        for real, lv in pairs:
+            full = b.conj().T @ lv @ b
+            scale = np.max(np.abs(full))
+            assert np.max(np.abs(full.imag)) < 1e-12 * scale
+            assert np.max(np.abs(real - full.real)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_matches_complex_reference(self, kind):
+        system = PRESETS["tcp"]
+        noise = noise_operators(system, kind, 0.05)
+        table = PulseTable(0.02, np.random.default_rng(3).normal(0, 300, size=(16, 1, 2)))
+        rho0 = np.eye(4) / 4 + 0.1 * thermal_deviation()
+        res = propagate_lindblad(system, table, rho0, noise, substep_tol=0.05)
+        substeps = lindblad_substeps(system, table, noise, 0.05)
+        ref = reference_lindblad(system, table, noise, rho0, substeps)
+        assert np.linalg.norm(res.final - ref) < 1e-12 * np.linalg.norm(ref)
+        assert np.array_equal(res.final, res.final.conj().T)
 
 
 class TestOracle:
