@@ -122,6 +122,8 @@ def basis_trajectory(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expectation <psi_b| rho(t) |psi_b> on a uniform time grid.
 
+    Each sample takes the state at the segment boundary nearest to its time,
+    so samples finer than the segment grid repeat rows.
     Returns (times (n_samples,), values (n_samples, len(basis))), values real.
     """
     for b in basis:

@@ -30,7 +30,6 @@ from .propagation import (
     segment_hamiltonians,
     segment_lindblad_maps,
     segment_unitaries,
-    suffix_products,
 )
 from .spins import NoiseModel, SpinSystem, control_operator_stack
 
@@ -158,77 +157,89 @@ def _shape_window_checkpoints(n_segments: int, window: tuple) -> list[int]:
     return ks
 
 
+def _shape_expectations(pre: np.ndarray, rho_i: np.ndarray, observables, window: tuple):
+    """Checkpoints k, observables O_b (B, d, d) and expectations e_kb = Tr(O_b rho_k),
+    rho_k = P_k rho_i P_k^dag, at the mid-window checkpoints."""
+    ks = np.array(_shape_window_checkpoints(len(pre) - 1, window))
+    obs = np.stack([np.asarray(o, dtype=complex) for o in observables])
+    d = rho_i.shape[0]
+    p_k = pre[ks]
+    rho_k = np.matmul(np.matmul(p_k, rho_i), p_k.conj().transpose(0, 2, 1))
+    # Tr(O rho) = sum_ij O_ij (rho^T)_ij
+    e = np.real(rho_k.transpose(0, 2, 1).reshape(len(ks), d * d) @ obs.reshape(len(obs), d * d).T)
+    return ks, obs, e
+
+
 def _shape_cotangent(
     pre: np.ndarray,
-    units: np.ndarray,
     rho_i: np.ndarray,
     observables,
     window: tuple,
 ) -> tuple[float, np.ndarray]:
     """Penalty P = mean_k mean_b Tr(O_b rho_k)^2 over mid-window checkpoints,
-    and its cotangent C with dP = 2 Re sum_s Tr(C_s dU_s)."""
-    n = len(units)
-    ks = _shape_window_checkpoints(n, window)
-    obs = np.stack([np.asarray(o, dtype=complex) for o in observables])
-    coeff = 2.0 / (len(ks) * len(obs))
-    kset = set(ks)
-    penalty = 0.0
-    d = rho_i.shape[0]
-    x = np.zeros((d, d), dtype=complex)
-    cot = np.zeros((n, d, d), dtype=complex)
-    for j in range(n - 1, -1, -1):
-        k = j + 1
-        if k in kset:
-            rho_k = pre[k] @ rho_i @ pre[k].conj().T
-            e = np.real(np.einsum("bij,ji->b", obs, rho_k, optimize=True))
-            penalty += float(np.dot(e, e))
-            w_k = coeff * np.einsum("b,bij->ij", e, obs)
-            x = x + pre[k].conj().T @ w_k
-        cot[j] = pre[j] @ rho_i @ x
-        if j > 0:
-            x = x @ units[j]
-    return penalty / (len(ks) * len(obs)), cot
+    and its cotangent C with dP = 2 Re sum_s Tr(C_s dU_s).
+
+    With W_k = dP/drho_k = 2/(KB) sum_b e_kb O_b, C_j = P_j rho_i S_{j+1} P_{j+1}^dag,
+    where S_m is the sum of P_k^dag W_k P_k over the checkpoints k >= m.
+    """
+    ks, obs, e = _shape_expectations(pre, rho_i, observables, window)
+    n, d = len(pre) - 1, rho_i.shape[0]
+    w_k = (2.0 / e.size) * (e @ obs.reshape(len(obs), d * d)).reshape(len(ks), d, d)
+    terms = np.zeros((n + 1, d, d), dtype=complex)
+    terms[ks] = np.matmul(np.matmul(pre[ks].conj().transpose(0, 2, 1), w_k), pre[ks])
+    s_mat = np.cumsum(terms[::-1], axis=0)[::-1]
+    pre_h = pre.conj().transpose(0, 2, 1)
+    cot = np.matmul(np.matmul(pre[:-1], np.matmul(rho_i, s_mat[1:])), pre_h[1:])
+    return float(np.mean(e**2)), cot
 
 
 def _unitary_pulse_gradient(
     system: SpinSystem, table: PulseTable, objective: ObjectiveSpec
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Raw fidelity, its gradient w.r.t. the amplitude table (N, 2M), and U(T)."""
+    """Raw fidelity, its gradient w.r.t. the amplitude table (N, 2M), and U(T).
+
+    The product after segment s is U(T) P_{s+1}^dag, so every cotangent
+    C_s = P_s K U(T) P_{s+1}^dag comes from the prefix products alone.
+    """
     dt = table.dt
     h_batch = segment_hamiltonians(system, table)
     evals, vecs, units = segment_unitaries(h_batch, dt)
     pre = prefix_products(units)  # pre[s] = product before segment s
-    suf = suffix_products(units)  # suf[s+1] = product after segment s
     u_total = pre[-1]
 
     if objective.kind == "gate":
         utd = objective.target.conj().T
         z = np.trace(utd @ u_total)
         raw = float(abs(z) ** 2)
-        # dF = 2 Re Tr(C_s dU_s) with C_s = conj(z) A_s U_t^dag B_s
-        cot = np.conj(z) * np.matmul(np.matmul(pre[:-1], utd[None]), suf[1:])
+        # dF = 2 Re Tr(C_s dU_s) with K = conj(z) U_t^dag
+        k_total = np.conj(z) * utd @ u_total
     else:
         rho_t = objective.target
         rho_i = objective.initial
         raw = float(np.real(np.trace(rho_t @ u_total @ rho_i @ u_total.conj().T)))
-        core = rho_i @ u_total.conj().T @ rho_t
-        cot = np.matmul(np.matmul(pre[:-1], core[None]), suf[1:])
-        if objective.shape_weight > 0.0:
-            pen, pen_cot = _shape_cotangent(
-                pre, units, rho_i, objective.shape_observables, objective.shape_window
-            )
-            # the caller rescales value and gradient by the fidelity
-            # normalization; divide the penalty out here so the combined
-            # result is exactly F_normalized - weight * P and its gradient
-            ratio = objective.shape_weight / _norm_factor(objective)
-            raw = raw - ratio * pen
-            cot = cot - ratio * pen_cot
+        k_total = rho_i @ u_total.conj().T @ rho_t @ u_total
+    pre_h = pre.conj().transpose(0, 2, 1)
+    cot = np.matmul(np.matmul(pre[:-1], k_total), pre_h[1:])
+    if objective.shape_weight > 0.0:
+        pen, pen_cot = _shape_cotangent(
+            pre, objective.initial, objective.shape_observables, objective.shape_window
+        )
+        # the caller rescales value and gradient by the fidelity
+        # normalization; divide the penalty out here so the combined
+        # result is exactly F_normalized - weight * P and its gradient
+        ratio = objective.shape_weight / _norm_factor(objective)
+        raw = raw - ratio * pen
+        cot = cot - ratio * pen_cot
 
-    k_mat = np.einsum("nki,nkl,nlj->nij", vecs.conj(), cot, vecs, optimize=True)
+    # Daleckii-Krein: dF/du_c = 2 Re Tr(G O_c), G = V ((V^dag C V) o F^T) V^dag
+    vecs_h = vecs.conj().transpose(0, 2, 1)
+    k_mat = np.matmul(np.matmul(vecs_h, cot), vecs)
     f_mat = _phase_divided_differences(evals, dt)
-    g_mat = np.matmul(np.matmul(vecs, k_mat * f_mat.transpose(0, 2, 1)), vecs.conj().transpose(0, 2, 1))
+    g_mat = np.matmul(np.matmul(vecs, k_mat * f_mat.transpose(0, 2, 1)), vecs_h)
     ops = control_operator_stack(system)
-    du = 2.0 * np.real(np.einsum("nij,cji->nc", g_mat, ops, optimize=True))
+    n, d = g_mat.shape[:2]
+    ops_t = ops.transpose(0, 2, 1).reshape(len(ops), d * d)
+    du = 2.0 * np.real(g_mat.reshape(n, d * d) @ ops_t.T)
     return raw, du, u_total
 
 
@@ -363,10 +374,10 @@ def shape_penalty(
     h_batch = segment_hamiltonians(system, table)
     _, _, units = segment_unitaries(h_batch, table.dt)
     pre = prefix_products(units)
-    penalty, _ = _shape_cotangent(
-        pre, units, objective.initial, objective.shape_observables, objective.shape_window
+    _, _, e = _shape_expectations(
+        pre, objective.initial, objective.shape_observables, objective.shape_window
     )
-    return penalty
+    return float(np.mean(e**2))
 
 
 def evaluate_fidelity(

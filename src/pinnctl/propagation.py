@@ -1,7 +1,12 @@
 """Time evolution under piecewise-constant Hamiltonians.
 
 The primary propagator multiplies exact segment exponentials (eigendecomposition
-of each 4x4 Hermitian segment Hamiltonian).  Dissipative evolution integrates
+of each 4x4 Hermitian segment Hamiltonian).  For gradients, ``prefix_products``
+forms every partial product P_s = U_s ... U_1 by a blocked scan: products inside
+blocks of about sqrt(N) segments are formed for all blocks at once, then each
+block is carried by the product of the blocks before it.  Suffix products are
+not formed separately: for unitary segments the product after segment s is
+U(T) P_s^dagger.  Dissipative evolution integrates
 the vectorized master equation with fixed-step RK4 inside each segment, in
 real arithmetic: in an orthonormal basis of Hermitian matrices every
 Hermiticity-preserving generator is a real d^2 x d^2 matrix, and density
@@ -13,6 +18,7 @@ independent cross-check.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,36 +90,39 @@ def segment_unitaries(h_batch: np.ndarray, dt: float):
 
 
 def prefix_products(units: np.ndarray) -> np.ndarray:
-    """P[s] = U_s ... U_1 for s = 1..N, with P[0] = identity; shape (N+1, d, d)."""
+    """P[s] = U_s ... U_1 for s = 1..N, with P[0] = identity; shape (N+1, d, d).
+
+    Blocked scan: the N segments are split into blocks of b = ceil(sqrt(N))
+    (the last one padded with identities).  Products inside every block are
+    formed together, one batched matmul per position in the block; each block
+    is then carried by the product of all blocks before it.  N matmuls per
+    phase, with about 2 sqrt(N) Python-level steps instead of N.
+    """
     n, d, _ = units.shape
+    b = math.isqrt(max(n - 1, 0)) + 1
+    nb = max(1, -(-n // b))
+    local = np.empty((nb * b, d, d), dtype=complex)
+    local[:n] = units
+    local[n:] = np.eye(d)
+    local = local.reshape(nb, b, d, d)
+    for j in range(1, b):
+        local[:, j] = np.matmul(local[:, j], local[:, j - 1])
+    carry = np.empty((nb, d, d), dtype=complex)
+    carry[0] = np.eye(d)
+    for k in range(1, nb):
+        carry[k] = local[k - 1, -1] @ carry[k - 1]
     out = np.empty((n + 1, d, d), dtype=complex)
     out[0] = np.eye(d)
-    acc = np.eye(d, dtype=complex)
-    for s in range(n):
-        acc = units[s] @ acc
-        out[s + 1] = acc
+    out[1:] = np.matmul(local, carry[:, None]).reshape(nb * b, d, d)[:n]
     return out
 
 
-def suffix_products(units: np.ndarray) -> np.ndarray:
-    """S[s] = U_N ... U_{s+2} U_{s+1} for s = 0..N, with S[N] = identity."""
-    n, d, _ = units.shape
-    out = np.empty((n + 1, d, d), dtype=complex)
-    out[n] = np.eye(d)
-    acc = np.eye(d, dtype=complex)
-    for s in range(n - 1, -1, -1):
-        acc = acc @ units[s]
-        out[s] = acc
-    return out
-
-
-def _snapshot_indices(sample_times, duration: float, n: int) -> dict[int, float]:
-    idx = {}
-    if sample_times is not None:
-        for t in sample_times:
-            s = int(round(np.clip(t, 0.0, duration) / duration * n))
-            idx.setdefault(s, t)
-    return idx
+def _snapshot_indices(sample_times, duration: float, n: int) -> list[int]:
+    """Segment boundary (state after s segments) nearest to each sample time;
+    the trajectory keeps one row per sample time, in the order given."""
+    if sample_times is None:
+        return []
+    return [int(round(np.clip(t, 0.0, duration) / duration * n)) for t in sample_times]
 
 
 def propagate_unitary(
@@ -125,14 +134,16 @@ def propagate_unitary(
     _, _, units = segment_unitaries(h_batch, table.dt)
     n, d = table.n_segments, system.dimension
     snap = _snapshot_indices(sample_times, table.duration, n)
-    traj = [] if sample_times is not None else None
+    wanted = set(snap)
+    states = {}
     acc = np.eye(d, dtype=complex)
-    if 0 in snap:
-        traj.append((snap[0], acc.copy()))
+    if 0 in wanted:
+        states[0] = acc.copy()
     for s in range(n):
         acc = units[s] @ acc
-        if s + 1 in snap:
-            traj.append((snap[s + 1], acc.copy()))
+        if s + 1 in wanted:
+            states[s + 1] = acc.copy()
+    traj = None if sample_times is None else [(t, states[s]) for t, s in zip(sample_times, snap)]
     return EvolutionResult(final=acc, trajectory=traj, method="pwc_expm", n_steps=n)
 
 
@@ -307,14 +318,16 @@ def propagate_lindblad(
     _, _, maps = segment_lindblad_maps(problem, table, m_sub)
     n = table.n_segments
     snap = _snapshot_indices(sample_times, table.duration, n)
-    traj = [] if sample_times is not None else None
+    wanted = set(snap)
+    states = {}
     x = problem.coordinates(rho0)
-    if 0 in snap:
-        traj.append((snap[0], problem.density(x)))
+    if 0 in wanted:
+        states[0] = problem.density(x)
     for s in range(n):
         x = maps[s] @ x
-        if s + 1 in snap:
-            traj.append((snap[s + 1], problem.density(x)))
+        if s + 1 in wanted:
+            states[s + 1] = problem.density(x)
+    traj = None if sample_times is None else [(t, states[s]) for t, s in zip(sample_times, snap)]
     return EvolutionResult(
         final=problem.density(x), trajectory=traj, method="pwc_expm", n_steps=n * m_sub
     )

@@ -6,6 +6,7 @@ in Hz and the 2*pi conversion happens here, once, during drift construction.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -38,6 +39,10 @@ class SpinSystem:
     def __post_init__(self):
         if not 1 <= self.n_spins <= MAX_SPINS:
             raise ValueError(f"n_spins must be in [1, {MAX_SPINS}], got {self.n_spins}")
+        # tuples throughout, so that a system given lists still keys the operator cache
+        object.__setattr__(self, "channels", tuple(tuple(g) for g in self.channels))
+        object.__setattr__(self, "couplings", tuple(tuple(c) for c in self.couplings))
+        object.__setattr__(self, "offsets_hz", tuple(self.offsets_hz))
         seen: set[int] = set()
         for group in self.channels:
             for s in group:
@@ -102,17 +107,11 @@ def spin_half_operator(n_spins: int, target: int, axis: str) -> np.ndarray:
 
 
 def drift_hamiltonian(system: SpinSystem) -> np.ndarray:
-    """Internal Hamiltonian in rad/s: couplings 2*pi*J IizIjz plus offsets 2*pi*d Ikz."""
-    dim = system.dimension
-    h0 = np.zeros((dim, dim), dtype=complex)
-    for i, j, j_hz in system.couplings:
-        iz = spin_half_operator(system.n_spins, i, "z")
-        jz = spin_half_operator(system.n_spins, j, "z")
-        h0 += 2.0 * np.pi * j_hz * (iz @ jz)
-    for k, off_hz in enumerate(system.offsets_hz):
-        if off_hz != 0.0:
-            h0 += 2.0 * np.pi * off_hz * spin_half_operator(system.n_spins, k, "z")
-    return h0
+    """Internal Hamiltonian in rad/s: couplings 2*pi*J IizIjz plus offsets 2*pi*d Ikz.
+
+    Read-only: the array is built once per system and shared by every caller.
+    """
+    return _operators(system)[0]
 
 
 def control_operators(system: SpinSystem) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -126,12 +125,31 @@ def control_operators(system: SpinSystem) -> list[tuple[np.ndarray, np.ndarray]]
 
 
 def control_operator_stack(system: SpinSystem) -> np.ndarray:
-    """Control operators stacked as (2M, dim, dim) in (x1, y1, x2, y2, ...) order."""
-    ops = []
-    for x, y in control_operators(system):
-        ops.append(x)
-        ops.append(y)
-    return np.stack(ops)
+    """Control operators stacked as (2M, dim, dim) in (x1, y1, x2, y2, ...) order.
+
+    Read-only: the array is built once per system and shared by every caller.
+    """
+    return _operators(system)[1]
+
+
+@functools.lru_cache(maxsize=16)
+def _operators(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Drift Hamiltonian and control stack of a system, built once and frozen."""
+    dim = system.dimension
+    h0 = np.zeros((dim, dim), dtype=complex)
+    for i, j, j_hz in system.couplings:
+        iz = spin_half_operator(system.n_spins, i, "z")
+        jz = spin_half_operator(system.n_spins, j, "z")
+        h0 += 2.0 * np.pi * j_hz * (iz @ jz)
+    for k, off_hz in enumerate(system.offsets_hz):
+        if off_hz != 0.0:
+            h0 += 2.0 * np.pi * off_hz * spin_half_operator(system.n_spins, k, "z")
+    ops = [op for pair in control_operators(system) for op in pair]
+    # a register without channels still has a drift
+    stack = np.stack(ops) if ops else np.zeros((0, dim, dim), dtype=complex)
+    for a in (h0, stack):
+        a.setflags(write=False)
+    return h0, stack
 
 
 def drift_norm(system: SpinSystem) -> float:

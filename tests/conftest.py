@@ -1,6 +1,7 @@
 """Shared fixtures: trained pulses are expensive, so they are built once per
 session and cached on disk under tests/artifacts/.  Delete that directory to
-force retraining; training is seeded, so regenerated artifacts are identical.
+force retraining; training is seeded, so regenerated artifacts are identical
+up to deliberate arithmetic changes, which CHANGES.md records with their size.
 """
 
 from pathlib import Path

@@ -77,6 +77,24 @@ class TestBasisTrajectory:
         assert np.allclose(values[:, 0], 1.0, atol=1e-9)
         assert np.allclose(values[:, 3], 0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    def test_one_row_per_sample_when_samples_outnumber_segments(self, gamma):
+        sys_ = PRESETS["tcp"]
+        p = init_params((1, 8, 8, 2), 2 * np.pi * 200, 0.05, seed=1)
+        noise = noise_operators(sys_, "local", gamma) if gamma else None
+        rho0 = np.zeros((4, 4), dtype=complex)
+        rho0[0, 0] = 1.0
+        times, values = basis_trajectory(
+            p, sys_, rho0, singlet_triplet_basis(), n_samples=200, noise=noise, n_fine=64
+        )
+        assert values.shape == (200, 4)
+        assert np.array_equal(times, np.linspace(0.0, 0.05, 200))
+        # the row at each time is the state after the nearest segment boundary
+        boundary = np.rint(times / 0.05 * 64).astype(int)
+        first = {s: i for i, s in reversed(list(enumerate(boundary)))}
+        assert np.array_equal(values, values[[first[s] for s in boundary]])
+        assert len(first) == 65
+
     def test_rejects_unnormalized_basis(self):
         sys_ = PRESETS["tcp"]
         table = PulseTable(0.01, np.zeros((8, 1, 2)))

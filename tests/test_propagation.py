@@ -10,6 +10,7 @@ from pinnctl.propagation import (
     lindblad_problem,
     lindblad_substeps,
     liouvillian,
+    prefix_products,
     propagate_density,
     propagate_lindblad,
     propagate_oracle,
@@ -61,6 +62,55 @@ class TestExpmHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
+
+
+class TestPrefixProducts:
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 255, 4096])
+    def test_matches_sequential_products(self, n):
+        rng = np.random.default_rng(n)
+        units = np.stack([expm_hermitian(random_hermitian(rng, 4, 3.0), 1.0) for _ in range(n)])
+        ref = np.empty((n + 1, 4, 4), dtype=complex)
+        ref[0] = acc = np.eye(4)
+        for s in range(n):
+            acc = units[s] @ acc
+            ref[s + 1] = acc
+        assert np.max(np.abs(prefix_products(units) - ref)) < 1e-12
+
+
+class TestSampleTimes:
+    """One trajectory row per requested time, in the order given."""
+
+    def test_rows_on_the_segment_grid(self):
+        system = PRESETS["tcp"]
+        table = PulseTable(0.05, np.random.default_rng(1).normal(0, 300, size=(16, 1, 2)))
+        rho0 = thermal_deviation()
+        times = np.linspace(0.0, 0.05, 50)
+        res = propagate_density(system, table, rho0, sample_times=times)
+        assert [t for t, _ in res.trajectory] == list(times)
+        h = drift_hamiltonian(system) + np.einsum(
+            "nc,cij->nij", table.flat_amplitudes(), control_operator_stack(system)
+        )
+        pre = prefix_products(np.stack([expm_hermitian(hs, table.dt) for hs in h]))
+        for t, rho in res.trajectory:
+            u = pre[int(round(t / 0.05 * 16))]
+            assert np.allclose(rho, u @ rho0 @ u.conj().T, atol=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    def test_duplicates_and_order_kept(self, gamma):
+        system = PRESETS["tcp"]
+        table = PulseTable(0.05, np.random.default_rng(2).normal(0, 300, size=(8, 1, 2)))
+        rho0 = thermal_deviation()
+        times = [0.05, 0.0, 0.026, 0.025, 0.05]  # 0.026 and 0.025 share boundary 4
+        if gamma:
+            noise = noise_operators(system, "local", gamma)
+            res = propagate_lindblad(system, table, rho0, noise, sample_times=times)
+        else:
+            res = propagate_density(system, table, rho0, sample_times=times)
+        assert [t for t, _ in res.trajectory] == times
+        rows = [rho for _, rho in res.trajectory]
+        assert np.allclose(rows[0], res.final) and np.allclose(rows[4], res.final)
+        assert np.allclose(rows[1], rho0)
+        assert np.array_equal(rows[2], rows[3])
 
 
 class TestPropagateUnitary:

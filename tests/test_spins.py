@@ -5,6 +5,7 @@ from pinnctl.spins import (
     PRESETS,
     NoiseModel,
     SpinSystem,
+    control_operator_stack,
     control_operators,
     drift_hamiltonian,
     drift_norm,
@@ -119,6 +120,46 @@ class TestControlOperators:
         for name in PRESETS:
             for x, y in control_operators(PRESETS[name]):
                 assert herm_defect(x) < 1e-12 and herm_defect(y) < 1e-12
+
+
+class TestCachedOperators:
+    @staticmethod
+    def fresh_drift(system):
+        h0 = np.zeros((system.dimension, system.dimension), dtype=complex)
+        for i, j, j_hz in system.couplings:
+            iz = spin_half_operator(system.n_spins, i, "z")
+            jz = spin_half_operator(system.n_spins, j, "z")
+            h0 += 2 * np.pi * j_hz * iz @ jz
+        for k, off_hz in enumerate(system.offsets_hz):
+            h0 += 2 * np.pi * off_hz * spin_half_operator(system.n_spins, k, "z")
+        return h0
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_equal_to_a_fresh_kron_build(self, name):
+        system = PRESETS[name]
+        assert np.array_equal(drift_hamiltonian(system), self.fresh_drift(system))
+        fresh = np.stack([op for pair in control_operators(system) for op in pair])
+        assert np.array_equal(control_operator_stack(system), fresh)
+
+    def test_shared_and_read_only(self):
+        system = PRESETS["defm"]
+        h0, ops = drift_hamiltonian(system), control_operator_stack(system)
+        assert drift_hamiltonian(system) is h0 and control_operator_stack(system) is ops
+        with pytest.raises(ValueError):
+            h0[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ops += 1.0
+
+    def test_system_given_lists_is_hashable(self):
+        listed = SpinSystem(2, [[0], [1]], couplings=[[0, 1, 48.2]], offsets_hz=[0.0, 0.0])
+        assert listed == PRESETS["defm"]
+        assert drift_hamiltonian(listed) is drift_hamiltonian(PRESETS["defm"])
+
+    def test_differ_between_systems(self):
+        defm, tcp = PRESETS["defm"], PRESETS["tcp"]
+        assert not np.allclose(drift_hamiltonian(defm), drift_hamiltonian(tcp))
+        assert control_operator_stack(defm).shape == (4, 4, 4)
+        assert control_operator_stack(tcp).shape == (2, 4, 4)
 
 
 class TestNoiseOperators:
