@@ -1,7 +1,8 @@
-"""Piecewise-constant baseline: direct Adam optimization of per-segment amplitudes.
+"""Piecewise-constant baseline: Adam ascent on the per-segment amplitudes.
 
-Shares the propagator and fidelity code with the network path; the only
-difference is that the optimization variables are the table entries themselves.
+Shares the propagator, the fidelity code and the ascent loop
+(``optimizer.ascend``) with network training; the only difference is that the
+optimization variables are the table entries themselves.
 """
 
 from __future__ import annotations
@@ -13,27 +14,23 @@ import numpy as np
 
 from .network import NetworkParams, PulseTable, init_params
 from .objectives import ObjectiveSpec, pulse_table_gradient
-from .optimizer import AdamState, DivergenceError, DIVERGENCE_WINDOW, fit_network_to_table
+from .optimizer import AscentConfig, ascend, fit_network_to_table
 from .spins import SpinSystem
 
 
 @dataclass(frozen=True)
-class GrapeConfig:
+class GrapeConfig(AscentConfig):
+    """The ascent settings (a larger default step) plus the table and its bound."""
+
+    learning_rate: float = 1e2
     n_segments: int = 128  # 2**7
     amp_limit: float = 2.0 * np.pi * 1000.0  # rad/s
-    learning_rate: float = 1e2
-    f_threshold: float = 0.99
-    max_iters: int = 20000
-    seed: int = 0
     clip_rule: str = "clip"  # "clip" | "penalty"
     init_rule: str = "random"  # "random" | "zero"
     init_fraction: float = 0.05
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    log_every: int = 1
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n_segments < 1:
             raise ValueError("n_segments must be >= 1")
         if not self.amp_limit > 0:
@@ -80,52 +77,22 @@ def grape_train(
     else:
         amps = np.zeros((n, m2))
 
-    state = AdamState([amps])
-    rows: list[tuple[int, float, float]] = []
-
-    def score(a: np.ndarray):
-        table = PulseTable(duration, a.reshape(n, system.n_channels, 2))
+    def score(arrays):
+        table = PulseTable(duration, arrays[0].reshape(n, -1, 2))
         fid, grad = pulse_table_gradient(system, table, objective)
         if config.clip_rule == "penalty":
-            pen, pen_grad = _penalty_grad(a, config.amp_limit)
-            return fid - pen, grad - pen_grad
-        return fid, grad
+            pen, pen_grad = _penalty_grad(arrays[0], config.amp_limit)
+            return fid - pen, [grad - pen_grad]
+        return fid, [grad]
 
-    fid, grad = score(amps)
-    initial_fid = fid
-    rows.append((0, fid, float(np.linalg.norm(grad))))
-    converged = fid >= config.f_threshold
-    below = 0
-    it = 0
-    while not converged and it < config.max_iters:
-        it += 1
-        (delta,) = state.update(
-            [-grad], config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps
-        )
-        amps = amps + delta
-        if config.clip_rule == "clip":
-            amps = np.clip(amps, -config.amp_limit, config.amp_limit)
-        fid, grad = score(amps)
-        if it % config.log_every == 0 or fid >= config.f_threshold:
-            rows.append((it, fid, float(np.linalg.norm(grad))))
-        if fid < initial_fid - 0.5:
-            below += 1
-            if below >= DIVERGENCE_WINDOW:
-                raise DivergenceError(f"fidelity collapsed at iteration {it}")
-        else:
-            below = 0
-        converged = fid >= config.f_threshold
-    if rows[-1][0] != it:
-        rows.append((it, fid, float(np.linalg.norm(grad))))
-    table = PulseTable(duration, amps.reshape(n, system.n_channels, 2))
-    record = GrapeRecord(
-        iterations=rows,
-        final_table=table,
-        converged=converged,
-        config=config,
-        wall_time_s=time.monotonic() - t0,
+    def clip(arrays):
+        return [np.clip(arrays[0], -config.amp_limit, config.amp_limit)]
+
+    (amps,), rows, converged, _ = ascend(
+        score, [amps], config, project=clip if config.clip_rule == "clip" else None
     )
-    return table, record
+    table = PulseTable(duration, amps.reshape(n, -1, 2))
+    return table, GrapeRecord(rows, table, converged, config, time.monotonic() - t0)
 
 
 def grape_warm_start(

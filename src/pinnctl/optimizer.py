@@ -1,8 +1,12 @@
-"""Training loop: Adam ascent on fidelity with threshold stopping and checkpoints."""
+"""Adam ascent: the one loop (``ascend``), and network training, resume,
+multi-start and the least-squares table fit built on it.  The GRAPE baseline
+(grape.py) runs the same loop on pulse table entries.
+"""
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -11,7 +15,6 @@ import numpy as np
 from .network import (
     NetworkParams,
     PulseTable,
-    apply_update,
     backprop_pulse,
     forward_batch,
     init_params,
@@ -30,8 +33,15 @@ class DivergenceError(RuntimeError):
     pass
 
 
+def _require_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
-class OptimizerConfig:
+class AscentConfig:
+    """Settings of one Adam ascent: step size, moments, stopping and logging."""
+
     learning_rate: float = 1e-3
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -39,32 +49,30 @@ class OptimizerConfig:
     f_threshold: float = 0.99
     max_iters: int = 20000
     seed: int = 0
-    n_fine: int = DEFAULT_N_FINE
     log_every: int = 1
-    substep_tol: float = DEFAULT_SUBSTEP_TOL
-    lr_decay: str = "constant"  # "constant" | "cosine"
 
     def __post_init__(self):
         if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
         if not 0 < self.f_threshold <= 1:
-            raise ValueError("f_threshold must be in (0, 1]")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.lr_decay not in ("constant", "cosine"):
-            raise ValueError(f"unknown lr_decay {self.lr_decay!r}")
+            raise ValueError(f"f_threshold must be in (0, 1], got {self.f_threshold!r}")
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
+        _require_count("log_every", self.log_every)
 
-    def lr_at(self, k: int) -> float:
-        """Learning rate for the k-th update of a run (k = 0 for the first).
 
-        Cosine decay anneals from learning_rate to 0 over max_iters; constant
-        keeps the late-stage steps large, which can destabilize near-converged
-        runs.
-        """
-        if self.lr_decay == "cosine":
-            frac = min(max(k, 0) / max(1, self.max_iters), 1.0)
-            return self.learning_rate * 0.5 * (1.0 + float(np.cos(np.pi * frac)))
-        return self.learning_rate
+@dataclass(frozen=True)
+class OptimizerConfig(AscentConfig):
+    """Network training: the ascent settings plus the propagation grid and substep tolerance."""
+
+    n_fine: int = DEFAULT_N_FINE
+    substep_tol: float = DEFAULT_SUBSTEP_TOL
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require_count("n_fine", self.n_fine)
+        if not self.substep_tol > 0:
+            raise ValueError(f"substep_tol must be positive, got {self.substep_tol!r}")
 
 
 class AdamState:
@@ -131,11 +139,57 @@ class RunRecord:
         return self.iterations[-1][0]
 
 
-def _grad_norm(grad_w, grad_b) -> float:
-    total = sum(float(np.sum(g * g)) for g in grad_w) + sum(
-        float(np.sum(g * g)) for g in grad_b
-    )
-    return float(np.sqrt(total))
+def _grad_norm(*groups) -> float:
+    """2-norm of gradient arrays, the squares summed group by group."""
+    return float(np.sqrt(sum(sum(float(np.sum(g * g)) for g in group) for group in groups)))
+
+
+def ascend(score, arrays: list[np.ndarray], config: AscentConfig, *, project=None,
+           state: AdamState | None = None, start_iter: int = 0, norm=_grad_norm):
+    """Maximise score(arrays) -> (value, gradients) with Adam until the value
+    reaches config.f_threshold or after config.max_iters updates.
+
+    ``project`` maps the arrays after every update; ``state`` and
+    ``start_iter`` continue an earlier ascent.  Returns the final arrays, the
+    (iteration, value, norm(gradients)) rows, the converged flag and the state.
+    Raises FloatingPointError on a non-finite value, and DivergenceError after
+    DIVERGENCE_WINDOW consecutive updates below the initial value - 0.5.
+    """
+    state = state if state is not None else AdamState(arrays)
+    value, grads = score(arrays)
+    initial = value
+    rows = [(start_iter, value, norm(grads))]
+    converged = value >= config.f_threshold
+    below = 0
+    it = start_iter
+    while not converged and it < start_iter + config.max_iters:
+        it += 1
+        deltas = state.update([-g for g in grads], config.learning_rate,  # descend on -value
+                              config.adam_beta1, config.adam_beta2, config.adam_eps)
+        arrays = [a + d for a, d in zip(arrays, deltas)]
+        if project is not None:
+            arrays = project(arrays)
+        value, grads = score(arrays)
+        if not math.isfinite(value):
+            raise FloatingPointError(f"non-finite score at iteration {it}")
+        converged = value >= config.f_threshold
+        if converged or it % config.log_every == 0:
+            rows.append((it, value, norm(grads)))
+        if value < initial - 0.5:
+            below += 1
+            if below >= DIVERGENCE_WINDOW:
+                raise DivergenceError(f"score stuck below initial-0.5 for {DIVERGENCE_WINDOW} "
+                                      f"iterations (iteration {it}, score {value:.6f})")
+        else:
+            below = 0
+    if rows[-1][0] != it:
+        rows.append((it, value, norm(grads)))
+    return arrays, rows, converged, state
+
+
+def _with_arrays(params: NetworkParams, arrays: list[np.ndarray]) -> NetworkParams:
+    nw = len(params.weights)
+    return replace(params, weights=tuple(arrays[:nw]), biases=tuple(arrays[nw:]))
 
 
 def train(
@@ -149,53 +203,21 @@ def train(
 ) -> RunRecord:
     """Ascend fidelity with Adam until f_threshold or max_iters."""
     t0 = time.monotonic()
-    params = params0
-    arrays = list(params.weights) + list(params.biases)
-    state = adam_state if adam_state is not None else AdamState(arrays)
-    nw = len(params.weights)
+    nw = len(params0.weights)
 
-    rows: list[tuple[int, float, float]] = []
-    fid, (gw, gb) = loss_and_gradient(
-        params, system, objective, config.n_fine, substep_tol=config.substep_tol
+    def score(arrays):
+        params = _with_arrays(params0, arrays)
+        fid, (gw, gb) = loss_and_gradient(params, system, objective, config.n_fine,
+                                          substep_tol=config.substep_tol)
+        return fid, [*gw, *gb]
+
+    arrays, rows, converged, state = ascend(
+        score, [*params0.weights, *params0.biases], config, state=adam_state, start_iter=start_iter,
+        norm=lambda grads: _grad_norm(grads[:nw], grads[nw:]),
     )
-    initial_fid = fid
-    rows.append((start_iter, fid, _grad_norm(gw, gb)))
-    below_count = 0
-    converged = fid >= config.f_threshold
-    it = start_iter
-    while not converged and it < start_iter + config.max_iters:
-        it += 1
-        grads = [-g for g in gw] + [-g for g in gb]  # descend on 1 - F
-        deltas = state.update(
-            grads,
-            config.lr_at(it - start_iter - 1),
-            config.adam_beta1,
-            config.adam_beta2,
-            config.adam_eps,
-        )
-        params = apply_update(params, deltas[:nw], deltas[nw:])
-        fid, (gw, gb) = loss_and_gradient(
-            params, system, objective, config.n_fine, substep_tol=config.substep_tol
-        )
-        if not np.isfinite(fid):
-            raise FloatingPointError(f"non-finite fidelity at iteration {it}")
-        if it % config.log_every == 0 or fid >= config.f_threshold:
-            rows.append((it, fid, _grad_norm(gw, gb)))
-        if fid < initial_fid - 0.5:
-            below_count += 1
-            if below_count >= DIVERGENCE_WINDOW:
-                raise DivergenceError(
-                    f"fidelity stuck below initial-0.5 for {DIVERGENCE_WINDOW} iterations "
-                    f"(iteration {it}, fidelity {fid:.6f})"
-                )
-        else:
-            below_count = 0
-        converged = fid >= config.f_threshold
-    if rows[-1][0] != it:
-        rows.append((it, fid, _grad_norm(gw, gb)))
     return RunRecord(
         iterations=rows,
-        final_params=params,
+        final_params=_with_arrays(params0, arrays),
         converged=converged,
         config=config,
         adam_state=state.to_dict(),
@@ -259,17 +281,18 @@ def fit_network_to_table(
     target = table.flat_amplitudes()[seg]
     if np.any(np.abs(target) >= params0.amp_scale):
         raise ValueError("table amplitudes exceed the network amp_scale bound")
-    params = params0
-    nw = len(params.weights)
-    state = AdamState(list(params.weights) + list(params.biases))
-    for _ in range(n_iters):
+
+    def score(arrays):
+        params = _with_arrays(params0, arrays)
         err = forward_batch(params, t) - target
-        gw, gb = backprop_pulse(params, t, (2.0 / err.size) * err)
-        deltas = state.update(
-            list(gw) + list(gb), learning_rate, 0.9, 0.999, 1e-8
-        )
-        params = apply_update(params, deltas[:nw], deltas[nw:])
-    return params
+        gw, gb = backprop_pulse(params, t, (-2.0 / err.size) * err)
+        return -float(np.vdot(err, err)) / err.size, [*gw, *gb]
+
+    # -MSE <= 0 never reaches a threshold in (0, 1]: exactly n_iters updates
+    config = AscentConfig(learning_rate=learning_rate, f_threshold=1.0, max_iters=n_iters,
+                          log_every=n_iters)
+    arrays = ascend(score, [*params0.weights, *params0.biases], config)[0]
+    return _with_arrays(params0, arrays)
 
 
 def multi_start(
@@ -317,11 +340,16 @@ def run_record_to_dict(record: RunRecord) -> dict:
 
 
 def run_record_from_dict(doc: dict) -> RunRecord:
+    config = dict(doc["config"])
+    # records written before the learning-rate schedule was removed carry it
+    lr_decay = config.pop("lr_decay", "constant")
+    if lr_decay != "constant":
+        raise ValueError(f"run record uses lr_decay {lr_decay!r}; only 'constant' is supported")
     return RunRecord(
         iterations=[(int(i), float(f), float(g)) for i, f, g in doc["iterations"]],
         final_params=params_from_dict(doc["final_params"]),
         converged=bool(doc["converged"]),
-        config=OptimizerConfig(**doc["config"]),
+        config=OptimizerConfig(**config),
         adam_state=doc.get("adam_state"),
         wall_time_s=float(doc.get("metadata", {}).get("wall_time_s", 0.0)),
         context=dict(doc.get("context", {})),

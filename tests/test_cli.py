@@ -191,6 +191,31 @@ class TestSynthesize:
         assert rc == 1
         assert "output width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, bad", [
+        ("optimizer", {"log_every": 0}),
+        ("optimizer", {"n_fine": 0}),
+        ("optimizer", {"n_fine": 2.5}),
+        ("optimizer", {"substep_tol": -1}),
+        ("warm_start", {"learning_rate": -5}),
+        ("warm_start", {"f_threshold": 2}),
+    ])
+    def test_bad_loop_setting_is_one_line_error(self, tmp_path, capsys, section, bad):
+        cfg = {
+            "system": "defm",
+            "objective": {"target": "cnot:0,1"},
+            "network": {"layer_sizes": [1, 8, 4], "duration_s": 0.02},
+            "optimizer": {"max_iters": 1, "n_fine": 16, "seed": 0},
+            "warm_start": {"n_segments": 4, "max_iters": 2},
+        }
+        cfg[section].update(bad)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["synthesize", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert next(iter(bad)) in err
+
     def test_requires_config_or_preset(self, capsys):
         assert main(["synthesize"]) == 1
         assert "config" in capsys.readouterr().err

@@ -13,6 +13,7 @@ class TestGrapeConfig:
         cfg = GrapeConfig()
         assert cfg.n_segments == 128
         assert cfg.clip_rule == "clip"
+        assert cfg.learning_rate == 1e2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -21,6 +22,10 @@ class TestGrapeConfig:
             GrapeConfig(amp_limit=-1.0)
         with pytest.raises(ValueError):
             GrapeConfig(clip_rule="wrap")
+        for bad in ({"learning_rate": -5.0}, {"f_threshold": 2.0}, {"max_iters": 0},
+                    {"log_every": 0}, {"log_every": 2.5}):
+            with pytest.raises(ValueError):
+                GrapeConfig(**bad)
 
 
 class TestGrapeTrain:

@@ -4,8 +4,12 @@ import pytest
 from pinnctl.network import init_params
 from pinnctl.objectives import ObjectiveSpec
 from pinnctl.optimizer import (
+    DIVERGENCE_WINDOW,
     AdamState,
+    AscentConfig,
+    DivergenceError,
     OptimizerConfig,
+    ascend,
     load_run_record,
     multi_start,
     resume,
@@ -94,19 +98,114 @@ class TestTrain:
             OptimizerConfig(f_threshold=1.5)
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(lr_decay="linear")
+        for bad in ({"log_every": 0}, {"log_every": 2.5}, {"n_fine": 0}, {"n_fine": 2.5},
+                    {"substep_tol": -1.0}, {"substep_tol": 0.0}):
+            with pytest.raises(ValueError):
+                OptimizerConfig(**bad)
 
-    def test_lr_schedule(self):
-        const = quick_config(max_iters=100)
-        assert const.lr_at(0) == const.lr_at(99) == const.learning_rate
-        cos = quick_config(max_iters=100, lr_decay="cosine")
-        assert cos.lr_at(0) == cos.learning_rate
-        assert cos.lr_at(50) == pytest.approx(0.5 * cos.learning_rate)
-        assert cos.lr_at(100) == pytest.approx(0.0, abs=1e-15)
-        # monotone non-increasing
-        lrs = [cos.lr_at(k) for k in range(101)]
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
+
+def quadratic(center):
+    """Concave score 1 - |x - center|^2 and its gradient."""
+
+    def score(arrays):
+        (x,) = arrays
+        d = x - center
+        return 1.0 - float(np.sum(d * d)), [-2.0 * d]
+
+    return score
+
+
+def hand_rolled_adam(score, x, config, start_iter):
+    """Every (iteration, value, gradient norm) of a plain Adam ascent, and the end point."""
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    m = np.zeros_like(x)
+    v = np.zeros_like(x)
+    value, (g,) = score([x])
+    seen = [(start_iter, value, float(np.sqrt(np.sum(g * g))))]
+    for t in range(1, config.max_iters + 1):
+        if value >= config.f_threshold:
+            break
+        m = b1 * m + (1 - b1) * -g
+        v = b2 * v + (1 - b2) * g * g
+        step = (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + config.adam_eps)
+        x = x - config.learning_rate * step
+        value, (g,) = score([x])
+        seen.append((start_iter + t, value, float(np.sqrt(np.sum(g * g)))))
+    return seen, x
+
+
+class TestAscend:
+    CENTER = np.array([0.3, -0.2, 0.1])
+
+    @pytest.mark.parametrize(
+        "threshold, log_every, start_iter",
+        [(1.0, 3, 0), (1.0, 3, 7), (0.999, 4, 0), (0.999, 4, 10)],
+    )
+    def test_matches_hand_rolled_adam(self, threshold, log_every, start_iter):
+        score = quadratic(self.CENTER)
+        cfg = AscentConfig(learning_rate=1e-2, f_threshold=threshold, max_iters=40,
+                           log_every=log_every)
+        (x,), rows, converged, state = ascend(score, [np.zeros(3)], cfg, start_iter=start_iter)
+        seen, x_ref = hand_rolled_adam(score, np.zeros(3), cfg, start_iter)
+        last = seen[-1]
+        assert converged == (last[1] >= threshold)
+        assert converged == (threshold < 1.0)  # the runs reach 0.999 well inside 40 updates
+        assert state.step == last[0] - start_iter
+        expected = [seen[0]] + [r for r in seen[1:] if r[0] % log_every == 0 or r[1] >= threshold]
+        if expected[-1][0] != last[0]:
+            expected.append(last)
+        assert [r[0] for r in rows] == [r[0] for r in expected]
+        np.testing.assert_allclose(np.array(rows)[:, 1:], np.array(expected)[:, 1:], rtol=1e-12)
+        np.testing.assert_allclose(x, x_ref, rtol=1e-12)
+
+    def test_project_runs_after_every_update(self):
+        seen, calls = [], []
+
+        def score(arrays):
+            seen.append(arrays[0].copy())
+            return quadratic(self.CENTER)(arrays)
+
+        def project(arrays):
+            calls.append(1)
+            return [np.clip(a, -0.05, 0.05) for a in arrays]
+
+        cfg = AscentConfig(learning_rate=1e-2, f_threshold=1.0, max_iters=25)
+        (x,), rows, _, _ = ascend(score, [np.zeros(3)], cfg, project=project)
+        assert len(calls) == rows[-1][0] == 25
+        assert all(np.max(np.abs(a)) <= 0.05 for a in seen[1:])
+        assert np.array_equal(np.abs(x), np.full(3, 0.05))
+
+    def test_divergence_after_window(self):
+        calls = []
+
+        def collapsing(arrays):
+            calls.append(1)
+            return (0.9 if len(calls) == 1 else 0.3999), [np.ones(2)]
+
+        cfg = AscentConfig(f_threshold=1.0, max_iters=DIVERGENCE_WINDOW - 1)
+        ascend(collapsing, [np.zeros(2)], cfg)  # one update short of the window
+        calls.clear()
+        cfg = AscentConfig(f_threshold=1.0, max_iters=10 * DIVERGENCE_WINDOW)
+        with pytest.raises(DivergenceError):
+            ascend(collapsing, [np.zeros(2)], cfg)
+        assert len(calls) == DIVERGENCE_WINDOW + 1
+
+    def test_non_finite_value_raises(self):
+        calls = []
+
+        def blows_up(arrays):
+            calls.append(1)
+            return (0.5 if len(calls) < 3 else float("nan")), [np.ones(2)]
+
+        with pytest.raises(FloatingPointError, match="iteration 2"):
+            ascend(blows_up, [np.zeros(2)], AscentConfig(f_threshold=1.0, max_iters=10))
+
+    def test_config_validation(self):
+        for bad in ({"learning_rate": -5.0}, {"learning_rate": float("nan")},
+                    {"f_threshold": 2.0}, {"f_threshold": 0.0}, {"max_iters": 0},
+                    {"log_every": 0}, {"log_every": 1.0}, {"log_every": True}):
+            with pytest.raises(ValueError):
+                AscentConfig(**bad)
 
 
 class TestResume:
@@ -187,6 +286,15 @@ class TestRecordSerialization:
         assert loaded.config == rec.config
         for wa, wb in zip(loaded.final_params.weights, rec.final_params.weights):
             assert np.array_equal(wa, wb)
+
+    def test_loads_record_with_constant_lr_decay(self):
+        rec = train(small_params(), PRESETS["defm"], cnot_objective(), quick_config(max_iters=2))
+        doc = run_record_to_dict(rec)
+        doc["config"]["lr_decay"] = "constant"  # written before the schedule was removed
+        assert run_record_from_dict(doc).config == rec.config
+        doc["config"]["lr_decay"] = "cosine"
+        with pytest.raises(ValueError, match="cosine"):
+            run_record_from_dict(doc)
 
     def test_final_fidelity_is_last_row(self):
         rec = train(small_params(), PRESETS["defm"], cnot_objective(), quick_config(max_iters=5))
