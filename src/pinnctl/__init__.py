@@ -21,7 +21,6 @@ from .network import (
     NetworkParams,
     PulseTable,
     backprop_pulse,
-    forward,
     forward_batch,
     forward_with_tape,
     init_params,
@@ -60,7 +59,6 @@ from .spins import (
     PRESETS,
     NoiseModel,
     SpinSystem,
-    control_operators,
     drift_hamiltonian,
     load_system,
     noise_operators,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
@@ -19,21 +17,6 @@ from .propagation import (
 from .spins import NoiseModel, SpinSystem, noise_operators
 
 DEFAULT_SEGMENT_COUNTS = tuple(2**k for k in range(16))  # 2^0 .. 2^15
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("PINNCTL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_points(fn, points):
-    workers = _max_workers()
-    if workers == 1:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, points))
 
 
 @dataclass
@@ -101,7 +84,7 @@ def discretization_sweep(
         table = sample_pulse(params, n)
         return evaluate_fidelity(system, table, objective)
 
-    fids = _map_points(point, list(segment_counts))
+    fids = [point(n) for n in segment_counts]
     return SweepResult(
         axis_name="n_segments",
         axis_values=list(segment_counts),
@@ -180,7 +163,7 @@ def noise_sweep(
             system, params_by_gamma[g], obj, n_fine=n_fine, substep_tol=substep_tol
         )
 
-    fids = _map_points(point, gammas)
+    fids = [point(g) for g in gammas]
     return SweepResult(
         axis_name="gamma",
         axis_values=gammas,
@@ -213,7 +196,7 @@ def amplitude_error_sweep(
         table = base if dev == 0.0 else base.scaled(1.0 + dev)
         return evaluate_fidelity(system, table, obj, substep_tol=substep_tol)
 
-    fids = _map_points(point, deviations)
+    fids = [point(dev) for dev in deviations]
     return SweepResult(
         axis_name="du_over_u",
         axis_values=deviations,

@@ -18,7 +18,7 @@ from . import analysis, fileio
 from .grape import GrapeConfig, grape_warm_start
 from .network import init_params, load_params, sample_pulse
 from .objectives import ObjectiveSpec
-from .optimizer import OptimizerConfig, multi_start, save_run_record, train
+from .optimizer import OptimizerConfig, _require_count, multi_start, save_run_record, train
 from .spins import PRESETS, load_system, noise_operators
 from .targets import named_target, singlet_triplet_basis, thermal_deviation
 
@@ -114,6 +114,8 @@ def _build_run(cfg: dict):
         input_gain = float(net.get("input_gain", 1.0))
         duration = float(net["duration_s"])
         opt = OptimizerConfig(**cfg.get("optimizer", {}))
+        n_starts = cfg.get("n_starts", 1)
+        _require_count("n_starts", n_starts)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid run configuration: {exc}") from exc
     if sizes[-1] != 2 * system.n_channels:
@@ -138,19 +140,18 @@ def _build_run(cfg: dict):
             warm = (
                 ws_objective,
                 GrapeConfig(
-                    n_segments=int(ws_cfg.get("n_segments", 64)),
-                    amp_limit=float(ws_cfg.get("amp_limit_rad_s", 0.9 * amp_scale)),
-                    learning_rate=float(ws_cfg.get("learning_rate", 10.0)),
-                    f_threshold=float(ws_cfg.get("f_threshold", opt.f_threshold)),
-                    max_iters=int(ws_cfg.get("max_iters", 8000)),
+                    n_segments=ws_cfg.get("n_segments", 64),
+                    amp_limit=ws_cfg.get("amp_limit_rad_s", 0.9 * amp_scale),
+                    learning_rate=ws_cfg.get("learning_rate", 10.0),
+                    f_threshold=ws_cfg.get("f_threshold", opt.f_threshold),
+                    max_iters=ws_cfg.get("max_iters", 8000),
                     seed=opt.seed,
                     log_every=500,
                 ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid warm_start configuration: {exc}") from exc
-    return (system, objective, sizes, amp_scale, input_gain, duration, opt,
-            int(cfg.get("n_starts", 1)), warm)
+    return (system, objective, sizes, amp_scale, input_gain, duration, opt, n_starts, warm)
 
 
 def cmd_synthesize(args) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .network import NetworkParams, PulseTable, init_params
 from .objectives import ObjectiveSpec, pulse_table_gradient
-from .optimizer import AscentConfig, ascend, fit_network_to_table
+from .optimizer import AscentConfig, _require_count, ascend, fit_network_to_table
 from .spins import SpinSystem
 
 
@@ -31,8 +31,7 @@ class GrapeConfig(AscentConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n_segments < 1:
-            raise ValueError("n_segments must be >= 1")
+        _require_count("n_segments", self.n_segments)
         if not self.amp_limit > 0:
             raise ValueError("amp_limit must be positive")
         if self.clip_rule not in ("clip", "penalty"):

@@ -56,16 +56,13 @@ class PulseTable:
     """A concrete sampling of a control profile: n_segments x channels x (x, y)."""
 
     duration: float
-    samples: np.ndarray  # (n_segments, channels, 2), rad/s
-    sampling_rule: str = "midpoint"
+    samples: np.ndarray  # (n_segments, channels, 2), rad/s, sampled at segment midpoints
 
     def __post_init__(self):
         if self.samples.ndim != 3 or self.samples.shape[2] != 2:
             raise ValueError("samples must have shape (n_segments, channels, 2)")
         if not self.duration > 0:
             raise ValueError("duration must be positive")
-        if self.sampling_rule not in ("midpoint", "left_edge"):
-            raise ValueError(f"unknown sampling rule {self.sampling_rule!r}")
 
     @property
     def n_segments(self) -> int:
@@ -84,7 +81,7 @@ class PulseTable:
         return self.samples.reshape(self.n_segments, -1)
 
     def scaled(self, factor: float) -> "PulseTable":
-        return PulseTable(self.duration, self.samples * factor, self.sampling_rule)
+        return PulseTable(self.duration, self.samples * factor)
 
 
 def init_params(
@@ -147,11 +144,6 @@ def forward_batch(params: NetworkParams, t: np.ndarray) -> np.ndarray:
     return params.amp_scale * np.tanh(z)
 
 
-def forward(params: NetworkParams, t: float) -> np.ndarray:
-    """Amplitude vector (2M,) at a single time, rad/s."""
-    return forward_batch(params, np.array([t]))[0]
-
-
 def forward_with_tape(params: NetworkParams, t) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass that also records per-layer activations for backprop.
 
@@ -203,23 +195,19 @@ def backprop_pulse(
     return tuple(grad_w), tuple(grad_b)
 
 
-def segment_times(duration: float, n_segments: int, rule: str = "midpoint") -> np.ndarray:
-    dt = duration / n_segments
-    if rule == "midpoint":
-        return (np.arange(n_segments) + 0.5) * dt
-    if rule == "left_edge":
-        return np.arange(n_segments) * dt
-    raise ValueError(f"unknown sampling rule {rule!r}")
+def segment_times(duration: float, n_segments: int) -> np.ndarray:
+    """Midpoints of n_segments equal segments of [0, duration]."""
+    return (np.arange(n_segments) + 0.5) * (duration / n_segments)
 
 
-def sample_pulse(params: NetworkParams, n_segments: int, rule: str = "midpoint") -> PulseTable:
+def sample_pulse(params: NetworkParams, n_segments: int) -> PulseTable:
     """Discretize the network onto n_segments piecewise-constant segments."""
     if n_segments < 1:
         raise ValueError("n_segments must be >= 1")
-    t = segment_times(params.time_scale, n_segments, rule)
+    t = segment_times(params.time_scale, n_segments)
     u = forward_batch(params, t)
     samples = u.reshape(n_segments, params.n_channels, 2)
-    return PulseTable(duration=params.time_scale, samples=samples, sampling_rule=rule)
+    return PulseTable(duration=params.time_scale, samples=samples)
 
 
 def params_to_dict(params: NetworkParams) -> dict:
@@ -272,10 +260,6 @@ def load_params(path, expected_channels: int | None = None) -> NetworkParams:
             f"2 x {expected_channels} system channels"
         )
     return params
-
-
-def flatten_grads(grad_w, grad_b) -> np.ndarray:
-    return np.concatenate([g.ravel() for g in grad_w] + [g.ravel() for g in grad_b])
 
 
 def apply_update(params: NetworkParams, delta_w, delta_b) -> NetworkParams:

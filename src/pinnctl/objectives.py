@@ -10,7 +10,7 @@ taken in real arithmetic in the orthonormal Hermitian basis of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,8 @@ class ObjectiveSpec:
     shape_weight: float = 0.0
     shape_observables: tuple | None = None
     shape_window: tuple = (0.25, 0.75)
+    # raw fidelity -> objective value factor, set from the fields above
+    norm_factor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("gate", "state"):
@@ -84,6 +86,16 @@ class ObjectiveSpec:
                 raise ValueError("state objectives require an initial state")
             if np.linalg.norm(self.initial - self.initial.conj().T) > 1e-10:
                 raise ValueError("initial state must be Hermitian")
+        if self.normalization == "raw":
+            factor = 1.0
+        elif self.kind == "gate":
+            factor = 1.0 / d**2
+        else:
+            bound = transfer_bound(self.target, self.initial)
+            if abs(bound) < 1e-14:
+                raise ValueError("degenerate target/initial pair: transfer bound is zero")
+            factor = 1.0 / bound
+        object.__setattr__(self, "norm_factor", factor)
 
 
 def gate_fidelity(u_final: np.ndarray, target: np.ndarray, normalization: str = "normalized") -> float:
@@ -126,14 +138,6 @@ def state_fidelity(
             raise ValueError("degenerate target/initial pair: transfer bound is zero")
         return raw / bound
     raise ValueError(f"unknown normalization {normalization!r}")
-
-
-def _norm_factor(objective: ObjectiveSpec) -> float:
-    if objective.normalization == "raw":
-        return 1.0
-    if objective.kind == "gate":
-        return 1.0 / objective.target.shape[0] ** 2
-    return 1.0 / transfer_bound(objective.target, objective.initial)
 
 
 def _phase_divided_differences(evals: np.ndarray, dt: float) -> np.ndarray:
@@ -227,7 +231,7 @@ def _unitary_pulse_gradient(
         # the caller rescales value and gradient by the fidelity
         # normalization; divide the penalty out here so the combined
         # result is exactly F_normalized - weight * P and its gradient
-        ratio = objective.shape_weight / _norm_factor(objective)
+        ratio = objective.shape_weight / objective.norm_factor
         raw = raw - ratio * pen
         cot = cot - ratio * pen_cot
 
@@ -310,7 +314,7 @@ def pulse_table_gradient(
         raw, du, _ = _lindblad_pulse_gradient(system, table, objective, substeps)
     else:
         raw, du, _ = _unitary_pulse_gradient(system, table, objective)
-    scale = _norm_factor(objective)
+    scale = objective.norm_factor
     fid = raw * scale
     grad = du * scale
     if not np.isfinite(fid) or not np.all(np.isfinite(grad)):

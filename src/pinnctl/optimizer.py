@@ -56,8 +56,7 @@ class AscentConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
         if not 0 < self.f_threshold <= 1:
             raise ValueError(f"f_threshold must be in (0, 1], got {self.f_threshold!r}")
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
+        _require_count("max_iters", self.max_iters)
         _require_count("log_every", self.log_every)
 
 
@@ -312,8 +311,7 @@ def multi_start(
     With early_stop the remaining starts are skipped once one run reaches the
     fidelity threshold.
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
+    _require_count("n_starts", n_starts)
     best: RunRecord | None = None
     for k in range(n_starts):
         seed = config.seed + k

@@ -17,15 +17,21 @@ independent cross-check.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .network import NetworkParams, PulseTable, forward_batch, sample_pulse
-from .spins import NoiseModel, SpinSystem, control_operator_stack, drift_hamiltonian, drift_norm
+from .spins import (
+    NoiseModel,
+    SpinSystem,
+    control_operator_stack,
+    drift_hamiltonian,
+    liouvillian,
+    system_operators,
+)
 
 DEFAULT_N_FINE = 4096  # 2**12
 # Per-RK4-substep cap on (gamma*||H0|| + ||H||)*h; 0.005 keeps the gamma=0
@@ -117,12 +123,22 @@ def prefix_products(units: np.ndarray) -> np.ndarray:
     return out
 
 
-def _snapshot_indices(sample_times, duration: float, n: int) -> list[int]:
-    """Segment boundary (state after s segments) nearest to each sample time;
-    the trajectory keeps one row per sample time, in the order given."""
+def _sweep_segments(maps: np.ndarray, x: np.ndarray, sample_times, duration: float, read):
+    """Apply the segment maps to x in order.  Returns the final x and, when
+    sample_times is given, one row (t, read(x)) per sample time, in the order
+    given, with x taken at the segment boundary nearest to t."""
     if sample_times is None:
-        return []
-    return [int(round(np.clip(t, 0.0, duration) / duration * n)) for t in sample_times]
+        snap = []
+    else:
+        snap = [int(round(np.clip(t, 0.0, duration) / duration * len(maps))) for t in sample_times]
+    wanted = set(snap)
+    states = {0: read(x)} if 0 in wanted else {}
+    for s in range(len(maps)):
+        x = maps[s] @ x
+        if s + 1 in wanted:
+            states[s + 1] = read(x)
+    traj = None if sample_times is None else [(t, states[s]) for t, s in zip(sample_times, snap)]
+    return x, traj
 
 
 def propagate_unitary(
@@ -132,19 +148,10 @@ def propagate_unitary(
     table = _as_pulse(system, pulse, n_fine)
     h_batch = segment_hamiltonians(system, table)
     _, _, units = segment_unitaries(h_batch, table.dt)
-    n, d = table.n_segments, system.dimension
-    snap = _snapshot_indices(sample_times, table.duration, n)
-    wanted = set(snap)
-    states = {}
-    acc = np.eye(d, dtype=complex)
-    if 0 in wanted:
-        states[0] = acc.copy()
-    for s in range(n):
-        acc = units[s] @ acc
-        if s + 1 in wanted:
-            states[s + 1] = acc.copy()
-    traj = None if sample_times is None else [(t, states[s]) for t, s in zip(sample_times, snap)]
-    return EvolutionResult(final=acc, trajectory=traj, method="pwc_expm", n_steps=n)
+    acc, traj = _sweep_segments(
+        units, np.eye(system.dimension, dtype=complex), sample_times, table.duration, np.copy
+    )
+    return EvolutionResult(final=acc, trajectory=traj, method="pwc_expm", n_steps=table.n_segments)
 
 
 def propagate_density(
@@ -158,39 +165,6 @@ def propagate_density(
     if res.trajectory is not None:
         traj = [(t, u @ rho0 @ u.conj().T) for t, u in res.trajectory]
     return EvolutionResult(final=final, trajectory=traj, method="pwc_expm", n_steps=res.n_steps)
-
-
-def liouvillian(h: np.ndarray, noise: NoiseModel | None = None) -> np.ndarray:
-    """Vectorized generator: d vec(rho)/dt = L vec(rho) (row-major vec)."""
-    d = h.shape[0]
-    eye = np.eye(d)
-    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    if noise is not None and noise.gamma > 0:
-        rate = noise.rate
-        for v in noise.collapse_ops:
-            vdv = v.conj().T @ v
-            lv += rate * (
-                np.kron(v, v.conj())
-                - 0.5 * (np.kron(vdv, eye) + np.kron(eye, vdv.T))
-            )
-    return lv
-
-
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal basis of the d x d Hermitian matrices, as columns vec(B_k).
-
-    B_k with k = i*d + j is E_ii on the diagonal, (E_ij + E_ji)/sqrt2 above
-    it and i(E_ij - E_ji)/sqrt2 below it.  The (d^2, d^2) matrix is unitary.
-    """
-    s = 1.0 / np.sqrt(2.0)
-    basis = np.zeros((d, d, d, d), dtype=complex)  # basis[i, j] = B_{i*d+j}
-    for i in range(d):
-        basis[i, i, i, i] = 1.0
-        for j in range(i + 1, d):
-            basis[i, j, i, j] = basis[i, j, j, i] = s
-            basis[j, i, j, i] = 1j * s
-            basis[j, i, i, j] = -1j * s
-    return basis.reshape(d * d, d * d).T
 
 
 @dataclass(frozen=True)
@@ -218,40 +192,17 @@ class LindbladProblem:
         return (self.basis @ x).reshape(d, d)
 
 
-def _real_superoperator(basis: np.ndarray, lv: np.ndarray) -> np.ndarray:
-    """B^H L B for a Hermiticity-preserving L, whose imaginary part is round-off."""
-    out = basis.conj().T @ lv @ basis
-    if np.max(np.abs(out.imag)) > 1e-12 * max(1.0, np.max(np.abs(out.real))):
-        raise ValueError("superoperator does not preserve Hermiticity")
-    return out.real
-
-
-@functools.lru_cache(maxsize=16)
-def _noiseless_problem(system: SpinSystem) -> LindbladProblem:
-    basis = _hermitian_basis(system.dimension)
-    h0 = drift_hamiltonian(system)
-    ops = control_operator_stack(system)
-    problem = LindbladProblem(
-        basis=basis,
-        drift=_real_superoperator(basis, liouvillian(h0)),
-        controls=np.stack([_real_superoperator(basis, liouvillian(o)) for o in ops]),
-        h0_norm=drift_norm(system),
-        op_norms=np.array([np.max(np.abs(np.linalg.eigvalsh(o))) for o in ops]),
-    )
-    for a in (problem.basis, problem.drift, problem.controls, problem.op_norms):
-        a.setflags(write=False)  # shared by every caller through the cache
-    return problem
-
-
 def lindblad_problem(system: SpinSystem, noise: NoiseModel) -> LindbladProblem:
-    """Real generators of the system's master equation under a noise model.
-
-    The system part is built once per system; the dissipator is added per call.
-    """
-    problem = _noiseless_problem(system)
-    d = system.dimension
-    dissipator = _real_superoperator(problem.basis, liouvillian(np.zeros((d, d)), noise))
-    return replace(problem, drift=problem.drift + dissipator)
+    """Real generators of the system's master equation under a noise model,
+    read from the operators built once per system and once per noise model."""
+    ops = system_operators(system)
+    return LindbladProblem(
+        basis=ops.hermitian_basis,
+        drift=ops.drift_generator + noise.dissipator,
+        controls=ops.control_generators,
+        h0_norm=ops.drift_norm,
+        op_norms=ops.control_norms,
+    )
 
 
 def lindblad_substeps(
@@ -262,12 +213,12 @@ def lindblad_substeps(
     When amp_bound is given the bound uses it instead of the realized
     amplitudes, making the count independent of the pulse values.
     """
-    problem = _noiseless_problem(system)
+    ops = system_operators(system)
     if amp_bound is not None:
-        ctrl = amp_bound * float(problem.op_norms.sum())
+        ctrl = amp_bound * float(ops.control_norms.sum())
     else:
-        ctrl = float(np.max(np.abs(table.flat_amplitudes()) @ problem.op_norms))
-    rate_total = noise.rate + problem.h0_norm + ctrl
+        ctrl = float(np.max(np.abs(table.flat_amplitudes()) @ ops.control_norms))
+    rate_total = noise.rate + ops.drift_norm + ctrl
     needed = rate_total * table.dt / tol
     m = 1
     while m < needed:
@@ -316,20 +267,12 @@ def propagate_lindblad(
     m_sub = lindblad_substeps(system, table, noise, substep_tol)
     problem = lindblad_problem(system, noise)
     _, _, maps = segment_lindblad_maps(problem, table, m_sub)
-    n = table.n_segments
-    snap = _snapshot_indices(sample_times, table.duration, n)
-    wanted = set(snap)
-    states = {}
-    x = problem.coordinates(rho0)
-    if 0 in wanted:
-        states[0] = problem.density(x)
-    for s in range(n):
-        x = maps[s] @ x
-        if s + 1 in wanted:
-            states[s + 1] = problem.density(x)
-    traj = None if sample_times is None else [(t, states[s]) for t, s in zip(sample_times, snap)]
+    x, traj = _sweep_segments(
+        maps, problem.coordinates(rho0), sample_times, table.duration, problem.density
+    )
     return EvolutionResult(
-        final=problem.density(x), trajectory=traj, method="pwc_expm", n_steps=n * m_sub
+        final=problem.density(x), trajectory=traj, method="pwc_expm",
+        n_steps=table.n_segments * m_sub,
     )
 
 

@@ -2,6 +2,8 @@
 
 All Hamiltonians are in angular frequency (rad/s); configuration values are
 in Hz and the 2*pi conversion happens here, once, during drift construction.
+Each system's operators are built here once (``system_operators``); their
+Liouville-space form, real in an orthonormal Hermitian basis, on first use.
 """
 
 from __future__ import annotations
@@ -90,6 +92,46 @@ class NoiseModel:
         """Collapse-term coefficient gamma * ||H0|| in rad/s."""
         return self.gamma * self.drift_norm
 
+    @functools.cached_property
+    def dissipator(self) -> np.ndarray:
+        """Real (d^2, d^2) dissipator in the Hermitian basis; built once, read-only."""
+        d = self.collapse_ops[0].shape[0]
+        lv = liouvillian(np.zeros((d, d)), self)
+        return _read_only(_real_superoperator(_hermitian_basis(d), lv))
+
+
+@dataclass(frozen=True, eq=False)
+class SystemOperators:
+    """The operators of one system, built once by ``system_operators``.
+
+    drift: (d, d) H0 in rad/s.  controls: (2M, d, d) in (x1, y1, x2, y2, ...)
+    order, grouped spins summed.  drift_norm, control_norms: spectral norms
+    of H0 and of each control operator.  The Liouville-space generators are
+    built on first use.  Every array is read-only: callers share them.
+    """
+
+    drift: np.ndarray
+    controls: np.ndarray
+    drift_norm: float
+    control_norms: np.ndarray
+
+    @functools.cached_property
+    def hermitian_basis(self) -> np.ndarray:
+        """(d^2, d^2) unitary whose column k is vec(B_k); see ``_hermitian_basis``."""
+        return _read_only(_hermitian_basis(self.drift.shape[0]))
+
+    @functools.cached_property
+    def drift_generator(self) -> np.ndarray:
+        """Real (d^2, d^2) generator of H0 in the Hermitian basis."""
+        return _read_only(_real_superoperator(self.hermitian_basis, liouvillian(self.drift)))
+
+    @functools.cached_property
+    def control_generators(self) -> np.ndarray:
+        """Real (2M, d^2, d^2) generators dL/du_c, in control-stack order."""
+        basis = self.hermitian_basis
+        gens = [_real_superoperator(basis, liouvillian(o)) for o in self.controls]
+        return _read_only(np.stack(gens))
+
 
 def spin_half_operator(n_spins: int, target: int, axis: str) -> np.ndarray:
     """Embed a single-spin I_x/y/z (eigenvalues +-1/2) into an n-spin register."""
@@ -111,17 +153,7 @@ def drift_hamiltonian(system: SpinSystem) -> np.ndarray:
 
     Read-only: the array is built once per system and shared by every caller.
     """
-    return _operators(system)[0]
-
-
-def control_operators(system: SpinSystem) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One Hermitian (X_k, Y_k) pair per channel group; grouped spins are summed."""
-    pairs = []
-    for group in system.channels:
-        x = sum(spin_half_operator(system.n_spins, s, "x") for s in group)
-        y = sum(spin_half_operator(system.n_spins, s, "y") for s in group)
-        pairs.append((x, y))
-    return pairs
+    return system_operators(system).drift
 
 
 def control_operator_stack(system: SpinSystem) -> np.ndarray:
@@ -129,33 +161,88 @@ def control_operator_stack(system: SpinSystem) -> np.ndarray:
 
     Read-only: the array is built once per system and shared by every caller.
     """
-    return _operators(system)[1]
-
-
-@functools.lru_cache(maxsize=16)
-def _operators(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Drift Hamiltonian and control stack of a system, built once and frozen."""
-    dim = system.dimension
-    h0 = np.zeros((dim, dim), dtype=complex)
-    for i, j, j_hz in system.couplings:
-        iz = spin_half_operator(system.n_spins, i, "z")
-        jz = spin_half_operator(system.n_spins, j, "z")
-        h0 += 2.0 * np.pi * j_hz * (iz @ jz)
-    for k, off_hz in enumerate(system.offsets_hz):
-        if off_hz != 0.0:
-            h0 += 2.0 * np.pi * off_hz * spin_half_operator(system.n_spins, k, "z")
-    ops = [op for pair in control_operators(system) for op in pair]
-    # a register without channels still has a drift
-    stack = np.stack(ops) if ops else np.zeros((0, dim, dim), dtype=complex)
-    for a in (h0, stack):
-        a.setflags(write=False)
-    return h0, stack
+    return system_operators(system).controls
 
 
 def drift_norm(system: SpinSystem) -> float:
     """Spectral norm (largest |eigenvalue|) of the drift Hamiltonian, rad/s."""
-    evals = np.linalg.eigvalsh(drift_hamiltonian(system))
-    return float(np.max(np.abs(evals)))
+    return system_operators(system).drift_norm
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _spectral_norm(h: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
+
+
+@functools.lru_cache(maxsize=16)
+def system_operators(system: SpinSystem) -> SystemOperators:
+    """The operators of a system, built once per system and shared by every caller."""
+    n, dim = system.n_spins, system.dimension
+    h0 = np.zeros((dim, dim), dtype=complex)
+    for i, j, j_hz in system.couplings:
+        iz = spin_half_operator(n, i, "z")
+        jz = spin_half_operator(n, j, "z")
+        h0 += 2.0 * np.pi * j_hz * (iz @ jz)
+    for k, off_hz in enumerate(system.offsets_hz):
+        if off_hz != 0.0:
+            h0 += 2.0 * np.pi * off_hz * spin_half_operator(n, k, "z")
+    # one (X_k, Y_k) pair per channel group; a register without channels still has a drift
+    controls = np.zeros((2 * system.n_channels, dim, dim), dtype=complex)
+    for c, group in enumerate(system.channels):
+        for s in group:
+            controls[2 * c] += spin_half_operator(n, s, "x")
+            controls[2 * c + 1] += spin_half_operator(n, s, "y")
+    return SystemOperators(
+        drift=_read_only(h0),
+        controls=_read_only(controls),
+        drift_norm=_spectral_norm(h0),
+        control_norms=_read_only(np.array([_spectral_norm(o) for o in controls])),
+    )
+
+
+def liouvillian(h: np.ndarray, noise: NoiseModel | None = None) -> np.ndarray:
+    """Vectorized generator: d vec(rho)/dt = L vec(rho) (row-major vec)."""
+    d = h.shape[0]
+    eye = np.eye(d)
+    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    if noise is not None and noise.gamma > 0:
+        rate = noise.rate
+        for v in noise.collapse_ops:
+            vdv = v.conj().T @ v
+            lv += rate * (
+                np.kron(v, v.conj())
+                - 0.5 * (np.kron(vdv, eye) + np.kron(eye, vdv.T))
+            )
+    return lv
+
+
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal basis of the d x d Hermitian matrices, as columns vec(B_k).
+
+    B_k with k = i*d + j is E_ii on the diagonal, (E_ij + E_ji)/sqrt2 above
+    it and i(E_ij - E_ji)/sqrt2 below it.  The (d^2, d^2) matrix is unitary.
+    """
+    s = 1.0 / np.sqrt(2.0)
+    basis = np.zeros((d, d, d, d), dtype=complex)  # basis[i, j] = B_{i*d+j}
+    for i in range(d):
+        basis[i, i, i, i] = 1.0
+        for j in range(i + 1, d):
+            basis[i, j, i, j] = basis[i, j, j, i] = s
+            basis[j, i, j, i] = 1j * s
+            basis[j, i, i, j] = -1j * s
+    return basis.reshape(d * d, d * d).T
+
+
+def _real_superoperator(basis: np.ndarray, lv: np.ndarray) -> np.ndarray:
+    """B^H L B for a Hermiticity-preserving L, whose imaginary part is round-off."""
+    out = basis.conj().T @ lv @ basis
+    if np.max(np.abs(out.imag)) > 1e-12 * max(1.0, np.max(np.abs(out.real))):
+        raise ValueError("superoperator does not preserve Hermiticity")
+    return out.real
 
 
 def noise_operators(system: SpinSystem, kind: str, gamma: float) -> NoiseModel:

@@ -198,6 +198,12 @@ class TestSynthesize:
         ("optimizer", {"substep_tol": -1}),
         ("warm_start", {"learning_rate": -5}),
         ("warm_start", {"f_threshold": 2}),
+        ("optimizer", {"max_iters": 2.5}),
+        ("warm_start", {"n_segments": 4.7}),
+        ("warm_start", {"max_iters": 2.9}),
+        (None, {"n_starts": 0}),
+        (None, {"n_starts": -3}),
+        (None, {"n_starts": 2.5}),
     ])
     def test_bad_loop_setting_is_one_line_error(self, tmp_path, capsys, section, bad):
         cfg = {
@@ -207,7 +213,7 @@ class TestSynthesize:
             "optimizer": {"max_iters": 1, "n_fine": 16, "seed": 0},
             "warm_start": {"n_segments": 4, "max_iters": 2},
         }
-        cfg[section].update(bad)
+        (cfg if section is None else cfg[section]).update(bad)
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
         rc = main(["synthesize", "--config", str(cfg_path), "--out", str(tmp_path / "o")])

@@ -23,7 +23,8 @@ class TestGrapeConfig:
         with pytest.raises(ValueError):
             GrapeConfig(clip_rule="wrap")
         for bad in ({"learning_rate": -5.0}, {"f_threshold": 2.0}, {"max_iters": 0},
-                    {"log_every": 0}, {"log_every": 2.5}):
+                    {"log_every": 0}, {"log_every": 2.5}, {"n_segments": 4.7},
+                    {"max_iters": True}, {"max_iters": 2.5}):
             with pytest.raises(ValueError):
                 GrapeConfig(**bad)
 

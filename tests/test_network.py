@@ -8,8 +8,6 @@ from pinnctl.network import (
     PulseTable,
     apply_update,
     backprop_pulse,
-    flatten_grads,
-    forward,
     forward_batch,
     forward_with_tape,
     init_params,
@@ -71,7 +69,7 @@ class TestForward:
             p.time_scale,
         )
         for t in np.linspace(0, 0.02, 7):
-            assert np.allclose(forward(p, t), 0.0)
+            assert np.allclose(forward_batch(p, t)[0], 0.0)
 
     def test_bounded_by_amp_scale(self):
         p = init_params((1, 30, 30, 4), U_MAX, 0.02, seed=5)
@@ -82,14 +80,14 @@ class TestForward:
         # w=1, b=0 throughout, amp_scale=1, T=1: u(t) = tanh(tanh(t))
         p = one_node_params()
         expected = np.tanh(np.tanh(0.5))
-        assert np.allclose(forward(p, 0.5), [expected, expected])
+        assert np.allclose(forward_batch(p, 0.5)[0], [expected, expected])
 
     def test_rejects_time_outside_window(self):
         p = init_params((1, 4, 2), 1.0, 1.0, seed=0)
         with pytest.raises(ValueError):
-            forward(p, 1.5)
+            forward_batch(p, 1.5)
         with pytest.raises(ValueError):
-            forward(p, -0.1)
+            forward_batch(p, -0.1)
 
     def test_lipschitz_no_jumps(self):
         # finite difference quotient stays stable under grid refinement
@@ -125,7 +123,7 @@ class TestBackprop:
         t = np.array([0.35, 0.8])
         upstream = rng.normal(size=(2, 2))
         gw, gb = backprop_pulse(p, t, upstream)
-        g = flatten_grads(gw, gb)
+        g = np.concatenate([a.ravel() for a in gw + gb])
 
         def value(pp):
             return float(np.sum(upstream * forward_batch(pp, t)))
@@ -175,11 +173,6 @@ class TestSamplePulse:
         t1 = sample_pulse(p, 8)
         t2 = sample_pulse(p, 16)
         assert np.isclose(t1.dt, 2 * t2.dt)
-
-    def test_left_edge_rule(self):
-        p = init_params((1, 5, 2), 1.0, 1.0, seed=0)
-        table = sample_pulse(p, 4, rule="left_edge")
-        assert np.allclose(table.samples[0].ravel(), forward(p, 0.0))
 
     def test_reconstruction_converges_sup_norm(self):
         p = init_params((1, 10, 10, 2), 1.0, 1.0, seed=4)
@@ -234,8 +227,6 @@ class TestPulseTable:
             PulseTable(1.0, np.zeros((4, 2)))
         with pytest.raises(ValueError):
             PulseTable(0.0, np.zeros((4, 1, 2)))
-        with pytest.raises(ValueError):
-            PulseTable(1.0, np.zeros((4, 1, 2)), sampling_rule="nearest")
 
 
 class TestInputGain:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from pinnctl.network import PulseTable, apply_update, flatten_grads, init_params
+from pinnctl.network import PulseTable, apply_update, init_params
 from pinnctl.objectives import (
     ObjectiveSpec,
     evaluate_fidelity,
@@ -137,10 +137,31 @@ class TestObjectiveSpec:
         with pytest.raises(ValueError):
             ObjectiveSpec(kind="state", target=singlet_order_operator())
 
+    @pytest.mark.parametrize("normalization", ["raw", "normalized"])
+    def test_norm_factor(self, normalization):
+        q, rho = singlet_order_operator(), thermal_deviation()
+        gate = ObjectiveSpec(kind="gate", target=cnot(0, 1), normalization=normalization)
+        state = ObjectiveSpec(kind="state", target=q, initial=rho, normalization=normalization)
+        raw = normalization == "raw"
+        assert gate.norm_factor == (1.0 if raw else 1.0 / 16)
+        assert state.norm_factor == (1.0 if raw else 1.0 / transfer_bound(q, rho))
+        # replace re-runs the construction, so the factor follows the fields
+        for obj in (gate, state):
+            assert replace(obj, normalization="raw").norm_factor == 1.0
+        normalized = replace(state, normalization="normalized")
+        assert normalized.norm_factor == 1.0 / transfer_bound(q, rho)
+
+    def test_degenerate_bound_rejected_when_normalized(self):
+        z = np.zeros((4, 4))
+        raw = ObjectiveSpec(kind="state", target=z, initial=z, normalization="raw")
+        assert raw.norm_factor == 1.0
+        with pytest.raises(ValueError, match="transfer bound"):
+            ObjectiveSpec(kind="state", target=z, initial=z)
+
 
 def fd_check(params, system, objective, n_fine, rng, n_probes, eps=1e-6, **kwargs):
     fid, (gw, gb) = loss_and_gradient(params, system, objective, n_fine, **kwargs)
-    g = flatten_grads(gw, gb)
+    g = np.concatenate([a.ravel() for a in gw + gb])
     arrays = [np.zeros_like(w) for w in params.weights] + [
         np.zeros_like(b) for b in params.biases
     ]

@@ -99,7 +99,7 @@ class TestTrain:
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
         for bad in ({"log_every": 0}, {"log_every": 2.5}, {"n_fine": 0}, {"n_fine": 2.5},
-                    {"substep_tol": -1.0}, {"substep_tol": 0.0}):
+                    {"substep_tol": -1.0}, {"substep_tol": 0.0}, {"max_iters": 2.5}):
             with pytest.raises(ValueError):
                 OptimizerConfig(**bad)
 
@@ -203,7 +203,8 @@ class TestAscend:
     def test_config_validation(self):
         for bad in ({"learning_rate": -5.0}, {"learning_rate": float("nan")},
                     {"f_threshold": 2.0}, {"f_threshold": 0.0}, {"max_iters": 0},
-                    {"log_every": 0}, {"log_every": 1.0}, {"log_every": True}):
+                    {"log_every": 0}, {"log_every": 1.0}, {"log_every": True},
+                    {"max_iters": 2.5}, {"max_iters": True}):
             with pytest.raises(ValueError):
                 AscentConfig(**bad)
 
@@ -273,6 +274,12 @@ class TestMultiStart:
         b = multi_start(PRESETS["defm"], cnot_objective(), (1, 6, 6, 4), 500.0, 0.005, cfg, 2)
         assert a.context["seed"] == b.context["seed"]
         assert a.iterations == b.iterations
+
+    @pytest.mark.parametrize("n_starts", [0, 2.5, True])
+    def test_rejects_a_start_count_that_is_not_a_positive_integer(self, n_starts):
+        with pytest.raises(ValueError, match="n_starts"):
+            multi_start(PRESETS["defm"], cnot_objective(), (1, 6, 6, 4), 500.0, 0.005,
+                        quick_config(max_iters=1), n_starts)
 
 
 class TestRecordSerialization:

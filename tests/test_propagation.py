@@ -251,6 +251,10 @@ class TestLindbladRealBasis:
         noise = noise_operators(system, kind, gamma)
         problem = lindblad_problem(system, noise)
         b = problem.basis
+        # the system part is built once per system, the dissipator once per noise model
+        again = lindblad_problem(system, noise)
+        assert again.basis is b and again.controls is problem.controls
+        assert noise.dissipator is noise.dissipator and not noise.dissipator.flags.writeable
         assert np.linalg.norm(b.conj().T @ b - np.eye(16)) < 1e-12
         for k in range(16):
             bk = b[:, k].reshape(4, 4)

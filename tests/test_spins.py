@@ -6,13 +6,13 @@ from pinnctl.spins import (
     NoiseModel,
     SpinSystem,
     control_operator_stack,
-    control_operators,
     drift_hamiltonian,
     drift_norm,
     load_system,
     noise_operators,
     spin_half_operator,
     system_from_dict,
+    system_operators,
 )
 
 
@@ -96,15 +96,21 @@ class TestDriftHamiltonian:
         assert np.allclose(2 * drift_hamiltonian(base), drift_hamiltonian(double))
 
 
+def control_pairs(system):
+    """The control stack as one (X_k, Y_k) pair per channel group."""
+    ops = control_operator_stack(system)
+    return list(zip(ops[0::2], ops[1::2]))
+
+
 class TestControlOperators:
     def test_defm_four_individual_operators(self):
-        pairs = control_operators(PRESETS["defm"])
+        pairs = control_pairs(PRESETS["defm"])
         assert len(pairs) == 2
         assert np.allclose(pairs[0][0], spin_half_operator(2, 0, "x"))
         assert np.allclose(pairs[1][1], spin_half_operator(2, 1, "y"))
 
     def test_tcp_collective_operators(self):
-        pairs = control_operators(PRESETS["tcp"])
+        pairs = control_pairs(PRESETS["tcp"])
         assert len(pairs) == 1
         x, y = pairs[0]
         assert np.allclose(x, spin_half_operator(2, 0, "x") + spin_half_operator(2, 1, "x"))
@@ -112,13 +118,13 @@ class TestControlOperators:
 
     def test_single_spin_pauli_halves(self):
         sys_ = SpinSystem(1, channels=((0,),))
-        (x, y), = control_operators(sys_)
+        (x, y), = control_pairs(sys_)
         assert np.allclose(x, [[0, 0.5], [0.5, 0]])
         assert np.allclose(y, [[0, -0.5j], [0.5j, 0]])
 
     def test_all_hermitian(self):
         for name in PRESETS:
-            for x, y in control_operators(PRESETS[name]):
+            for x, y in control_pairs(PRESETS[name]):
                 assert herm_defect(x) < 1e-12 and herm_defect(y) < 1e-12
 
 
@@ -138,7 +144,10 @@ class TestCachedOperators:
     def test_equal_to_a_fresh_kron_build(self, name):
         system = PRESETS[name]
         assert np.array_equal(drift_hamiltonian(system), self.fresh_drift(system))
-        fresh = np.stack([op for pair in control_operators(system) for op in pair])
+        fresh = np.stack([
+            sum(spin_half_operator(system.n_spins, s, axis) for s in group)
+            for group in system.channels for axis in "xy"
+        ])
         assert np.array_equal(control_operator_stack(system), fresh)
 
     def test_shared_and_read_only(self):
@@ -149,6 +158,14 @@ class TestCachedOperators:
             h0[0, 0] = 1.0
         with pytest.raises(ValueError):
             ops += 1.0
+
+    def test_liouville_generators_built_on_first_use(self):
+        system = SpinSystem(2, ((0, 1),), couplings=((0, 1, 3.0),), offsets_hz=(1.0, -1.0))
+        ops = system_operators(system)
+        assert not {"hermitian_basis", "drift_generator", "control_generators"} & vars(ops).keys()
+        assert ops.control_generators is ops.control_generators
+        assert not ops.control_generators.flags.writeable
+        assert ops.control_generators.shape == (2, 16, 16)
 
     def test_system_given_lists_is_hashable(self):
         listed = SpinSystem(2, [[0], [1]], couplings=[[0, 1, 48.2]], offsets_hz=[0.0, 0.0])
