@@ -22,7 +22,6 @@ from .network import (
     PulseTable,
     backprop_pulse,
     forward_batch,
-    forward_with_tape,
     init_params,
     load_params,
     sample_pulse,

@@ -128,40 +128,29 @@ def init_params(
 
 
 def _check_times(params: NetworkParams, t: np.ndarray):
-    if np.any(t < -1e-12) or np.any(t > params.time_scale * (1 + 1e-12)):
+    # written so that NaN, which compares false, fails the check
+    if not np.all((t >= -1e-12) & (t <= params.time_scale * (1 + 1e-12))):
         raise ValueError("time outside the control window [0, T]")
 
 
-def forward_batch(params: NetworkParams, t: np.ndarray) -> np.ndarray:
-    """Evaluate the control amplitudes at times t (shape (N,)) -> (N, 2M) rad/s."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    _check_times(params, t)
-    a = (t / params.time_scale)[:, None]
-    n_layers = len(params.weights)
-    for l in range(n_layers - 1):
-        a = np.tanh(a @ params.weights[l] + params.biases[l])
-    z = a @ params.weights[-1] + params.biases[-1]
-    return params.amp_scale * np.tanh(z)
+def forward_batch(params: NetworkParams, t, tape: list | None = None) -> np.ndarray:
+    """Evaluate the control amplitudes at times t (shape (N,)) -> (N, 2M) rad/s.
 
-
-def forward_with_tape(params: NetworkParams, t) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass that also records per-layer activations for backprop.
-
-    The tape holds the input column and every post-activation layer output
-    (tanh outputs for hidden layers, scaled tanh for the output layer), which
-    is sufficient for an exact reverse pass since d tanh = 1 - tanh^2.
+    Given a list as ``tape``, appends the input column and every tanh output
+    (hidden layers, then the output layer before amp_scale), which is
+    sufficient for an exact reverse pass since d tanh = 1 - tanh^2.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     _check_times(params, t)
     a = (t / params.time_scale)[:, None]
-    tape = [a]
-    n_layers = len(params.weights)
-    for l in range(n_layers - 1):
-        a = np.tanh(a @ params.weights[l] + params.biases[l])
+    if tape is not None:
         tape.append(a)
-    out_act = np.tanh(a @ params.weights[-1] + params.biases[-1])
-    tape.append(out_act)
-    return params.amp_scale * out_act, tape
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        # one time input: the first layer is a broadcast product, bit-equal to a k=1 matmul
+        a = np.tanh((a * w if l == 0 else a @ w) + b)
+        if tape is not None:
+            tape.append(a)
+    return params.amp_scale * a
 
 
 def backprop_pulse(
@@ -180,7 +169,8 @@ def backprop_pulse(
             f"({t.size}, {params.layer_sizes[-1]})"
         )
     if tape is None:
-        _, tape = forward_with_tape(params, t)
+        tape = []
+        forward_batch(params, t, tape)
     n_layers = len(params.weights)
     grad_w = [None] * n_layers
     grad_b = [None] * n_layers

@@ -18,7 +18,7 @@ from .network import (
     NetworkParams,
     PulseTable,
     backprop_pulse,
-    forward_with_tape,
+    forward_batch,
     segment_times,
 )
 from .propagation import (
@@ -344,7 +344,8 @@ def loss_and_gradient(
             f"2 x {system.n_channels} system channels"
         )
     ts = segment_times(params.time_scale, n_fine)
-    amps, tape = forward_with_tape(params, ts)
+    tape = []
+    amps = forward_batch(params, ts, tape)
     table = PulseTable(
         duration=params.time_scale,
         samples=amps.reshape(n_fine, params.n_channels, 2),
@@ -371,7 +372,7 @@ def shape_penalty(
     if isinstance(pulse, NetworkParams):
         n = n_fine if n_fine is not None else DEFAULT_N_FINE
         ts = segment_times(pulse.time_scale, n)
-        amps, _ = forward_with_tape(pulse, ts)
+        amps = forward_batch(pulse, ts)
         table = PulseTable(duration=pulse.time_scale, samples=amps.reshape(n, pulse.n_channels, 2))
     else:
         table = pulse

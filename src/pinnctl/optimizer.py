@@ -75,25 +75,35 @@ class OptimizerConfig(AscentConfig):
 
 
 class AdamState:
-    """First/second moment accumulators over a list of arrays."""
+    """First/second moment accumulators over a list of arrays.
+
+    Each moment is one flat vector, so an update is one pass over every
+    element; ``m`` and ``v`` hold per-array views of them.
+    """
 
     def __init__(self, shapes_like: list[np.ndarray]):
         self.step = 0
-        self.m = [np.zeros_like(a, dtype=float) for a in shapes_like]
-        self.v = [np.zeros_like(a, dtype=float) for a in shapes_like]
+        sizes = [np.size(a) for a in shapes_like]
+        self._layout = [(slice(end - n, end), np.shape(a))
+                        for a, n, end in zip(shapes_like, sizes, np.cumsum(sizes))]
+        self._m, self._v = np.zeros((2, sum(sizes)))
+        self.m, self.v = self._views(self._m), self._views(self._v)
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        return [flat[part].reshape(shape) for part, shape in self._layout]
 
     def update(self, grads: list[np.ndarray], lr: float, b1: float, b2: float, eps: float):
         """Return the parameter increments for one descent step on `grads`."""
         self.step += 1
-        t = self.step
-        out = []
-        for i, g in enumerate(grads):
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            m_hat = self.m[i] / (1 - b1**t)
-            v_hat = self.v[i] / (1 - b2**t)
-            out.append(-lr * m_hat / (np.sqrt(v_hat) + eps))
-        return out
+        g = np.concatenate(grads, axis=None)
+        # in place, rounded exactly as b1 * m + (1 - b1) * g and b2 * v + (1 - b2) * g * g
+        self._m *= b1
+        self._m += (1 - b1) * g
+        self._v *= b2
+        self._v += (1 - b2) * g * g
+        m_hat = self._m / (1 - b1**self.step)
+        v_hat = self._v / (1 - b2**self.step)
+        return self._views(-lr * m_hat / (np.sqrt(v_hat) + eps))
 
     def to_dict(self) -> dict:
         return {
@@ -106,14 +116,13 @@ class AdamState:
     def from_dict(cls, doc: dict, shapes_like: list[np.ndarray]) -> "AdamState":
         state = cls(shapes_like)
         state.step = int(doc["step"])
-        state.m = [
-            np.asarray(flat, dtype=float).reshape(ref.shape)
-            for flat, ref in zip(doc["m"], shapes_like)
-        ]
-        state.v = [
-            np.asarray(flat, dtype=float).reshape(ref.shape)
-            for flat, ref in zip(doc["v"], shapes_like)
-        ]
+        sizes = [np.size(a) for a in shapes_like]
+        for name, flat in (("m", state._m), ("v", state._v)):
+            saved = [np.asarray(a, dtype=float).ravel() for a in doc[name]]
+            if [a.size for a in saved] != sizes:
+                raise ValueError(f"Adam state {name} holds arrays of sizes "
+                                 f"{[a.size for a in saved]}, the parameters {sizes}")
+            flat[:] = np.concatenate(saved)
         return state
 
 
@@ -283,8 +292,9 @@ def fit_network_to_table(
 
     def score(arrays):
         params = _with_arrays(params0, arrays)
-        err = forward_batch(params, t) - target
-        gw, gb = backprop_pulse(params, t, (-2.0 / err.size) * err)
+        tape = []
+        err = forward_batch(params, t, tape) - target
+        gw, gb = backprop_pulse(params, t, (-2.0 / err.size) * err, tape)
         return -float(np.vdot(err, err)) / err.size, [*gw, *gb]
 
     # -MSE <= 0 never reaches a threshold in (0, 1]: exactly n_iters updates

@@ -9,7 +9,6 @@ from pinnctl.network import (
     apply_update,
     backprop_pulse,
     forward_batch,
-    forward_with_tape,
     init_params,
     load_params,
     sample_pulse,
@@ -88,6 +87,33 @@ class TestForward:
             forward_batch(p, 1.5)
         with pytest.raises(ValueError):
             forward_batch(p, -0.1)
+        for bad in ([0.5, np.nan], np.inf, -np.inf):
+            with pytest.raises(ValueError, match="outside the control window"):
+                forward_batch(p, bad)
+
+    @pytest.mark.parametrize("sizes", [(1, 2), (1, 4, 2), (1, 40, 40, 4), (1, 60, 60, 60, 2)])
+    def test_tape_equals_the_separate_taped_forward(self, sizes):
+        def taped_forward(params, t):
+            # the taped forward as it stood on its own, with a k=1 matmul first layer
+            a = (np.asarray(t, dtype=float) / params.time_scale)[:, None]
+            tape = [a]
+            for l in range(len(params.weights) - 1):
+                a = np.tanh(a @ params.weights[l] + params.biases[l])
+                tape.append(a)
+            out_act = np.tanh(a @ params.weights[-1] + params.biases[-1])
+            tape.append(out_act)
+            return params.amp_scale * out_act, tape
+
+        p = init_params(sizes, U_MAX, 0.02, seed=5, input_gain=4.0)
+        for n in (1, 7, 256):
+            t = np.random.default_rng(n).uniform(0, 0.02, n)
+            tape = []
+            u = forward_batch(p, t, tape)
+            u_ref, tape_ref = taped_forward(p, t)
+            assert np.array_equal(u, u_ref)
+            assert np.array_equal(forward_batch(p, t), u_ref)
+            assert len(tape) == len(tape_ref) == len(sizes)
+            assert all(np.array_equal(a, b) for a, b in zip(tape, tape_ref))
 
     def test_lipschitz_no_jumps(self):
         # finite difference quotient stays stable under grid refinement

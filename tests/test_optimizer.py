@@ -61,6 +61,19 @@ class TestAdam:
         assert restored.step == state.step
         assert np.array_equal(restored.m[0], state.m[0])
 
+    @pytest.mark.parametrize("name, edit", [
+        ("m", lambda arrays: arrays[:1]),
+        ("v", lambda arrays: arrays + [[0.0]]),
+        ("m", lambda arrays: [arrays[0], arrays[1][:-1]]),
+    ], ids=["fewer_arrays", "more_arrays", "wrong_size"])
+    def test_from_dict_rejects_mismatched_moments(self, name, edit):
+        like = [np.ones((2, 3)), np.ones(3)]
+        state = AdamState(like)
+        state.update([np.ones((2, 3)), np.ones(3)], 0.1, 0.9, 0.999, 1e-8)
+        doc = state.to_dict()
+        with pytest.raises(ValueError, match=f"Adam state {name} holds arrays of sizes"):
+            AdamState.from_dict({**doc, name: edit(doc[name])}, like)
+
 
 class TestTrain:
     def test_already_converged_at_start(self):
@@ -132,6 +145,19 @@ def hand_rolled_adam(score, x, config, start_iter):
         value, (g,) = score([x])
         seen.append((start_iter + t, value, float(np.sqrt(np.sum(g * g)))))
     return seen, x
+
+
+def per_array_adam(arrays, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam ascent step with one moment array per parameter array; m and v
+    are lists updated in place.  Returns the new arrays."""
+    out = []
+    for i, (a, g) in enumerate(zip(arrays, grads)):
+        m[i] = b1 * m[i] + (1 - b1) * -g
+        v[i] = b2 * v[i] + (1 - b2) * -g * -g
+        m_hat = m[i] / (1 - b1**t)
+        v_hat = v[i] / (1 - b2**t)
+        out.append(a + -lr * m_hat / (np.sqrt(v_hat) + eps))
+    return out
 
 
 class TestAscend:
@@ -234,6 +260,49 @@ class TestResume:
         p = replace(p, weights=tuple(np.zeros_like(w) for w in p.weights))
         rec = train(p, TWO_CH, IDENTITY_OBJ, quick_config())
         assert resume(rec, TWO_CH, IDENTITY_OBJ, 50).n_iters == rec.n_iters
+
+    def test_resumes_a_per_array_record_bit_identically(self):
+        # a run record whose moments a per-array Adam wrote, one flat list per
+        # parameter array, resumes exactly as an unbroken run
+        from dataclasses import replace
+
+        from pinnctl.objectives import loss_and_gradient
+        from pinnctl.optimizer import RunRecord
+
+        cfg = quick_config(f_threshold=1.0, max_iters=10)
+        p0 = small_params()
+        nw = len(p0.weights)
+
+        def score(arrays):
+            params = replace(p0, weights=tuple(arrays[:nw]), biases=tuple(arrays[nw:]))
+            fid, (gw, gb) = loss_and_gradient(params, PRESETS["defm"], cnot_objective(), cfg.n_fine)
+            return fid, [*gw, *gb]
+
+        arrays = [*p0.weights, *p0.biases]
+        m = [np.zeros_like(a) for a in arrays]
+        v = [np.zeros_like(a) for a in arrays]
+        fid, grads = score(arrays)
+        for t in range(1, 16):
+            arrays = per_array_adam(arrays, grads, m, v, t, cfg.learning_rate)
+            fid, grads = score(arrays)
+            if t == 10:
+                record = RunRecord(
+                    iterations=[(10, fid, 0.0)],
+                    final_params=replace(p0, weights=tuple(arrays[:nw]), biases=tuple(arrays[nw:])),
+                    converged=False,
+                    config=cfg,
+                    adam_state={"step": 10, "m": [a.flatten().tolist() for a in m],
+                                "v": [a.flatten().tolist() for a in v]},
+                )
+        straight = train(p0, PRESETS["defm"], cnot_objective(), replace(cfg, max_iters=15))
+        resumed = resume(record, PRESETS["defm"], cnot_objective(), 5)
+        for rec in (straight, resumed):
+            final = [*rec.final_params.weights, *rec.final_params.biases]
+            assert all(np.array_equal(a, b) for a, b in zip(final, arrays))
+            assert rec.adam_state["step"] == 15
+            assert rec.adam_state["m"] == [a.flatten().tolist() for a in m]
+            assert rec.adam_state["v"] == [a.flatten().tolist() for a in v]
+        assert resumed.iterations[-1][1] == straight.iterations[-1][1] == fid
 
     def test_missing_moments_rejected(self):
         rec = train(small_params(), PRESETS["defm"], cnot_objective(), quick_config(max_iters=5))
@@ -354,3 +423,69 @@ class TestFitNetworkToTable:
         b = fit_network_to_table(p0, table, n_samples=32, n_iters=50)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
+
+    def test_equals_a_per_array_reference_loop(self):
+        # the tcp-lls architecture; the reference lets backprop_pulse re-run
+        # the forward pass and keeps one Adam moment array per parameter array
+        from dataclasses import replace
+
+        from pinnctl.network import PulseTable, backprop_pulse, forward_batch, segment_times
+        from pinnctl.optimizer import fit_network_to_table
+
+        rng = np.random.default_rng(4)
+        table = PulseTable(0.150, rng.uniform(-300.0, 300.0, size=(64, 1, 2)))
+        p0 = init_params((1, 60, 60, 60, 2), 2 * np.pi * 60, 0.150, seed=2)
+        fitted = fit_network_to_table(p0, table, n_iters=50)
+
+        t = segment_times(0.150, 256)
+        target = table.flat_amplitudes()[np.minimum((t / 0.150 * 64).astype(int), 63)]
+        nw = len(p0.weights)
+
+        def grads(arrays):
+            params = replace(p0, weights=tuple(arrays[:nw]), biases=tuple(arrays[nw:]))
+            err = forward_batch(params, t) - target
+            gw, gb = backprop_pulse(params, t, (-2.0 / err.size) * err)
+            return [*gw, *gb]
+
+        arrays = [*p0.weights, *p0.biases]
+        m = [np.zeros_like(a) for a in arrays]
+        v = [np.zeros_like(a) for a in arrays]
+        g = grads(arrays)
+        for step in range(1, 51):
+            arrays = per_array_adam(arrays, g, m, v, step, 1e-2)
+            g = grads(arrays)
+        assert all(np.array_equal(a, b) for a, b in zip([*fitted.weights, *fitted.biases], arrays))
+
+
+class TestForwardsPerStep:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import pinnctl.network
+        import pinnctl.objectives
+        import pinnctl.optimizer
+
+        calls = []
+        forward = pinnctl.network.forward_batch
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        for module in (pinnctl.network, pinnctl.objectives, pinnctl.optimizer):
+            monkeypatch.setattr(module, "forward_batch", counted)
+        return calls
+
+    def test_table_fit_runs_one_forward_per_step(self, calls):
+        from pinnctl.network import PulseTable
+        from pinnctl.optimizer import fit_network_to_table
+
+        table = PulseTable(0.005, np.random.default_rng(11).normal(0, 300.0, size=(8, 2, 2)))
+        p0 = init_params((1, 12, 4), 2 * np.pi * 500, 0.005, seed=3)
+        fit_network_to_table(p0, table, n_samples=32, n_iters=7)
+        assert len(calls) == 8  # the initial score and one per update
+
+    def test_loss_and_gradient_runs_one_forward(self, calls):
+        from pinnctl.objectives import loss_and_gradient
+
+        loss_and_gradient(small_params(), PRESETS["defm"], cnot_objective(), 32)
+        assert len(calls) == 1
