@@ -154,11 +154,9 @@ def noise_sweep(
             raise KeyError(f"no parameters supplied for gamma={g}")
 
     def point(g: float) -> float:
-        obj = objective
-        if g > 0:
-            obj = dc_replace(objective, noise=noise_operators(system, kind, g))
-        else:
-            obj = dc_replace(objective, noise=None)
+        # every gamma but 0 builds a noise model, whose check rejects bad rates
+        noise = None if g == 0 else noise_operators(system, kind, g)
+        obj = dc_replace(objective, noise=noise)
         return evaluate_fidelity(
             system, params_by_gamma[g], obj, n_fine=n_fine, substep_tol=substep_tol
         )
@@ -184,8 +182,8 @@ def amplitude_error_sweep(
 ) -> SweepResult:
     """Fidelity with all control amplitudes scaled by (1 + du/u)."""
     deviations = list(deviations)
-    if any(abs(d) > 0.5 for d in deviations):
-        raise ValueError("deviations must lie within [-0.5, +0.5]")
+    if not all(abs(d) <= 0.5 for d in deviations):  # NaN-safe
+        raise ValueError(f"deviations must lie within [-0.5, +0.5], got {deviations}")
     if isinstance(params, NetworkParams):
         base = sample_pulse(params, n_fine or DEFAULT_N_FINE)
     else:

@@ -218,6 +218,14 @@ def _parse_segments(text: str, log2: bool) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
+def _noise_model(system, args):
+    """The --noise model at --gamma; none when gamma is absent or 0.  Any other
+    gamma builds the model, whose check rejects negative and NaN rates."""
+    if args.gamma is None or args.gamma == 0:
+        return None
+    return noise_operators(system, args.noise, args.gamma)
+
+
 def cmd_sweep(args) -> int:
     system = load_system(args.system)
     objective = named_target(args.target)
@@ -230,14 +238,15 @@ def cmd_sweep(args) -> int:
         by_gamma = {g: params for g in gammas}
         for override in args.params_for_gamma or []:
             g_txt, path = override.split("=", 1)
+            if float(g_txt) not in by_gamma:
+                raise ConfigError(f"--params-for-gamma {g_txt} is not a swept gamma ({args.gammas})")
             by_gamma[float(g_txt)] = load_params(path, expected_channels=system.n_channels)
         sweep = analysis.noise_sweep(by_gamma, system, objective, gammas, args.noise)
     elif args.kind == "amperr":
         devs = [float(d) for d in args.deviations.split(",")]
-        noise = None
-        if args.gamma is not None and args.gamma > 0:
-            noise = noise_operators(system, args.noise, args.gamma)
-        sweep = analysis.amplitude_error_sweep(params, system, objective, devs, noise=noise)
+        sweep = analysis.amplitude_error_sweep(
+            params, system, objective, devs, noise=_noise_model(system, args)
+        )
     else:
         raise ConfigError(f"unknown sweep kind {args.kind!r}")
     fileio.write_sweep_csv(sweep, args.out)
@@ -261,11 +270,10 @@ def cmd_trajectory(args) -> int:
         raise ConfigError(f"unknown basis {args.basis!r}")
     basis = singlet_triplet_basis()
     labels = ["T_plus", "T_zero", "S_zero", "T_minus"]
-    noise = None
-    if args.gamma is not None and args.gamma > 0:
-        noise = noise_operators(system, args.noise, args.gamma)
+    _require_count("samples", args.samples)
     times, values = analysis.basis_trajectory(
-        params, system, thermal_deviation(), basis, n_samples=args.samples, noise=noise
+        params, system, thermal_deviation(), basis, n_samples=args.samples,
+        noise=_noise_model(system, args),
     )
     fileio.write_trajectory_csv(times, values, labels, args.out)
     print(f"wrote {len(times)} samples to {args.out}")

@@ -46,10 +46,6 @@ class NetworkParams:
     def n_channels(self) -> int:
         return self.layer_sizes[-1] // 2
 
-    @property
-    def n_parameters(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 @dataclass(frozen=True)
 class PulseTable:

@@ -5,7 +5,7 @@ eigendecomposition-based Frechet derivative of each segment exponential
 (Daleckii-Krein) chained into the network backprop for the unitary path, and
 the exact adjoint of the per-segment RK4 polynomial for the dissipative path,
 taken in real arithmetic in the orthonormal Hermitian basis of
-``propagation.LindbladProblem``.
+``spins.SystemOperators``.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from .network import (
 from .propagation import (
     DEFAULT_N_FINE,
     DEFAULT_SUBSTEP_TOL,
-    lindblad_problem,
     lindblad_substeps,
     prefix_products,
     segment_hamiltonians,
     segment_lindblad_maps,
     segment_unitaries,
 )
-from .spins import NoiseModel, SpinSystem, control_operator_stack
+from .spins import NoiseModel, SpinSystem, control_operator_stack, system_operators
 
 
 @dataclass(frozen=True)
@@ -254,19 +253,19 @@ def _lindblad_pulse_gradient(
     substeps: int,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Raw fidelity, amplitude-table gradient, and rho(T) for the dissipative path."""
-    problem = lindblad_problem(system, objective.noise)
-    lv, r_mats, maps = segment_lindblad_maps(problem, table, substeps)
+    ops = system_operators(system)
+    lv, r_mats, maps = segment_lindblad_maps(system, objective.noise, table, substeps)
     n, dd, _ = lv.shape
 
     # substep states alpha_p = R^p x_s entering segment s, costates
     # beta_p = (R^T)^(m-1-p) y_s leaving it, and Z = sum_p alpha_p beta_p^T
     alphas = np.empty((n, dd, substeps))
     betas = np.empty((n, dd, substeps))
-    x = problem.coordinates(objective.initial)
+    x = ops.coordinates(objective.initial)
     for s in range(n):
         alphas[s, :, 0] = x
         x = maps[s] @ x
-    y = problem.coordinates(objective.target)
+    y = ops.coordinates(objective.target)
     raw = float(y @ x)
     for s in range(n - 1, -1, -1):
         betas[s, :, -1] = y
@@ -289,8 +288,8 @@ def _lindblad_pulse_gradient(
         w_mat = y_b + np.matmul(lv, w_mat)
 
     # dF/du_c = Tr(G_c W)
-    du = np.tensordot(w_mat, problem.controls, axes=([1, 2], [2, 1]))
-    return raw, du, problem.density(x)
+    du = np.tensordot(w_mat, ops.control_generators, axes=([1, 2], [2, 1]))
+    return raw, du, ops.density(x)
 
 
 def pulse_table_gradient(

@@ -43,8 +43,6 @@ DEFAULT_SUBSTEP_TOL = 0.005
 class EvolutionResult:
     final: np.ndarray
     trajectory: list[tuple[float, np.ndarray]] | None
-    method: str
-    n_steps: int
 
 
 def _hermitian_check(h: np.ndarray, tol: float = 1e-10):
@@ -151,7 +149,7 @@ def propagate_unitary(
     acc, traj = _sweep_segments(
         units, np.eye(system.dimension, dtype=complex), sample_times, table.duration, np.copy
     )
-    return EvolutionResult(final=acc, trajectory=traj, method="pwc_expm", n_steps=table.n_segments)
+    return EvolutionResult(final=acc, trajectory=traj)
 
 
 def propagate_density(
@@ -164,45 +162,7 @@ def propagate_density(
     traj = None
     if res.trajectory is not None:
         traj = [(t, u @ rho0 @ u.conj().T) for t, u in res.trajectory]
-    return EvolutionResult(final=final, trajectory=traj, method="pwc_expm", n_steps=res.n_steps)
-
-
-@dataclass(frozen=True)
-class LindbladProblem:
-    """The master equation in coordinates x_k = Tr(B_k rho) of an orthonormal
-    Hermitian basis, where every Hermiticity-preserving generator is real.
-
-    basis: (d^2, d^2) unitary whose column k is vec(B_k).
-    drift: (d^2, d^2) real generator of H0 plus the dissipator.
-    controls: (2M, d^2, d^2) real generators dL/du_c, in control-stack order.
-    h0_norm, op_norms: spectral norms of H0 and of each control operator.
-    """
-
-    basis: np.ndarray
-    drift: np.ndarray
-    controls: np.ndarray
-    h0_norm: float
-    op_norms: np.ndarray
-
-    def coordinates(self, rho: np.ndarray) -> np.ndarray:
-        return (self.basis.conj().T @ rho.reshape(-1)).real
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        d = int(round(np.sqrt(x.shape[-1])))
-        return (self.basis @ x).reshape(d, d)
-
-
-def lindblad_problem(system: SpinSystem, noise: NoiseModel) -> LindbladProblem:
-    """Real generators of the system's master equation under a noise model,
-    read from the operators built once per system and once per noise model."""
-    ops = system_operators(system)
-    return LindbladProblem(
-        basis=ops.hermitian_basis,
-        drift=ops.drift_generator + noise.dissipator,
-        controls=ops.control_generators,
-        h0_norm=ops.drift_norm,
-        op_norms=ops.control_norms,
-    )
+    return EvolutionResult(final=final, trajectory=traj)
 
 
 def lindblad_substeps(
@@ -229,17 +189,21 @@ def lindblad_substeps(
 
 
 def segment_lindblad_maps(
-    problem: LindbladProblem,
+    system: SpinSystem,
+    noise: NoiseModel,
     table: PulseTable,
     substeps: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-segment real Liouvillians L, RK4 substep maps R and segment maps
-    M = R^substeps (substeps a power of two).
+    M = R^substeps (substeps a power of two), in the coordinates of
+    ``SystemOperators.coordinates``.
 
     With a constant generator one RK4 step is the 4th-order Taylor polynomial
     of exp(h L), evaluated here by Horner.  Returns (L, R, M), each (N, d^2, d^2).
     """
-    lv = problem.drift + np.tensordot(table.flat_amplitudes(), problem.controls, axes=1)
+    ops = system_operators(system)
+    drift = ops.drift_generator + noise.dissipator
+    lv = drift + np.tensordot(table.flat_amplitudes(), ops.control_generators, axes=1)
     hl = (table.dt / substeps) * lv
     eye = np.eye(lv.shape[-1])
     r = eye + hl / 4.0
@@ -265,15 +229,10 @@ def propagate_lindblad(
     _hermitian_check(rho0)
     table = _as_pulse(system, pulse, n_fine)
     m_sub = lindblad_substeps(system, table, noise, substep_tol)
-    problem = lindblad_problem(system, noise)
-    _, _, maps = segment_lindblad_maps(problem, table, m_sub)
-    x, traj = _sweep_segments(
-        maps, problem.coordinates(rho0), sample_times, table.duration, problem.density
-    )
-    return EvolutionResult(
-        final=problem.density(x), trajectory=traj, method="pwc_expm",
-        n_steps=table.n_segments * m_sub,
-    )
+    _, _, maps = segment_lindblad_maps(system, noise, table, m_sub)
+    ops = system_operators(system)
+    x, traj = _sweep_segments(maps, ops.coordinates(rho0), sample_times, table.duration, ops.density)
+    return EvolutionResult(final=ops.density(x), trajectory=traj)
 
 
 def propagate_oracle(
@@ -344,9 +303,4 @@ def propagate_oracle(
     sol = solve_ivp(rhs, (0.0, duration), y0, method="RK45", rtol=rtol, atol=atol)
     if not sol.success:
         raise RuntimeError(f"adaptive integration failed: {sol.message}")
-    return EvolutionResult(
-        final=sol.y[:, -1].reshape(d, d),
-        trajectory=None,
-        method="rk_adaptive",
-        n_steps=sol.t.size - 1,
-    )
+    return EvolutionResult(final=sol.y[:, -1].reshape(d, d), trajectory=None)

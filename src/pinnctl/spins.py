@@ -80,8 +80,8 @@ class NoiseModel:
     drift_norm: float  # rad/s, spectral norm of the drift Hamiltonian
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not self.gamma >= 0:  # NaN-safe
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.kind not in ("local", "global"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.gamma > 0 and not self.drift_norm > 0:
@@ -107,7 +107,9 @@ class SystemOperators:
     drift: (d, d) H0 in rad/s.  controls: (2M, d, d) in (x1, y1, x2, y2, ...)
     order, grouped spins summed.  drift_norm, control_norms: spectral norms
     of H0 and of each control operator.  The Liouville-space generators are
-    built on first use.  Every array is read-only: callers share them.
+    built on first use, in the coordinates x_k = Tr(B_k rho) of an orthonormal
+    Hermitian basis, where they are real.  Every array is read-only: callers
+    share them.
     """
 
     drift: np.ndarray
@@ -131,6 +133,15 @@ class SystemOperators:
         basis = self.hermitian_basis
         gens = [_real_superoperator(basis, liouvillian(o)) for o in self.controls]
         return _read_only(np.stack(gens))
+
+    def coordinates(self, rho: np.ndarray) -> np.ndarray:
+        """Real coordinates x_k = Tr(B_k rho) of a Hermitian (d, d) matrix."""
+        return (self.hermitian_basis.conj().T @ rho.reshape(-1)).real
+
+    def density(self, x: np.ndarray) -> np.ndarray:
+        """The (d, d) matrix with coordinates x; inverse of ``coordinates``."""
+        d = self.drift.shape[0]
+        return (self.hermitian_basis @ x).reshape(d, d)
 
 
 def spin_half_operator(n_spins: int, target: int, axis: str) -> np.ndarray:

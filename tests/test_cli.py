@@ -79,13 +79,26 @@ class TestSweep:
         assert rc == 1
         assert "output width" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("segments", ["0..8", "-4..8", "16..8"])
-    def test_bad_segment_range_is_one_line_error(self, defm_params, tmp_path, capsys, segments):
-        rc = main(["sweep", "discretization", "--params", defm_params,
-                   f"--segments={segments}", "--log2", "--out", str(tmp_path / "x.csv")])
+    @pytest.mark.parametrize("args, named", [
+        pytest.param(["discretization", "--segments=0..8", "--log2"], "segment range", id="0..8"),
+        pytest.param(["discretization", "--segments=-4..8", "--log2"], "segment range", id="-4..8"),
+        pytest.param(["discretization", "--segments=16..8", "--log2"], "segment range", id="16..8"),
+        pytest.param(["noise", "--gammas=-0.05"], "gamma", id="noise-gamma-negative"),
+        pytest.param(["noise", "--gammas=nan"], "gamma", id="noise-gamma-nan"),
+        pytest.param(["noise", "--gammas=0.02", "--params-for-gamma", "0.04=PARAMS"], "gamma",
+                     id="override-not-swept"),
+        pytest.param(["amperr", "--gamma=-0.05"], "gamma", id="amperr-gamma-negative"),
+        pytest.param(["amperr", "--deviations=nan"], "deviations", id="amperr-deviation-nan"),
+    ])
+    def test_bad_input_is_one_line_error(self, tcp_params, tmp_path, capsys, args, named):
+        out = tmp_path / "x.csv"
+        args = [a.replace("PARAMS", tcp_params) for a in args]
+        rc = main(["sweep", *args, "--params", tcp_params, "--system", "tcp", "--target", "lls",
+                   "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err
+        assert not out.exists()
 
     def test_lindblad_step_underflow_is_one_line_error(self, tcp_params, tmp_path, capsys):
         rc = main(["sweep", "noise", "--params", tcp_params, "--system", "tcp",
@@ -116,6 +129,19 @@ class TestTrajectory:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t_s", "T_plus", "T_zero", "S_zero", "T_minus"]
         assert len(rows) == 17
+
+    @pytest.mark.parametrize("args, named", [
+        (["--gamma=-0.05"], "gamma"),
+        (["--gamma=nan"], "gamma"),
+        (["--samples=0"], "samples"),
+    ], ids=["gamma-negative", "gamma-nan", "no-samples"])
+    def test_bad_input_is_one_line_error(self, tcp_params, tmp_path, capsys, args, named):
+        out = tmp_path / "x.csv"
+        rc = main(["trajectory", *args, "--params", tcp_params, "--system", "tcp", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err
+        assert not out.exists()
 
     def test_unknown_basis(self, tcp_params, tmp_path):
         rc = main(["trajectory", "--params", tcp_params, "--system", "tcp",

@@ -7,7 +7,6 @@ from scipy.linalg import expm as scipy_expm
 from pinnctl.network import PulseTable, init_params, sample_pulse
 from pinnctl.propagation import (
     expm_hermitian,
-    lindblad_problem,
     lindblad_substeps,
     liouvillian,
     prefix_products,
@@ -23,6 +22,7 @@ from pinnctl.spins import (
     drift_hamiltonian,
     noise_operators,
     spin_half_operator,
+    system_operators,
 )
 from pinnctl.targets import thermal_deviation
 
@@ -249,18 +249,20 @@ class TestLindbladRealBasis:
     def test_generators_are_real(self, kind, gamma):
         system = PRESETS["tcp"]
         noise = noise_operators(system, kind, gamma)
-        problem = lindblad_problem(system, noise)
-        b = problem.basis
+        ops = system_operators(system)
+        b = ops.hermitian_basis
         # the system part is built once per system, the dissipator once per noise model
-        again = lindblad_problem(system, noise)
-        assert again.basis is b and again.controls is problem.controls
+        again = system_operators(system)
+        assert again.hermitian_basis is b and again.control_generators is ops.control_generators
+        assert again.drift_generator is ops.drift_generator
         assert noise.dissipator is noise.dissipator and not noise.dissipator.flags.writeable
         assert np.linalg.norm(b.conj().T @ b - np.eye(16)) < 1e-12
         for k in range(16):
             bk = b[:, k].reshape(4, 4)
             assert np.array_equal(bk, bk.conj().T)
-        pairs = [(problem.drift, liouvillian(drift_hamiltonian(system), noise))]
-        pairs += zip(problem.controls, [liouvillian(o) for o in control_operator_stack(system)])
+        drift = ops.drift_generator + noise.dissipator
+        pairs = [(drift, liouvillian(drift_hamiltonian(system), noise))]
+        pairs += zip(ops.control_generators, [liouvillian(o) for o in control_operator_stack(system)])
         for real, lv in pairs:
             full = b.conj().T @ lv @ b
             scale = np.max(np.abs(full))

@@ -167,6 +167,19 @@ class TestCachedOperators:
         assert not ops.control_generators.flags.writeable
         assert ops.control_generators.shape == (2, 16, 16)
 
+    @pytest.mark.parametrize("n_spins", [1, 2, 3])
+    def test_coordinates_round_trip(self, n_spins):
+        ops = system_operators(SpinSystem(n_spins, ((0,),)))
+        d = 2**n_spins
+        rng = np.random.default_rng(n_spins)
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = a + a.conj().T
+        x = ops.coordinates(rho)
+        assert x.shape == (d * d,) and x.dtype == np.float64
+        back = ops.density(x)
+        assert np.max(np.abs(back - rho)) < 1e-14
+        assert np.array_equal(back, back.conj().T)
+
     def test_system_given_lists_is_hashable(self):
         listed = SpinSystem(2, [[0], [1]], couplings=[[0, 1, 48.2]], offsets_hz=[0.0, 0.0])
         assert listed == PRESETS["defm"]
