@@ -242,13 +242,11 @@ def cmd_sweep(args) -> int:
                 raise ConfigError(f"--params-for-gamma {g_txt} is not a swept gamma ({args.gammas})")
             by_gamma[float(g_txt)] = load_params(path, expected_channels=system.n_channels)
         sweep = analysis.noise_sweep(by_gamma, system, objective, gammas, args.noise)
-    elif args.kind == "amperr":
+    else:
         devs = [float(d) for d in args.deviations.split(",")]
         sweep = analysis.amplitude_error_sweep(
             params, system, objective, devs, noise=_noise_model(system, args)
         )
-    else:
-        raise ConfigError(f"unknown sweep kind {args.kind!r}")
     fileio.write_sweep_csv(sweep, args.out)
     print(f"wrote {len(sweep.axis_values)} points to {args.out}")
     return 0
@@ -301,21 +299,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_samp.set_defaults(func=cmd_sample)
 
     p_sw = sub.add_parser("sweep", help="fidelity sweeps")
-    p_sw.add_argument("kind", choices=["discretization", "noise", "amperr"])
-    p_sw.add_argument("--params", required=True)
-    p_sw.add_argument("--system", default="defm")
-    p_sw.add_argument("--target", default="cnot:0,1")
-    p_sw.add_argument("--segments", default="1..32768")
-    p_sw.add_argument("--log2", action="store_true")
-    p_sw.add_argument("--gammas", default="0.0")
-    p_sw.add_argument("--gamma", type=float, default=None)
-    p_sw.add_argument("--noise", choices=["local", "global"], default="local")
-    p_sw.add_argument("--deviations", default="0.0")
-    p_sw.add_argument(
+    # one parser per kind, so a flag of another kind is an argparse error; no
+    # abbreviations, or noise's --gammas would take amperr's --gamma
+    kinds = p_sw.add_subparsers(dest="kind", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--params", required=True)
+    common.add_argument("--system", default="defm")
+    common.add_argument("--target", default="cnot:0,1")
+    common.add_argument("--out", required=True)
+    noise_kind = argparse.ArgumentParser(add_help=False)
+    noise_kind.add_argument("--noise", choices=["local", "global"], default="local")
+
+    p_disc = kinds.add_parser("discretization", parents=[common], allow_abbrev=False,
+                              help="fidelity against segment count")
+    p_disc.add_argument("--segments", default="1..32768")
+    p_disc.add_argument("--log2", action="store_true")
+
+    p_noise = kinds.add_parser("noise", parents=[common, noise_kind], allow_abbrev=False,
+                               help="fidelity against collapse rate")
+    p_noise.add_argument("--gammas", default="0.0")
+    p_noise.add_argument(
         "--params-for-gamma", action="append", metavar="GAMMA=PATH",
         help="per-gamma parameter file for retrained sweeps",
     )
-    p_sw.add_argument("--out", required=True)
+
+    p_amp = kinds.add_parser("amperr", parents=[common, noise_kind], allow_abbrev=False,
+                             help="fidelity against control-amplitude error")
+    p_amp.add_argument("--deviations", default="0.0")
+    p_amp.add_argument("--gamma", type=float, default=None)
     p_sw.set_defaults(func=cmd_sweep)
 
     p_fft = sub.add_parser("fft", help="spectrum of a pulse CSV")
@@ -323,13 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fft.add_argument("--out", required=True)
     p_fft.set_defaults(func=cmd_fft)
 
-    p_traj = sub.add_parser("trajectory", help="basis-state expectation trajectory")
+    p_traj = sub.add_parser("trajectory", parents=[noise_kind],
+                            help="basis-state expectation trajectory")
     p_traj.add_argument("--params", required=True)
     p_traj.add_argument("--system", default="tcp")
     p_traj.add_argument("--basis", default="singlet-triplet")
     p_traj.add_argument("--samples", type=int, default=200)
     p_traj.add_argument("--gamma", type=float, default=None)
-    p_traj.add_argument("--noise", choices=["local", "global"], default="local")
     p_traj.add_argument("--out", required=True)
     p_traj.set_defaults(func=cmd_trajectory)
 

@@ -93,9 +93,14 @@ class AdamState:
         return [flat[part].reshape(shape) for part, shape in self._layout]
 
     def update(self, grads: list[np.ndarray], lr: float, b1: float, b2: float, eps: float):
-        """Return the parameter increments for one descent step on `grads`."""
+        """Return the parameter increments for one ascent step along `grads`.
+
+        The moments are kept for the descent gradient -grads: the sign is taken
+        once, on the concatenated vector.
+        """
         self.step += 1
         g = np.concatenate(grads, axis=None)
+        np.negative(g, out=g)
         # in place, rounded exactly as b1 * m + (1 - b1) * g and b2 * v + (1 - b2) * g * g
         self._m *= b1
         self._m += (1 - b1) * g
@@ -172,7 +177,7 @@ def ascend(score, arrays: list[np.ndarray], config: AscentConfig, *, project=Non
     it = start_iter
     while not converged and it < start_iter + config.max_iters:
         it += 1
-        deltas = state.update([-g for g in grads], config.learning_rate,  # descend on -value
+        deltas = state.update(grads, config.learning_rate,
                               config.adam_beta1, config.adam_beta2, config.adam_eps)
         arrays = [a + d for a, d in zip(arrays, deltas)]
         if project is not None:

@@ -1,7 +1,10 @@
 """Time evolution under piecewise-constant Hamiltonians.
 
-The primary propagator multiplies exact segment exponentials (eigendecomposition
-of each 4x4 Hermitian segment Hamiltonian).  For gradients, ``prefix_products``
+The primary propagator forms exact segment exponentials (eigendecomposition of
+each 4x4 Hermitian segment Hamiltonian) and takes their ordered product as a
+pairwise tree, adjacent pairs multiplied together level by level, so N segments
+cost log2(N) batched matmuls; sampled trajectories take one tree per span
+between sample boundaries.  For gradients, ``prefix_products``
 forms every partial product P_s = U_s ... U_1 by a blocked scan: products inside
 blocks of about sqrt(N) segments are formed for all blocks at once, then each
 block is carried by the product of the blocks before it.  Suffix products are
@@ -121,20 +124,42 @@ def prefix_products(units: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ordered_product(maps: np.ndarray) -> np.ndarray:
+    """maps[-1] @ ... @ maps[0] as a pairwise tree: log2(N) batched matmuls.
+
+    The odd last entry of a level is set aside (a copy of one matrix, so the
+    level itself can be freed) and multiplied on from the left at the end.
+    """
+    level, tails = maps, []
+    while len(level) > 1:
+        if len(level) % 2:
+            tails.append(level[-1].copy())
+            level = level[:-1]
+        level = np.matmul(level[1::2], level[0::2])
+    out = level[0]
+    for tail in reversed(tails):
+        out = tail @ out
+    return out
+
+
 def _sweep_segments(maps: np.ndarray, x: np.ndarray, sample_times, duration: float, read):
     """Apply the segment maps to x in order.  Returns the final x and, when
     sample_times is given, one row (t, read(x)) per sample time, in the order
     given, with x taken at the segment boundary nearest to t."""
+    n = len(maps)
     if sample_times is None:
         snap = []
     else:
-        snap = [int(round(np.clip(t, 0.0, duration) / duration * len(maps))) for t in sample_times]
+        snap = [int(round(np.clip(t, 0.0, duration) / duration * n)) for t in sample_times]
     wanted = set(snap)
-    states = {0: read(x)} if 0 in wanted else {}
-    for s in range(len(maps)):
-        x = maps[s] @ x
-        if s + 1 in wanted:
-            states[s + 1] = read(x)
+    states = {}
+    start = 0
+    for stop in sorted(wanted | {n}):
+        if stop > start:
+            x = _ordered_product(maps[start:stop]) @ x
+        if stop in wanted:
+            states[stop] = read(x)
+        start = stop
     traj = None if sample_times is None else [(t, states[s]) for t, s in zip(sample_times, snap)]
     return x, traj
 
@@ -188,6 +213,13 @@ def lindblad_substeps(
     return m
 
 
+def _add_identity(batch: np.ndarray):
+    """batch[s] += eye for an (N, d, d) batch, in place through the strided
+    view of its diagonals."""
+    diagonals = np.einsum("nii->ni", batch)
+    diagonals += 1.0
+
+
 def segment_lindblad_maps(
     system: SpinSystem,
     noise: NoiseModel,
@@ -202,16 +234,27 @@ def segment_lindblad_maps(
     of exp(h L), evaluated here by Horner.  Returns (L, R, M), each (N, d^2, d^2).
     """
     ops = system_operators(system)
-    drift = ops.drift_generator + noise.dissipator
-    lv = drift + np.tensordot(table.flat_amplitudes(), ops.control_generators, axes=1)
+    lv = np.tensordot(table.flat_amplitudes(), ops.control_generators, axes=1)
+    lv += ops.drift_generator + noise.dissipator
     hl = (table.dt / substeps) * lv
-    eye = np.eye(lv.shape[-1])
-    r = eye + hl / 4.0
-    for k in (3.0, 2.0, 1.0):
-        r = eye + np.matmul(hl, r) / k
+    # Horner in place: r = eye + hl/4, then r = eye + hl @ r / k for k = 3, 2, 1
+    # (the last division is by 1 and is skipped)
+    r = hl / 4.0
+    tmp = np.empty_like(r)
+    _add_identity(r)
+    for k in (3.0, 2.0):
+        np.matmul(hl, r, out=tmp)
+        np.divide(tmp, k, out=r)
+        _add_identity(r)
+    np.matmul(hl, r, out=tmp)
+    r, tmp = tmp, r
+    _add_identity(r)
+    # squarings ping-pong between tmp and the spent hl; r stays intact for the gradient
     m = r
-    for _ in range(substeps.bit_length() - 1):
-        m = np.matmul(m, m)
+    if substeps > 1:
+        m, spare = np.matmul(r, r, out=tmp), hl
+        for _ in range(substeps.bit_length() - 2):
+            m, spare = np.matmul(m, m, out=spare), m
     return lv, r, m
 
 

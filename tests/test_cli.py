@@ -269,6 +269,26 @@ class TestSynthesize:
         assert outs[0] != outs[1]
 
 
-def test_unknown_command_exits_via_argparse():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["frobnicate"], id="frobnicate"),
+    # each sweep kind rejects the flags of the other kinds before any propagation
+    pytest.param(["sweep", "noise", "--gamma", "0.05"], id="noise-gamma"),
+    pytest.param(["sweep", "noise", "--deviations=0.1"], id="noise-deviations"),
+    pytest.param(["sweep", "noise", "--segments", "4,8"], id="noise-segments"),
+    pytest.param(["sweep", "amperr", "--gammas", "0.02"], id="amperr-gammas"),
+    pytest.param(["sweep", "amperr", "--segments", "4,8"], id="amperr-segments"),
+    pytest.param(["sweep", "amperr", "--params-for-gamma", "0.02=PARAMS"], id="amperr-override"),
+    pytest.param(["sweep", "discretization", "--deviations=0.3"], id="discretization-deviations"),
+    pytest.param(["sweep", "discretization", "--gamma", "0.05"], id="discretization-gamma"),
+    pytest.param(["sweep", "discretization", "--noise", "global"], id="discretization-noise"),
+])
+def test_unknown_command_exits_via_argparse(argv, tcp_params, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    if argv[0] == "sweep":
+        argv = [a.replace("PARAMS", tcp_params) for a in argv]
+        argv += ["--params", tcp_params, "--system", "tcp", "--target", "lls", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err.splitlines()[-1]
+    assert not out.exists()

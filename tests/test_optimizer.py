@@ -38,13 +38,14 @@ def quick_config(**kw):
 
 class TestAdam:
     def test_hand_computed_three_steps(self):
-        # scalar parameter, constant gradient g=2, lr=0.1, standard betas
+        # scalar parameter, constant descent gradient g=2 (ascent gradient -2),
+        # lr=0.1, standard betas
         state = AdamState([np.zeros(1)])
         x = 0.0
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         m = v = 0.0
         for t in range(1, 4):
-            (delta,) = state.update([np.array([2.0])], lr, b1, b2, eps)
+            (delta,) = state.update([np.array([-2.0])], lr, b1, b2, eps)
             x += delta[0]
             m = b1 * m + (1 - b1) * 2.0
             v = b2 * v + (1 - b2) * 4.0

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -6,6 +7,8 @@ from scipy.linalg import expm as scipy_expm
 
 from pinnctl.network import PulseTable, init_params, sample_pulse
 from pinnctl.propagation import (
+    _ordered_product,
+    _sweep_segments,
     expm_hermitian,
     lindblad_substeps,
     liouvillian,
@@ -14,6 +17,7 @@ from pinnctl.propagation import (
     propagate_lindblad,
     propagate_oracle,
     propagate_unitary,
+    segment_lindblad_maps,
 )
 from pinnctl.spins import (
     PRESETS,
@@ -111,6 +115,130 @@ class TestSampleTimes:
         assert np.allclose(rows[0], res.final) and np.allclose(rows[4], res.final)
         assert np.allclose(rows[1], rho0)
         assert np.array_equal(rows[2], rows[3])
+
+
+def loop_sweep(maps, x, times, duration):
+    """One segment at a time: x at every boundary, then the rows at the
+    boundaries nearest to the times."""
+    states = [x]
+    for m in maps:
+        x = m @ x
+        states.append(x)
+    n = len(maps)
+    return x, [states[int(round(t / duration * n))] for t in times]
+
+
+def tcp_lindblad_maps(n, seed=0):
+    """Segment maps of a random tcp pulse under local noise, at the default step."""
+    table = PulseTable(0.05, np.random.default_rng(seed).normal(0, 300, size=(n, 1, 2)))
+    noise = noise_operators(PRESETS["tcp"], "local", 0.05)
+    substeps = lindblad_substeps(PRESETS["tcp"], table, noise, 0.005)
+    return segment_lindblad_maps(PRESETS["tcp"], noise, table, substeps)[2]
+
+
+class TestProductTree:
+    """The pairwise product tree against a plain loop over the segments."""
+
+    @staticmethod
+    def sample_times(n, duration):
+        # unsorted, with t=0, t=T, a duplicate and two times that snap to one boundary
+        k = max(1, n // 3)
+        near = [(k - 0.2) / n * duration, (k + 0.2) / n * duration]
+        return [duration, 0.6 * duration, 0.0, *near, 0.6 * duration, 0.1 * duration, duration]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 1000, 4097])
+    def test_unitary_maps_match_loop(self, n):
+        rng = np.random.default_rng(n)
+        hs = [random_hermitian(rng, 4, 3.0) for _ in range(n)]
+        units = np.stack([expm_hermitian(h, 1.0) for h in hs])
+        times = self.sample_times(n, 0.02)
+        final, traj = _sweep_segments(units, np.eye(4, dtype=complex), times, 0.02, np.copy)
+        ref_final, ref_rows = loop_sweep(units, np.eye(4, dtype=complex), times, 0.02)
+        assert np.max(np.abs(final - ref_final)) <= 1e-13
+        assert [t for t, _ in traj] == times
+        for (_, row), ref in zip(traj, ref_rows):
+            assert np.max(np.abs(row - ref)) <= 1e-13
+        assert np.array_equal(traj[3][1], traj[4][1]) and np.array_equal(traj[1][1], traj[5][1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 1000, 4097])
+    def test_lindblad_maps_match_loop(self, n):
+        maps = tcp_lindblad_maps(n)
+        ops = system_operators(PRESETS["tcp"])
+        rho0 = np.eye(4) / 4 + 0.1 * thermal_deviation()
+        x0 = ops.coordinates(rho0)
+        times = self.sample_times(n, 0.05)
+        final, traj = _sweep_segments(maps, x0, times, 0.05, np.copy)
+        ref_final, ref_rows = loop_sweep(maps, x0, times, 0.05)
+        assert np.max(np.abs(final - ref_final)) <= 1e-13
+        for (_, row), ref in zip(traj, ref_rows):
+            assert np.max(np.abs(row - ref)) <= 1e-13
+        rho = ops.density(final)
+        # the RK4 maps themselves move the trace by up to 6e-13 here, the loop alike
+        assert abs(np.trace(rho) - np.trace(rho0)) <= 1e-10
+        assert np.array_equal(rho, rho.conj().T)
+
+    def test_unitarity_at_32768_segments(self):
+        p = init_params((1, 16, 16, 4), 2 * np.pi * 1000, 0.02, seed=8)
+        u = propagate_unitary(PRESETS["defm"], p, n_fine=32768).final
+        assert np.linalg.norm(u.conj().T @ u - np.eye(4)) <= 1e-10
+
+    @pytest.mark.parametrize("call, n, row_bytes", [
+        pytest.param(lambda n: propagate_lindblad(
+            PRESETS["tcp"], init_params((1, 8, 8, 2), 2 * np.pi * 200, 0.05, seed=2),
+            thermal_deviation(), noise_operators(PRESETS["tcp"], "local", 0.02), n_fine=n,
+        ), 4096, 16 * 16 * 8, id="lindblad-4096"),
+        pytest.param(lambda n: propagate_unitary(
+            PRESETS["defm"], init_params((1, 8, 8, 4), 2 * np.pi * 500, 0.02, seed=1), n_fine=n,
+        ), 32768, 4 * 4 * 16, id="unitary-32768"),
+    ])
+    def test_traced_peak_within_six_batches(self, call, n, row_bytes):
+        # the segment-map build peaks at four (Lindblad) or fewer (N, d, d) arrays;
+        # a temporary kept alive there too long breaks this
+        tracemalloc.start()
+        try:
+            call(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * n * row_bytes
+
+    @pytest.mark.parametrize("n", [32768, 32767])
+    def test_tree_holds_two_levels_at_a_time(self, n):
+        # levels of N/2 and N/4 products coexist while the second is formed;
+        # keeping every level alive would approach N
+        maps = np.broadcast_to(np.eye(4, dtype=complex), (n, 4, 4)).copy()
+        tracemalloc.start()
+        try:
+            product = _ordered_product(maps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(product, np.eye(4))
+        assert peak <= 0.8 * maps.nbytes
+
+
+class TestSegmentLindbladMaps:
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    @pytest.mark.parametrize("substeps", [1, 2, 8])
+    def test_matches_literal_horner_bit_for_bit(self, kind, substeps):
+        system = PRESETS["tcp"]
+        noise = noise_operators(system, kind, 0.05)
+        table = PulseTable(0.05, np.random.default_rng(4).normal(0, 300, size=(64, 1, 2)))
+        ops = system_operators(system)
+        lv = ops.drift_generator + noise.dissipator + np.tensordot(
+            table.flat_amplitudes(), ops.control_generators, axes=1
+        )
+        hl = (table.dt / substeps) * lv
+        eye = np.eye(16)
+        r = eye + hl / 4.0
+        for k in (3.0, 2.0, 1.0):
+            r = eye + np.matmul(hl, r) / k
+        m = r
+        for _ in range(substeps.bit_length() - 1):
+            m = np.matmul(m, m)
+        got = segment_lindblad_maps(system, noise, table, substeps)
+        for a, b in zip(got, (lv, r, m)):
+            assert np.array_equal(a, b)
 
 
 class TestPropagateUnitary:
