@@ -125,7 +125,10 @@ def _build_run(cfg: dict):
         )
     noise_cfg = cfg.get("noise")
     if noise_cfg:
-        noise = noise_operators(system, noise_cfg["kind"], float(noise_cfg["gamma"]))
+        try:
+            noise = noise_operators(system, noise_cfg["kind"], float(noise_cfg["gamma"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid noise configuration: {exc}") from exc
         if objective.kind != "state":
             raise ConfigError("noise training is only defined for state objectives")
         objective = dc_replace(objective, noise=noise)

@@ -24,6 +24,7 @@ from .network import (
 from .propagation import (
     DEFAULT_N_FINE,
     DEFAULT_SUBSTEP_TOL,
+    _buffer,
     lindblad_substeps,
     prefix_products,
     segment_hamiltonians,
@@ -259,8 +260,8 @@ def _lindblad_pulse_gradient(
 
     # substep states alpha_p = R^p x_s entering segment s, costates
     # beta_p = (R^T)^(m-1-p) y_s leaving it, and Z = sum_p alpha_p beta_p^T
-    alphas = np.empty((n, dd, substeps))
-    betas = np.empty((n, dd, substeps))
+    alphas = _buffer("substep_states", (n, dd, substeps))
+    betas = _buffer("substep_costates", (n, dd, substeps))
     x = ops.coordinates(objective.initial)
     for s in range(n):
         alphas[s, :, 0] = x
@@ -274,18 +275,23 @@ def _lindblad_pulse_gradient(
     for p in range(1, substeps):
         alphas[:, :, p] = np.matmul(r_mats, alphas[:, :, p - 1, None])[:, :, 0]
         betas[:, :, -1 - p] = np.matmul(r_t, betas[:, :, -p, None])[:, :, 0]
-    z_mat = np.matmul(alphas, betas.transpose(0, 2, 1))
+    z_mat = np.matmul(alphas, betas.transpose(0, 2, 1), out=_buffer("adjoint_z", lv.shape))
 
     # W = sum_{a+b<=3} c_{a+b+1} L^b Z L^a with c_k = h^k / k!, by Horner on
     # both sides: Y_3 = c_4 Z, Y_b = c_{b+1} Z + Y_{b+1} L, and
-    # W = Y_0 + L (Y_1 + L (Y_2 + L Y_3))
+    # W = Y_0 + L (Y_1 + L (Y_2 + L Y_3)); every stage is written into a
+    # workspace buffer, and W accumulates in the spent Y buffers
     h_sub = table.dt / substeps
-    ys = [h_sub**4 / 24.0 * z_mat]
+    spare = _buffer("adjoint_spare", lv.shape)
+    ys = [np.multiply(z_mat, h_sub**4 / 24.0, out=_buffer("adjoint_y3", lv.shape))]
     for k, k_fact in ((3, 6.0), (2, 2.0), (1, 1.0)):
-        ys.append(h_sub**k / k_fact * z_mat + np.matmul(ys[-1], lv))
+        y_b = np.matmul(ys[-1], lv, out=_buffer(f"adjoint_y{k - 1}", lv.shape))
+        y_b += np.multiply(z_mat, h_sub**k / k_fact, out=spare)
+        ys.append(y_b)
     w_mat = ys[0]
     for y_b in ys[1:]:
-        w_mat = y_b + np.matmul(lv, w_mat)
+        y_b += np.matmul(lv, w_mat, out=spare)
+        w_mat = y_b
 
     # dF/du_c = Tr(G_c W)
     du = np.tensordot(w_mat, ops.control_generators, axes=([1, 2], [2, 1]))

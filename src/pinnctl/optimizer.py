@@ -23,7 +23,7 @@ from .network import (
     segment_times,
 )
 from .objectives import ObjectiveSpec, loss_and_gradient
-from .propagation import DEFAULT_N_FINE, DEFAULT_SUBSTEP_TOL
+from .propagation import DEFAULT_N_FINE, DEFAULT_SUBSTEP_TOL, _workspace
 from .spins import SpinSystem
 
 DIVERGENCE_WINDOW = 100
@@ -157,6 +157,7 @@ def _grad_norm(*groups) -> float:
     return float(np.sqrt(sum(sum(float(np.sum(g * g)) for g in group) for group in groups)))
 
 
+@_workspace()  # one per call: the dissipative gradient reuses its buffers every step
 def ascend(score, arrays: list[np.ndarray], config: AscentConfig, *, project=None,
            state: AdamState | None = None, start_iter: int = 0, norm=_grad_norm):
     """Maximise score(arrays) -> (value, gradients) with Adam until the value

@@ -13,14 +13,20 @@ U(T) P_s^dagger.  Dissipative evolution integrates
 the vectorized master equation with fixed-step RK4 inside each segment, in
 real arithmetic: in an orthonormal basis of Hermitian matrices every
 Hermiticity-preserving generator is a real d^2 x d^2 matrix, and density
-matrices are real coordinate vectors.  An adaptive Dormand-Prince integrator
-treating the network as a continuous-time Hamiltonian serves as an
-independent cross-check.
+matrices are real coordinate vectors.  During an ascent (``optimizer.ascend``)
+the segment maps and the dissipative adjoint write their (N, d^2, d^2)
+temporaries into one workspace of buffers kept for the whole ascent: arrays of
+that size are handed back to the kernel when freed and would fault in fresh
+pages on every step.  Outside an ascent they are allocated per call.  An
+adaptive Dormand-Prince integrator treating the network as a continuous-time
+Hamiltonian serves as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,6 +219,34 @@ def lindblad_substeps(
     return m
 
 
+_WORKSPACE = threading.local()
+
+
+@contextmanager
+def _workspace():
+    """Keep the large float temporaries that ``_buffer`` hands out alive until
+    exit, so repeated calls write into pages already faulted in instead of
+    fresh ones.  A nested workspace starts empty and restores the outer one."""
+    outer = getattr(_WORKSPACE, "buffers", None)
+    _WORKSPACE.buffers = {}
+    try:
+        yield
+    finally:
+        _WORKSPACE.buffers = outer
+
+
+def _buffer(key: str, shape: tuple) -> np.ndarray:
+    """An uninitialised float array: the workspace's buffer for key when a
+    workspace is open (reallocated when the shape changes), else np.empty."""
+    buffers = getattr(_WORKSPACE, "buffers", None)
+    if buffers is None:
+        return np.empty(shape)
+    buf = buffers.get(key)
+    if buf is None or buf.shape != shape:
+        buf = buffers[key] = np.empty(shape)
+    return buf
+
+
 def _add_identity(batch: np.ndarray):
     """batch[s] += eye for an (N, d, d) batch, in place through the strided
     view of its diagonals."""
@@ -232,15 +266,21 @@ def segment_lindblad_maps(
 
     With a constant generator one RK4 step is the 4th-order Taylor polynomial
     of exp(h L), evaluated here by Horner.  Returns (L, R, M), each (N, d^2, d^2).
+    Inside an ascent (``optimizer.ascend``) the three arrays are workspace
+    buffers: valid until the next call in the same ascent, which overwrites them.
     """
     ops = system_operators(system)
-    lv = np.tensordot(table.flat_amplitudes(), ops.control_generators, axes=1)
+    amps, gens = table.flat_amplitudes(), ops.control_generators
+    shape = (len(amps), *gens.shape[1:])
+    lv = _buffer("lindblad_generator", shape)
+    # the product np.tensordot(amps, gens, axes=1) forms, written into lv
+    np.dot(amps, gens.reshape(len(gens), -1), out=lv.reshape(len(amps), -1))
     lv += ops.drift_generator + noise.dissipator
-    hl = (table.dt / substeps) * lv
+    hl = np.multiply(lv, table.dt / substeps, out=_buffer("lindblad_step", shape))
     # Horner in place: r = eye + hl/4, then r = eye + hl @ r / k for k = 3, 2, 1
     # (the last division is by 1 and is skipped)
-    r = hl / 4.0
-    tmp = np.empty_like(r)
+    r = np.divide(hl, 4.0, out=_buffer("lindblad_horner_a", shape))
+    tmp = _buffer("lindblad_horner_b", shape)
     _add_identity(r)
     for k in (3.0, 2.0):
         np.matmul(hl, r, out=tmp)

@@ -248,6 +248,28 @@ class TestSynthesize:
         assert err.startswith("error:") and err.count("\n") == 1
         assert next(iter(bad)) in err
 
+    @pytest.mark.parametrize("noise", [
+        pytest.param({"kind": "local", "gamma": None}, id="gamma-null"),
+        pytest.param([1], id="not-a-mapping"),
+        pytest.param({"kind": "local"}, id="gamma-missing"),
+    ])
+    def test_bad_noise_block_is_one_line_error(self, tmp_path, capsys, noise):
+        cfg = {
+            "system": "tcp",
+            "objective": {"target": "lls"},
+            "network": {"layer_sizes": [1, 8, 2], "duration_s": 0.05},
+            "optimizer": {"max_iters": 1, "n_fine": 16, "seed": 0},
+            "noise": noise,
+        }
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        rc = main(["synthesize", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid noise configuration: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_requires_config_or_preset(self, capsys):
         assert main(["synthesize"]) == 1
         assert "config" in capsys.readouterr().err

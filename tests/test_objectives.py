@@ -1,3 +1,4 @@
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -16,7 +17,10 @@ from pinnctl.objectives import (
     transfer_bound,
 )
 from pinnctl.objectives import _shape_cotangent
+from pinnctl.optimizer import OptimizerConfig, multi_start, resume, train
 from pinnctl.propagation import (
+    _buffer,
+    _workspace,
     lindblad_substeps,
     liouvillian,
     prefix_products,
@@ -384,6 +388,70 @@ class TestLossAndGradient:
         p = init_params((1, 4, 2), 1.0, 0.02, seed=0)
         with pytest.raises(ValueError):
             loss_and_gradient(p, PRESETS["defm"], cnot_objective(), 16)
+
+
+class TestLindbladWorkspace:
+    """Inside an ascent the dissipative gradient writes its temporaries into
+    buffers kept between calls; the arithmetic must not notice."""
+
+    # n_fine and substep count change from call to call: 8, 64, 128, 8 substeps
+    GRIDS = [(512, 0.05), (64, 0.05), (512, 0.005), (512, 0.05)]
+
+    @staticmethod
+    def noisy(kind, gamma):
+        return replace(lls_objective(), noise=noise_operators(PRESETS["tcp"], kind, gamma))
+
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    @pytest.mark.parametrize("gamma", [0.02, 0.07])
+    def test_gradient_in_workspace_is_bit_identical(self, kind, gamma):
+        p = init_params((1, 12, 12, 2), 2 * np.pi * 60, 0.15, seed=3)
+        obj = self.noisy(kind, gamma)
+        fresh = [loss_and_gradient(p, PRESETS["tcp"], obj, n, substep_tol=tol)
+                 for n, tol in self.GRIDS]
+        with _workspace():
+            reused = [loss_and_gradient(p, PRESETS["tcp"], obj, n, substep_tol=tol)
+                      for n, tol in self.GRIDS]
+        for (f0, (gw0, gb0)), (f1, (gw1, gb1)) in zip(fresh, reused):
+            assert f0 == f1
+            assert all(np.array_equal(a, b) for a, b in zip(gw0 + gb0, gw1 + gb1))
+
+    @pytest.mark.parametrize("run", ["resume", "multi_start"])
+    def test_nested_ascents_restore_the_outer_workspace(self, run):
+        tcp, obj = PRESETS["tcp"], self.noisy("local", 0.05)
+        cfg = OptimizerConfig(learning_rate=3e-3, f_threshold=1.0, max_iters=2, n_fine=32,
+                              substep_tol=0.05)
+        p = init_params((1, 6, 2), 2 * np.pi * 60, 0.15, seed=1)
+
+        def go():
+            if run == "resume":
+                return resume(train(p, tcp, obj, cfg), tcp, obj, 2).final_params
+            return multi_start(tcp, obj, (1, 6, 2), 2 * np.pi * 60, 0.15, cfg, 2).final_params
+
+        alone = go()
+        with _workspace():
+            held = _buffer("outer", (3,))
+            nested = go()
+            assert _buffer("outer", (3,)) is held
+        assert _buffer("outer", (3,)) is not held  # outside every workspace: fresh arrays
+        assert all(np.array_equal(a, b) for a, b in zip(alone.weights + alone.biases,
+                                                        nested.weights + nested.biases))
+
+    @pytest.mark.parametrize("tol", [0.05, 0.005], ids=["8-substeps", "128-substeps"])
+    def test_second_call_in_workspace_allocates_few_new_maps(self, tol):
+        # the lindblad_retrain network; a step without the workspace traces
+        # 11.7 (8 substeps) and 26.7 (128 substeps) arrays of N (d^2 x d^2) floats
+        n = 512
+        p = init_params((1, 60, 60, 60, 2), 2 * np.pi * 60, 0.15, seed=3)
+        obj = self.noisy("local", 0.05)
+        with _workspace():
+            loss_and_gradient(p, PRESETS["tcp"], obj, n, substep_tol=tol)
+            tracemalloc.start()
+            try:
+                loss_and_gradient(p, PRESETS["tcp"], obj, n, substep_tol=tol)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2.5 * n * 16**2 * 8
 
 
 class TestEvaluateFidelity:

@@ -18,6 +18,7 @@ from pinnctl.optimizer import (
     save_run_record,
     train,
 )
+from pinnctl.propagation import _buffer
 from pinnctl.spins import SpinSystem
 from pinnctl.targets import cnot_objective
 from pinnctl.spins import PRESETS
@@ -226,6 +227,29 @@ class TestAscend:
 
         with pytest.raises(FloatingPointError, match="iteration 2"):
             ascend(blows_up, [np.zeros(2)], AscentConfig(f_threshold=1.0, max_iters=10))
+
+    def test_one_workspace_per_ascent(self):
+        seen = []
+
+        def score(arrays):
+            seen.append(_buffer("probe", (2,)))
+            return 0.5, [np.ones(2)]
+
+        cfg = AscentConfig(f_threshold=1.0, max_iters=3)
+        ascend(score, [np.zeros(2)], cfg)
+        ascend(score, [np.zeros(2)], cfg)
+        assert len(seen) == 8
+        assert all(b is seen[0] for b in seen[:4]) and all(b is seen[4] for b in seen[4:])
+        assert seen[4] is not seen[0]
+
+    def test_workspace_closes_when_the_ascent_raises(self):
+        def blows_up(arrays):
+            _buffer("probe", (2,))
+            return float("nan"), [np.ones(2)]
+
+        with pytest.raises(FloatingPointError):
+            ascend(blows_up, [np.zeros(2)], AscentConfig(f_threshold=1.0, max_iters=3))
+        assert _buffer("probe", (2,)) is not _buffer("probe", (2,))
 
     def test_config_validation(self):
         for bad in ({"learning_rate": -5.0}, {"learning_rate": float("nan")},

@@ -218,6 +218,17 @@ class TestProductTree:
 
 
 class TestSegmentLindbladMaps:
+    def test_second_call_outside_an_ascent_leaves_the_first_untouched(self):
+        system = PRESETS["tcp"]
+        noise = noise_operators(system, "local", 0.05)
+        rng = np.random.default_rng(6)
+        first = segment_lindblad_maps(
+            system, noise, PulseTable(0.05, rng.normal(0, 300, size=(64, 1, 2))), 8
+        )
+        kept = [a.copy() for a in first]
+        segment_lindblad_maps(system, noise, PulseTable(0.05, rng.normal(0, 300, size=(64, 1, 2))), 8)
+        assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+
     @pytest.mark.parametrize("kind", ["local", "global"])
     @pytest.mark.parametrize("substeps", [1, 2, 8])
     def test_matches_literal_horner_bit_for_bit(self, kind, substeps):
