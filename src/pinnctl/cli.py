@@ -221,9 +221,20 @@ def _parse_segments(text: str, log2: bool) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
+def _gamma_override(text: str) -> tuple[float, str]:
+    """One --params-for-gamma value, GAMMA=PATH, as (gamma, path)."""
+    g_txt, eq, path = text.partition("=")
+    try:
+        if eq:
+            return float(g_txt), path
+    except ValueError:
+        pass
+    raise ConfigError(f"--params-for-gamma {text!r} is not of the form GAMMA=PATH with a numeric GAMMA")
+
+
 def _noise_model(system, args):
     """The --noise model at --gamma; none when gamma is absent or 0.  Any other
-    gamma builds the model, whose check rejects negative and NaN rates."""
+    gamma builds the model, whose check rejects negative, infinite and NaN rates."""
     if args.gamma is None or args.gamma == 0:
         return None
     return noise_operators(system, args.noise, args.gamma)
@@ -240,10 +251,10 @@ def cmd_sweep(args) -> int:
         gammas = [float(g) for g in args.gammas.split(",")]
         by_gamma = {g: params for g in gammas}
         for override in args.params_for_gamma or []:
-            g_txt, path = override.split("=", 1)
-            if float(g_txt) not in by_gamma:
-                raise ConfigError(f"--params-for-gamma {g_txt} is not a swept gamma ({args.gammas})")
-            by_gamma[float(g_txt)] = load_params(path, expected_channels=system.n_channels)
+            g, path = _gamma_override(override)
+            if g not in by_gamma:
+                raise ConfigError(f"--params-for-gamma {override} is not a swept gamma ({args.gammas})")
+            by_gamma[g] = load_params(path, expected_channels=system.n_channels)
         sweep = analysis.noise_sweep(by_gamma, system, objective, gammas, args.noise)
     else:
         devs = [float(d) for d in args.deviations.split(",")]

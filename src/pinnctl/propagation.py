@@ -3,8 +3,11 @@
 The primary propagator forms exact segment exponentials (eigendecomposition of
 each 4x4 Hermitian segment Hamiltonian) and takes their ordered product as a
 pairwise tree, adjacent pairs multiplied together level by level, so N segments
-cost log2(N) batched matmuls; sampled trajectories take one tree per span
-between sample boundaries.  For gradients, ``prefix_products``
+cost log2(N) batched matmuls.  The forward-only propagators walk the segments
+in chunks of at most _CHUNK: each chunk's maps are built once, while they
+still fit in cache, and folded into the state (one tree per span between
+sample boundaries) before the next chunk is built, so their memory is
+O(chunk), not O(N).  For gradients, ``prefix_products``
 forms every partial product P_s = U_s ... U_1 by a blocked scan: products inside
 blocks of about sqrt(N) segments are formed for all blocks at once, then each
 block is carried by the product of the blocks before it.  Suffix products are
@@ -17,7 +20,8 @@ matrices are real coordinate vectors.  During an ascent (``optimizer.ascend``)
 the segment maps and the dissipative adjoint write their (N, d^2, d^2)
 temporaries into one workspace of buffers kept for the whole ascent: arrays of
 that size are handed back to the kernel when freed and would fault in fresh
-pages on every step.  Outside an ascent they are allocated per call.  An
+pages on every step.  Outside an ascent they are allocated per call, and the
+forward-only Lindblad walk reuses one chunk's buffers for the next.  An
 adaptive Dormand-Prince integrator treating the network as a continuous-time
 Hamiltonian serves as an independent cross-check.
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -46,6 +51,9 @@ DEFAULT_N_FINE = 4096  # 2**12
 # Per-RK4-substep cap on (gamma*||H0|| + ||H||)*h; 0.005 keeps the gamma=0
 # dissipative path within 1e-8 of the exact unitary propagation.
 DEFAULT_SUBSTEP_TOL = 0.005
+# Segments per map build in the forward-only walk: a chunk's (256, 16, 16)
+# Lindblad temporaries take 2 MB and stay in L2 through the build and product.
+_CHUNK = 256
 
 
 @dataclass
@@ -83,11 +91,14 @@ def _as_pulse(system: SpinSystem, pulse, n_fine: int | None) -> PulseTable:
     return table
 
 
-def segment_hamiltonians(system: SpinSystem, table: PulseTable) -> np.ndarray:
-    """Batched H_s = H0 + sum_c u_cx X_c + u_cy Y_c, shape (N, dim, dim)."""
+def segment_hamiltonians(
+    system: SpinSystem, table: PulseTable, rows: slice = slice(None)
+) -> np.ndarray:
+    """Batched H_s = H0 + sum_c u_cx X_c + u_cy Y_c, shape (N, dim, dim), for
+    the segments in rows (all by default)."""
     h0 = drift_hamiltonian(system)
     ops = control_operator_stack(system)
-    amps = table.flat_amplitudes()
+    amps = table.flat_amplitudes()[rows]
     return h0[None, :, :] + np.einsum("nc,cij->nij", amps, ops)
 
 
@@ -148,10 +159,28 @@ def _ordered_product(maps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep_segments(maps: np.ndarray, x: np.ndarray, sample_times, duration: float, read):
+@dataclass(frozen=True)
+class _SegmentMaps:
+    """The maps of n segments, built when sliced: self[a:b] is build(slice(a, b))."""
+
+    n: int
+    build: Callable[[slice], np.ndarray]
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.build(rows)
+
+
+def _sweep_segments(maps, x: np.ndarray, sample_times, duration: float, read):
     """Apply the segment maps to x in order.  Returns the final x and, when
     sample_times is given, one row (t, read(x)) per sample time, in the order
-    given, with x taken at the segment boundary nearest to t."""
+    given, with x taken at the segment boundary nearest to t.
+
+    maps is the (N, d, d) stack or a ``_SegmentMaps``; either is sliced one
+    chunk of at most _CHUNK segments at a time, and each chunk is folded into
+    x before the next is sliced, so only one chunk of maps is alive at once."""
     n = len(maps)
     if sample_times is None:
         snap = []
@@ -160,9 +189,12 @@ def _sweep_segments(maps: np.ndarray, x: np.ndarray, sample_times, duration: flo
     wanted = set(snap)
     states = {}
     start = 0
-    for stop in sorted(wanted | {n}):
+    # every span lies inside one chunk, and a chunk's first span starts it
+    for stop in sorted(wanted | {*range(_CHUNK, n, _CHUNK), n}):
         if stop > start:
-            x = _ordered_product(maps[start:stop]) @ x
+            if start % _CHUNK == 0:
+                lo, chunk = start, maps[start : start + _CHUNK]
+            x = _ordered_product(chunk[start - lo : stop - lo]) @ x
         if stop in wanted:
             states[stop] = read(x)
         start = stop
@@ -175,10 +207,13 @@ def propagate_unitary(
 ) -> EvolutionResult:
     """U(T) as the ordered product of segment exponentials over the pulse."""
     table = _as_pulse(system, pulse, n_fine)
-    h_batch = segment_hamiltonians(system, table)
-    _, _, units = segment_unitaries(h_batch, table.dt)
+
+    def units(rows: slice) -> np.ndarray:
+        return segment_unitaries(segment_hamiltonians(system, table, rows), table.dt)[2]
+
     acc, traj = _sweep_segments(
-        units, np.eye(system.dimension, dtype=complex), sample_times, table.duration, np.copy
+        _SegmentMaps(table.n_segments, units), np.eye(system.dimension, dtype=complex),
+        sample_times, table.duration, np.copy,
     )
     return EvolutionResult(final=acc, trajectory=traj)
 
@@ -259,18 +294,20 @@ def segment_lindblad_maps(
     noise: NoiseModel,
     table: PulseTable,
     substeps: int,
+    rows: slice = slice(None),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-segment real Liouvillians L, RK4 substep maps R and segment maps
     M = R^substeps (substeps a power of two), in the coordinates of
-    ``SystemOperators.coordinates``.
+    ``SystemOperators.coordinates``, for the segments in rows (all by default;
+    each row is the same bits either way).
 
     With a constant generator one RK4 step is the 4th-order Taylor polynomial
     of exp(h L), evaluated here by Horner.  Returns (L, R, M), each (N, d^2, d^2).
-    Inside an ascent (``optimizer.ascend``) the three arrays are workspace
-    buffers: valid until the next call in the same ascent, which overwrites them.
+    Inside a workspace (an ascent, or the forward-only walk) the three arrays
+    are workspace buffers: valid until the next call there, which overwrites them.
     """
     ops = system_operators(system)
-    amps, gens = table.flat_amplitudes(), ops.control_generators
+    amps, gens = table.flat_amplitudes()[rows], ops.control_generators
     shape = (len(amps), *gens.shape[1:])
     lv = _buffer("lindblad_generator", shape)
     # the product np.tensordot(amps, gens, axes=1) forms, written into lv
@@ -312,9 +349,16 @@ def propagate_lindblad(
     _hermitian_check(rho0)
     table = _as_pulse(system, pulse, n_fine)
     m_sub = lindblad_substeps(system, table, noise, substep_tol)
-    _, _, maps = segment_lindblad_maps(system, noise, table, m_sub)
     ops = system_operators(system)
-    x, traj = _sweep_segments(maps, ops.coordinates(rho0), sample_times, table.duration, ops.density)
+
+    def maps(rows: slice) -> np.ndarray:
+        return segment_lindblad_maps(system, noise, table, m_sub, rows)[2]
+
+    with _workspace():  # one chunk's buffers, reused by the next chunk
+        x, traj = _sweep_segments(
+            _SegmentMaps(table.n_segments, maps), ops.coordinates(rho0),
+            sample_times, table.duration, ops.density,
+        )
     return EvolutionResult(final=ops.density(x), trajectory=traj)
 
 

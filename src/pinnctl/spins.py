@@ -80,8 +80,8 @@ class NoiseModel:
     drift_norm: float  # rad/s, spectral norm of the drift Hamiltonian
 
     def __post_init__(self):
-        if not self.gamma >= 0:  # NaN-safe
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0 <= self.gamma < np.inf:  # NaN-safe
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.kind not in ("local", "global"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.gamma > 0 and not self.drift_norm > 0:

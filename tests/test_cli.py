@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pinnctl
 from pinnctl.cli import main
 from pinnctl.fileio import read_pulse_csv
 from pinnctl.network import init_params, save_params
@@ -87,7 +92,13 @@ class TestSweep:
         pytest.param(["noise", "--gammas=nan"], "gamma", id="noise-gamma-nan"),
         pytest.param(["noise", "--gammas=0.02", "--params-for-gamma", "0.04=PARAMS"], "gamma",
                      id="override-not-swept"),
+        pytest.param(["noise", "--gammas=inf"], "finite", id="noise-gamma-inf"),
+        pytest.param(["noise", "--gammas=0.02", "--params-for-gamma", "0.02"], "GAMMA=PATH",
+                     id="override-without-equals"),
+        pytest.param(["noise", "--gammas=0.02", "--params-for-gamma", "high=PARAMS"], "GAMMA=PATH",
+                     id="override-non-numeric"),
         pytest.param(["amperr", "--gamma=-0.05"], "gamma", id="amperr-gamma-negative"),
+        pytest.param(["amperr", "--gamma=inf"], "finite", id="amperr-gamma-inf"),
         pytest.param(["amperr", "--deviations=nan"], "deviations", id="amperr-deviation-nan"),
     ])
     def test_bad_input_is_one_line_error(self, tcp_params, tmp_path, capsys, args, named):
@@ -314,3 +325,19 @@ def test_unknown_command_exits_via_argparse(argv, tcp_params, tmp_path, capsys):
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err.splitlines()[-1]
     assert not out.exists()
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("args, code", [
+        pytest.param(["sample", "PARAMS", "--segments", "4", "--out", "OUT"], 0, id="ok"),
+        pytest.param(["sample", "MISSING", "--segments", "4", "--out", "OUT"], 1, id="error"),
+        pytest.param(["sample", "PARAMS"], 2, id="usage"),
+    ])
+    def test_python_dash_m_passes_the_exit_code(self, defm_params, tmp_path, args, code):
+        subs = {"PARAMS": defm_params, "MISSING": str(tmp_path / "nope.json"),
+                "OUT": str(tmp_path / "pulse.csv")}
+        src = str(Path(pinnctl.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "pinnctl", *(subs.get(a, a) for a in args)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr

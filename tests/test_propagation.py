@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
+from pinnctl import propagation
 from pinnctl.network import PulseTable, init_params, sample_pulse
 from pinnctl.propagation import (
+    _CHUNK,
     _ordered_product,
     _sweep_segments,
     expm_hermitian,
@@ -17,7 +19,9 @@ from pinnctl.propagation import (
     propagate_lindblad,
     propagate_oracle,
     propagate_unitary,
+    segment_hamiltonians,
     segment_lindblad_maps,
+    segment_unitaries,
 )
 from pinnctl.spins import (
     PRESETS,
@@ -445,3 +449,114 @@ class TestOracle:
         oracle = propagate_oracle(PRESETS["defm"], p, mode="unitary").final
         pwc = propagate_unitary(PRESETS["defm"], p, n_fine=2**14).final
         assert np.linalg.norm(pwc - oracle) < 1e-6
+
+
+def chunk_edge_times(n, duration):
+    """t=0, t=T and the boundaries just before, at and just after every chunk edge."""
+    edges = [b + k for b in range(_CHUNK, n, _CHUNK) for k in (-1, 0, 1)]
+    return [0.0, *(b / n * duration for b in edges if 0 < b < n), duration]
+
+
+class TestChunkedWalk:
+    """The forward-only propagators build and fold in the segment maps one
+    chunk at a time; the result must not depend on where the chunks fall."""
+
+    @staticmethod
+    def tcp_table(n):
+        return PulseTable(0.05, np.random.default_rng(n).normal(0, 300, size=(n, 1, 2)))
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 513, 4097])
+    def test_unitary_matches_loop_over_one_full_build(self, n):
+        system = PRESETS["defm"]
+        table = PulseTable(0.02, np.random.default_rng(n).normal(0, 3000, size=(n, 2, 2)))
+        times = chunk_edge_times(n, table.duration)
+        res = propagate_unitary(system, table, sample_times=times)
+        units = segment_unitaries(segment_hamiltonians(system, table), table.dt)[2]
+        ref_final, ref_rows = loop_sweep(units, np.eye(4, dtype=complex), times, table.duration)
+        assert np.max(np.abs(res.final - ref_final)) <= 1e-13
+        assert [t for t, _ in res.trajectory] == times
+        for (_, row), ref in zip(res.trajectory, ref_rows):
+            assert np.max(np.abs(row - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 513, 4097])
+    def test_lindblad_matches_loop_over_one_full_build(self, n):
+        system, table = PRESETS["tcp"], self.tcp_table(n)
+        noise = noise_operators(system, "local", 0.05)
+        rho0 = np.eye(4) / 4 + 0.1 * thermal_deviation()
+        times = chunk_edge_times(n, table.duration)
+        res = propagate_lindblad(system, table, rho0, noise, sample_times=times)
+        substeps = lindblad_substeps(system, table, noise, propagation.DEFAULT_SUBSTEP_TOL)
+        maps = segment_lindblad_maps(system, noise, table, substeps)[2]
+        ops = system_operators(system)
+        ref_final, ref_rows = loop_sweep(maps, ops.coordinates(rho0), times, table.duration)
+        assert np.max(np.abs(res.final - ops.density(ref_final))) <= 1e-13
+        for (_, row), ref in zip(res.trajectory, ref_rows):
+            assert np.max(np.abs(row - ops.density(ref))) <= 1e-13
+
+    @pytest.mark.parametrize("n", [257, 4097])
+    @pytest.mark.parametrize("name", ["tcp", "defm"])
+    def test_chunk_maps_are_the_rows_of_one_full_build(self, name, n):
+        system = PRESETS[name]
+        table = PulseTable(0.05, np.random.default_rng(n).normal(0, 300, size=(n, system.n_channels, 2)))
+        noise = noise_operators(system, "global", 0.05)
+        full_maps = segment_lindblad_maps(system, noise, table, 8)
+        full_units = segment_unitaries(segment_hamiltonians(system, table), table.dt)
+        for lo in range(0, n, _CHUNK):
+            rows = slice(lo, min(lo + _CHUNK, n))
+            for part, full in zip(segment_lindblad_maps(system, noise, table, 8, rows), full_maps):
+                assert np.array_equal(part, full[rows])
+            units = segment_unitaries(segment_hamiltonians(system, table, rows), table.dt)
+            for part, full in zip(units, full_units):
+                assert np.array_equal(part, full[rows])
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 4097])
+    def test_one_map_build_per_chunk_for_a_sampled_trajectory(self, n, monkeypatch):
+        builds = []
+        for name in ("segment_hamiltonians", "segment_lindblad_maps"):
+            original = getattr(propagation, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                builds.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(propagation, name, counted)
+        system, table = PRESETS["tcp"], self.tcp_table(n)
+        times = list(np.linspace(0.0, table.duration, 201))
+        rho0 = thermal_deviation()
+        propagate_density(system, table, rho0, sample_times=times)
+        propagate_lindblad(system, table, rho0, noise_operators(system, "local", 0.05),
+                           sample_times=times)
+        chunks = -(-n // _CHUNK)
+        assert builds == ["segment_hamiltonians"] * chunks + ["segment_lindblad_maps"] * chunks
+
+
+class TestForwardMemory:
+    """The forward-only walk holds one chunk of maps at a time, so its traced
+    peak is bounded independently of N (all N maps at once would peak at
+    32 MiB for Lindblad at N=4096 and 280 MiB for unitary at N=262144)."""
+
+    BOUND = 4 * 2**20
+
+    @pytest.mark.parametrize("kind, n", [
+        ("lindblad", 4096), ("lindblad", 32768), ("unitary", 32768), ("unitary", 262144),
+    ])
+    def test_traced_peak_does_not_grow_with_n(self, kind, n):
+        def run(n):
+            rng = np.random.default_rng(7)
+            if kind == "lindblad":
+                system = PRESETS["tcp"]
+                table = PulseTable(0.05, rng.normal(0, 300, size=(n, 1, 2)))
+                noise = noise_operators(system, "local", 0.02)
+                return lambda: propagate_lindblad(system, table, thermal_deviation(), noise)
+            table = PulseTable(0.02, rng.normal(0, 3000, size=(n, 2, 2)))
+            return lambda: propagate_unitary(PRESETS["defm"], table)
+
+        run(8)()  # operator caches filled outside the trace
+        call = run(n)
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.BOUND

@@ -217,6 +217,11 @@ class TestNoiseOperators:
         with pytest.raises(ValueError):
             noise_operators(sys3, "local", 0.1)
 
+    @pytest.mark.parametrize("gamma", [np.inf, -np.inf, np.nan, -0.1])
+    def test_rejects_non_finite_or_negative_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+            noise_operators(PRESETS["tcp"], "local", gamma)
+
     def test_gamma_requires_positive_drift_norm(self):
         with pytest.raises(ValueError):
             NoiseModel(gamma=0.1, kind="local", collapse_ops=(), drift_norm=0.0)
