@@ -1,42 +1,28 @@
 """Narrative walk-through: synthesize a CNOT pulse on the two-channel preset.
 
-Trains the (1,40,40,4) control network against the CNOT gate objective,
-then samples the network to a pulse table, reports the spectrum, and shows
-how the fidelity of the discretized pulse saturates with segment count.
+Trains the (1,40,40,4) control network of the `defm-cnot` recipe against the
+CNOT gate objective, then samples the network to a pulse table, reports the
+spectrum, and shows how the fidelity of the discretized pulse saturates with
+segment count.
 
 Run from the repo root:  python3 demos/cnot_synthesis.py
 """
 
-import numpy as np
-
 from pinnctl import (
-    OptimizerConfig,
     PRESETS,
     cnot_objective,
     discretization_sweep,
     evaluate_fidelity,
-    multi_start,
     pulse_spectrum,
     sample_pulse,
 )
+from pinnctl.cli import RUN_PRESETS, synthesize
 
 system = PRESETS["defm"]
 objective = cnot_objective()
 
-config = OptimizerConfig(
-    learning_rate=3e-3,
-    f_threshold=0.99,
-    max_iters=20000,
-    n_fine=256,  # training grid; evaluation below uses a finer one
-    log_every=500,
-)
-
 print("training (up to 3 seeds, stops at the first to reach 0.99)...")
-record = multi_start(
-    system, objective, (1, 40, 40, 4),
-    amp_scale=2 * np.pi * 500.0, time_scale=0.020,
-    config=config, n_starts=3, early_stop=True,
-)
+record, _ = synthesize(RUN_PRESETS["defm-cnot"])
 params = record.final_params
 print(f"converged={record.converged} after {record.iterations[-1][0]} iterations")
 

@@ -6,61 +6,30 @@ difference, then prints the singlet/triplet expectation values along the
 sequence.
 
 From a random start the shaped objective tends to lock into a route that
-stores the order in populations mid-sequence, so the demo follows the same
-recipe as the `tcp-lls` preset: solve the shaped objective segment-wise
-first, fit the network to that pulse, then fine-tune the network with the
-trajectory-shape penalty kept on.
+stores the order in populations mid-sequence, so the `tcp-lls` recipe solves
+the shaped objective segment-wise first, fits the network to that pulse, then
+fine-tunes the network with the trajectory-shape penalty kept on.
 
 Run from the repo root:  python3 demos/lls_preparation.py
 """
 
-import numpy as np
-
 from pinnctl import (
-    GrapeConfig,
-    OptimizerConfig,
     PRESETS,
-    train,
     basis_trajectory,
     evaluate_fidelity,
-    grape_warm_start,
     lls_objective,
     singlet_triplet_basis,
     thermal_deviation,
 )
+from pinnctl.cli import RUN_PRESETS, synthesize
 
 system = PRESETS["tcp"]
 objective = lls_objective()
 
-print("segment-wise warm start (shaped objective)...")
-grape_cfg = GrapeConfig(
-    n_segments=64,
-    amp_limit=2 * np.pi * 55.0,
-    learning_rate=8.0,
-    f_threshold=0.995,
-    max_iters=8000,
-    seed=2,
-)
-fitted, grape_record = grape_warm_start(
-    system, lls_objective(shape_weight=3.0), (1, 60, 60, 60, 2),
-    amp_scale=2 * np.pi * 60.0, duration=0.150,
-    config=grape_cfg, seed=2,
-)
+print("segment-wise warm start, network fit and shaped fine-tune...")
+shaped, grape_record = synthesize(RUN_PRESETS["tcp-lls"])
 print(f"warm start converged: {grape_record.converged} "
       f"(score {grape_record.final_fidelity:.4f})")
-
-config = OptimizerConfig(
-    learning_rate=1e-3,
-    f_threshold=0.99,
-    max_iters=20000,
-    n_fine=256,
-    log_every=500,
-)
-
-# fine-tune with the mid-sequence population penalty so the order travels in
-# coherences (all four singlet-triplet expectations near zero in transit)
-print("fine-tuning the network with the trajectory-shaping penalty...")
-shaped = train(fitted, system, lls_objective(shape_weight=1.0), config)
 params = shaped.final_params
 fid = evaluate_fidelity(system, params, objective, n_fine=4096)
 print(f"normalized state fidelity: {fid:.6f} (bound-normalized, 1.0 = saturates "

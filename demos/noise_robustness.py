@@ -20,32 +20,22 @@ from pinnctl import (
     PRESETS,
     amplitude_error_sweep,
     lls_objective,
-    multi_start,
     noise_operators,
     noise_sweep,
     robust_width,
     train,
 )
+from pinnctl.cli import RUN_PRESETS, synthesize
 
 system = PRESETS["tcp"]
 objective = lls_objective()
 gammas = [0.0, 0.02, 0.04, 0.06, 0.07]
 
-base_config = OptimizerConfig(
-    learning_rate=3e-3, f_threshold=0.99, max_iters=20000,
-    n_fine=256, log_every=500,
-)
+print("noiseless training (the tcp-lls recipe)...")
+clean_params = synthesize(RUN_PRESETS["tcp-lls"])[0].final_params
 
-print("noiseless training...")
-record = multi_start(
-    system, objective, (1, 60, 60, 60, 2),
-    amp_scale=2 * np.pi * 60.0, time_scale=0.150,
-    config=base_config, n_starts=3, early_stop=True,
-)
-clean_params = record.final_params
-
-noisy_config = replace(
-    base_config, max_iters=500, f_threshold=1.0, n_fine=512, substep_tol=0.05
+noisy_config = OptimizerConfig(
+    learning_rate=3e-3, f_threshold=1.0, max_iters=500, n_fine=512, substep_tol=0.05
 )
 
 results = {}

@@ -15,11 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, fileio
-from .grape import GrapeConfig, grape_warm_start
-from .network import init_params, load_params, sample_pulse
-from .objectives import ObjectiveSpec
-from .optimizer import OptimizerConfig, _require_count, multi_start, save_run_record, train
-from .spins import PRESETS, load_system, noise_operators
+from .grape import GrapeConfig, GrapeRecord, grape_warm_start
+from .network import init_params, load_params, sample_pulse, save_params
+from .optimizer import (
+    OptimizerConfig, RunRecord, _require_count, multi_start, save_run_record, train,
+)
+from .spins import load_system, noise_operators
 from .targets import named_target, singlet_triplet_basis, thermal_deviation
 
 DEFAULT_AMP_SCALE = 2.0 * np.pi * 1000.0  # rad/s
@@ -100,6 +101,10 @@ def _load_run_config(args) -> dict:
 
 
 def _build_run(cfg: dict):
+    """Validate a run configuration and return the run as a call with no arguments.
+
+    Every ConfigError is raised here, before any training starts.
+    """
     try:
         system = load_system(cfg["system"])
         obj_cfg = cfg["objective"]
@@ -132,7 +137,6 @@ def _build_run(cfg: dict):
         if objective.kind != "state":
             raise ConfigError("noise training is only defined for state objectives")
         objective = dc_replace(objective, noise=noise)
-    warm = None
     ws_cfg = cfg.get("warm_start")
     if ws_cfg:
         try:
@@ -140,50 +144,56 @@ def _build_run(cfg: dict):
                 obj_cfg["target"],
                 shape_weight=float(ws_cfg.get("shape_weight", obj_cfg.get("shape_weight", 0.0))),
             )
-            warm = (
-                ws_objective,
-                GrapeConfig(
-                    n_segments=ws_cfg.get("n_segments", 64),
-                    amp_limit=ws_cfg.get("amp_limit_rad_s", 0.9 * amp_scale),
-                    learning_rate=ws_cfg.get("learning_rate", 10.0),
-                    f_threshold=ws_cfg.get("f_threshold", opt.f_threshold),
-                    max_iters=ws_cfg.get("max_iters", 8000),
-                    seed=opt.seed,
-                    log_every=500,
-                ),
+            grape_cfg = GrapeConfig(
+                n_segments=ws_cfg.get("n_segments", 64),
+                amp_limit=ws_cfg.get("amp_limit_rad_s", 0.9 * amp_scale),
+                learning_rate=ws_cfg.get("learning_rate", 10.0),
+                f_threshold=ws_cfg.get("f_threshold", opt.f_threshold),
+                max_iters=ws_cfg.get("max_iters", 8000),
+                seed=opt.seed,
+                log_every=500,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid warm_start configuration: {exc}") from exc
-    return (system, objective, sizes, amp_scale, input_gain, duration, opt, n_starts, warm)
+
+    def run() -> tuple[RunRecord, GrapeRecord | None]:
+        if ws_cfg:
+            params0, grape_record = grape_warm_start(
+                system, ws_objective, sizes, amp_scale, duration, grape_cfg, seed=opt.seed
+            )
+            return train(params0, system, objective, opt), grape_record
+        if n_starts > 1:
+            return multi_start(system, objective, sizes, amp_scale, duration, opt, n_starts,
+                               input_gain=input_gain), None
+        params0 = init_params(sizes, amp_scale, duration, opt.seed, input_gain=input_gain)
+        return train(params0, system, objective, opt), None
+
+    return run
+
+
+def synthesize(cfg: dict) -> tuple[RunRecord, GrapeRecord | None]:
+    """Run a training recipe: a RUN_PRESETS entry, or the same schema read from JSON.
+
+    The whole configuration is validated first (ConfigError).  A warm_start
+    block solves the objective segment-wise, fits the network to that pulse
+    and fine-tunes it; otherwise n_starts > 1 trains seeds seed..seed+n-1 and
+    stops at the first that converges, and one start trains from init_params.
+    Returns the run record, whose context holds `cfg`, and the warm start's
+    GRAPE record or None.
+    """
+    record, grape_record = _build_run(cfg)()
+    record.context["config"] = cfg
+    return record, grape_record
 
 
 def cmd_synthesize(args) -> int:
-    cfg = _load_run_config(args)
-    (system, objective, sizes, amp_scale, input_gain, duration, opt,
-     n_starts, warm) = _build_run(cfg)
+    record, grape_record = synthesize(_load_run_config(args))
+    if grape_record is not None and not grape_record.converged:
+        print("warm start did not converge; continuing anyway", file=sys.stderr)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    if warm is not None:
-        ws_objective, grape_cfg = warm
-        params0, grape_record = grape_warm_start(
-            system, ws_objective, sizes, amp_scale, duration, grape_cfg, seed=opt.seed
-        )
-        if not grape_record.converged:
-            print("warm start did not converge; continuing anyway", file=sys.stderr)
-        record = train(params0, system, objective, opt)
-    elif n_starts > 1:
-        record = multi_start(
-            system, objective, sizes, amp_scale, duration, opt, n_starts,
-            early_stop=True, input_gain=input_gain,
-        )
-    else:
-        params0 = init_params(sizes, amp_scale, duration, opt.seed, input_gain=input_gain)
-        record = train(params0, system, objective, opt)
-    record.context.update({"config": cfg})
     save_run_record(record, out / "run_record.json")
     fileio.write_fidelity_trace_csv(record.iterations, out / "fidelity_trace.csv")
-    from .network import save_params
-
     save_params(record.final_params, out / "params.json")
     print(
         f"final fidelity {record.final_fidelity:.6f} after {record.n_iters} iterations "
@@ -205,20 +215,31 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _floats(option: str, text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{option} {text!r} is not a comma-separated list of numbers") from None
+
+
 def _parse_segments(text: str, log2: bool) -> list[int]:
-    if ".." in text:
+    try:
+        if ".." not in text:
+            return [int(x) for x in text.split(",")]
         lo, hi = (int(x) for x in text.split("..", 1))
-        if lo < 1 or lo > hi:
-            raise ValueError(f"segment range {text!r} needs 1 <= lo <= hi")
-        if log2:
-            vals = []
-            n = lo
-            while n <= hi:
-                vals.append(n)
-                n *= 2
-            return vals
-        return list(range(lo, hi + 1))
-    return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--segments {text!r} is not a comma-separated list of integers "
+                          "or a range LO..HI") from None
+    if lo < 1 or lo > hi:
+        raise ValueError(f"segment range {text!r} needs 1 <= lo <= hi")
+    if log2:
+        vals = []
+        n = lo
+        while n <= hi:
+            vals.append(n)
+            n *= 2
+        return vals
+    return list(range(lo, hi + 1))
 
 
 def _gamma_override(text: str) -> tuple[float, str]:
@@ -248,7 +269,7 @@ def cmd_sweep(args) -> int:
         counts = _parse_segments(args.segments, args.log2)
         sweep = analysis.discretization_sweep(params, system, objective, counts)
     elif args.kind == "noise":
-        gammas = [float(g) for g in args.gammas.split(",")]
+        gammas = _floats("--gammas", args.gammas)
         by_gamma = {g: params for g in gammas}
         for override in args.params_for_gamma or []:
             g, path = _gamma_override(override)
@@ -257,7 +278,7 @@ def cmd_sweep(args) -> int:
             by_gamma[g] = load_params(path, expected_channels=system.n_channels)
         sweep = analysis.noise_sweep(by_gamma, system, objective, gammas, args.noise)
     else:
-        devs = [float(d) for d in args.deviations.split(",")]
+        devs = _floats("--deviations", args.deviations)
         sweep = analysis.amplitude_error_sweep(
             params, system, objective, devs, noise=_noise_model(system, args)
         )

@@ -85,7 +85,6 @@ def init_params(
     amp_scale: float,
     time_scale: float,
     seed: int,
-    metadata: dict | None = None,
     input_gain: float = 1.0,
 ) -> NetworkParams:
     """Deterministic init: weights ~ N(0, 1/fan_in) per layer, biases zero.
@@ -109,10 +108,9 @@ def init_params(
         gain_rng = np.random.default_rng(seed + 999)
         weights[0] = weights[0] * input_gain
         biases[0] = gain_rng.uniform(-input_gain, input_gain, size=sizes[1]) * 0.5
-    meta = dict(metadata or {})
-    meta.setdefault("seed", seed)
+    meta = {"seed": seed}
     if input_gain != 1.0:
-        meta.setdefault("input_gain", float(input_gain))
+        meta["input_gain"] = float(input_gain)
     return NetworkParams(
         layer_sizes=sizes,
         weights=tuple(weights),

@@ -319,13 +319,11 @@ def multi_start(
     config: OptimizerConfig,
     n_starts: int = 1,
     *,
-    early_stop: bool = False,
     input_gain: float = 1.0,
 ) -> RunRecord:
-    """Train from seeds seed..seed+n-1; best final fidelity wins, ties by lower seed.
-
-    With early_stop the remaining starts are skipped once one run reaches the
-    fidelity threshold.
+    """Train from seeds seed..seed+n-1, stopping at the first run that reaches
+    the fidelity threshold; otherwise the best final fidelity wins, ties by
+    lower seed.
     """
     _require_count("n_starts", n_starts)
     best: RunRecord | None = None
@@ -336,7 +334,7 @@ def multi_start(
         record.context["seed"] = seed
         if best is None or record.final_fidelity > best.final_fidelity:
             best = record
-        if early_stop and record.converged:
+        if record.converged:
             break
     return best
 

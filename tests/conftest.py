@@ -1,7 +1,8 @@
 """Shared fixtures: trained pulses are expensive, so they are built once per
 session and cached on disk under tests/artifacts/.  Delete that directory to
-force retraining; training is seeded, so regenerated artifacts are identical
-up to deliberate arithmetic changes, which CHANGES.md records with their size.
+force retraining.  Training is seeded, so two rebuilds at one BLAS thread agree
+bit for bit, but the committed cnot_defm and lls_tcp no longer match a cold
+rebuild (ROADMAP item 3).
 """
 
 from pathlib import Path

@@ -9,6 +9,7 @@ Ordering matters: the numerical-foundations test (criterion 7) is listed
 first because nothing else is meaningful if it fails.
 """
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -22,14 +23,15 @@ from pinnctl.analysis import (
     pulse_spectrum,
     robust_width,
 )
-from pinnctl.grape import GrapeConfig, grape_train, grape_warm_start
+from pinnctl.cli import RUN_PRESETS, synthesize
+from pinnctl.grape import GrapeConfig, grape_train
 from pinnctl.network import PulseTable, init_params, sample_pulse
 from pinnctl.objectives import (
     evaluate_fidelity,
     loss_and_gradient,
     pulse_table_gradient,
 )
-from pinnctl.optimizer import OptimizerConfig, multi_start, train
+from pinnctl.optimizer import OptimizerConfig, train
 from pinnctl.propagation import propagate_lindblad, propagate_oracle, propagate_unitary
 from pinnctl.spins import PRESETS, NoiseModel, noise_operators
 from pinnctl.targets import (
@@ -43,12 +45,10 @@ DEFM = PRESETS["defm"]
 TCP = PRESETS["tcp"]
 EVAL_N_FINE = 4096
 
-CNOT_CONFIG = OptimizerConfig(
-    learning_rate=3e-3, f_threshold=0.99, max_iters=20000, n_fine=256, log_every=1000
-)
-LLS_CONFIG = OptimizerConfig(
-    learning_rate=1e-3, f_threshold=0.99, max_iters=20000, n_fine=256, log_every=1000
-)
+# the acceptance CNOT is the defm-cnot preset at input_gain 1, the gain its
+# committed pulse was trained at; ROADMAP item 4 decides the value
+CNOT_RECIPE = copy.deepcopy(RUN_PRESETS["defm-cnot"])
+CNOT_RECIPE["network"]["input_gain"] = 1
 # warm-started dissipative retraining: coarser grid and substepping for speed;
 # all reported fidelities below are re-evaluated at the tight defaults
 NOISY_CONFIG = OptimizerConfig(
@@ -60,11 +60,7 @@ GAMMAS = [0.0, 0.02, 0.04, 0.06, 0.07]
 @pytest.fixture(scope="session")
 def cnot_params(artifact_cache):
     def build():
-        record = multi_start(
-            DEFM, cnot_objective(), (1, 40, 40, 4),
-            amp_scale=2 * np.pi * 500.0, time_scale=0.020,
-            config=CNOT_CONFIG, n_starts=3, early_stop=True,
-        )
+        record, _ = synthesize(CNOT_RECIPE)
         assert record.converged, "CNOT training did not reach threshold in 3 starts"
         return record.final_params
 
@@ -74,20 +70,8 @@ def cnot_params(artifact_cache):
 @pytest.fixture(scope="session")
 def lls_params(artifact_cache):
     def build():
-        # from a random start the shaped objective either stalls or locks
-        # into the wrong (population-storage) route, so solve the same
-        # objective segment-wise first, fit the network to that pulse, and
-        # fine-tune with the trajectory-shape penalty kept on
-        grape_cfg = GrapeConfig(
-            n_segments=64, amp_limit=2 * np.pi * 55.0, learning_rate=8.0,
-            f_threshold=0.995, max_iters=8000, seed=2,
-        )
-        fitted, grape_record = grape_warm_start(
-            TCP, lls_objective(shape_weight=3.0), (1, 60, 60, 60, 2),
-            2 * np.pi * 60.0, 0.150, grape_cfg, seed=2,
-        )
+        shaped, grape_record = synthesize(RUN_PRESETS["tcp-lls"])
         assert grape_record.converged, "segment-wise warm start did not converge"
-        shaped = train(fitted, TCP, lls_objective(shape_weight=1.0), LLS_CONFIG)
         assert shaped.converged, "shaped LLS fine-tune did not reach threshold"
         return shaped.final_params
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pinnctl
+from pinnctl import cli
 from pinnctl.cli import main
 from pinnctl.fileio import read_pulse_csv
 from pinnctl.network import init_params, save_params
@@ -100,6 +101,11 @@ class TestSweep:
         pytest.param(["amperr", "--gamma=-0.05"], "gamma", id="amperr-gamma-negative"),
         pytest.param(["amperr", "--gamma=inf"], "finite", id="amperr-gamma-inf"),
         pytest.param(["amperr", "--deviations=nan"], "deviations", id="amperr-deviation-nan"),
+        pytest.param(["noise", "--gammas=0.0,abc"], "--gammas", id="noise-gamma-not-a-number"),
+        pytest.param(["amperr", "--deviations=0.1,abc"], "--deviations",
+                     id="amperr-deviation-not-a-number"),
+        pytest.param(["discretization", "--segments=1,x"], "--segments", id="segments-list-x"),
+        pytest.param(["discretization", "--segments=1..x"], "--segments", id="segments-range-x"),
     ])
     def test_bad_input_is_one_line_error(self, tcp_params, tmp_path, capsys, args, named):
         out = tmp_path / "x.csv"
@@ -280,6 +286,31 @@ class TestSynthesize:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid noise configuration: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_warm_start_run_matches_the_library_call(self, tmp_path, capsys):
+        # GRAPE stops at its 2-iteration cap, so the CLI warns and goes on
+        cfg = {
+            "system": "defm",
+            "objective": {"target": "cnot:0,1"},
+            "network": {"layer_sizes": [1, 4, 4], "duration_s": 0.02},
+            "optimizer": {"max_iters": 2, "n_fine": 16, "seed": 0},
+            "warm_start": {"n_segments": 4, "max_iters": 2},
+        }
+        record, grape_record = cli.synthesize(cfg)
+        assert grape_record is not None and grape_record.iterations[-1][0] == 2
+        assert not grape_record.converged
+        save_params(record.final_params, tmp_path / "expected.json")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        rc = main(["synthesize", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        assert (out / "params.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+        assert "warm start did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(cli.RUN_PRESETS))
+    def test_preset_validates_without_training(self, name):
+        assert callable(cli._build_run(cli.RUN_PRESETS[name]))
 
     def test_requires_config_or_preset(self, capsys):
         assert main(["synthesize"]) == 1

@@ -12,7 +12,6 @@ class TestGrapeConfig:
     def test_defaults(self):
         cfg = GrapeConfig()
         assert cfg.n_segments == 128
-        assert cfg.clip_rule == "clip"
         assert cfg.learning_rate == 1e2
 
     def test_validation(self):
@@ -20,8 +19,6 @@ class TestGrapeConfig:
             GrapeConfig(n_segments=0)
         with pytest.raises(ValueError):
             GrapeConfig(amp_limit=-1.0)
-        with pytest.raises(ValueError):
-            GrapeConfig(clip_rule="wrap")
         for bad in ({"learning_rate": -5.0}, {"f_threshold": 2.0}, {"max_iters": 0},
                     {"log_every": 0}, {"log_every": 2.5}, {"n_segments": 4.7},
                     {"max_iters": True}, {"max_iters": 2.5}):
