@@ -6,14 +6,9 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from .network import NetworkParams, PulseTable, sample_pulse
-from .objectives import ObjectiveSpec, evaluate_fidelity, state_fidelity
-from .propagation import (
-    DEFAULT_N_FINE,
-    DEFAULT_SUBSTEP_TOL,
-    propagate_density,
-    propagate_lindblad,
-)
+from .network import NetworkParams, PulseTable
+from .objectives import ObjectiveSpec, evaluate_fidelity
+from .propagation import _as_pulse, propagate_density, propagate_lindblad
 from .spins import NoiseModel, SpinSystem, noise_operators
 
 DEFAULT_SEGMENT_COUNTS = tuple(2**k for k in range(16))  # 2^0 .. 2^15
@@ -38,8 +33,9 @@ class SweepResult:
         return [1.0 - f for f in self.fidelity]
 
 
-def pulse_spectrum(pulse: PulseTable, energy_fraction: float = 0.99) -> SpectrumResult:
-    """DFT of the complex control u_x + i u_y per channel.
+def pulse_spectrum(pulse: PulseTable) -> SpectrumResult:
+    """DFT of the complex control u_x + i u_y per channel, and the width of
+    the band around zero that holds 99 % of its energy.
 
     The spectrum carries the continuous-time scaling dt * FFT so that
     sum |X|^2 df == sum |u|^2 dt (Parseval) exactly.
@@ -62,7 +58,7 @@ def pulse_spectrum(pulse: PulseTable, energy_fraction: float = 0.99) -> Spectrum
             continue
         order = np.argsort(np.abs(freqs), kind="stable")
         cum = np.cumsum(energy[order])
-        cut = np.searchsorted(cum, energy_fraction * total)
+        cut = np.searchsorted(cum, 0.99 * total)
         cut = min(cut, n - 1)
         widths.append(2.0 * abs(freqs[order[cut]]))
     return SpectrumResult(
@@ -79,12 +75,7 @@ def discretization_sweep(
     segment_counts=DEFAULT_SEGMENT_COUNTS,
 ) -> SweepResult:
     """Fidelity of the sampled pulse as a function of segment count."""
-
-    def point(n: int) -> float:
-        table = sample_pulse(params, n)
-        return evaluate_fidelity(system, table, objective)
-
-    fids = [point(n) for n in segment_counts]
+    fids = [evaluate_fidelity(system, params, objective, n_fine=n) for n in segment_counts]
     return SweepResult(
         axis_name="n_segments",
         axis_values=list(segment_counts),
@@ -112,12 +103,12 @@ def basis_trajectory(
     for b in basis:
         if abs(np.linalg.norm(b) - 1.0) > 1e-10:
             raise ValueError("basis vectors must be normalized")
-    duration = params.time_scale if isinstance(params, NetworkParams) else params.duration
-    times = np.linspace(0.0, duration, n_samples)
+    table = _as_pulse(system, params, n_fine)
+    times = np.linspace(0.0, table.duration, n_samples)
     if noise is not None and noise.gamma > 0:
-        res = propagate_lindblad(system, params, rho0, noise, n_fine=n_fine, sample_times=times)
+        res = propagate_lindblad(system, table, rho0, noise, sample_times=times)
     else:
-        res = propagate_density(system, params, rho0, n_fine=n_fine, sample_times=times)
+        res = propagate_density(system, table, rho0, sample_times=times)
     out = np.empty((len(res.trajectory), len(basis)))
     ts = np.empty(len(res.trajectory))
     for i, (t, rho) in enumerate(res.trajectory):
@@ -136,9 +127,6 @@ def noise_sweep(
     objective: ObjectiveSpec,
     gammas,
     kind: str,
-    *,
-    n_fine: int | None = None,
-    substep_tol: float = DEFAULT_SUBSTEP_TOL,
 ) -> SweepResult:
     """Fidelity under dissipative propagation at each gamma.
 
@@ -146,7 +134,7 @@ def noise_sweep(
     Retrain-per-gamma mode passes a different trained network per key;
     evaluate-fixed-pulse mode maps every gamma to the same network.  The
     gamma = 0 point uses the unitary path, so it equals the noiseless run
-    exactly.
+    exactly.  Networks are evaluated on the default grid and substep tolerance.
     """
     gammas = list(gammas)
     for g in gammas:
@@ -157,9 +145,7 @@ def noise_sweep(
         # every gamma but 0 builds a noise model, whose check rejects bad rates
         noise = None if g == 0 else noise_operators(system, kind, g)
         obj = dc_replace(objective, noise=noise)
-        return evaluate_fidelity(
-            system, params_by_gamma[g], obj, n_fine=n_fine, substep_tol=substep_tol
-        )
+        return evaluate_fidelity(system, params_by_gamma[g], obj)
 
     fids = [point(g) for g in gammas]
     return SweepResult(
@@ -177,24 +163,15 @@ def amplitude_error_sweep(
     deviations,
     *,
     noise: NoiseModel | None = None,
-    n_fine: int | None = None,
-    substep_tol: float = DEFAULT_SUBSTEP_TOL,
 ) -> SweepResult:
-    """Fidelity with all control amplitudes scaled by (1 + du/u)."""
+    """Fidelity with all control amplitudes scaled by (1 + du/u), a network
+    sampled onto the default grid."""
     deviations = list(deviations)
     if not all(abs(d) <= 0.5 for d in deviations):  # NaN-safe
         raise ValueError(f"deviations must lie within [-0.5, +0.5], got {deviations}")
-    if isinstance(params, NetworkParams):
-        base = sample_pulse(params, n_fine or DEFAULT_N_FINE)
-    else:
-        base = params
+    base = _as_pulse(system, params, None)
     obj = dc_replace(objective, noise=noise) if noise is not None else objective
-
-    def point(dev: float) -> float:
-        table = base if dev == 0.0 else base.scaled(1.0 + dev)
-        return evaluate_fidelity(system, table, obj, substep_tol=substep_tol)
-
-    fids = [point(dev) for dev in deviations]
+    fids = [evaluate_fidelity(system, base.scaled(1.0 + dev), obj) for dev in deviations]
     return SweepResult(
         axis_name="du_over_u",
         axis_values=deviations,

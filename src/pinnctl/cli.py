@@ -95,6 +95,9 @@ def _load_run_config(args) -> dict:
             cfg = json.load(fh)
     else:
         raise ConfigError("either --config or --preset is required")
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("optimizer", {}), dict):
+        raise ConfigError("invalid run configuration: expected a JSON object whose optimizer "
+                          "entry, if any, is an object")
     if args.seed is not None:
         cfg.setdefault("optimizer", {})["seed"] = args.seed
     return cfg
@@ -103,7 +106,8 @@ def _load_run_config(args) -> dict:
 def _build_run(cfg: dict):
     """Validate a run configuration and return the run as a call with no arguments.
 
-    Every ConfigError is raised here, before any training starts.
+    Every ConfigError is raised here, before any training starts.  The run
+    returns (record, GRAPE record or None), with `cfg` in the record's context.
     """
     try:
         system = load_system(cfg["system"])
@@ -121,6 +125,8 @@ def _build_run(cfg: dict):
         opt = OptimizerConfig(**cfg.get("optimizer", {}))
         n_starts = cfg.get("n_starts", 1)
         _require_count("n_starts", n_starts)
+        # checks the network settings, so no run fails on them after --out exists
+        params0 = init_params(sizes, amp_scale, duration, opt.seed, input_gain=input_gain)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid run configuration: {exc}") from exc
     if sizes[-1] != 2 * system.n_channels:
@@ -155,18 +161,29 @@ def _build_run(cfg: dict):
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid warm_start configuration: {exc}") from exc
+        # settings the warm-start path cannot honour
+        if grape_cfg.amp_limit >= amp_scale:
+            raise ConfigError(f"warm_start.amp_limit_rad_s {grape_cfg.amp_limit:g} must be below "
+                              f"network.amp_scale_rad_s {amp_scale:g}")
+        if n_starts > 1:
+            raise ConfigError("a warm_start run trains one start; n_starts must be 1")
+        if input_gain != 1.0:
+            raise ConfigError("a warm_start run does not apply network.input_gain; leave it at 1")
 
     def run() -> tuple[RunRecord, GrapeRecord | None]:
+        grape_record = None
         if ws_cfg:
-            params0, grape_record = grape_warm_start(
+            fitted, grape_record = grape_warm_start(
                 system, ws_objective, sizes, amp_scale, duration, grape_cfg, seed=opt.seed
             )
-            return train(params0, system, objective, opt), grape_record
-        if n_starts > 1:
-            return multi_start(system, objective, sizes, amp_scale, duration, opt, n_starts,
-                               input_gain=input_gain), None
-        params0 = init_params(sizes, amp_scale, duration, opt.seed, input_gain=input_gain)
-        return train(params0, system, objective, opt), None
+            record = train(fitted, system, objective, opt)
+        elif n_starts > 1:
+            record = multi_start(system, objective, sizes, amp_scale, duration, opt, n_starts,
+                                 input_gain=input_gain)
+        else:
+            record = train(params0, system, objective, opt)
+        record.context["config"] = cfg
+        return record, grape_record
 
     return run
 
@@ -181,17 +198,16 @@ def synthesize(cfg: dict) -> tuple[RunRecord, GrapeRecord | None]:
     Returns the run record, whose context holds `cfg`, and the warm start's
     GRAPE record or None.
     """
-    record, grape_record = _build_run(cfg)()
-    record.context["config"] = cfg
-    return record, grape_record
+    return _build_run(cfg)()
 
 
 def cmd_synthesize(args) -> int:
-    record, grape_record = synthesize(_load_run_config(args))
+    run = _build_run(_load_run_config(args))
+    out = Path(args.out or ".")
+    out.mkdir(parents=True, exist_ok=True)  # before training, so a bad --out costs no run
+    record, grape_record = run()
     if grape_record is not None and not grape_record.converged:
         print("warm start did not converge; continuing anyway", file=sys.stderr)
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
     save_run_record(record, out / "run_record.json")
     fileio.write_fidelity_trace_csv(record.iterations, out / "fidelity_trace.csv")
     save_params(record.final_params, out / "params.json")
@@ -207,10 +223,8 @@ def cmd_sample(args) -> int:
     table = sample_pulse(params, args.segments)
     if args.format == "csv":
         fileio.write_pulse_csv(table, args.out)
-    elif args.format == "shaped":
-        fileio.write_shaped_pulse(table, params.amp_scale, args.out)
     else:
-        raise ConfigError(f"unknown format {args.format!r}")
+        fileio.write_shaped_pulse(table, params.amp_scale, args.out)
     print(f"wrote {args.segments} segments to {args.out}")
     return 0
 

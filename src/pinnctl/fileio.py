@@ -44,7 +44,7 @@ def write_pulse_csv(table: PulseTable, path) -> None:
 def read_pulse_csv(path) -> PulseTable:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # an empty file fails the header check
         if not header or header[0] != "t_s" or (len(header) - 1) % 2 != 0:
             raise ValueError(f"not a pulse CSV: unexpected header {header!r}")
         n_channels = (len(header) - 1) // 2

@@ -24,9 +24,13 @@ from .network import (
 from .propagation import (
     DEFAULT_N_FINE,
     DEFAULT_SUBSTEP_TOL,
+    _as_pulse,
     _buffer,
     lindblad_substeps,
     prefix_products,
+    propagate_density,
+    propagate_lindblad,
+    propagate_unitary,
     segment_hamiltonians,
     segment_lindblad_maps,
     segment_unitaries,
@@ -199,8 +203,8 @@ def _shape_cotangent(
 
 def _unitary_pulse_gradient(
     system: SpinSystem, table: PulseTable, objective: ObjectiveSpec
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Raw fidelity, its gradient w.r.t. the amplitude table (N, 2M), and U(T).
+) -> tuple[float, np.ndarray]:
+    """Raw fidelity and its gradient w.r.t. the amplitude table (N, 2M).
 
     The product after segment s is U(T) P_{s+1}^dag, so every cotangent
     C_s = P_s K U(T) P_{s+1}^dag comes from the prefix products alone.
@@ -244,7 +248,7 @@ def _unitary_pulse_gradient(
     n, d = g_mat.shape[:2]
     ops_t = ops.transpose(0, 2, 1).reshape(len(ops), d * d)
     du = 2.0 * np.real(g_mat.reshape(n, d * d) @ ops_t.T)
-    return raw, du, u_total
+    return raw, du
 
 
 def _lindblad_pulse_gradient(
@@ -252,8 +256,8 @@ def _lindblad_pulse_gradient(
     table: PulseTable,
     objective: ObjectiveSpec,
     substeps: int,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Raw fidelity, amplitude-table gradient, and rho(T) for the dissipative path."""
+) -> tuple[float, np.ndarray]:
+    """Raw fidelity and amplitude-table gradient for the dissipative path."""
     ops = system_operators(system)
     lv, r_mats, maps = segment_lindblad_maps(system, objective.noise, table, substeps)
     n, dd, _ = lv.shape
@@ -295,7 +299,7 @@ def _lindblad_pulse_gradient(
 
     # dF/du_c = Tr(G_c W)
     du = np.tensordot(w_mat, ops.control_generators, axes=([1, 2], [2, 1]))
-    return raw, du, ops.density(x)
+    return raw, du
 
 
 def pulse_table_gradient(
@@ -316,9 +320,9 @@ def pulse_table_gradient(
         raise ValueError("pulse channel count does not match system")
     if objective.noise is not None and objective.noise.gamma > 0:
         substeps = lindblad_substeps(system, table, objective.noise, substep_tol, amp_bound)
-        raw, du, _ = _lindblad_pulse_gradient(system, table, objective, substeps)
+        raw, du = _lindblad_pulse_gradient(system, table, objective, substeps)
     else:
-        raw, du, _ = _unitary_pulse_gradient(system, table, objective)
+        raw, du = _unitary_pulse_gradient(system, table, objective)
     scale = objective.norm_factor
     fid = raw * scale
     grad = du * scale
@@ -374,13 +378,7 @@ def shape_penalty(
     """Mean squared mid-window expectation penalty of a pulse (table or network)."""
     if not objective.shape_observables:
         raise ValueError("objective has no shape observables")
-    if isinstance(pulse, NetworkParams):
-        n = n_fine if n_fine is not None else DEFAULT_N_FINE
-        ts = segment_times(pulse.time_scale, n)
-        amps = forward_batch(pulse, ts)
-        table = PulseTable(duration=pulse.time_scale, samples=amps.reshape(n, pulse.n_channels, 2))
-    else:
-        table = pulse
+    table = _as_pulse(system, pulse, n_fine)
     h_batch = segment_hamiltonians(system, table)
     _, _, units = segment_unitaries(h_batch, table.dt)
     pre = prefix_products(units)
@@ -399,8 +397,6 @@ def evaluate_fidelity(
     substep_tol: float = DEFAULT_SUBSTEP_TOL,
 ) -> float:
     """Propagate a pulse (table or network) and score it against the objective."""
-    from .propagation import propagate_density, propagate_lindblad, propagate_unitary
-
     if objective.kind == "gate":
         res = propagate_unitary(system, pulse, n_fine=n_fine)
         return gate_fidelity(res.final, objective.target, objective.normalization)

@@ -78,10 +78,13 @@ def expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _as_pulse(system: SpinSystem, pulse, n_fine: int | None) -> PulseTable:
+    """The pulse as a table: a PulseTable as given, a network sampled onto
+    n_fine segments (DEFAULT_N_FINE when None).  Every forward analysis
+    samples a network here and nowhere else."""
     if isinstance(pulse, PulseTable):
         table = pulse
     elif isinstance(pulse, NetworkParams):
-        table = sample_pulse(pulse, n_fine or DEFAULT_N_FINE)
+        table = sample_pulse(pulse, DEFAULT_N_FINE if n_fine is None else n_fine)
     else:
         raise TypeError(f"cannot interpret {type(pulse).__name__} as a pulse")
     if table.n_channels != system.n_channels:

@@ -71,10 +71,13 @@ def cnot_objective(control: int = 0, target: int = 1, normalization: str = "norm
 
 
 def named_target(name: str, shape_weight: float = 0.0) -> ObjectiveSpec:
-    """Resolve CLI-style target names: 'cnot:0,1' or 'lls'."""
+    """Resolve CLI-style target names: 'cnot:0,1' or 'lls' (the only one
+    that takes a shape_weight)."""
     if name == "lls":
         return lls_objective(shape_weight=shape_weight)
     if name.startswith("cnot"):
+        if shape_weight:
+            raise ValueError("shape_weight applies to the lls target only")
         if ":" in name:
             c, t = (int(x) for x in name.split(":", 1)[1].split(","))
         else:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from pinnctl.analysis import (
 )
 from pinnctl.network import PulseTable, init_params, sample_pulse
 from pinnctl.objectives import ObjectiveSpec, evaluate_fidelity
+from pinnctl.propagation import DEFAULT_N_FINE
 from pinnctl.spins import PRESETS, noise_operators
 from pinnctl.targets import cnot_objective, lls_objective, singlet_triplet_basis
 
@@ -63,6 +66,13 @@ class TestDiscretizationSweep:
         assert abs(sweep.fidelity[-1] - ref) < 1e-6
         assert abs(sweep.fidelity[-2] - ref) < abs(sweep.fidelity[0] - ref)
 
+    def test_each_point_is_the_fidelity_of_its_sampled_table(self):
+        params = init_params((1, 8, 4), 2 * np.pi * 500, 0.02, seed=2)
+        sys_, obj, counts = PRESETS["defm"], cnot_objective(), (1, 3, 64, 1000)
+        sweep = discretization_sweep(params, sys_, obj, counts)
+        assert sweep.fidelity == [evaluate_fidelity(sys_, sample_pulse(params, n), obj)
+                                  for n in counts]
+
 
 class TestBasisTrajectory:
     def test_stationary_population_under_drift(self):
@@ -95,6 +105,18 @@ class TestBasisTrajectory:
         assert np.array_equal(values, values[[first[s] for s in boundary]])
         assert len(first) == 65
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    def test_network_equals_its_sampled_table(self, gamma):
+        sys_ = PRESETS["tcp"]
+        p = init_params((1, 8, 8, 2), 2 * np.pi * 200, 0.05, seed=1)
+        noise = noise_operators(sys_, "local", gamma) if gamma else None
+        rho0, basis = np.diag([0.5, 0.5, -0.5, -0.5]).astype(complex), singlet_triplet_basis()
+        from_network = basis_trajectory(p, sys_, rho0, basis, n_samples=30, noise=noise, n_fine=48)
+        from_table = basis_trajectory(sample_pulse(p, 48), sys_, rho0, basis, n_samples=30,
+                                      noise=noise)
+        for a, b in zip(from_network, from_table):
+            assert np.array_equal(a, b)
+
     def test_rejects_unnormalized_basis(self):
         sys_ = PRESETS["tcp"]
         table = PulseTable(0.01, np.zeros((8, 1, 2)))
@@ -126,6 +148,16 @@ class TestAmplitudeErrorSweep:
         sweep = amplitude_error_sweep(table, sys_, obj, [-0.1, 0.0, 0.1])
         assert sweep.axis_name == "du_over_u"
         assert sweep.fidelity[1] == evaluate_fidelity(sys_, table, obj)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    def test_zero_deviation_of_a_network_is_its_default_grid_fidelity(self, gamma):
+        sys_ = PRESETS["tcp"]
+        p = init_params((1, 8, 2), 2 * np.pi * 200, 0.05, seed=1)
+        noise = noise_operators(sys_, "local", gamma) if gamma else None
+        sweep = amplitude_error_sweep(p, sys_, lls_objective(), [-0.1, 0.0], noise=noise)
+        unscaled = sample_pulse(p, DEFAULT_N_FINE)
+        assert sweep.fidelity[1] == evaluate_fidelity(
+            sys_, unscaled, replace(lls_objective(), noise=noise))
 
     def test_rejects_large_deviation(self):
         table = random_table(8, 2)

@@ -135,6 +135,14 @@ class TestFft:
         assert out.exists()
         assert (tmp_path / "spec.csv.meta.json").exists()
 
+    def test_empty_pulse_csv_is_one_line_error(self, tmp_path, capsys):
+        pulse, out = tmp_path / "empty.csv", tmp_path / "spec.csv"
+        pulse.write_text("")
+        assert main(["fft", str(pulse), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: not a pulse CSV") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestTrajectory:
     def test_singlet_triplet(self, tcp_params, tmp_path):
@@ -247,6 +255,12 @@ class TestSynthesize:
         (None, {"n_starts": 0}),
         (None, {"n_starts": -3}),
         (None, {"n_starts": 2.5}),
+        # settings the warm-start run would drop, and its GRAPE headroom
+        (None, {"n_starts": 2}),
+        ("network", {"input_gain": 8}),
+        ("warm_start", {"amp_limit_rad_s": 2 * np.pi * 1000}),
+        # a gate target takes no trajectory shaping
+        ("objective", {"shape_weight": 1.0}),
     ])
     def test_bad_loop_setting_is_one_line_error(self, tmp_path, capsys, section, bad):
         cfg = {
@@ -286,6 +300,71 @@ class TestSynthesize:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid noise configuration: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("cfg", [
+        pytest.param([1, 2], id="list"),
+        pytest.param({"system": "defm", "optimizer": [1]}, id="optimizer-list"),
+        pytest.param({"system": "defm", "optimizer": "fast"}, id="optimizer-string"),
+    ])
+    def test_malformed_config_with_seed_is_one_line_error(self, tmp_path, capsys, cfg):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        rc = main(["synthesize", "--config", str(cfg_path), "--seed", "3", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid run configuration: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, bad", [
+        ("network", {"input_gain": 0}),
+        ("network", {"duration_s": -1}),
+        (None, {"n_starts": 2}),
+        ("warm_start", {"amp_limit_rad_s": 1e5}),
+    ])
+    def test_config_error_trains_nothing_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, section, bad
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training ran before the configuration error")
+
+        for stage in ("train", "multi_start", "grape_warm_start"):
+            monkeypatch.setattr(cli, stage, no_training)
+        cfg = {
+            "system": "defm",
+            "objective": {"target": "cnot:0,1"},
+            "network": {"layer_sizes": [1, 8, 4], "duration_s": 0.02},
+            "optimizer": {"max_iters": 1, "n_fine": 16, "seed": 0},
+            "warm_start": {"n_segments": 4, "max_iters": 2},
+        }
+        (cfg if section is None else cfg[section]).update(bad)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        rc = main(["synthesize", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    def test_out_that_cannot_be_made_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training ran before --out was made")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        cfg = {
+            "system": "defm",
+            "objective": {"target": "cnot:0,1"},
+            "network": {"layer_sizes": [1, 8, 4], "duration_s": 0.02},
+            "optimizer": {"max_iters": 1, "n_fine": 16, "seed": 0},
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(["synthesize", "--config", str(cfg_path), "--out", str(blocker / "sub")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_warm_start_run_matches_the_library_call(self, tmp_path, capsys):
         # GRAPE stops at its 2-iteration cap, so the CLI warns and goes on

@@ -1,6 +1,7 @@
 """The demos and the README stay in step with the package: every name they
-import from pinnctl exists, each demo compiles, and each documented
-`pinnctl` command line parses.  Nothing here runs a demo or a command."""
+import from pinnctl exists, each demo compiles, each documented `pinnctl`
+command line parses, and every name the README's module map cites exists in
+its row's module.  Nothing here runs a demo or a command."""
 
 import ast
 import importlib
@@ -38,6 +39,18 @@ def readme_commands() -> list[str]:
     return [line for line in lines if line.startswith("pinnctl ")]
 
 
+def module_map() -> list[tuple[str, list[str]]]:
+    """(module, backticked Python names) per row of the README's module map.
+    A call such as `synthesize(cfg)` cites its name; the package and its modules
+    (`pinnctl`, `pinnctl.spins`) are skipped."""
+    section = README.read_text().split("## Module map", 1)[1]
+    rows = []
+    for module, text in re.findall(r"^\| `(pinnctl\.\w+)` \|(.*)\|$", section, re.M):
+        names = re.findall(r"`([A-Za-z_][\w.]*)(?:\([^`]*\))?`", text)
+        rows.append((module, [name for name in names if name.split(".")[0] != "pinnctl"]))
+    return rows
+
+
 SOURCES = {path.name: path.read_text() for path in DEMOS}
 SOURCES.update({f"README.md[{k}]": block for k, block in enumerate(readme_blocks("python"))})
 
@@ -66,3 +79,25 @@ def test_readme_command_parses(command):
     argv = shlex.split(command)
     assert argv[0] == "pinnctl"
     build_parser().parse_args(argv[1:])
+
+
+def test_module_map_lists_every_module():
+    assert len(module_map()) == len(list((ROOT / "src" / "pinnctl").glob("[!_]*.py")))
+
+
+@pytest.mark.parametrize("module, names", module_map(), ids=[row[0] for row in module_map()])
+def test_module_map_names_resolve(module, names):
+    """Each name is an attribute of the module or of one of its classes."""
+    mod = importlib.import_module(module)
+    classes = [obj for obj in vars(mod).values() if isinstance(obj, type)]
+
+    def resolves(owner, dotted):
+        for part in dotted.split("."):
+            if not hasattr(owner, part):
+                return False
+            owner = getattr(owner, part)
+        return True
+
+    missing = [n for n in names
+               if not resolves(mod, n) and not any(resolves(cls, n) for cls in classes)]
+    assert not missing

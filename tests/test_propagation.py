@@ -6,7 +6,9 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 
 from pinnctl import propagation
+from pinnctl.analysis import basis_trajectory
 from pinnctl.network import PulseTable, init_params, sample_pulse
+from pinnctl.objectives import evaluate_fidelity, shape_penalty
 from pinnctl.propagation import (
     _CHUNK,
     _ordered_product,
@@ -32,7 +34,7 @@ from pinnctl.spins import (
     spin_half_operator,
     system_operators,
 )
-from pinnctl.targets import thermal_deviation
+from pinnctl.targets import lls_objective, singlet_triplet_basis, thermal_deviation
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -560,3 +562,33 @@ class TestForwardMemory:
         finally:
             tracemalloc.stop()
         assert peak <= self.BOUND
+
+
+class TestNetworkSampling:
+    """A network reaches every forward path through one sampling, where
+    n_fine=None means DEFAULT_N_FINE and any other count is taken as given."""
+
+    @staticmethod
+    def network():
+        return init_params((1, 8, 2), 2 * np.pi * 60, 0.15, seed=3)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda sys_, p, rho0: evaluate_fidelity(sys_, p, lls_objective(), n_fine=0),
+                     id="evaluate_fidelity"),
+        pytest.param(lambda sys_, p, rho0: propagate_unitary(sys_, p, n_fine=0), id="propagate_unitary"),
+        pytest.param(lambda sys_, p, rho0: propagate_lindblad(
+            sys_, p, rho0, noise_operators(sys_, "local", 0.02), n_fine=0), id="propagate_lindblad"),
+        pytest.param(lambda sys_, p, rho0: basis_trajectory(
+            p, sys_, rho0, singlet_triplet_basis(), n_fine=0), id="basis_trajectory"),
+        pytest.param(lambda sys_, p, rho0: shape_penalty(
+            sys_, p, lls_objective(shape_weight=1.0), n_fine=0), id="shape_penalty"),
+    ])
+    def test_zero_segments_is_an_error(self, call):
+        with pytest.raises(ValueError, match="n_segments"):
+            call(PRESETS["tcp"], self.network(), thermal_deviation())
+
+    def test_none_is_the_default_grid(self):
+        p = self.network()
+        default = propagate_unitary(PRESETS["tcp"], p).final
+        table = sample_pulse(p, propagation.DEFAULT_N_FINE)
+        assert np.array_equal(default, propagate_unitary(PRESETS["tcp"], table).final)
