@@ -40,18 +40,14 @@ from .optimizer import (
     OptimizerConfig,
     RunRecord,
     fit_network_to_table,
-    load_run_record,
     multi_start,
-    resume,
     save_run_record,
     train,
 )
 from .propagation import (
     EvolutionResult,
-    expm_hermitian,
     propagate_density,
     propagate_lindblad,
-    propagate_oracle,
     propagate_unitary,
 )
 from .spins import (

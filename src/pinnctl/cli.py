@@ -176,6 +176,8 @@ def _build_run(cfg: dict):
             fitted, grape_record = grape_warm_start(
                 system, ws_objective, sizes, amp_scale, duration, grape_cfg, seed=opt.seed
             )
+            if not grape_record.converged:
+                print("warm start did not converge; continuing anyway", file=sys.stderr)
             record = train(fitted, system, objective, opt)
         elif n_starts > 1:
             record = multi_start(system, objective, sizes, amp_scale, duration, opt, n_starts,
@@ -195,8 +197,9 @@ def synthesize(cfg: dict) -> tuple[RunRecord, GrapeRecord | None]:
     block solves the objective segment-wise, fits the network to that pulse
     and fine-tunes it; otherwise n_starts > 1 trains seeds seed..seed+n-1 and
     stops at the first that converges, and one start trains from init_params.
-    Returns the run record, whose context holds `cfg`, and the warm start's
-    GRAPE record or None.
+    A warm start that misses its threshold is reported on stderr before the
+    fine-tune starts.  Returns the run record, whose context holds `cfg`, and
+    the warm start's GRAPE record or None.
     """
     return _build_run(cfg)()
 
@@ -205,9 +208,7 @@ def cmd_synthesize(args) -> int:
     run = _build_run(_load_run_config(args))
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)  # before training, so a bad --out costs no run
-    record, grape_record = run()
-    if grape_record is not None and not grape_record.converged:
-        print("warm start did not converge; continuing anyway", file=sys.stderr)
+    record, _ = run()
     save_run_record(record, out / "run_record.json")
     fileio.write_fidelity_trace_csv(record.iterations, out / "fidelity_trace.csv")
     save_params(record.final_params, out / "params.json")

@@ -51,6 +51,9 @@ def read_pulse_csv(path) -> PulseTable:
         times = []
         rows = []
         for row in reader:
+            if len(row) != len(header):  # a blank line reads as no fields
+                raise ValueError(f"pulse CSV line {reader.line_num} has {len(row)} fields, "
+                                 f"expected {len(header)}")
             times.append(float(row[0]))
             rows.append([float(x) for x in row[1:]])
     if len(rows) < 1:

@@ -39,7 +39,6 @@ class GrapeConfig(AscentConfig):
 @dataclass
 class GrapeRecord:
     iterations: list[tuple[int, float, float]]
-    final_table: PulseTable
     converged: bool
     config: GrapeConfig
     wall_time_s: float = 0.0
@@ -73,9 +72,9 @@ def grape_train(
     def clip(arrays):
         return [np.clip(arrays[0], -config.amp_limit, config.amp_limit)]
 
-    (amps,), rows, converged, _ = ascend(score, [amps], config, project=clip)
+    (amps,), rows, converged = ascend(score, [amps], config, project=clip)
     table = PulseTable(duration, amps.reshape(n, -1, 2))
-    return table, GrapeRecord(rows, table, converged, config, time.monotonic() - t0)
+    return table, GrapeRecord(rows, converged, config, time.monotonic() - t0)
 
 
 def grape_warm_start(

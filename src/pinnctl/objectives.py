@@ -24,7 +24,6 @@ from .network import (
 from .propagation import (
     DEFAULT_N_FINE,
     DEFAULT_SUBSTEP_TOL,
-    _as_pulse,
     _buffer,
     lindblad_substeps,
     prefix_products,
@@ -366,26 +365,6 @@ def loss_and_gradient(
     )
     grad_w, grad_b = backprop_pulse(params, ts, du, tape=tape)
     return fid, (grad_w, grad_b)
-
-
-def shape_penalty(
-    system: SpinSystem,
-    pulse,
-    objective: ObjectiveSpec,
-    *,
-    n_fine: int | None = None,
-) -> float:
-    """Mean squared mid-window expectation penalty of a pulse (table or network)."""
-    if not objective.shape_observables:
-        raise ValueError("objective has no shape observables")
-    table = _as_pulse(system, pulse, n_fine)
-    h_batch = segment_hamiltonians(system, table)
-    _, _, units = segment_unitaries(h_batch, table.dt)
-    pre = prefix_products(units)
-    _, _, e = _shape_expectations(
-        pre, objective.initial, objective.shape_observables, objective.shape_window
-    )
-    return float(np.mean(e**2))
 
 
 def evaluate_fidelity(

@@ -1,6 +1,8 @@
-"""Adam ascent: the one loop (``ascend``), and network training, resume,
+"""Adam ascent: the one loop (``ascend``), and network training,
 multi-start and the least-squares table fit built on it.  The GRAPE baseline
-(grape.py) runs the same loop on pulse table entries.
+(grape.py) runs the same loop on pulse table entries.  A run record keeps the
+trajectory, the trained network and the settings; the network itself is the
+run's product (``network.save_params``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .network import (
     backprop_pulse,
     forward_batch,
     init_params,
-    params_from_dict,
     params_to_dict,
     segment_times,
 )
@@ -78,7 +79,7 @@ class AdamState:
     """First/second moment accumulators over a list of arrays.
 
     Each moment is one flat vector, so an update is one pass over every
-    element; ``m`` and ``v`` hold per-array views of them.
+    element.
     """
 
     def __init__(self, shapes_like: list[np.ndarray]):
@@ -87,7 +88,6 @@ class AdamState:
         self._layout = [(slice(end - n, end), np.shape(a))
                         for a, n, end in zip(shapes_like, sizes, np.cumsum(sizes))]
         self._m, self._v = np.zeros((2, sum(sizes)))
-        self.m, self.v = self._views(self._m), self._views(self._v)
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         return [flat[part].reshape(shape) for part, shape in self._layout]
@@ -110,36 +110,15 @@ class AdamState:
         v_hat = self._v / (1 - b2**self.step)
         return self._views(-lr * m_hat / (np.sqrt(v_hat) + eps))
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "m": [a.flatten().tolist() for a in self.m],
-            "v": [a.flatten().tolist() for a in self.v],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict, shapes_like: list[np.ndarray]) -> "AdamState":
-        state = cls(shapes_like)
-        state.step = int(doc["step"])
-        sizes = [np.size(a) for a in shapes_like]
-        for name, flat in (("m", state._m), ("v", state._v)):
-            saved = [np.asarray(a, dtype=float).ravel() for a in doc[name]]
-            if [a.size for a in saved] != sizes:
-                raise ValueError(f"Adam state {name} holds arrays of sizes "
-                                 f"{[a.size for a in saved]}, the parameters {sizes}")
-            flat[:] = np.concatenate(saved)
-        return state
-
 
 @dataclass
 class RunRecord:
-    """Optimization trajectory plus everything needed to resume it."""
+    """Optimization trajectory, the trained network and the settings used."""
 
     iterations: list[tuple[int, float, float]]  # (iter, fidelity, grad 2-norm)
     final_params: NetworkParams
     converged: bool
     config: OptimizerConfig
-    adam_state: dict | None = None
     wall_time_s: float = 0.0
     context: dict = field(default_factory=dict)
 
@@ -159,24 +138,23 @@ def _grad_norm(*groups) -> float:
 
 @_workspace()  # one per call: the dissipative gradient reuses its buffers every step
 def ascend(score, arrays: list[np.ndarray], config: AscentConfig, *, project=None,
-           state: AdamState | None = None, start_iter: int = 0, norm=_grad_norm):
+           norm=_grad_norm):
     """Maximise score(arrays) -> (value, gradients) with Adam until the value
     reaches config.f_threshold or after config.max_iters updates.
 
-    ``project`` maps the arrays after every update; ``state`` and
-    ``start_iter`` continue an earlier ascent.  Returns the final arrays, the
-    (iteration, value, norm(gradients)) rows, the converged flag and the state.
+    ``project`` maps the arrays after every update.  Returns the final arrays,
+    the (iteration, value, norm(gradients)) rows and the converged flag.
     Raises FloatingPointError on a non-finite value, and DivergenceError after
     DIVERGENCE_WINDOW consecutive updates below the initial value - 0.5.
     """
-    state = state if state is not None else AdamState(arrays)
+    state = AdamState(arrays)
     value, grads = score(arrays)
     initial = value
-    rows = [(start_iter, value, norm(grads))]
+    rows = [(0, value, norm(grads))]
     converged = value >= config.f_threshold
     below = 0
-    it = start_iter
-    while not converged and it < start_iter + config.max_iters:
+    it = 0
+    while not converged and it < config.max_iters:
         it += 1
         deltas = state.update(grads, config.learning_rate,
                               config.adam_beta1, config.adam_beta2, config.adam_eps)
@@ -198,7 +176,7 @@ def ascend(score, arrays: list[np.ndarray], config: AscentConfig, *, project=Non
             below = 0
     if rows[-1][0] != it:
         rows.append((it, value, norm(grads)))
-    return arrays, rows, converged, state
+    return arrays, rows, converged
 
 
 def _with_arrays(params: NetworkParams, arrays: list[np.ndarray]) -> NetworkParams:
@@ -211,9 +189,6 @@ def train(
     system: SpinSystem,
     objective: ObjectiveSpec,
     config: OptimizerConfig,
-    *,
-    adam_state: AdamState | None = None,
-    start_iter: int = 0,
 ) -> RunRecord:
     """Ascend fidelity with Adam until f_threshold or max_iters."""
     t0 = time.monotonic()
@@ -225,8 +200,8 @@ def train(
                                           substep_tol=config.substep_tol)
         return fid, [*gw, *gb]
 
-    arrays, rows, converged, state = ascend(
-        score, [*params0.weights, *params0.biases], config, state=adam_state, start_iter=start_iter,
+    arrays, rows, converged = ascend(
+        score, [*params0.weights, *params0.biases], config,
         norm=lambda grads: _grad_norm(grads[:nw], grads[nw:]),
     )
     return RunRecord(
@@ -234,38 +209,7 @@ def train(
         final_params=_with_arrays(params0, arrays),
         converged=converged,
         config=config,
-        adam_state=state.to_dict(),
         wall_time_s=time.monotonic() - t0,
-    )
-
-
-def resume(
-    record: RunRecord,
-    system: SpinSystem,
-    objective: ObjectiveSpec,
-    extra_iters: int,
-) -> RunRecord:
-    """Continue a run as if it had never stopped (same Adam moments and step count)."""
-    if record.adam_state is None:
-        raise ValueError("record is missing the Adam moment state; cannot resume")
-    if extra_iters == 0 or record.converged:
-        return record
-    params = record.final_params
-    arrays = list(params.weights) + list(params.biases)
-    state = AdamState.from_dict(record.adam_state, arrays)
-    cfg = replace(record.config, max_iters=extra_iters)
-    cont = train(
-        params, system, objective, cfg, adam_state=state, start_iter=record.n_iters
-    )
-    merged = record.iterations + [r for r in cont.iterations if r[0] > record.n_iters]
-    return RunRecord(
-        iterations=merged,
-        final_params=cont.final_params,
-        converged=cont.converged,
-        config=record.config,
-        adam_state=cont.adam_state,
-        wall_time_s=record.wall_time_s + cont.wall_time_s,
-        context=record.context,
     )
 
 
@@ -345,34 +289,12 @@ def run_record_to_dict(record: RunRecord) -> dict:
         "final_params": params_to_dict(record.final_params),
         "converged": record.converged,
         "config": asdict(record.config),
-        "adam_state": record.adam_state,
         "context": record.context,
         "metadata": {"wall_time_s": record.wall_time_s},
     }
-
-
-def run_record_from_dict(doc: dict) -> RunRecord:
-    config = dict(doc["config"])
-    # records written before the learning-rate schedule was removed carry it
-    lr_decay = config.pop("lr_decay", "constant")
-    if lr_decay != "constant":
-        raise ValueError(f"run record uses lr_decay {lr_decay!r}; only 'constant' is supported")
-    return RunRecord(
-        iterations=[(int(i), float(f), float(g)) for i, f, g in doc["iterations"]],
-        final_params=params_from_dict(doc["final_params"]),
-        converged=bool(doc["converged"]),
-        config=OptimizerConfig(**config),
-        adam_state=doc.get("adam_state"),
-        wall_time_s=float(doc.get("metadata", {}).get("wall_time_s", 0.0)),
-        context=dict(doc.get("context", {})),
-    )
 
 
 def save_run_record(record: RunRecord, path) -> None:
     with open(path, "w") as fh:
         json.dump(run_record_to_dict(record), fh)
 
-
-def load_run_record(path) -> RunRecord:
-    with open(path) as fh:
-        return run_record_from_dict(json.load(fh))

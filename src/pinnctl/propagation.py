@@ -21,9 +21,10 @@ the segment maps and the dissipative adjoint write their (N, d^2, d^2)
 temporaries into one workspace of buffers kept for the whole ascent: arrays of
 that size are handed back to the kernel when freed and would fault in fresh
 pages on every step.  Outside an ascent they are allocated per call, and the
-forward-only Lindblad walk reuses one chunk's buffers for the next.  An
-adaptive Dormand-Prince integrator treating the network as a continuous-time
-Hamiltonian serves as an independent cross-check.
+forward-only Lindblad walk reuses one chunk's buffers for the next.  The
+independent cross-check, an adaptive Dormand-Prince integrator that treats
+the network as a continuous-time Hamiltonian, lives with the tests
+(tests/oracles.py), so this module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -35,15 +36,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .network import NetworkParams, PulseTable, forward_batch, sample_pulse
+from .network import NetworkParams, PulseTable, sample_pulse
 from .spins import (
     NoiseModel,
     SpinSystem,
     control_operator_stack,
     drift_hamiltonian,
-    liouvillian,
     system_operators,
 )
 
@@ -65,16 +64,6 @@ class EvolutionResult:
 def _hermitian_check(h: np.ndarray, tol: float = 1e-10):
     if np.linalg.norm(h - h.conj().T) > tol * max(1.0, np.linalg.norm(h)):
         raise ValueError("matrix is not Hermitian")
-
-
-def expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) for Hermitian h via eigendecomposition."""
-    _hermitian_check(h)
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
-    evals, vecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * evals * dt)
-    return (vecs * phases) @ vecs.conj().T
 
 
 def _as_pulse(system: SpinSystem, pulse, n_fine: int | None) -> PulseTable:
@@ -363,74 +352,3 @@ def propagate_lindblad(
             sample_times, table.duration, ops.density,
         )
     return EvolutionResult(final=ops.density(x), trajectory=traj)
-
-
-def propagate_oracle(
-    system: SpinSystem,
-    pulse,
-    initial: np.ndarray | None = None,
-    mode: str = "unitary",
-    *,
-    noise: NoiseModel | None = None,
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
-) -> EvolutionResult:
-    """Adaptive embedded 4(5) Dormand-Prince integration as a cross-check.
-
-    A NetworkParams pulse is evaluated continuously in time (no grid); a
-    PulseTable is treated as the piecewise-constant function it is.
-    """
-    if mode not in ("unitary", "density", "lindblad"):
-        raise ValueError(f"unknown mode {mode!r}")
-    h0 = drift_hamiltonian(system)
-    ops = control_operator_stack(system)
-    d = system.dimension
-
-    if isinstance(pulse, NetworkParams):
-        duration = pulse.time_scale
-
-        def amps_at(t: float) -> np.ndarray:
-            return forward_batch(pulse, np.array([min(max(t, 0.0), duration)]))[0]
-
-    else:
-        table = _as_pulse(system, pulse, None)
-        duration = table.duration
-        flat = table.flat_amplitudes()
-
-        def amps_at(t: float) -> np.ndarray:
-            s = min(int(t / table.dt), table.n_segments - 1)
-            return flat[s]
-
-    def hamiltonian(t: float) -> np.ndarray:
-        return h0 + np.einsum("c,cij->ij", amps_at(t), ops)
-
-    if mode == "unitary":
-        y0 = np.eye(d, dtype=complex).reshape(-1)
-
-        def rhs(t, y):
-            return (-1j * hamiltonian(t) @ y.reshape(d, d)).reshape(-1)
-
-    elif mode == "density":
-        _hermitian_check(initial)
-        y0 = initial.reshape(-1).astype(complex)
-
-        def rhs(t, y):
-            rho = y.reshape(d, d)
-            return (-1j * (hamiltonian(t) @ rho - rho @ hamiltonian(t))).reshape(-1)
-
-    else:
-        if noise is None:
-            raise ValueError("lindblad mode requires a noise model")
-        _hermitian_check(initial)
-        y0 = initial.reshape(-1).astype(complex)
-        l_noise = liouvillian(np.zeros((d, d)), noise)
-
-        def rhs(t, y):
-            rho = y.reshape(d, d)
-            comm = -1j * (hamiltonian(t) @ rho - rho @ hamiltonian(t))
-            return comm.reshape(-1) + l_noise @ y
-
-    sol = solve_ivp(rhs, (0.0, duration), y0, method="RK45", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(f"adaptive integration failed: {sol.message}")
-    return EvolutionResult(final=sol.y[:, -1].reshape(d, d), trajectory=None)

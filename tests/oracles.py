@@ -1,0 +1,132 @@
+"""Independent references that only the tests use.
+
+``propagate_oracle`` integrates the equation of motion with an adaptive
+Dormand-Prince method (scipy's RK45), treating a network as a
+continuous-time Hamiltonian; ``expm_hermitian`` exponentiates one Hermitian
+matrix by its eigendecomposition; ``shape_penalty`` is the forward value of
+the trajectory-shaping penalty whose cotangent the shaped gradient uses.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.integrate import solve_ivp
+
+from pinnctl.network import NetworkParams, forward_batch
+from pinnctl.objectives import ObjectiveSpec, _shape_expectations
+from pinnctl.propagation import (
+    EvolutionResult,
+    _as_pulse,
+    _hermitian_check,
+    prefix_products,
+    segment_hamiltonians,
+    segment_unitaries,
+)
+from pinnctl.spins import (
+    NoiseModel,
+    SpinSystem,
+    control_operator_stack,
+    drift_hamiltonian,
+    liouvillian,
+)
+
+
+def expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i h dt) for Hermitian h via eigendecomposition."""
+    _hermitian_check(h)
+    if dt < 0:
+        raise ValueError("dt must be >= 0")
+    evals, vecs = np.linalg.eigh(h)
+    phases = np.exp(-1j * evals * dt)
+    return (vecs * phases) @ vecs.conj().T
+
+
+def shape_penalty(
+    system: SpinSystem,
+    pulse,
+    objective: ObjectiveSpec,
+    *,
+    n_fine: int | None = None,
+) -> float:
+    """Mean squared mid-window expectation penalty of a pulse (table or network)."""
+    if not objective.shape_observables:
+        raise ValueError("objective has no shape observables")
+    table = _as_pulse(system, pulse, n_fine)
+    h_batch = segment_hamiltonians(system, table)
+    _, _, units = segment_unitaries(h_batch, table.dt)
+    pre = prefix_products(units)
+    _, _, e = _shape_expectations(
+        pre, objective.initial, objective.shape_observables, objective.shape_window
+    )
+    return float(np.mean(e**2))
+
+
+def propagate_oracle(
+    system: SpinSystem,
+    pulse,
+    initial: np.ndarray | None = None,
+    mode: str = "unitary",
+    *,
+    noise: NoiseModel | None = None,
+    rtol: float = 1e-9,
+    atol: float = 1e-11,
+) -> EvolutionResult:
+    """Adaptive embedded 4(5) Dormand-Prince integration as a cross-check.
+
+    A NetworkParams pulse is evaluated continuously in time (no grid); a
+    PulseTable is treated as the piecewise-constant function it is.
+    """
+    if mode not in ("unitary", "density", "lindblad"):
+        raise ValueError(f"unknown mode {mode!r}")
+    h0 = drift_hamiltonian(system)
+    ops = control_operator_stack(system)
+    d = system.dimension
+
+    if isinstance(pulse, NetworkParams):
+        duration = pulse.time_scale
+
+        def amps_at(t: float) -> np.ndarray:
+            return forward_batch(pulse, np.array([min(max(t, 0.0), duration)]))[0]
+
+    else:
+        table = _as_pulse(system, pulse, None)
+        duration = table.duration
+        flat = table.flat_amplitudes()
+
+        def amps_at(t: float) -> np.ndarray:
+            s = min(int(t / table.dt), table.n_segments - 1)
+            return flat[s]
+
+    def hamiltonian(t: float) -> np.ndarray:
+        return h0 + np.einsum("c,cij->ij", amps_at(t), ops)
+
+    if mode == "unitary":
+        y0 = np.eye(d, dtype=complex).reshape(-1)
+
+        def rhs(t, y):
+            return (-1j * hamiltonian(t) @ y.reshape(d, d)).reshape(-1)
+
+    elif mode == "density":
+        _hermitian_check(initial)
+        y0 = initial.reshape(-1).astype(complex)
+
+        def rhs(t, y):
+            rho = y.reshape(d, d)
+            return (-1j * (hamiltonian(t) @ rho - rho @ hamiltonian(t))).reshape(-1)
+
+    else:
+        if noise is None:
+            raise ValueError("lindblad mode requires a noise model")
+        _hermitian_check(initial)
+        y0 = initial.reshape(-1).astype(complex)
+        l_noise = liouvillian(np.zeros((d, d)), noise)
+
+        def rhs(t, y):
+            rho = y.reshape(d, d)
+            comm = -1j * (hamiltonian(t) @ rho - rho @ hamiltonian(t))
+            return comm.reshape(-1) + l_noise @ y
+
+    sol = solve_ivp(rhs, (0.0, duration), y0, method="RK45", rtol=rtol, atol=atol)
+    if not sol.success:
+        raise RuntimeError(f"adaptive integration failed: {sol.message}")
+    return EvolutionResult(final=sol.y[:, -1].reshape(d, d), trajectory=None)

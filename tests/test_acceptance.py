@@ -32,7 +32,7 @@ from pinnctl.objectives import (
     pulse_table_gradient,
 )
 from pinnctl.optimizer import OptimizerConfig, train
-from pinnctl.propagation import propagate_lindblad, propagate_oracle, propagate_unitary
+from pinnctl.propagation import propagate_lindblad, propagate_unitary
 from pinnctl.spins import PRESETS, NoiseModel, noise_operators
 from pinnctl.targets import (
     cnot_objective,
@@ -40,6 +40,8 @@ from pinnctl.targets import (
     singlet_triplet_basis,
     thermal_deviation,
 )
+
+from oracles import propagate_oracle
 
 DEFM = PRESETS["defm"]
 TCP = PRESETS["tcp"]

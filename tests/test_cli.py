@@ -143,6 +143,18 @@ class TestFft:
         assert err.startswith("error: not a pulse CSV") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("body, line, fields", [
+        ("0.5,1.0,2.0\n\n1.5,3.0,4.0\n", 3, 0),
+        ("0.5,1.0,2.0\n1.5,3.0\n", 3, 2),
+    ], ids=["blank-line", "short-row"])
+    def test_malformed_row_is_one_line_error(self, tmp_path, capsys, body, line, fields):
+        pulse, out = tmp_path / "pulse.csv", tmp_path / "spec.csv"
+        pulse.write_text("t_s,u1x_rad_s,u1y_rad_s\n" + body)
+        assert main(["fft", str(pulse), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: pulse CSV line {line} has {fields} fields, expected 3\n"
+        assert not out.exists()
+
 
 class TestTrajectory:
     def test_singlet_triplet(self, tcp_params, tmp_path):
@@ -386,6 +398,29 @@ class TestSynthesize:
         assert rc == 2
         assert (out / "params.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
         assert "warm start did not converge" in capsys.readouterr().err
+
+    def test_warm_start_verdict_comes_before_the_fine_tune(self, tmp_path, capsys, monkeypatch):
+        err_at_train = []
+        real_train = cli.train
+
+        def train(*args, **kwargs):
+            err_at_train.append(capsys.readouterr().err)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", train)
+        cfg = {
+            "system": "defm",
+            "objective": {"target": "cnot:0,1"},
+            "network": {"layer_sizes": [1, 4, 4], "duration_s": 0.02},
+            "optimizer": {"max_iters": 2, "n_fine": 16, "seed": 0},
+            "warm_start": {"n_segments": 4, "max_iters": 2},
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["synthesize", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert err_at_train == ["warm start did not converge; continuing anyway\n"]
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("name", sorted(cli.RUN_PRESETS))
     def test_preset_validates_without_training(self, name):

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from pinnctl.network import init_params
+from pinnctl.network import init_params, params_from_dict
 from pinnctl.objectives import ObjectiveSpec
 from pinnctl.optimizer import (
     DIVERGENCE_WINDOW,
@@ -10,11 +12,7 @@ from pinnctl.optimizer import (
     DivergenceError,
     OptimizerConfig,
     ascend,
-    load_run_record,
     multi_start,
-    resume,
-    run_record_from_dict,
-    run_record_to_dict,
     save_run_record,
     train,
 )
@@ -54,27 +52,6 @@ class TestAdam:
             v_hat = v / (1 - b2**t)
             expected_step = -lr * m_hat / (np.sqrt(v_hat) + eps)
             assert np.isclose(delta[0], expected_step, rtol=1e-14)
-
-    def test_roundtrip(self):
-        state = AdamState([np.ones((2, 3))])
-        state.update([np.ones((2, 3))], 0.1, 0.9, 0.999, 1e-8)
-        doc = state.to_dict()
-        restored = AdamState.from_dict(doc, [np.ones((2, 3))])
-        assert restored.step == state.step
-        assert np.array_equal(restored.m[0], state.m[0])
-
-    @pytest.mark.parametrize("name, edit", [
-        ("m", lambda arrays: arrays[:1]),
-        ("v", lambda arrays: arrays + [[0.0]]),
-        ("m", lambda arrays: [arrays[0], arrays[1][:-1]]),
-    ], ids=["fewer_arrays", "more_arrays", "wrong_size"])
-    def test_from_dict_rejects_mismatched_moments(self, name, edit):
-        like = [np.ones((2, 3)), np.ones(3)]
-        state = AdamState(like)
-        state.update([np.ones((2, 3)), np.ones(3)], 0.1, 0.9, 0.999, 1e-8)
-        doc = state.to_dict()
-        with pytest.raises(ValueError, match=f"Adam state {name} holds arrays of sizes"):
-            AdamState.from_dict({**doc, name: edit(doc[name])}, like)
 
 
 class TestTrain:
@@ -130,13 +107,13 @@ def quadratic(center):
     return score
 
 
-def hand_rolled_adam(score, x, config, start_iter):
+def hand_rolled_adam(score, x, config):
     """Every (iteration, value, gradient norm) of a plain Adam ascent, and the end point."""
     b1, b2 = config.adam_beta1, config.adam_beta2
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     value, (g,) = score([x])
-    seen = [(start_iter, value, float(np.sqrt(np.sum(g * g))))]
+    seen = [(0, value, float(np.sqrt(np.sum(g * g))))]
     for t in range(1, config.max_iters + 1):
         if value >= config.f_threshold:
             break
@@ -145,7 +122,7 @@ def hand_rolled_adam(score, x, config, start_iter):
         step = (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + config.adam_eps)
         x = x - config.learning_rate * step
         value, (g,) = score([x])
-        seen.append((start_iter + t, value, float(np.sqrt(np.sum(g * g)))))
+        seen.append((t, value, float(np.sqrt(np.sum(g * g)))))
     return seen, x
 
 
@@ -166,19 +143,17 @@ class TestAscend:
     CENTER = np.array([0.3, -0.2, 0.1])
 
     @pytest.mark.parametrize(
-        "threshold, log_every, start_iter",
-        [(1.0, 3, 0), (1.0, 3, 7), (0.999, 4, 0), (0.999, 4, 10)],
+        "threshold, log_every", [(1.0, 3), (0.999, 4)], ids=["1.0-3-0", "0.999-4-0"],
     )
-    def test_matches_hand_rolled_adam(self, threshold, log_every, start_iter):
+    def test_matches_hand_rolled_adam(self, threshold, log_every):
         score = quadratic(self.CENTER)
         cfg = AscentConfig(learning_rate=1e-2, f_threshold=threshold, max_iters=40,
                            log_every=log_every)
-        (x,), rows, converged, state = ascend(score, [np.zeros(3)], cfg, start_iter=start_iter)
-        seen, x_ref = hand_rolled_adam(score, np.zeros(3), cfg, start_iter)
+        (x,), rows, converged = ascend(score, [np.zeros(3)], cfg)
+        seen, x_ref = hand_rolled_adam(score, np.zeros(3), cfg)
         last = seen[-1]
         assert converged == (last[1] >= threshold)
         assert converged == (threshold < 1.0)  # the runs reach 0.999 well inside 40 updates
-        assert state.step == last[0] - start_iter
         expected = [seen[0]] + [r for r in seen[1:] if r[0] % log_every == 0 or r[1] >= threshold]
         if expected[-1][0] != last[0]:
             expected.append(last)
@@ -198,7 +173,7 @@ class TestAscend:
             return [np.clip(a, -0.05, 0.05) for a in arrays]
 
         cfg = AscentConfig(learning_rate=1e-2, f_threshold=1.0, max_iters=25)
-        (x,), rows, _, _ = ascend(score, [np.zeros(3)], cfg, project=project)
+        (x,), rows, _ = ascend(score, [np.zeros(3)], cfg, project=project)
         assert len(calls) == rows[-1][0] == 25
         assert all(np.max(np.abs(a)) <= 0.05 for a in seen[1:])
         assert np.array_equal(np.abs(x), np.full(3, 0.05))
@@ -260,82 +235,6 @@ class TestAscend:
                 AscentConfig(**bad)
 
 
-class TestResume:
-    def test_zero_extra_is_noop(self):
-        rec = train(small_params(), PRESETS["defm"], cnot_objective(), quick_config(max_iters=10))
-        assert resume(rec, PRESETS["defm"], cnot_objective(), 0) is rec
-
-    def test_split_equals_straight_run(self):
-        cfg20 = quick_config(max_iters=20)
-        straight = train(small_params(), PRESETS["defm"], cnot_objective(), cfg20)
-        cfg10 = quick_config(max_iters=10)
-        first = train(small_params(), PRESETS["defm"], cnot_objective(), cfg10)
-        merged = resume(first, PRESETS["defm"], cnot_objective(), 10)
-        assert merged.n_iters == straight.n_iters
-        fs = dict((i, f) for i, f, _ in straight.iterations)
-        fm = dict((i, f) for i, f, _ in merged.iterations)
-        assert fs == fm
-        for wa, wb in zip(straight.final_params.weights, merged.final_params.weights):
-            assert np.array_equal(wa, wb)
-
-    def test_resume_after_convergence_is_noop(self):
-        p = small_params()
-        from dataclasses import replace
-
-        p = replace(p, weights=tuple(np.zeros_like(w) for w in p.weights))
-        rec = train(p, TWO_CH, IDENTITY_OBJ, quick_config())
-        assert resume(rec, TWO_CH, IDENTITY_OBJ, 50).n_iters == rec.n_iters
-
-    def test_resumes_a_per_array_record_bit_identically(self):
-        # a run record whose moments a per-array Adam wrote, one flat list per
-        # parameter array, resumes exactly as an unbroken run
-        from dataclasses import replace
-
-        from pinnctl.objectives import loss_and_gradient
-        from pinnctl.optimizer import RunRecord
-
-        cfg = quick_config(f_threshold=1.0, max_iters=10)
-        p0 = small_params()
-        nw = len(p0.weights)
-
-        def score(arrays):
-            params = replace(p0, weights=tuple(arrays[:nw]), biases=tuple(arrays[nw:]))
-            fid, (gw, gb) = loss_and_gradient(params, PRESETS["defm"], cnot_objective(), cfg.n_fine)
-            return fid, [*gw, *gb]
-
-        arrays = [*p0.weights, *p0.biases]
-        m = [np.zeros_like(a) for a in arrays]
-        v = [np.zeros_like(a) for a in arrays]
-        fid, grads = score(arrays)
-        for t in range(1, 16):
-            arrays = per_array_adam(arrays, grads, m, v, t, cfg.learning_rate)
-            fid, grads = score(arrays)
-            if t == 10:
-                record = RunRecord(
-                    iterations=[(10, fid, 0.0)],
-                    final_params=replace(p0, weights=tuple(arrays[:nw]), biases=tuple(arrays[nw:])),
-                    converged=False,
-                    config=cfg,
-                    adam_state={"step": 10, "m": [a.flatten().tolist() for a in m],
-                                "v": [a.flatten().tolist() for a in v]},
-                )
-        straight = train(p0, PRESETS["defm"], cnot_objective(), replace(cfg, max_iters=15))
-        resumed = resume(record, PRESETS["defm"], cnot_objective(), 5)
-        for rec in (straight, resumed):
-            final = [*rec.final_params.weights, *rec.final_params.biases]
-            assert all(np.array_equal(a, b) for a, b in zip(final, arrays))
-            assert rec.adam_state["step"] == 15
-            assert rec.adam_state["m"] == [a.flatten().tolist() for a in m]
-            assert rec.adam_state["v"] == [a.flatten().tolist() for a in v]
-        assert resumed.iterations[-1][1] == straight.iterations[-1][1] == fid
-
-    def test_missing_moments_rejected(self):
-        rec = train(small_params(), PRESETS["defm"], cnot_objective(), quick_config(max_iters=5))
-        rec.adam_state = None
-        with pytest.raises(ValueError):
-            resume(rec, PRESETS["defm"], cnot_objective(), 5)
-
-
 class TestMultiStart:
     def test_single_start_equals_train(self):
         cfg = quick_config(max_iters=15)
@@ -381,21 +280,16 @@ class TestRecordSerialization:
         rec = train(small_params(), PRESETS["defm"], cnot_objective(), quick_config(max_iters=5))
         path = tmp_path / "record.json"
         save_run_record(rec, path)
-        loaded = load_run_record(path)
-        assert loaded.iterations == rec.iterations
-        assert loaded.converged == rec.converged
-        assert loaded.config == rec.config
-        for wa, wb in zip(loaded.final_params.weights, rec.final_params.weights):
-            assert np.array_equal(wa, wb)
-
-    def test_loads_record_with_constant_lr_decay(self):
-        rec = train(small_params(), PRESETS["defm"], cnot_objective(), quick_config(max_iters=2))
-        doc = run_record_to_dict(rec)
-        doc["config"]["lr_decay"] = "constant"  # written before the schedule was removed
-        assert run_record_from_dict(doc).config == rec.config
-        doc["config"]["lr_decay"] = "cosine"
-        with pytest.raises(ValueError, match="cosine"):
-            run_record_from_dict(doc)
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert [tuple(row) for row in doc["iterations"]] == rec.iterations
+        assert doc["converged"] == rec.converged
+        assert OptimizerConfig(**doc["config"]) == rec.config
+        loaded = params_from_dict(doc["final_params"])
+        for a, b in zip(loaded.weights + loaded.biases,
+                        rec.final_params.weights + rec.final_params.biases):
+            assert np.array_equal(a, b)
+        assert "adam_state" not in doc
 
     def test_final_fidelity_is_last_row(self):
         rec = train(small_params(), PRESETS["defm"], cnot_objective(), quick_config(max_iters=5))

@@ -8,18 +8,15 @@ from scipy.linalg import expm as scipy_expm
 from pinnctl import propagation
 from pinnctl.analysis import basis_trajectory
 from pinnctl.network import PulseTable, init_params, sample_pulse
-from pinnctl.objectives import evaluate_fidelity, shape_penalty
+from pinnctl.objectives import evaluate_fidelity
 from pinnctl.propagation import (
     _CHUNK,
     _ordered_product,
     _sweep_segments,
-    expm_hermitian,
     lindblad_substeps,
-    liouvillian,
     prefix_products,
     propagate_density,
     propagate_lindblad,
-    propagate_oracle,
     propagate_unitary,
     segment_hamiltonians,
     segment_lindblad_maps,
@@ -30,11 +27,14 @@ from pinnctl.spins import (
     SpinSystem,
     control_operator_stack,
     drift_hamiltonian,
+    liouvillian,
     noise_operators,
     spin_half_operator,
     system_operators,
 )
 from pinnctl.targets import lls_objective, singlet_triplet_basis, thermal_deviation
+
+from oracles import expm_hermitian, propagate_oracle, shape_penalty
 
 
 def random_hermitian(rng, dim, scale=1.0):
