@@ -16,7 +16,7 @@ from .analysis import (
     pulse_spectrum,
     robust_width,
 )
-from .grape import GrapeConfig, GrapeRecord, grape_train, grape_warm_start
+from .grape import GrapeConfig, GrapeRecord, grape_train
 from .network import (
     NetworkParams,
     PulseTable,

@@ -11,8 +11,6 @@ from .objectives import ObjectiveSpec, evaluate_fidelity
 from .propagation import _as_pulse, propagate_density, propagate_lindblad
 from .spins import NoiseModel, SpinSystem, noise_operators
 
-DEFAULT_SEGMENT_COUNTS = tuple(2**k for k in range(16))  # 2^0 .. 2^15
-
 
 @dataclass
 class SpectrumResult:
@@ -72,7 +70,7 @@ def discretization_sweep(
     params: NetworkParams,
     system: SpinSystem,
     objective: ObjectiveSpec,
-    segment_counts=DEFAULT_SEGMENT_COUNTS,
+    segment_counts,
 ) -> SweepResult:
     """Fidelity of the sampled pulse as a function of segment count."""
     fids = [evaluate_fidelity(system, params, objective, n_fine=n) for n in segment_counts]

@@ -9,16 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace as dc_replace
+from dataclasses import fields, replace as dc_replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, fileio
-from .grape import GrapeConfig, GrapeRecord, grape_warm_start
+from .grape import GrapeConfig, GrapeRecord, grape_train
 from .network import init_params, load_params, sample_pulse, save_params
 from .optimizer import (
-    OptimizerConfig, RunRecord, _require_count, multi_start, save_run_record, train,
+    OptimizerConfig, RunRecord, _require_count, fit_network_to_table, multi_start,
+    save_run_record, train,
 )
 from .spins import load_system, noise_operators
 from .targets import named_target, singlet_triplet_basis, thermal_deviation
@@ -83,6 +84,18 @@ RUN_PRESETS = {
 }
 
 
+# The keys _build_run reads, per block of a run configuration (None: the top level).
+RUN_CONFIG_KEYS = {
+    None: {"system", "objective", "network", "optimizer", "warm_start", "noise", "n_starts"},
+    "objective": {"target", "normalization", "shape_weight"},
+    "network": {"layer_sizes", "amp_scale_rad_s", "input_gain", "duration_s"},
+    "optimizer": {f.name for f in fields(OptimizerConfig)},
+    "warm_start": {"n_segments", "amp_limit_rad_s", "learning_rate", "shape_weight",
+                   "f_threshold", "max_iters"},
+    "noise": {"kind", "gamma"},
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -106,10 +119,18 @@ def _load_run_config(args) -> dict:
 def _build_run(cfg: dict):
     """Validate a run configuration and return the run as a call with no arguments.
 
-    Every ConfigError is raised here, before any training starts.  The run
-    returns (record, GRAPE record or None), with `cfg` in the record's context.
+    Every ConfigError is raised here, before any training starts; a key
+    outside RUN_CONFIG_KEYS is one.  The run returns (record, GRAPE record or
+    None), with `cfg` in the record's context.
     """
     try:
+        if not isinstance(cfg, dict):
+            raise TypeError("expected a JSON object")
+        for block, known in RUN_CONFIG_KEYS.items():
+            entries = cfg if block is None else cfg.get(block)
+            if isinstance(entries, dict) and not entries.keys() <= known:
+                unknown = min(entries.keys() - known)
+                raise ValueError(f"unknown {block or 'top-level'} key {unknown!r}")
         system = load_system(cfg["system"])
         obj_cfg = cfg["objective"]
         objective = named_target(
@@ -173,12 +194,12 @@ def _build_run(cfg: dict):
     def run() -> tuple[RunRecord, GrapeRecord | None]:
         grape_record = None
         if ws_cfg:
-            fitted, grape_record = grape_warm_start(
-                system, ws_objective, sizes, amp_scale, duration, grape_cfg, seed=opt.seed
-            )
+            # solve segment-wise, regress params0 (input gain 1) onto that
+            # pulse, and fine-tune the network from there
+            table, grape_record = grape_train(system, ws_objective, duration, grape_cfg)
             if not grape_record.converged:
                 print("warm start did not converge; continuing anyway", file=sys.stderr)
-            record = train(fitted, system, objective, opt)
+            record = train(fit_network_to_table(params0, table), system, objective, opt)
         elif n_starts > 1:
             record = multi_start(system, objective, sizes, amp_scale, duration, opt, n_starts,
                                  input_gain=input_gain)

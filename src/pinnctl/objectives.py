@@ -36,6 +36,9 @@ from .propagation import (
 )
 from .spins import NoiseModel, SpinSystem, control_operator_stack, system_operators
 
+# trajectory shaping penalizes the checkpoints in this mid-sequence window (fractions of T)
+SHAPE_WINDOW = (0.25, 0.75)
+
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
@@ -47,12 +50,11 @@ class ObjectiveSpec:
     normalization: str = "normalized"  # "raw" | "normalized"
     noise: NoiseModel | None = None
     # Optional trajectory shaping: penalize the mean squared expectation value
-    # of the given observables over the mid-sequence window (fractions of T),
-    # steering the optimizer toward solutions that park the state in
-    # coherences rather than basis populations while in transit.
+    # of the given observables over the mid-sequence SHAPE_WINDOW, steering
+    # the optimizer toward solutions that park the state in coherences rather
+    # than basis populations while in transit.
     shape_weight: float = 0.0
     shape_observables: tuple | None = None
-    shape_window: tuple = (0.25, 0.75)
     # raw fidelity -> objective value factor, set from the fields above
     norm_factor: float = field(init=False, repr=False, compare=False)
 
@@ -70,9 +72,6 @@ class ObjectiveSpec:
                 raise ValueError("trajectory shaping is not supported with dissipative evolution")
             if not self.shape_observables:
                 raise ValueError("shape_weight > 0 requires shape_observables")
-            lo, hi = self.shape_window
-            if not (0.0 <= lo < hi <= 1.0):
-                raise ValueError("shape_window must satisfy 0 <= lo < hi <= 1")
             for o in self.shape_observables:
                 if np.linalg.norm(o - o.conj().T) > 1e-10:
                     raise ValueError("shape observables must be Hermitian")
@@ -155,19 +154,19 @@ def _phase_divided_differences(evals: np.ndarray, dt: float) -> np.ndarray:
     return -1j * dt * mid * np.sinc((lam_a - lam_b) * dt / (2.0 * np.pi))
 
 
-def _shape_window_checkpoints(n_segments: int, window: tuple) -> list[int]:
-    """Segment boundaries k (state after k segments) whose time k/n lies in the window."""
-    lo, hi = window
+def _shape_window_checkpoints(n_segments: int) -> list[int]:
+    """Segment boundaries k (state after k segments) whose time k/n lies in SHAPE_WINDOW."""
+    lo, hi = SHAPE_WINDOW
     ks = [k for k in range(1, n_segments + 1) if lo <= k / n_segments <= hi]
     if not ks:
         raise ValueError("shape window contains no segment boundaries at this resolution")
     return ks
 
 
-def _shape_expectations(pre: np.ndarray, rho_i: np.ndarray, observables, window: tuple):
+def _shape_expectations(pre: np.ndarray, rho_i: np.ndarray, observables):
     """Checkpoints k, observables O_b (B, d, d) and expectations e_kb = Tr(O_b rho_k),
     rho_k = P_k rho_i P_k^dag, at the mid-window checkpoints."""
-    ks = np.array(_shape_window_checkpoints(len(pre) - 1, window))
+    ks = np.array(_shape_window_checkpoints(len(pre) - 1))
     obs = np.stack([np.asarray(o, dtype=complex) for o in observables])
     d = rho_i.shape[0]
     p_k = pre[ks]
@@ -177,19 +176,14 @@ def _shape_expectations(pre: np.ndarray, rho_i: np.ndarray, observables, window:
     return ks, obs, e
 
 
-def _shape_cotangent(
-    pre: np.ndarray,
-    rho_i: np.ndarray,
-    observables,
-    window: tuple,
-) -> tuple[float, np.ndarray]:
+def _shape_cotangent(pre: np.ndarray, rho_i: np.ndarray, observables) -> tuple[float, np.ndarray]:
     """Penalty P = mean_k mean_b Tr(O_b rho_k)^2 over mid-window checkpoints,
     and its cotangent C with dP = 2 Re sum_s Tr(C_s dU_s).
 
     With W_k = dP/drho_k = 2/(KB) sum_b e_kb O_b, C_j = P_j rho_i S_{j+1} P_{j+1}^dag,
     where S_m is the sum of P_k^dag W_k P_k over the checkpoints k >= m.
     """
-    ks, obs, e = _shape_expectations(pre, rho_i, observables, window)
+    ks, obs, e = _shape_expectations(pre, rho_i, observables)
     n, d = len(pre) - 1, rho_i.shape[0]
     w_k = (2.0 / e.size) * (e @ obs.reshape(len(obs), d * d)).reshape(len(ks), d, d)
     terms = np.zeros((n + 1, d, d), dtype=complex)
@@ -228,9 +222,7 @@ def _unitary_pulse_gradient(
     pre_h = pre.conj().transpose(0, 2, 1)
     cot = np.matmul(np.matmul(pre[:-1], k_total), pre_h[1:])
     if objective.shape_weight > 0.0:
-        pen, pen_cot = _shape_cotangent(
-            pre, objective.initial, objective.shape_observables, objective.shape_window
-        )
+        pen, pen_cot = _shape_cotangent(pre, objective.initial, objective.shape_observables)
         # the caller rescales value and gradient by the fidelity
         # normalization; divide the penalty out here so the combined
         # result is exactly F_normalized - weight * P and its gradient
@@ -373,17 +365,13 @@ def evaluate_fidelity(
     objective: ObjectiveSpec,
     *,
     n_fine: int | None = None,
-    substep_tol: float = DEFAULT_SUBSTEP_TOL,
 ) -> float:
     """Propagate a pulse (table or network) and score it against the objective."""
     if objective.kind == "gate":
         res = propagate_unitary(system, pulse, n_fine=n_fine)
         return gate_fidelity(res.final, objective.target, objective.normalization)
     if objective.noise is not None and objective.noise.gamma > 0:
-        res = propagate_lindblad(
-            system, pulse, objective.initial, objective.noise,
-            n_fine=n_fine, substep_tol=substep_tol,
-        )
+        res = propagate_lindblad(system, pulse, objective.initial, objective.noise, n_fine=n_fine)
     else:
         res = propagate_density(system, pulse, objective.initial, n_fine=n_fine)
     return state_fidelity(res.final, objective.target, objective.initial, objective.normalization)

@@ -28,6 +28,12 @@ from .propagation import DEFAULT_N_FINE, DEFAULT_SUBSTEP_TOL, _workspace
 from .spins import SpinSystem
 
 DIVERGENCE_WINDOW = 100
+# Adam moment decay rates and denominator guard (the standard values)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# step size of the least-squares table fit
+FIT_LEARNING_RATE = 1e-2
 
 
 class DivergenceError(RuntimeError):
@@ -41,12 +47,9 @@ def _require_count(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class AscentConfig:
-    """Settings of one Adam ascent: step size, moments, stopping and logging."""
+    """Settings of one Adam ascent: step size, stopping and logging."""
 
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     f_threshold: float = 0.99
     max_iters: int = 20000
     seed: int = 0
@@ -92,12 +95,13 @@ class AdamState:
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         return [flat[part].reshape(shape) for part, shape in self._layout]
 
-    def update(self, grads: list[np.ndarray], lr: float, b1: float, b2: float, eps: float):
+    def update(self, grads: list[np.ndarray], lr: float):
         """Return the parameter increments for one ascent step along `grads`.
 
         The moments are kept for the descent gradient -grads: the sign is taken
         once, on the concatenated vector.
         """
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         self.step += 1
         g = np.concatenate(grads, axis=None)
         np.negative(g, out=g)
@@ -108,7 +112,7 @@ class AdamState:
         self._v += (1 - b2) * g * g
         m_hat = self._m / (1 - b1**self.step)
         v_hat = self._v / (1 - b2**self.step)
-        return self._views(-lr * m_hat / (np.sqrt(v_hat) + eps))
+        return self._views(-lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
 @dataclass
@@ -156,8 +160,7 @@ def ascend(score, arrays: list[np.ndarray], config: AscentConfig, *, project=Non
     it = 0
     while not converged and it < config.max_iters:
         it += 1
-        deltas = state.update(grads, config.learning_rate,
-                              config.adam_beta1, config.adam_beta2, config.adam_eps)
+        deltas = state.update(grads, config.learning_rate)
         arrays = [a + d for a, d in zip(arrays, deltas)]
         if project is not None:
             arrays = project(arrays)
@@ -218,7 +221,6 @@ def fit_network_to_table(
     table: PulseTable,
     *,
     n_samples: int = 256,
-    learning_rate: float = 1e-2,
     n_iters: int = 12000,
 ) -> NetworkParams:
     """Least-squares fit of the network to a piecewise-constant pulse.
@@ -248,7 +250,7 @@ def fit_network_to_table(
         return -float(np.vdot(err, err)) / err.size, [*gw, *gb]
 
     # -MSE <= 0 never reaches a threshold in (0, 1]: exactly n_iters updates
-    config = AscentConfig(learning_rate=learning_rate, f_threshold=1.0, max_iters=n_iters,
+    config = AscentConfig(learning_rate=FIT_LEARNING_RATE, f_threshold=1.0, max_iters=n_iters,
                           log_every=n_iters)
     arrays = ascend(score, [*params0.weights, *params0.biases], config)[0]
     return _with_arrays(params0, arrays)

@@ -151,29 +151,18 @@ def _ordered_product(maps: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _SegmentMaps:
-    """The maps of n segments, built when sliced: self[a:b] is build(slice(a, b))."""
+def _sweep_segments(
+    n: int, build: Callable[[slice], np.ndarray], x: np.ndarray, sample_times,
+    duration: float, read,
+):
+    """Apply the maps of n segments to x in order.  Returns the final x and,
+    when sample_times is given, one row (t, read(x)) per sample time, in the
+    order given, with x taken at the segment boundary nearest to t.
 
-    n: int
-    build: Callable[[slice], np.ndarray]
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return self.build(rows)
-
-
-def _sweep_segments(maps, x: np.ndarray, sample_times, duration: float, read):
-    """Apply the segment maps to x in order.  Returns the final x and, when
-    sample_times is given, one row (t, read(x)) per sample time, in the order
-    given, with x taken at the segment boundary nearest to t.
-
-    maps is the (N, d, d) stack or a ``_SegmentMaps``; either is sliced one
-    chunk of at most _CHUNK segments at a time, and each chunk is folded into
-    x before the next is sliced, so only one chunk of maps is alive at once."""
-    n = len(maps)
+    build(rows) returns the stacked maps of the segments in the slice rows; it
+    is called for one chunk of at most _CHUNK segments at a time, and each
+    chunk is folded into x before the next is built, so only one chunk of
+    maps is alive at once."""
     if sample_times is None:
         snap = []
     else:
@@ -185,7 +174,7 @@ def _sweep_segments(maps, x: np.ndarray, sample_times, duration: float, read):
     for stop in sorted(wanted | {*range(_CHUNK, n, _CHUNK), n}):
         if stop > start:
             if start % _CHUNK == 0:
-                lo, chunk = start, maps[start : start + _CHUNK]
+                lo, chunk = start, build(slice(start, start + _CHUNK))
             x = _ordered_product(chunk[start - lo : stop - lo]) @ x
         if stop in wanted:
             states[stop] = read(x)
@@ -204,7 +193,7 @@ def propagate_unitary(
         return segment_unitaries(segment_hamiltonians(system, table, rows), table.dt)[2]
 
     acc, traj = _sweep_segments(
-        _SegmentMaps(table.n_segments, units), np.eye(system.dimension, dtype=complex),
+        table.n_segments, units, np.eye(system.dimension, dtype=complex),
         sample_times, table.duration, np.copy,
     )
     return EvolutionResult(final=acc, trajectory=traj)
@@ -335,12 +324,12 @@ def propagate_lindblad(
     *,
     n_fine: int | None = None,
     sample_times=None,
-    substep_tol: float = DEFAULT_SUBSTEP_TOL,
 ) -> EvolutionResult:
-    """Integrate the master equation with collapse rate gamma*||H0||."""
+    """Integrate the master equation with collapse rate gamma*||H0||, at the
+    substep count of DEFAULT_SUBSTEP_TOL."""
     _hermitian_check(rho0)
     table = _as_pulse(system, pulse, n_fine)
-    m_sub = lindblad_substeps(system, table, noise, substep_tol)
+    m_sub = lindblad_substeps(system, table, noise, DEFAULT_SUBSTEP_TOL)
     ops = system_operators(system)
 
     def maps(rows: slice) -> np.ndarray:
@@ -348,7 +337,7 @@ def propagate_lindblad(
 
     with _workspace():  # one chunk's buffers, reused by the next chunk
         x, traj = _sweep_segments(
-            _SegmentMaps(table.n_segments, maps), ops.coordinates(rho0),
-            sample_times, table.duration, ops.density,
+            table.n_segments, maps, ops.coordinates(rho0), sample_times, table.duration,
+            ops.density,
         )
     return EvolutionResult(final=ops.density(x), trajectory=traj)

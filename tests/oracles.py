@@ -55,9 +55,7 @@ def shape_penalty(
     h_batch = segment_hamiltonians(system, table)
     _, _, units = segment_unitaries(h_batch, table.dt)
     pre = prefix_products(units)
-    _, _, e = _shape_expectations(
-        pre, objective.initial, objective.shape_observables, objective.shape_window
-    )
+    _, _, e = _shape_expectations(pre, objective.initial, objective.shape_observables)
     return float(np.mean(e**2))
 
 

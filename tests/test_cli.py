@@ -155,6 +155,39 @@ class TestFft:
         assert err == f"error: pulse CSV line {line} has {fields} fields, expected 3\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("times, line", [
+        ((0.0005, 0.01, 0.03), 3),
+        ((0.0, 0.001, 0.002), 2),
+        ((-0.0005, -0.0015, -0.0025), 2),
+        ((0.0005, 0.0015, 0.0015), 4),
+        ((0.0005, 0.0015, float("nan")), 4),
+    ], ids=["uneven", "starts-at-zero", "negative", "repeated", "nan"])
+    def test_time_off_the_midpoint_grid_is_one_line_error(self, tmp_path, capsys, times, line):
+        pulse, out = tmp_path / "pulse.csv", tmp_path / "spec.csv"
+        pulse.write_text("t_s,u1x_rad_s,u1y_rad_s\n"
+                         + "".join(f"{t!r},1.0,2.0\n" for t in times))
+        assert main(["fft", str(pulse), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: pulse CSV line {line}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["x,1.0,2.0", "0.0005,1.0,two"], ids=["time", "amplitude"])
+    def test_non_numeric_field_is_one_line_error(self, tmp_path, capsys, row):
+        pulse, out = tmp_path / "pulse.csv", tmp_path / "spec.csv"
+        pulse.write_text(f"t_s,u1x_rad_s,u1y_rad_s\n{row}\n")
+        assert main(["fft", str(pulse), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pulse CSV line 2: could not convert") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_hand_written_midpoints_are_read(self, tmp_path, capsys):
+        # 1 ms segments written as short decimals, one ms-long cosine period
+        pulse, out = tmp_path / "pulse.csv", tmp_path / "spec.csv"
+        pulse.write_text("t_s,u1x_rad_s,u1y_rad_s\n0.0005,1,0\n0.0015,0,1\n"
+                         "0.0025,-1,0\n0.0035,0,-1\n")
+        assert main(["fft", str(pulse), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "99% energy bandwidth per channel: 500.0 Hz\n"
+
 
 class TestTrajectory:
     def test_singlet_triplet(self, tcp_params, tmp_path):
@@ -333,6 +366,13 @@ class TestSynthesize:
         ("network", {"duration_s": -1}),
         (None, {"n_starts": 2}),
         ("warm_start", {"amp_limit_rad_s": 1e5}),
+        # misspelt keys
+        ("warm_start", {"n_segment": 8}),
+        ("network", {"amp_scale": 100.0}),
+        ("objective", {"shape_wieght": 1.0}),
+        (None, {"n_start": 1}),
+        ("noise", {"gama": 0.02}),
+        ("optimizer", {"learning_rte": 0.1}),
     ])
     def test_config_error_trains_nothing_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch, section, bad
@@ -340,7 +380,7 @@ class TestSynthesize:
         def no_training(*args, **kwargs):
             raise AssertionError("training ran before the configuration error")
 
-        for stage in ("train", "multi_start", "grape_warm_start"):
+        for stage in ("train", "multi_start", "grape_train", "fit_network_to_table"):
             monkeypatch.setattr(cli, stage, no_training)
         cfg = {
             "system": "defm",
@@ -349,13 +389,18 @@ class TestSynthesize:
             "optimizer": {"max_iters": 1, "n_fine": 16, "seed": 0},
             "warm_start": {"n_segments": 4, "max_iters": 2},
         }
-        (cfg if section is None else cfg[section]).update(bad)
+        (cfg if section is None else cfg.setdefault(section, {})).update(bad)
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "o"
         rc = main(["synthesize", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err.count("\n") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        key = next(iter(bad))
+        if key not in cli.RUN_CONFIG_KEYS[section]:
+            block = section or "top-level"
+            assert err == f"error: invalid run configuration: unknown {block} key {key!r}\n"
         assert not out.exists()
 
     def test_out_that_cannot_be_made_fails_before_training(self, tmp_path, capsys, monkeypatch):
@@ -421,6 +466,10 @@ class TestSynthesize:
         assert rc == 2
         assert err_at_train == ["warm start did not converge; continuing anyway\n"]
         assert capsys.readouterr().err == ""
+
+    def test_library_call_on_a_non_object_is_a_config_error(self):
+        with pytest.raises(cli.ConfigError, match="invalid run configuration"):
+            cli.synthesize([1, 2])
 
     @pytest.mark.parametrize("name", sorted(cli.RUN_PRESETS))
     def test_preset_validates_without_training(self, name):

@@ -1,7 +1,8 @@
 """The demos and the README stay in step with the package: every name they
 import from pinnctl exists, each demo compiles, each documented `pinnctl`
-command line parses, and every name the README's module map cites exists in
-its row's module.  Nothing here runs a demo or a command."""
+command line parses, every name the README's module map cites exists in
+its row's module, and the run-configuration paragraph names exactly the keys
+a run configuration accepts.  Nothing here runs a demo or a command."""
 
 import ast
 import importlib
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from pinnctl.cli import build_parser
+from pinnctl.cli import RUN_CONFIG_KEYS, build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -49,6 +50,13 @@ def module_map() -> list[tuple[str, list[str]]]:
         names = re.findall(r"`([A-Za-z_][\w.]*)(?:\([^`]*\))?`", text)
         rows.append((module, [name for name in names if name.split(".")[0] != "pinnctl"]))
     return rows
+
+
+def run_config_keys() -> set[str]:
+    """Backticked key names (`key` or `block.key`) of the README's paragraph on
+    the run configuration; quoted values and class names do not match."""
+    paragraph = README.read_text().split("Run configuration schema", 1)[1].split("\n\n", 1)[0]
+    return set(re.findall(r"`([a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)?)`", paragraph))
 
 
 SOURCES = {path.name: path.read_text() for path in DEMOS}
@@ -101,3 +109,9 @@ def test_module_map_names_resolve(module, names):
     missing = [n for n in names
                if not resolves(mod, n) and not any(resolves(cls, n) for cls in classes)]
     assert not missing
+
+
+def test_run_config_paragraph_names_every_accepted_key():
+    accepted = {key if block is None else f"{block}.{key}"
+                for block, keys in RUN_CONFIG_KEYS.items() for key in keys}
+    assert run_config_keys() == accepted

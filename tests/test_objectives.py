@@ -7,6 +7,7 @@ from dataclasses import replace
 
 from pinnctl.network import PulseTable, apply_update, init_params
 from pinnctl.objectives import (
+    SHAPE_WINDOW,
     ObjectiveSpec,
     evaluate_fidelity,
     gate_fidelity,
@@ -260,10 +261,10 @@ def reference_unitary_gradient(system, table, objective):
     return fid, 2 * np.real(np.einsum("nij,cji->nc", g_mat, ops))
 
 
-def loop_shape_cotangent(pre, units, rho_i, observables, window):
+def loop_shape_cotangent(pre, units, rho_i, observables):
     """The sequential shape-penalty cotangent: one backward step per segment."""
     n = len(units)
-    lo, hi = window
+    lo, hi = SHAPE_WINDOW
     ks = [k for k in range(1, n + 1) if lo <= k / n <= hi]
     obs = np.stack([np.asarray(o, dtype=complex) for o in observables])
     coeff = 2.0 / (len(ks) * len(obs))
@@ -314,7 +315,7 @@ class TestUnitaryGradientReference:
         table = PulseTable(0.05, np.random.default_rng(n).normal(0, 300, size=(n, 1, 2)))
         _, _, units = segment_unitaries(segment_hamiltonians(system, table), table.dt)
         pre = prefix_products(units)
-        args = (obj.initial, obj.shape_observables, obj.shape_window)
+        args = (obj.initial, obj.shape_observables)
         pen, cot = _shape_cotangent(pre, *args)
         ref_pen, ref_cot = loop_shape_cotangent(pre, units, *args)
         assert abs(pen - ref_pen) < 1e-12 * ref_pen
@@ -480,8 +481,6 @@ class TestTrajectoryShaping:
             replace(cnot_objective(), shape_weight=1.0)
         with pytest.raises(ValueError):
             replace(lls_objective(), shape_weight=1.0)  # no observables
-        with pytest.raises(ValueError):
-            replace(self.shaped(), shape_window=(0.75, 0.25))
         noise = noise_operators(PRESETS["tcp"], "local", 0.05)
         with pytest.raises(ValueError):
             replace(self.shaped(), noise=noise)
@@ -489,18 +488,23 @@ class TestTrajectoryShaping:
     def test_penalty_is_mean_squared_expectation(self):
         # the identity pulse leaves the thermal deviation invariant, so the
         # penalty equals the mean squared population of the initial state
-        p = zero_weight_params((1, 6, 2), 2 * np.pi * 60, 0.15)  # zero pulse
+        # drift is diagonal in the product basis but mixes T0/S0 populations;
+        # evaluate a 4 ms sequence, whose window ends while the drift phase is tiny
+        p = zero_weight_params((1, 6, 2), 2 * np.pi * 60, 0.004)  # zero pulse
         tcp = PRESETS["tcp"]
         obj = self.shaped()
         pops = [
             np.real(np.vdot(b, thermal_deviation() @ b))
             for b in singlet_triplet_basis()
         ]
-        # drift is diagonal in the product basis but mixes T0/S0 populations;
-        # evaluate on a short window where the drift phase is still tiny
-        obj_short = replace(obj, shape_window=(0.0, 0.02))
-        val = shape_penalty(tcp, p, obj_short, n_fine=256)
+        val = shape_penalty(tcp, p, obj, n_fine=256)
         assert np.isclose(val, np.mean(np.square(pops)), atol=1e-3)
+
+    def test_window_without_checkpoints_is_an_error(self):
+        # one segment: its only boundary, t = T, lies outside the mid-sequence window
+        p = init_params((1, 8, 2), 2 * np.pi * 60, 0.15, seed=3)
+        with pytest.raises(ValueError, match="no segment boundaries"):
+            loss_and_gradient(p, PRESETS["tcp"], self.shaped(), 1)
 
     def test_shaped_gradient_matches_finite_differences(self):
         tcp = PRESETS["tcp"]

@@ -44,7 +44,7 @@ class TestAdam:
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         m = v = 0.0
         for t in range(1, 4):
-            (delta,) = state.update([np.array([-2.0])], lr, b1, b2, eps)
+            (delta,) = state.update([np.array([-2.0])], lr)
             x += delta[0]
             m = b1 * m + (1 - b1) * 2.0
             v = b2 * v + (1 - b2) * 4.0
@@ -109,7 +109,7 @@ def quadratic(center):
 
 def hand_rolled_adam(score, x, config):
     """Every (iteration, value, gradient norm) of a plain Adam ascent, and the end point."""
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = 0.9, 0.999
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     value, (g,) = score([x])
@@ -119,7 +119,7 @@ def hand_rolled_adam(score, x, config):
             break
         m = b1 * m + (1 - b1) * -g
         v = b2 * v + (1 - b2) * g * g
-        step = (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + config.adam_eps)
+        step = (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + 1e-8)
         x = x - config.learning_rate * step
         value, (g,) = score([x])
         seen.append((t, value, float(np.sqrt(np.sum(g * g)))))

@@ -11,6 +11,7 @@ from pinnctl.network import PulseTable, init_params, sample_pulse
 from pinnctl.objectives import evaluate_fidelity
 from pinnctl.propagation import (
     _CHUNK,
+    DEFAULT_SUBSTEP_TOL,
     _ordered_product,
     _sweep_segments,
     lindblad_substeps,
@@ -158,7 +159,9 @@ class TestProductTree:
         hs = [random_hermitian(rng, 4, 3.0) for _ in range(n)]
         units = np.stack([expm_hermitian(h, 1.0) for h in hs])
         times = self.sample_times(n, 0.02)
-        final, traj = _sweep_segments(units, np.eye(4, dtype=complex), times, 0.02, np.copy)
+        final, traj = _sweep_segments(
+            len(units), units.__getitem__, np.eye(4, dtype=complex), times, 0.02, np.copy
+        )
         ref_final, ref_rows = loop_sweep(units, np.eye(4, dtype=complex), times, 0.02)
         assert np.max(np.abs(final - ref_final)) <= 1e-13
         assert [t for t, _ in traj] == times
@@ -173,7 +176,7 @@ class TestProductTree:
         rho0 = np.eye(4) / 4 + 0.1 * thermal_deviation()
         x0 = ops.coordinates(rho0)
         times = self.sample_times(n, 0.05)
-        final, traj = _sweep_segments(maps, x0, times, 0.05, np.copy)
+        final, traj = _sweep_segments(len(maps), maps.__getitem__, x0, times, 0.05, np.copy)
         ref_final, ref_rows = loop_sweep(maps, x0, times, 0.05)
         assert np.max(np.abs(final - ref_final)) <= 1e-13
         for (_, row), ref in zip(traj, ref_rows):
@@ -420,8 +423,8 @@ class TestLindbladRealBasis:
         noise = noise_operators(system, kind, 0.05)
         table = PulseTable(0.02, np.random.default_rng(3).normal(0, 300, size=(16, 1, 2)))
         rho0 = np.eye(4) / 4 + 0.1 * thermal_deviation()
-        res = propagate_lindblad(system, table, rho0, noise, substep_tol=0.05)
-        substeps = lindblad_substeps(system, table, noise, 0.05)
+        res = propagate_lindblad(system, table, rho0, noise)
+        substeps = lindblad_substeps(system, table, noise, DEFAULT_SUBSTEP_TOL)
         ref = reference_lindblad(system, table, noise, rho0, substeps)
         assert np.linalg.norm(res.final - ref) < 1e-12 * np.linalg.norm(ref)
         assert np.array_equal(res.final, res.final.conj().T)
