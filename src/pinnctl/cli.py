@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, fileio
-from .grape import GrapeConfig, GrapeRecord, grape_train
+from .grape import GrapeConfig, grape_train
 from .network import init_params, load_params, sample_pulse, save_params
 from .optimizer import (
     OptimizerConfig, RunRecord, _require_count, fit_network_to_table, multi_start,
@@ -29,7 +29,7 @@ DEFAULT_AMP_SCALE = 2.0 * np.pi * 1000.0  # rad/s
 RUN_PRESETS = {
     "defm-cnot": {
         "system": "defm",
-        "objective": {"target": "cnot:0,1", "normalization": "normalized"},
+        "objective": {"target": "cnot:0,1"},
         "network": {
             "layer_sizes": [1, 40, 40, 4],
             # output scale well below the 2*pi*1000 hardware bound: the gate
@@ -54,7 +54,7 @@ RUN_PRESETS = {
         "system": "tcp",
         # shape_weight steers the transfer route through coherences rather
         # than mid-sequence populations (the published trajectory shape)
-        "objective": {"target": "lls", "normalization": "normalized", "shape_weight": 1.0},
+        "objective": {"target": "lls", "shape_weight": 1.0},
         "network": {
             "layer_sizes": [1, 60, 60, 60, 2],
             "amp_scale_rad_s": 2.0 * np.pi * 60.0,
@@ -87,7 +87,7 @@ RUN_PRESETS = {
 # The keys _build_run reads, per block of a run configuration (None: the top level).
 RUN_CONFIG_KEYS = {
     None: {"system", "objective", "network", "optimizer", "warm_start", "noise", "n_starts"},
-    "objective": {"target", "normalization", "shape_weight"},
+    "objective": {"target", "shape_weight"},
     "network": {"layer_sizes", "amp_scale_rad_s", "input_gain", "duration_s"},
     "optimizer": {f.name for f in fields(OptimizerConfig)},
     "warm_start": {"n_segments", "amp_limit_rad_s", "learning_rate", "shape_weight",
@@ -120,8 +120,8 @@ def _build_run(cfg: dict):
     """Validate a run configuration and return the run as a call with no arguments.
 
     Every ConfigError is raised here, before any training starts; a key
-    outside RUN_CONFIG_KEYS is one.  The run returns (record, GRAPE record or
-    None), with `cfg` in the record's context.
+    outside RUN_CONFIG_KEYS is one.  The run returns (record, GRAPE run
+    record or None), with `cfg` in the record's context.
     """
     try:
         if not isinstance(cfg, dict):
@@ -136,8 +136,6 @@ def _build_run(cfg: dict):
         objective = named_target(
             obj_cfg["target"], shape_weight=float(obj_cfg.get("shape_weight", 0.0))
         )
-        if obj_cfg.get("normalization", "normalized") != objective.normalization:
-            objective = dc_replace(objective, normalization=obj_cfg["normalization"])
         net = cfg["network"]
         sizes = [int(s) for s in net["layer_sizes"]]
         amp_scale = float(net.get("amp_scale_rad_s", DEFAULT_AMP_SCALE))
@@ -191,7 +189,7 @@ def _build_run(cfg: dict):
         if input_gain != 1.0:
             raise ConfigError("a warm_start run does not apply network.input_gain; leave it at 1")
 
-    def run() -> tuple[RunRecord, GrapeRecord | None]:
+    def run() -> tuple[RunRecord, RunRecord | None]:
         grape_record = None
         if ws_cfg:
             # solve segment-wise, regress params0 (input gain 1) onto that
@@ -211,7 +209,7 @@ def _build_run(cfg: dict):
     return run
 
 
-def synthesize(cfg: dict) -> tuple[RunRecord, GrapeRecord | None]:
+def synthesize(cfg: dict) -> tuple[RunRecord, RunRecord | None]:
     """Run a training recipe: a RUN_PRESETS entry, or the same schema read from JSON.
 
     The whole configuration is validated first (ConfigError).  A warm_start
@@ -220,7 +218,7 @@ def synthesize(cfg: dict) -> tuple[RunRecord, GrapeRecord | None]:
     stops at the first that converges, and one start trains from init_params.
     A warm start that misses its threshold is reported on stderr before the
     fine-tune starts.  Returns the run record, whose context holds `cfg`, and
-    the warm start's GRAPE record or None.
+    the warm start's GRAPE run record or None.
     """
     return _build_run(cfg)()
 

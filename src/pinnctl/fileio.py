@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,8 @@ def write_pulse_csv(table: PulseTable, path) -> None:
 
 def read_pulse_csv(path) -> PulseTable:
     """Read a pulse CSV.  Row k's t_s must be the midpoint (k + 0.5) dt, with
-    dt = 2 t_0 > 0, to a relative 1e-6 (room for rounded decimals)."""
+    dt = 2 t_0 > 0, to a relative 1e-6 (room for rounded decimals), and every
+    amplitude must be finite."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])  # an empty file fails the header check
@@ -62,6 +64,8 @@ def read_pulse_csv(path) -> PulseTable:
                 t, *amps = (float(x) for x in row)
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
+            if not all(math.isfinite(a) for a in amps):
+                raise ValueError(f"{where}: non-finite amplitude in {row!r}")
             if not rows:
                 dt = 2.0 * t  # the first midpoint is dt/2
                 if not dt > 0:

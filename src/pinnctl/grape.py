@@ -7,14 +7,13 @@ optimization variables are the table entries themselves.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import PulseTable
 from .objectives import ObjectiveSpec, pulse_table_gradient
-from .optimizer import AscentConfig, _require_count, ascend
+from .optimizer import AscentConfig, RunRecord, _require_count, ascend
 from .spins import SpinSystem
 
 
@@ -33,27 +32,15 @@ class GrapeConfig(AscentConfig):
             raise ValueError("amp_limit must be positive")
 
 
-@dataclass
-class GrapeRecord:
-    iterations: list[tuple[int, float, float]]
-    converged: bool
-    config: GrapeConfig
-    wall_time_s: float = 0.0
-
-    @property
-    def final_fidelity(self) -> float:
-        return self.iterations[-1][1]
-
-
 def grape_train(
     system: SpinSystem,
     objective: ObjectiveSpec,
     duration: float,
     config: GrapeConfig,
-) -> tuple[PulseTable, GrapeRecord]:
+) -> tuple[PulseTable, RunRecord]:
     """Optimize an n_segments x 2M amplitude table with exact gradients, clipped
-    to +-amp_limit after every update, from a seeded N(0, 0.05 amp_limit) draw."""
-    t0 = time.monotonic()
+    to +-amp_limit after every update, from a seeded N(0, 0.05 amp_limit) draw.
+    Returns the table and the ascent's run record."""
     n, m2 = config.n_segments, 2 * system.n_channels
     amps = np.random.default_rng(config.seed).normal(0.0, 0.05 * config.amp_limit, size=(n, m2))
 
@@ -65,6 +52,5 @@ def grape_train(
     def clip(arrays):
         return [np.clip(arrays[0], -config.amp_limit, config.amp_limit)]
 
-    (amps,), rows, converged = ascend(score, [amps], config, project=clip)
-    table = PulseTable(duration, amps.reshape(n, -1, 2))
-    return table, GrapeRecord(rows, converged, config, time.monotonic() - t0)
+    (amps,), record = ascend(score, [amps], config, project=clip)
+    return PulseTable(duration, amps.reshape(n, -1, 2)), record

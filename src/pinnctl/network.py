@@ -37,10 +37,11 @@ class NetworkParams:
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (sizes[l], sizes[l + 1]) or b.shape != (sizes[l + 1],):
                 raise ValueError(f"layer {l} shape mismatch: {w.shape}, {b.shape}")
-        if not self.amp_scale > 0:
-            raise ValueError("amp_scale must be positive")
-        if not self.time_scale > 0:
-            raise ValueError("time_scale must be positive")
+        # scalars only: this runs on every update of a training run
+        if not 0 < self.amp_scale < np.inf:  # NaN-safe
+            raise ValueError(f"amp_scale must be positive and finite, got {self.amp_scale!r}")
+        if not 0 < self.time_scale < np.inf:
+            raise ValueError(f"time_scale must be positive and finite, got {self.time_scale!r}")
 
     @property
     def n_channels(self) -> int:
@@ -96,8 +97,8 @@ def init_params(
     unchanged).
     """
     sizes = tuple(int(s) for s in layer_sizes)
-    if input_gain <= 0:
-        raise ValueError("input_gain must be positive")
+    if not 0 < input_gain < np.inf:  # NaN-safe
+        raise ValueError(f"input_gain must be positive and finite, got {input_gain!r}")
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -213,6 +214,8 @@ def params_from_dict(doc: dict) -> NetworkParams:
             for l in range(len(sizes) - 1)
         )
         biases = tuple(np.asarray(b, dtype=float) for b in doc["biases"])
+        if not all(np.all(np.isfinite(a)) for a in weights + biases):
+            raise ValueError("non-finite weight or bias")
         return NetworkParams(
             layer_sizes=sizes,
             weights=weights,

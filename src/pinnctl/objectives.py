@@ -47,7 +47,6 @@ class ObjectiveSpec:
     kind: str  # "gate" | "state"
     target: np.ndarray
     initial: np.ndarray | None = None
-    normalization: str = "normalized"  # "raw" | "normalized"
     noise: NoiseModel | None = None
     # Optional trajectory shaping: penalize the mean squared expectation value
     # of the given observables over the mid-sequence SHAPE_WINDOW, steering
@@ -55,16 +54,14 @@ class ObjectiveSpec:
     # than basis populations while in transit.
     shape_weight: float = 0.0
     shape_observables: tuple | None = None
-    # raw fidelity -> objective value factor, set from the fields above
+    # overlap -> normalized fidelity (1/d^2 or 1/transfer bound), set from the fields above
     norm_factor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("gate", "state"):
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.normalization not in ("raw", "normalized"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-        if self.shape_weight < 0:
-            raise ValueError("shape_weight must be >= 0")
+        if not 0 <= self.shape_weight < np.inf:  # NaN-safe
+            raise ValueError(f"shape_weight must be finite and >= 0, got {self.shape_weight!r}")
         if self.shape_weight > 0:
             if self.kind != "state":
                 raise ValueError("trajectory shaping applies to state objectives only")
@@ -88,29 +85,20 @@ class ObjectiveSpec:
                 raise ValueError("state objectives require an initial state")
             if np.linalg.norm(self.initial - self.initial.conj().T) > 1e-10:
                 raise ValueError("initial state must be Hermitian")
-        if self.normalization == "raw":
-            factor = 1.0
-        elif self.kind == "gate":
+        if self.kind == "gate":
             factor = 1.0 / d**2
         else:
-            bound = transfer_bound(self.target, self.initial)
-            if abs(bound) < 1e-14:
-                raise ValueError("degenerate target/initial pair: transfer bound is zero")
-            factor = 1.0 / bound
+            factor = 1.0 / _checked_transfer_bound(self.target, self.initial)
         object.__setattr__(self, "norm_factor", factor)
 
 
-def gate_fidelity(u_final: np.ndarray, target: np.ndarray, normalization: str = "normalized") -> float:
-    """|Tr(U_t^dag U)|^2, optionally divided by d^2 so the optimum is 1."""
+def gate_fidelity(u_final: np.ndarray, target: np.ndarray) -> float:
+    """|Tr(U_t^dag U)|^2 / d^2, so the optimum is 1."""
     if u_final.shape != target.shape:
         raise ValueError("dimension mismatch")
     d = target.shape[0]
-    raw = abs(np.trace(target.conj().T @ u_final)) ** 2
-    if normalization == "raw":
-        return float(raw)
-    if normalization == "normalized":
-        return float(raw / d**2)
-    raise ValueError(f"unknown normalization {normalization!r}")
+    overlap = abs(np.trace(target.conj().T @ u_final)) ** 2
+    return float(overlap / d**2)
 
 
 def transfer_bound(target: np.ndarray, initial: np.ndarray) -> float:
@@ -120,26 +108,19 @@ def transfer_bound(target: np.ndarray, initial: np.ndarray) -> float:
     return float(np.dot(et, ei))
 
 
-def state_fidelity(
-    rho_final: np.ndarray,
-    target: np.ndarray,
-    initial: np.ndarray | None = None,
-    normalization: str = "normalized",
-) -> float:
-    """Tr(rho_t rho(T)), optionally divided by the unitary transfer bound."""
+def _checked_transfer_bound(target: np.ndarray, initial: np.ndarray) -> float:
+    bound = transfer_bound(target, initial)
+    if abs(bound) < 1e-14:
+        raise ValueError("degenerate target/initial pair: transfer bound is zero")
+    return bound
+
+
+def state_fidelity(rho_final: np.ndarray, target: np.ndarray, initial: np.ndarray) -> float:
+    """Tr(rho_t rho(T)) divided by the unitary transfer bound from the initial state."""
     if rho_final.shape != target.shape:
         raise ValueError("dimension mismatch")
-    raw = float(np.real(np.trace(target @ rho_final)))
-    if normalization == "raw":
-        return raw
-    if normalization == "normalized":
-        if initial is None:
-            raise ValueError("normalized state fidelity requires the initial state")
-        bound = transfer_bound(target, initial)
-        if abs(bound) < 1e-14:
-            raise ValueError("degenerate target/initial pair: transfer bound is zero")
-        return raw / bound
-    raise ValueError(f"unknown normalization {normalization!r}")
+    overlap = float(np.real(np.trace(target @ rho_final)))
+    return overlap / _checked_transfer_bound(target, initial)
 
 
 def _phase_divided_differences(evals: np.ndarray, dt: float) -> np.ndarray:
@@ -197,7 +178,7 @@ def _shape_cotangent(pre: np.ndarray, rho_i: np.ndarray, observables) -> tuple[f
 def _unitary_pulse_gradient(
     system: SpinSystem, table: PulseTable, objective: ObjectiveSpec
 ) -> tuple[float, np.ndarray]:
-    """Raw fidelity and its gradient w.r.t. the amplitude table (N, 2M).
+    """Unnormalized overlap and its gradient w.r.t. the amplitude table (N, 2M).
 
     The product after segment s is U(T) P_{s+1}^dag, so every cotangent
     C_s = P_s K U(T) P_{s+1}^dag comes from the prefix products alone.
@@ -211,23 +192,23 @@ def _unitary_pulse_gradient(
     if objective.kind == "gate":
         utd = objective.target.conj().T
         z = np.trace(utd @ u_total)
-        raw = float(abs(z) ** 2)
+        overlap = float(abs(z) ** 2)
         # dF = 2 Re Tr(C_s dU_s) with K = conj(z) U_t^dag
         k_total = np.conj(z) * utd @ u_total
     else:
         rho_t = objective.target
         rho_i = objective.initial
-        raw = float(np.real(np.trace(rho_t @ u_total @ rho_i @ u_total.conj().T)))
+        overlap = float(np.real(np.trace(rho_t @ u_total @ rho_i @ u_total.conj().T)))
         k_total = rho_i @ u_total.conj().T @ rho_t @ u_total
     pre_h = pre.conj().transpose(0, 2, 1)
     cot = np.matmul(np.matmul(pre[:-1], k_total), pre_h[1:])
     if objective.shape_weight > 0.0:
         pen, pen_cot = _shape_cotangent(pre, objective.initial, objective.shape_observables)
-        # the caller rescales value and gradient by the fidelity
-        # normalization; divide the penalty out here so the combined
-        # result is exactly F_normalized - weight * P and its gradient
+        # the caller rescales value and gradient by norm_factor; divide the
+        # penalty out here so the combined result is exactly
+        # F_normalized - weight * P and its gradient
         ratio = objective.shape_weight / objective.norm_factor
-        raw = raw - ratio * pen
+        overlap = overlap - ratio * pen
         cot = cot - ratio * pen_cot
 
     # Daleckii-Krein: dF/du_c = 2 Re Tr(G O_c), G = V ((V^dag C V) o F^T) V^dag
@@ -239,7 +220,7 @@ def _unitary_pulse_gradient(
     n, d = g_mat.shape[:2]
     ops_t = ops.transpose(0, 2, 1).reshape(len(ops), d * d)
     du = 2.0 * np.real(g_mat.reshape(n, d * d) @ ops_t.T)
-    return raw, du
+    return overlap, du
 
 
 def _lindblad_pulse_gradient(
@@ -248,7 +229,7 @@ def _lindblad_pulse_gradient(
     objective: ObjectiveSpec,
     substeps: int,
 ) -> tuple[float, np.ndarray]:
-    """Raw fidelity and amplitude-table gradient for the dissipative path."""
+    """Unnormalized overlap and amplitude-table gradient for the dissipative path."""
     ops = system_operators(system)
     lv, r_mats, maps = segment_lindblad_maps(system, objective.noise, table, substeps)
     n, dd, _ = lv.shape
@@ -262,7 +243,7 @@ def _lindblad_pulse_gradient(
         alphas[s, :, 0] = x
         x = maps[s] @ x
     y = ops.coordinates(objective.target)
-    raw = float(y @ x)
+    overlap = float(y @ x)
     for s in range(n - 1, -1, -1):
         betas[s, :, -1] = y
         y = y @ maps[s]
@@ -290,7 +271,7 @@ def _lindblad_pulse_gradient(
 
     # dF/du_c = Tr(G_c W)
     du = np.tensordot(w_mat, ops.control_generators, axes=([1, 2], [2, 1]))
-    return raw, du
+    return overlap, du
 
 
 def pulse_table_gradient(
@@ -304,18 +285,18 @@ def pulse_table_gradient(
     """Objective value and its exact gradient w.r.t. the amplitude table,
     shape (n_segments, 2M).
 
-    The value is the fidelity (per objective normalization) minus
-    shape_weight times the trajectory penalty when shaping is enabled, so
-    thresholding the value guarantees at least that fidelity."""
+    The value is the normalized fidelity minus shape_weight times the
+    trajectory penalty when shaping is enabled, so thresholding the value
+    guarantees at least that fidelity."""
     if table.n_channels != system.n_channels:
         raise ValueError("pulse channel count does not match system")
     if objective.noise is not None and objective.noise.gamma > 0:
         substeps = lindblad_substeps(system, table, objective.noise, substep_tol, amp_bound)
-        raw, du = _lindblad_pulse_gradient(system, table, objective, substeps)
+        overlap, du = _lindblad_pulse_gradient(system, table, objective, substeps)
     else:
-        raw, du = _unitary_pulse_gradient(system, table, objective)
+        overlap, du = _unitary_pulse_gradient(system, table, objective)
     scale = objective.norm_factor
-    fid = raw * scale
+    fid = overlap * scale
     grad = du * scale
     if not np.isfinite(fid) or not np.all(np.isfinite(grad)):
         raise FloatingPointError(
@@ -369,9 +350,9 @@ def evaluate_fidelity(
     """Propagate a pulse (table or network) and score it against the objective."""
     if objective.kind == "gate":
         res = propagate_unitary(system, pulse, n_fine=n_fine)
-        return gate_fidelity(res.final, objective.target, objective.normalization)
+        return gate_fidelity(res.final, objective.target)
     if objective.noise is not None and objective.noise.gamma > 0:
         res = propagate_lindblad(system, pulse, objective.initial, objective.noise, n_fine=n_fine)
     else:
         res = propagate_density(system, pulse, objective.initial, n_fine=n_fine)
-    return state_fidelity(res.final, objective.target, objective.initial, objective.normalization)
+    return state_fidelity(res.final, objective.target, objective.initial)

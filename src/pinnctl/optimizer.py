@@ -1,8 +1,9 @@
 """Adam ascent: the one loop (``ascend``), and network training,
 multi-start and the least-squares table fit built on it.  The GRAPE baseline
-(grape.py) runs the same loop on pulse table entries.  A run record keeps the
-trajectory, the trained network and the settings; the network itself is the
-run's product (``network.save_params``).
+(grape.py) runs the same loop on pulse table entries.  Every ascent returns
+one run record: the trajectory, the settings and the wall time, plus the
+trained network for network training; the network itself is the run's
+product (``network.save_params``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .network import (
     segment_times,
 )
 from .objectives import ObjectiveSpec, loss_and_gradient
-from .propagation import DEFAULT_N_FINE, DEFAULT_SUBSTEP_TOL, _workspace
+from .propagation import DEFAULT_N_FINE, DEFAULT_SUBSTEP_TOL, _check_substep_tol, _workspace
 from .spins import SpinSystem
 
 DIVERGENCE_WINDOW = 100
@@ -56,8 +57,8 @@ class AscentConfig:
     log_every: int = 1
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
+        if not 0 < self.learning_rate < np.inf:  # NaN-safe
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
         if not 0 < self.f_threshold <= 1:
             raise ValueError(f"f_threshold must be in (0, 1], got {self.f_threshold!r}")
         _require_count("max_iters", self.max_iters)
@@ -74,8 +75,7 @@ class OptimizerConfig(AscentConfig):
     def __post_init__(self):
         super().__post_init__()
         _require_count("n_fine", self.n_fine)
-        if not self.substep_tol > 0:
-            raise ValueError(f"substep_tol must be positive, got {self.substep_tol!r}")
+        _check_substep_tol(self.substep_tol)
 
 
 class AdamState:
@@ -117,13 +117,14 @@ class AdamState:
 
 @dataclass
 class RunRecord:
-    """Optimization trajectory, the trained network and the settings used."""
+    """One ascent: its trajectory, the settings used and its wall time; network
+    training adds the trained network."""
 
     iterations: list[tuple[int, float, float]]  # (iter, fidelity, grad 2-norm)
-    final_params: NetworkParams
     converged: bool
-    config: OptimizerConfig
-    wall_time_s: float = 0.0
+    config: AscentConfig
+    wall_time_s: float
+    final_params: NetworkParams | None = None
     context: dict = field(default_factory=dict)
 
     @property
@@ -146,11 +147,13 @@ def ascend(score, arrays: list[np.ndarray], config: AscentConfig, *, project=Non
     """Maximise score(arrays) -> (value, gradients) with Adam until the value
     reaches config.f_threshold or after config.max_iters updates.
 
-    ``project`` maps the arrays after every update.  Returns the final arrays,
-    the (iteration, value, norm(gradients)) rows and the converged flag.
+    ``project`` maps the arrays after every update.  Returns the final arrays
+    and a RunRecord of the (iteration, value, norm(gradients)) rows, the
+    converged flag, the config and the wall time.
     Raises FloatingPointError on a non-finite value, and DivergenceError after
     DIVERGENCE_WINDOW consecutive updates below the initial value - 0.5.
     """
+    t0 = time.monotonic()
     state = AdamState(arrays)
     value, grads = score(arrays)
     initial = value
@@ -179,7 +182,7 @@ def ascend(score, arrays: list[np.ndarray], config: AscentConfig, *, project=Non
             below = 0
     if rows[-1][0] != it:
         rows.append((it, value, norm(grads)))
-    return arrays, rows, converged
+    return arrays, RunRecord(rows, converged, config, time.monotonic() - t0)
 
 
 def _with_arrays(params: NetworkParams, arrays: list[np.ndarray]) -> NetworkParams:
@@ -194,7 +197,6 @@ def train(
     config: OptimizerConfig,
 ) -> RunRecord:
     """Ascend fidelity with Adam until f_threshold or max_iters."""
-    t0 = time.monotonic()
     nw = len(params0.weights)
 
     def score(arrays):
@@ -203,17 +205,12 @@ def train(
                                           substep_tol=config.substep_tol)
         return fid, [*gw, *gb]
 
-    arrays, rows, converged = ascend(
+    arrays, record = ascend(
         score, [*params0.weights, *params0.biases], config,
         norm=lambda grads: _grad_norm(grads[:nw], grads[nw:]),
     )
-    return RunRecord(
-        iterations=rows,
-        final_params=_with_arrays(params0, arrays),
-        converged=converged,
-        config=config,
-        wall_time_s=time.monotonic() - t0,
-    )
+    record.final_params = _with_arrays(params0, arrays)
+    return record
 
 
 def fit_network_to_table(
@@ -286,9 +283,10 @@ def multi_start(
 
 
 def run_record_to_dict(record: RunRecord) -> dict:
+    params = record.final_params
     return {
         "iterations": [[int(i), f, g] for i, f, g in record.iterations],
-        "final_params": params_to_dict(record.final_params),
+        "final_params": None if params is None else params_to_dict(params),
         "converged": record.converged,
         "config": asdict(record.config),
         "context": record.context,

@@ -212,14 +212,24 @@ def propagate_density(
     return EvolutionResult(final=final, trajectory=traj)
 
 
+def _check_substep_tol(tol) -> None:
+    # The Liouvillian's norm can reach about twice the rate (gamma*||H0|| +
+    # ||H||) that tol caps per substep, and RK4 is stable only for h*||L||
+    # below about 2.8, so a tolerance above 1 can let every substep diverge.
+    if not 0 < tol <= 1:  # NaN-safe
+        raise ValueError(f"substep_tol must be in (0, 1], got {tol!r}")
+
+
 def lindblad_substeps(
     system: SpinSystem, table: PulseTable, noise: NoiseModel, tol: float, amp_bound: float | None = None
 ) -> int:
-    """Power-of-two substep count per segment so (rate + ||H||)*h <= tol.
+    """Power-of-two substep count per segment so (rate + ||H||)*h <= tol,
+    for a tol in (0, 1].
 
     When amp_bound is given the bound uses it instead of the realized
     amplitudes, making the count independent of the pulse values.
     """
+    _check_substep_tol(tol)
     ops = system_operators(system)
     if amp_bound is not None:
         ctrl = amp_bound * float(ops.control_norms.sum())

@@ -44,30 +44,27 @@ def thermal_deviation() -> np.ndarray:
     return spin_half_operator(2, 0, "z") + spin_half_operator(2, 1, "z")
 
 
-def lls_objective(normalization: str = "normalized", shape_weight: float = 0.0) -> ObjectiveSpec:
+def lls_objective(shape_weight: float = 0.0) -> ObjectiveSpec:
     """State-transfer objective: thermal deviation -> singlet order.
 
     A positive shape_weight adds a mid-sequence penalty on the squared
     singlet-triplet basis populations, selecting transfer routes that store
     the order in coherences while in transit.
     """
-    kwargs = {}
+    observables = None
     if shape_weight > 0:
-        kwargs = {
-            "shape_weight": shape_weight,
-            "shape_observables": tuple(np.outer(b, b.conj()) for b in singlet_triplet_basis()),
-        }
+        observables = tuple(np.outer(b, b.conj()) for b in singlet_triplet_basis())
     return ObjectiveSpec(
         kind="state",
         target=singlet_order_operator(),
         initial=thermal_deviation(),
-        normalization=normalization,
-        **kwargs,
+        shape_weight=shape_weight,
+        shape_observables=observables,
     )
 
 
-def cnot_objective(control: int = 0, target: int = 1, normalization: str = "normalized") -> ObjectiveSpec:
-    return ObjectiveSpec(kind="gate", target=cnot(control, target), normalization=normalization)
+def cnot_objective(control: int = 0, target: int = 1) -> ObjectiveSpec:
+    return ObjectiveSpec(kind="gate", target=cnot(control, target))
 
 
 def named_target(name: str, shape_weight: float = 0.0) -> ObjectiveSpec:

@@ -45,6 +45,19 @@ class TestSample:
             rows = list(csv.reader(fh))
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("group", ["weights", "biases"])
+    def test_non_finite_parameter_is_one_line_error(self, tmp_path, capsys, group):
+        params = tmp_path / "params.json"
+        save_params(init_params((1, 8, 4), 2 * np.pi * 1000, 0.02, seed=4), params)
+        doc = json.loads(params.read_text())
+        doc[group][0][0] = float("nan")
+        params.write_text(json.dumps(doc))
+        out = tmp_path / "pulse.csv"
+        assert main(["sample", str(params), "--segments", "8", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: malformed parameter document: non-finite weight or bias\n"
+        assert not out.exists()
+
     def test_missing_file_is_error(self, tmp_path):
         rc = main(["sample", str(tmp_path / "nope.json"), "--segments", "4",
                    "--out", str(tmp_path / "x.csv")])
@@ -178,6 +191,17 @@ class TestFft:
         assert main(["fft", str(pulse), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: pulse CSV line 2: could not convert") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_amplitude_is_one_line_error(self, tmp_path, capsys, value):
+        pulse, out = tmp_path / "pulse.csv", tmp_path / "spec.csv"
+        pulse.write_text(f"t_s,u1x_rad_s,u1y_rad_s\n0.0005,1.0,2.0\n0.0015,{value},2.0\n")
+        assert main(["fft", str(pulse), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: pulse CSV line 3: non-finite amplitude")
+        assert captured.err.count("\n") == 1
         assert not out.exists()
 
     def test_hand_written_midpoints_are_read(self, tmp_path, capsys):
@@ -373,6 +397,19 @@ class TestSynthesize:
         (None, {"n_start": 1}),
         ("noise", {"gama": 0.02}),
         ("optimizer", {"learning_rte": 0.1}),
+        # the objective value is always the normalized fidelity
+        ("objective", {"normalization": "raw"}),
+        # one RK4 substep per segment diverges; (0, 1] keeps it stable
+        ("optimizer", {"substep_tol": 30}),
+        # non-finite settings
+        ("network", {"input_gain": float("nan")}),
+        ("network", {"input_gain": float("inf")}),
+        ("network", {"duration_s": float("inf")}),
+        ("optimizer", {"learning_rate": float("inf")}),
+        ("objective", {"shape_weight": float("nan"), "target": "lls"}),
+        # without a warm start, whose amp_limit check would catch it first
+        (None, {"network": {"layer_sizes": [1, 8, 4], "duration_s": 0.02,
+                            "amp_scale_rad_s": float("inf")}, "warm_start": {}}),
     ])
     def test_config_error_trains_nothing_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch, section, bad

@@ -4,7 +4,7 @@ import pytest
 from pinnctl.grape import GrapeConfig, grape_train
 from pinnctl.network import PulseTable, forward_batch, init_params, segment_times
 from pinnctl.objectives import ObjectiveSpec, evaluate_fidelity, pulse_table_gradient
-from pinnctl.optimizer import fit_network_to_table
+from pinnctl.optimizer import fit_network_to_table, run_record_to_dict
 from pinnctl.spins import PRESETS, SpinSystem
 from pinnctl.targets import cnot_objective
 
@@ -77,6 +77,14 @@ class TestGrapeTrain:
         t2, r2 = grape_train(PRESETS["defm"], cnot_objective(), 0.02, cfg)
         assert np.array_equal(t1.samples, t2.samples)
         assert r1.iterations == r2.iterations
+
+    def test_record_is_a_run_record_without_a_network(self):
+        cfg = GrapeConfig(n_segments=4, max_iters=2, f_threshold=1.0)
+        _, rec = grape_train(PRESETS["defm"], cnot_objective(), 0.02, cfg)
+        doc = run_record_to_dict(rec)
+        assert doc["final_params"] is None and doc["config"]["n_segments"] == 4
+        assert [tuple(row) for row in doc["iterations"]] == rec.iterations
+        assert doc["metadata"]["wall_time_s"] == rec.wall_time_s > 0
 
 
 class TestGrapeWarmStart:

@@ -56,6 +56,13 @@ class TestInit:
         with pytest.raises(ValueError):
             init_params((1, 4, 3), 1.0, 1.0, 0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+    def test_rejects_scales_that_are_not_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="amp_scale must be positive and finite"):
+            init_params((1, 4, 2), bad, 1.0, 0)
+        with pytest.raises(ValueError, match="time_scale must be positive and finite"):
+            init_params((1, 4, 2), 1.0, bad, 0)
+
 
 class TestForward:
     def test_zero_network_outputs_zero(self):
@@ -274,5 +281,6 @@ class TestInputGain:
         assert "input_gain" not in same.metadata
 
     def test_gain_must_be_positive(self):
-        with pytest.raises(ValueError):
-            init_params((1, 12, 4), 100.0, 0.02, seed=7, input_gain=0.0)
+        for gain in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="input_gain must be positive and finite"):
+                init_params((1, 12, 4), 100.0, 0.02, seed=7, input_gain=gain)

@@ -78,12 +78,6 @@ class TestGateFidelity:
         # Tr(CNOT) = 2, so |Tr|^2 / 16 = 4/16
         assert np.isclose(gate_fidelity(cnot(0, 1), np.eye(4)), 4.0 / 16.0)
 
-    def test_raw_vs_normalized_factor(self):
-        u = haar_ish_unitary(np.random.default_rng(1), 4)
-        raw = gate_fidelity(u, cnot(0, 1), "raw")
-        norm = gate_fidelity(u, cnot(0, 1), "normalized")
-        assert np.isclose(raw, 16 * norm)
-
     def test_range_and_uniqueness(self):
         rng = np.random.default_rng(2)
         target = cnot(0, 1)
@@ -101,22 +95,18 @@ class TestGateFidelity:
 
 
 class TestStateFidelity:
-    def test_raw_self_overlap(self):
-        q = singlet_order_operator()
-        assert np.isclose(state_fidelity(q, q, normalization="raw"), np.trace(q @ q).real)
-
     def test_transfer_bound_thermal_to_singlet_order(self):
         # eigenvalues {1,0,0,-1} . {1,0,0,-1} = 2
         assert np.isclose(transfer_bound(singlet_order_operator(), thermal_deviation()), 2.0)
 
     def test_normalized_self_transfer(self):
         q = singlet_order_operator()
-        assert np.isclose(state_fidelity(q, q, q, "normalized"), 1.0)
+        assert np.isclose(state_fidelity(q, q, q), 1.0)
 
     def test_untouched_thermal_scores_zero(self):
         rho = thermal_deviation()
         q = singlet_order_operator()
-        assert np.isclose(state_fidelity(rho, q, rho, "normalized"), 0.0)
+        assert np.isclose(state_fidelity(rho, q, rho), 0.0)
 
     def test_unitary_bound_never_exceeded(self):
         rng = np.random.default_rng(7)
@@ -131,7 +121,7 @@ class TestStateFidelity:
     def test_degenerate_bound_rejected(self):
         z = np.zeros((4, 4))
         with pytest.raises(ValueError):
-            state_fidelity(z, z, z, "normalized")
+            state_fidelity(z, z, z)
 
 
 class TestObjectiveSpec:
@@ -143,24 +133,17 @@ class TestObjectiveSpec:
         with pytest.raises(ValueError):
             ObjectiveSpec(kind="state", target=singlet_order_operator())
 
-    @pytest.mark.parametrize("normalization", ["raw", "normalized"])
-    def test_norm_factor(self, normalization):
+    def test_norm_factor(self):
         q, rho = singlet_order_operator(), thermal_deviation()
-        gate = ObjectiveSpec(kind="gate", target=cnot(0, 1), normalization=normalization)
-        state = ObjectiveSpec(kind="state", target=q, initial=rho, normalization=normalization)
-        raw = normalization == "raw"
-        assert gate.norm_factor == (1.0 if raw else 1.0 / 16)
-        assert state.norm_factor == (1.0 if raw else 1.0 / transfer_bound(q, rho))
+        gate = ObjectiveSpec(kind="gate", target=cnot(0, 1))
+        state = ObjectiveSpec(kind="state", target=q, initial=rho)
+        assert gate.norm_factor == 1.0 / 16
+        assert state.norm_factor == 1.0 / transfer_bound(q, rho)
         # replace re-runs the construction, so the factor follows the fields
-        for obj in (gate, state):
-            assert replace(obj, normalization="raw").norm_factor == 1.0
-        normalized = replace(state, normalization="normalized")
-        assert normalized.norm_factor == 1.0 / transfer_bound(q, rho)
+        assert replace(state, initial=q).norm_factor == 1.0 / transfer_bound(q, q)
 
     def test_degenerate_bound_rejected_when_normalized(self):
         z = np.zeros((4, 4))
-        raw = ObjectiveSpec(kind="state", target=z, initial=z, normalization="raw")
-        assert raw.norm_factor == 1.0
         with pytest.raises(ValueError, match="transfer bound"):
             ObjectiveSpec(kind="state", target=z, initial=z)
 
@@ -194,8 +177,8 @@ def fd_check(params, system, objective, n_fine, rng, n_probes, eps=1e-6, **kwarg
 
 
 def reference_lindblad_gradient(system, table, objective, substeps):
-    """Raw fidelity Tr(rho_t rho(T)) and its amplitude-table gradient from
-    complex superoperators, differentiating each RK4 substep in turn."""
+    """Unnormalized overlap Tr(rho_t rho(T)) and its amplitude-table gradient
+    from complex superoperators, differentiating each RK4 substep in turn."""
     h0 = drift_hamiltonian(system)
     ops = control_operator_stack(system)
     gens = [liouvillian(o) for o in ops]
@@ -230,8 +213,8 @@ def reference_lindblad_gradient(system, table, objective, substeps):
 
 
 def reference_unitary_gradient(system, table, objective):
-    """Raw fidelity and amplitude-table gradient from explicit prefix and
-    suffix products, one matmul per segment, and einsum contractions."""
+    """Unnormalized overlap and amplitude-table gradient from explicit prefix
+    and suffix products, one matmul per segment, and einsum contractions."""
     ops = control_operator_stack(system)
     h = segment_hamiltonians(system, table)
     evals, vecs = np.linalg.eigh(h)
@@ -261,6 +244,12 @@ def reference_unitary_gradient(system, table, objective):
     return fid, 2 * np.real(np.einsum("nij,cji->nc", g_mat, ops))
 
 
+def scaled(objective, reference):
+    """A reference (overlap, gradient) scaled to the normalized objective value."""
+    overlap, grad = reference
+    return overlap * objective.norm_factor, grad * objective.norm_factor
+
+
 def loop_shape_cotangent(pre, units, rho_i, observables):
     """The sequential shape-penalty cotangent: one backward step per segment."""
     n = len(units)
@@ -288,20 +277,20 @@ class TestUnitaryGradientReference:
     @pytest.mark.parametrize("n", [1, 17, 256])
     def test_gate_matches_suffix_product_reference(self, n):
         system = PRESETS["defm"]
-        obj = replace(cnot_objective(), normalization="raw")
+        obj = cnot_objective()
         table = PulseTable(0.02, np.random.default_rng(n).normal(0, 600, size=(n, 2, 2)))
         fid, grad = pulse_table_gradient(system, table, obj)
-        ref_fid, ref_grad = reference_unitary_gradient(system, table, obj)
+        ref_fid, ref_grad = scaled(obj, reference_unitary_gradient(system, table, obj))
         assert abs(fid - ref_fid) < 1e-12 * max(1.0, abs(ref_fid))
         assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
 
     @pytest.mark.parametrize("n", [1, 17, 256])
     def test_state_matches_suffix_product_reference(self, n):
         system = PRESETS["tcp"]
-        obj = replace(lls_objective(), normalization="raw")
+        obj = lls_objective()
         table = PulseTable(0.05, np.random.default_rng(n).normal(0, 300, size=(n, 1, 2)))
         fid, grad = pulse_table_gradient(system, table, obj)
-        ref_fid, ref_grad = reference_unitary_gradient(system, table, obj)
+        ref_fid, ref_grad = scaled(obj, reference_unitary_gradient(system, table, obj))
         assert abs(fid - ref_fid) < 1e-12 * max(1.0, abs(ref_fid))
         # one segment of this transfer has a gradient at round-off; dt is the
         # gradient's natural scale for an O(1) fidelity
@@ -328,11 +317,11 @@ class TestLindbladGradientReference:
     def test_matches_complex_reference(self, kind):
         system = PRESETS["tcp"]
         noise = noise_operators(system, kind, 0.05)
-        obj = replace(lls_objective(), noise=noise, normalization="raw")
+        obj = replace(lls_objective(), noise=noise)
         table = PulseTable(0.02, np.random.default_rng(5).normal(0, 300, size=(16, 1, 2)))
         fid, grad = pulse_table_gradient(system, table, obj, substep_tol=0.05)
         substeps = lindblad_substeps(system, table, noise, 0.05)
-        ref_fid, ref_grad = reference_lindblad_gradient(system, table, obj, substeps)
+        ref_fid, ref_grad = scaled(obj, reference_lindblad_gradient(system, table, obj, substeps))
         assert abs(fid - ref_fid) < 1e-12 * abs(ref_fid)
         assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
 
@@ -375,16 +364,6 @@ class TestLossAndGradient:
         p = init_params((1, 4, 4, 2), 2 * np.pi * 200, 0.1, seed=20)
         _, rel = fd_check(p, PRESETS["tcp"], obj, 32, rng, 10)
         assert rel < 1e-4
-
-    def test_raw_and_normalized_differ_by_constant(self):
-        p = init_params((1, 5, 5, 4), 2 * np.pi * 1000, 0.02, seed=17)
-        obj_n = cnot_objective()
-        obj_r = replace(obj_n, normalization="raw")
-        fn, (gwn, _) = loss_and_gradient(p, PRESETS["defm"], obj_n, 64)
-        fr, (gwr, _) = loss_and_gradient(p, PRESETS["defm"], obj_r, 64)
-        assert np.isclose(fr, 16 * fn)
-        for a, b in zip(gwn, gwr):
-            assert np.allclose(16 * a, b)
 
     def test_width_mismatch_rejected(self):
         p = init_params((1, 4, 2), 1.0, 0.02, seed=0)
@@ -484,6 +463,9 @@ class TestTrajectoryShaping:
         noise = noise_operators(PRESETS["tcp"], "local", 0.05)
         with pytest.raises(ValueError):
             replace(self.shaped(), noise=noise)
+        for weight in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="shape_weight must be finite and >= 0"):
+                lls_objective(shape_weight=weight)
 
     def test_penalty_is_mean_squared_expectation(self):
         # the identity pulse leaves the thermal deviation invariant, so the

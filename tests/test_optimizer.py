@@ -91,7 +91,10 @@ class TestTrain:
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
         for bad in ({"log_every": 0}, {"log_every": 2.5}, {"n_fine": 0}, {"n_fine": 2.5},
-                    {"substep_tol": -1.0}, {"substep_tol": 0.0}, {"max_iters": 2.5}):
+                    {"substep_tol": -1.0}, {"substep_tol": 0.0}, {"max_iters": 2.5},
+                    # above 1 an RK4 substep can leave the method's stability region
+                    {"substep_tol": 30.0}, {"substep_tol": float("inf")},
+                    {"substep_tol": float("nan")}):
             with pytest.raises(ValueError):
                 OptimizerConfig(**bad)
 
@@ -149,7 +152,9 @@ class TestAscend:
         score = quadratic(self.CENTER)
         cfg = AscentConfig(learning_rate=1e-2, f_threshold=threshold, max_iters=40,
                            log_every=log_every)
-        (x,), rows, converged = ascend(score, [np.zeros(3)], cfg)
+        (x,), record = ascend(score, [np.zeros(3)], cfg)
+        rows, converged = record.iterations, record.converged
+        assert record.config is cfg and record.wall_time_s >= 0 and record.final_params is None
         seen, x_ref = hand_rolled_adam(score, np.zeros(3), cfg)
         last = seen[-1]
         assert converged == (last[1] >= threshold)
@@ -173,8 +178,8 @@ class TestAscend:
             return [np.clip(a, -0.05, 0.05) for a in arrays]
 
         cfg = AscentConfig(learning_rate=1e-2, f_threshold=1.0, max_iters=25)
-        (x,), rows, _ = ascend(score, [np.zeros(3)], cfg, project=project)
-        assert len(calls) == rows[-1][0] == 25
+        (x,), record = ascend(score, [np.zeros(3)], cfg, project=project)
+        assert len(calls) == record.n_iters == 25
         assert all(np.max(np.abs(a)) <= 0.05 for a in seen[1:])
         assert np.array_equal(np.abs(x), np.full(3, 0.05))
 
@@ -228,6 +233,7 @@ class TestAscend:
 
     def test_config_validation(self):
         for bad in ({"learning_rate": -5.0}, {"learning_rate": float("nan")},
+                    {"learning_rate": float("inf")},
                     {"f_threshold": 2.0}, {"f_threshold": 0.0}, {"max_iters": 0},
                     {"log_every": 0}, {"log_every": 1.0}, {"log_every": True},
                     {"max_iters": 2.5}, {"max_iters": True}):

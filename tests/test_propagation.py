@@ -370,6 +370,15 @@ class TestPropagateLindblad:
         assert np.linalg.norm(res.final - oracle.final) < 1e-7
         assert norms[-1] < norms[0]
 
+    @pytest.mark.parametrize("tol", [30.0, np.inf, np.nan])
+    def test_substep_tolerance_must_lie_in_zero_one(self, tol):
+        # above 1 an RK4 substep can leave the method's stability region
+        table = zero_pulse(0.05, 16, 1)
+        noise = noise_operators(PRESETS["tcp"], "local", 0.02)
+        assert lindblad_substeps(PRESETS["tcp"], table, noise, 1.0) >= 1
+        with pytest.raises(ValueError, match=r"substep_tol must be in \(0, 1\]"):
+            lindblad_substeps(PRESETS["tcp"], table, noise, tol)
+
     def test_maximally_mixed_is_stationary_under_local_noise(self):
         noise = noise_operators(PRESETS["tcp"], "local", 0.07)
         rho0 = np.eye(4) / 4

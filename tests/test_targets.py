@@ -97,13 +97,13 @@ class TestLlsObjective:
 
         obj = lls_objective()
         assert np.isclose(
-            state_fidelity(obj.initial, obj.target, obj.initial, "normalized"), 0.0
+            state_fidelity(obj.initial, obj.target, obj.initial), 0.0
         )
 
     def test_kind_and_normalization(self):
         obj = lls_objective()
         assert obj.kind == "state"
-        assert obj.normalization == "normalized"
+        assert np.isclose(obj.norm_factor, 0.5)  # 1 / transfer bound
 
 
 class TestNamedTarget:
