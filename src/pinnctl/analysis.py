@@ -47,10 +47,13 @@ def pulse_spectrum(pulse: PulseTable) -> SpectrumResult:
     widths = []
     for c in range(pulse.n_channels):
         u = pulse.samples[:, c, 0] + 1j * pulse.samples[:, c, 1]
-        spec = np.fft.fftshift(np.fft.fft(u)) * dt
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+            spec = np.fft.fftshift(np.fft.fft(u)) * dt
+            energy = np.abs(spec) ** 2
+            total = energy.sum()
+        if not total < np.inf:  # NaN-safe; a non-finite entry makes the sum non-finite
+            raise ValueError(f"the spectrum of channel {c + 1} overflows: amplitudes too large")
         mags.append(np.abs(spec))
-        energy = np.abs(spec) ** 2
-        total = energy.sum()
         if total == 0:
             widths.append(0.0)
             continue
@@ -163,7 +166,8 @@ def amplitude_error_sweep(
     noise: NoiseModel | None = None,
 ) -> SweepResult:
     """Fidelity with all control amplitudes scaled by (1 + du/u), a network
-    sampled onto the default grid."""
+    sampled onto the default grid, under `noise` if given, else the
+    objective's own; the metadata names the noise that was evaluated."""
     deviations = list(deviations)
     if not all(abs(d) <= 0.5 for d in deviations):  # NaN-safe
         raise ValueError(f"deviations must lie within [-0.5, +0.5], got {deviations}")
@@ -175,22 +179,22 @@ def amplitude_error_sweep(
         axis_values=deviations,
         fidelity=fids,
         metadata={
-            "objective": objective.kind,
-            "gamma": 0.0 if noise is None else noise.gamma,
-            "noise_kind": None if noise is None else noise.kind,
+            "objective": obj.kind,
+            "gamma": 0.0 if obj.noise is None else obj.noise.gamma,
+            "noise_kind": None if obj.noise is None else obj.noise.kind,
         },
     )
 
 
-def robust_width(sweep: SweepResult, level: float = 0.95) -> float:
+def robust_width(sweep: SweepResult) -> float:
     """Width of the contiguous deviation interval (around the peak) with
-    fidelity >= level * peak."""
+    fidelity >= 0.95 * peak."""
     devs = np.asarray(sweep.axis_values, dtype=float)
     fids = np.asarray(sweep.fidelity, dtype=float)
     order = np.argsort(devs)
     devs, fids = devs[order], fids[order]
     peak_idx = int(np.argmax(fids))
-    thresh = level * fids[peak_idx]
+    thresh = 0.95 * fids[peak_idx]
     lo = peak_idx
     while lo > 0 and fids[lo - 1] >= thresh:
         lo -= 1

@@ -136,6 +136,7 @@ def _build_run(cfg: dict):
         objective = named_target(
             obj_cfg["target"], shape_weight=float(obj_cfg.get("shape_weight", 0.0))
         )
+        objective.check_dimension(system.dimension)
         net = cfg["network"]
         sizes = [int(s) for s in net["layer_sizes"]]
         amp_scale = float(net.get("amp_scale_rad_s", DEFAULT_AMP_SCALE))
@@ -198,11 +199,9 @@ def _build_run(cfg: dict):
             if not grape_record.converged:
                 print("warm start did not converge; continuing anyway", file=sys.stderr)
             record = train(fit_network_to_table(params0, table), system, objective, opt)
-        elif n_starts > 1:
+        else:
             record = multi_start(system, objective, sizes, amp_scale, duration, opt, n_starts,
                                  input_gain=input_gain)
-        else:
-            record = train(params0, system, objective, opt)
         record.context["config"] = cfg
         return record, grape_record
 
@@ -214,11 +213,11 @@ def synthesize(cfg: dict) -> tuple[RunRecord, RunRecord | None]:
 
     The whole configuration is validated first (ConfigError).  A warm_start
     block solves the objective segment-wise, fits the network to that pulse
-    and fine-tunes it; otherwise n_starts > 1 trains seeds seed..seed+n-1 and
-    stops at the first that converges, and one start trains from init_params.
-    A warm start that misses its threshold is reported on stderr before the
-    fine-tune starts.  Returns the run record, whose context holds `cfg`, and
-    the warm start's GRAPE run record or None.
+    and fine-tunes it; otherwise multi_start trains seeds seed..seed+n_starts-1
+    (n_starts defaults to 1), stops at the first that converges and names the
+    winning seed in the record's context.  A warm start that misses its
+    threshold is reported on stderr before the fine-tune starts.  Returns the
+    run record, its context holding `cfg`, and the warm start's GRAPE record or None.
     """
     return _build_run(cfg)()
 
@@ -256,7 +255,12 @@ def _floats(option: str, text: str) -> list[float]:
         raise ConfigError(f"{option} {text!r} is not a comma-separated list of numbers") from None
 
 
-def _parse_segments(text: str, log2: bool) -> list[int]:
+def _parse_segments(text: str | None, log2: bool) -> list[int]:
+    """--segments as segment counts; absent, the doubling grid 1, 2, 4, ..., 32768."""
+    if text is None:
+        text, log2 = "1..32768", True
+    elif log2 and ".." not in text:
+        raise ConfigError(f"--log2 applies to a range LO..HI, not to the list {text!r}")
     try:
         if ".." not in text:
             return [int(x) for x in text.split(",")]
@@ -381,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_disc = kinds.add_parser("discretization", parents=[common], allow_abbrev=False,
                               help="fidelity against segment count")
-    p_disc.add_argument("--segments", default="1..32768")
+    p_disc.add_argument("--segments", help="counts N1,N2,... or a range LO..HI "
+                        "(default: 1, 2, 4, ..., 32768)")
     p_disc.add_argument("--log2", action="store_true")
 
     p_noise = kinds.add_parser("noise", parents=[common, noise_kind], allow_abbrev=False,

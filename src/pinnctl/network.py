@@ -149,23 +149,17 @@ def forward_batch(params: NetworkParams, t, tape: list | None = None) -> np.ndar
 
 
 def backprop_pulse(
-    params: NetworkParams, t, upstream: np.ndarray, tape: list[np.ndarray] | None = None
+    params: NetworkParams, upstream: np.ndarray, tape: list[np.ndarray]
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Exact gradient of sum_n upstream[n] . u(t_n) w.r.t. every weight and bias.
 
-    upstream has shape (N, 2M) matching the times t; returns (grad_w, grad_b)
-    with the same shapes as params.weights / params.biases.
+    tape is the list that ``forward_batch(params, t, tape)`` filled; upstream
+    has shape (N, 2M) matching its times t.  Returns (grad_w, grad_b) with the
+    same shapes as params.weights / params.biases.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
     upstream = np.atleast_2d(np.asarray(upstream, dtype=float))
-    if upstream.shape != (t.size, params.layer_sizes[-1]):
-        raise ValueError(
-            f"upstream shape {upstream.shape} does not match "
-            f"({t.size}, {params.layer_sizes[-1]})"
-        )
-    if tape is None:
-        tape = []
-        forward_batch(params, t, tape)
+    if upstream.shape != tape[-1].shape:
+        raise ValueError(f"upstream shape {upstream.shape} does not match {tape[-1].shape}")
     n_layers = len(params.weights)
     grad_w = [None] * n_layers
     grad_b = [None] * n_layers

@@ -91,6 +91,12 @@ class ObjectiveSpec:
             factor = 1.0 / _checked_transfer_bound(self.target, self.initial)
         object.__setattr__(self, "norm_factor", factor)
 
+    def check_dimension(self, d: int) -> None:
+        """Raise ValueError unless the target (and initial state) are d x d."""
+        for name, m in (("target", self.target), ("initial state", self.initial)):
+            if m is not None and m.shape != (d, d):
+                raise ValueError(f"objective {name} has shape {m.shape}; the system's is {(d, d)}")
+
 
 def gate_fidelity(u_final: np.ndarray, target: np.ndarray) -> float:
     """|Tr(U_t^dag U)|^2 / d^2, so the optimum is 1."""
@@ -288,6 +294,7 @@ def pulse_table_gradient(
     The value is the normalized fidelity minus shape_weight times the
     trajectory penalty when shaping is enabled, so thresholding the value
     guarantees at least that fidelity."""
+    objective.check_dimension(system.dimension)
     if table.n_channels != system.n_channels:
         raise ValueError("pulse channel count does not match system")
     if objective.noise is not None and objective.noise.gamma > 0:
@@ -336,7 +343,7 @@ def loss_and_gradient(
     fid, du = pulse_table_gradient(
         system, table, objective, substep_tol=substep_tol, amp_bound=params.amp_scale
     )
-    grad_w, grad_b = backprop_pulse(params, ts, du, tape=tape)
+    grad_w, grad_b = backprop_pulse(params, du, tape)
     return fid, (grad_w, grad_b)
 
 
@@ -348,6 +355,7 @@ def evaluate_fidelity(
     n_fine: int | None = None,
 ) -> float:
     """Propagate a pulse (table or network) and score it against the objective."""
+    objective.check_dimension(system.dimension)
     if objective.kind == "gate":
         res = propagate_unitary(system, pulse, n_fine=n_fine)
         return gate_fidelity(res.final, objective.target)

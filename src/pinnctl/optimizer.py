@@ -243,7 +243,7 @@ def fit_network_to_table(
         params = _with_arrays(params0, arrays)
         tape = []
         err = forward_batch(params, t, tape) - target
-        gw, gb = backprop_pulse(params, t, (-2.0 / err.size) * err, tape)
+        gw, gb = backprop_pulse(params, (-2.0 / err.size) * err, tape)
         return -float(np.vdot(err, err)) / err.size, [*gw, *gb]
 
     # -MSE <= 0 never reaches a threshold in (0, 1]: exactly n_iters updates

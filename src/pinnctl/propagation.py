@@ -66,6 +66,13 @@ def _hermitian_check(h: np.ndarray, tol: float = 1e-10):
         raise ValueError("matrix is not Hermitian")
 
 
+def _check_state(system: SpinSystem, rho0: np.ndarray):
+    if rho0.shape != (system.dimension,) * 2:
+        raise ValueError(f"initial state has shape {rho0.shape}; the system's is "
+                         f"{(system.dimension,) * 2}")
+    _hermitian_check(rho0)
+
+
 def _as_pulse(system: SpinSystem, pulse, n_fine: int | None) -> PulseTable:
     """The pulse as a table: a PulseTable as given, a network sampled onto
     n_fine segments (DEFAULT_N_FINE when None).  Every forward analysis
@@ -203,7 +210,7 @@ def propagate_density(
     system: SpinSystem, pulse, rho0: np.ndarray, *, n_fine: int | None = None, sample_times=None
 ) -> EvolutionResult:
     """rho(T) = U rho0 U^dagger on the same piecewise-constant grid."""
-    _hermitian_check(rho0)
+    _check_state(system, rho0)
     res = propagate_unitary(system, pulse, n_fine=n_fine, sample_times=sample_times)
     final = res.final @ rho0 @ res.final.conj().T
     traj = None
@@ -337,7 +344,7 @@ def propagate_lindblad(
 ) -> EvolutionResult:
     """Integrate the master equation with collapse rate gamma*||H0||, at the
     substep count of DEFAULT_SUBSTEP_TOL."""
-    _hermitian_check(rho0)
+    _check_state(system, rho0)
     table = _as_pulse(system, pulse, n_fine)
     m_sub = lindblad_substeps(system, table, noise, DEFAULT_SUBSTEP_TOL)
     ops = system_operators(system)

@@ -53,13 +53,17 @@ class SpinSystem:
                 if s in seen:
                     raise ValueError(f"spin {s} appears in more than one channel group")
                 seen.add(s)
-        for i, j, _ in self.couplings:
+        for i, j, j_hz in self.couplings:
             if i == j:
                 raise ValueError("coupling requires distinct spins")
             if not (0 <= i < self.n_spins and 0 <= j < self.n_spins):
                 raise ValueError("coupling spin index out of range")
+            if not abs(j_hz) < np.inf:  # NaN-safe
+                raise ValueError(f"coupling J_hz must be finite, got {j_hz!r}")
         if self.offsets_hz and len(self.offsets_hz) != self.n_spins:
             raise ValueError("offsets_hz length must equal n_spins")
+        if not all(abs(o) < np.inf for o in self.offsets_hz):  # NaN-safe
+            raise ValueError(f"offsets_hz must be finite, got {list(self.offsets_hz)}")
 
     @property
     def dimension(self) -> int:
@@ -314,15 +318,11 @@ def system_from_dict(cfg: dict) -> SpinSystem:
     return SpinSystem(n_spins=n, channels=channels, couplings=couplings, offsets_hz=offsets)
 
 
-def load_system(spec) -> SpinSystem:
-    """Resolve a preset name, config dict, or JSON file path to a SpinSystem."""
-    if isinstance(spec, SpinSystem):
-        return spec
-    if isinstance(spec, dict):
-        return system_from_dict(spec)
-    if isinstance(spec, str):
-        if spec in PRESETS:
-            return PRESETS[spec]
-        with open(spec) as fh:
-            return system_from_dict(json.load(fh))
-    raise TypeError(f"cannot interpret {spec!r} as a spin system")
+def load_system(spec: str) -> SpinSystem:
+    """Resolve a preset name or a system JSON file path to a SpinSystem."""
+    if not isinstance(spec, str):
+        raise TypeError(f"a system is a preset name or a file path, got {spec!r}")
+    if spec in PRESETS:
+        return PRESETS[spec]
+    with open(spec) as fh:
+        return system_from_dict(json.load(fh))

@@ -8,18 +8,17 @@ from .objectives import ObjectiveSpec
 from .spins import spin_half_operator
 
 
-def cnot(control: int, target: int, n_spins: int = 2) -> np.ndarray:
-    """Computational-basis CNOT: flip `target` when `control` is |1>."""
+def cnot(control: int, target: int) -> np.ndarray:
+    """Two-spin computational-basis CNOT: flip `target` when `control` is |1>."""
     if control == target:
         raise ValueError("control and target must differ")
-    if not (0 <= control < n_spins and 0 <= target < n_spins):
+    if not (0 <= control < 2 and 0 <= target < 2):
         raise ValueError("spin index out of range")
-    dim = 2**n_spins
-    u = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
+    u = np.zeros((4, 4), dtype=complex)
+    for b in range(4):
         # bit 0 is the leftmost spin in the tensor-product ordering
-        cbit = (b >> (n_spins - 1 - control)) & 1
-        out = b ^ (1 << (n_spins - 1 - target)) if cbit else b
+        cbit = (b >> (1 - control)) & 1
+        out = b ^ (1 << (1 - target)) if cbit else b
         u[out, b] = 1.0
     return u
 

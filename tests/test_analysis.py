@@ -54,6 +54,13 @@ class TestPulseSpectrum:
         with pytest.raises(ValueError):
             pulse_spectrum(PulseTable(0.01, np.zeros((1, 1, 2))))
 
+    @pytest.mark.parametrize("amp", [1e308, 1e160], ids=["fft-overflows", "energy-overflows"])
+    def test_overflowing_spectrum_is_an_error(self, amp):
+        # finite amplitudes whose spectrum or energy is not; no RuntimeWarning either
+        samples = np.array([[[amp, -amp]], [[amp, -amp]], [[-amp, amp]]])
+        with pytest.raises(ValueError, match="spectrum of channel 1 overflows"):
+            pulse_spectrum(PulseTable(0.003, samples))
+
 
 class TestDiscretizationSweep:
     def test_converges_to_fine_grid_fidelity(self):
@@ -159,6 +166,15 @@ class TestAmplitudeErrorSweep:
         assert sweep.fidelity[1] == evaluate_fidelity(
             sys_, unscaled, replace(lls_objective(), noise=noise))
 
+    def test_metadata_names_the_noise_inside_the_objective(self):
+        sys_ = PRESETS["tcp"]
+        table = random_table(16, 1, seed=2, scale=300.0, duration=0.05)
+        noisy = replace(lls_objective(), noise=noise_operators(sys_, "local", 0.02))
+        sweep = amplitude_error_sweep(table, sys_, noisy, [0.0])
+        assert sweep.fidelity == [evaluate_fidelity(sys_, table, noisy)]
+        assert sweep.fidelity != [evaluate_fidelity(sys_, table, lls_objective())]
+        assert sweep.metadata == {"objective": "state", "gamma": 0.02, "noise_kind": "local"}
+
     def test_rejects_large_deviation(self):
         table = random_table(8, 2)
         with pytest.raises(ValueError):
@@ -170,7 +186,7 @@ class TestRobustWidth:
         devs = [-0.2, -0.1, 0.0, 0.1, 0.2]
         fids = [0.5, 0.97, 1.0, 0.96, 0.5]
         sweep = SweepResult("du_over_u", devs, fids)
-        assert robust_width(sweep, level=0.95) == pytest.approx(0.2)
+        assert robust_width(sweep) == pytest.approx(0.2)
 
     def test_full_range_when_flat(self):
         sweep = SweepResult("du_over_u", [-0.3, 0.0, 0.3], [0.9, 0.9, 0.9])

@@ -29,6 +29,14 @@ def tcp_params(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def three_spin_system(tmp_path):
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({"spins": 3, "channels": [[0, 1, 2]],
+                                "couplings": [{"i": 0, "j": 1, "J_hz": 8.75}]}))
+    return str(path)
+
+
 class TestSample:
     def test_csv(self, defm_params, tmp_path):
         out = tmp_path / "pulse.csv"
@@ -73,6 +81,31 @@ class TestSweep:
         with open(out) as fh:
             rows = list(csv.reader(fh))
         assert [int(float(r[0])) for r in rows[1:]] == [4, 8, 16, 32, 64]
+
+    def test_discretization_default_is_the_doubling_grid(self, defm_params, tmp_path):
+        out = tmp_path / "disc.csv"
+        assert main(["sweep", "discretization", "--params", defm_params, "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert [int(float(r[0])) for r in rows[1:]] == [2**k for k in range(16)]
+
+    @pytest.mark.parametrize("system, named", [
+        ('{"spins": 2, "channels": [[0, 1]], "couplings": [{"i": 0, "j": 1, "J_hz": NaN}]}',
+         "coupling J_hz must be finite"),
+        ('{"spins": 2, "channels": [[0, 1]], "offsets_hz": [Infinity, 0]}',
+         "offsets_hz must be finite"),
+    ], ids=["J-nan", "offset-inf"])
+    def test_non_finite_system_value_is_one_line_error(self, tcp_params, tmp_path, capsys,
+                                                       system, named):
+        (tmp_path / "system.json").write_text(system)
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", "discretization", "--params", tcp_params, "--target", "lls",
+                   "--system", str(tmp_path / "system.json"), "--segments", "4,8",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_noise_with_override(self, tcp_params, tmp_path):
         out = tmp_path / "noise.csv"
@@ -119,6 +152,7 @@ class TestSweep:
                      id="amperr-deviation-not-a-number"),
         pytest.param(["discretization", "--segments=1,x"], "--segments", id="segments-list-x"),
         pytest.param(["discretization", "--segments=1..x"], "--segments", id="segments-range-x"),
+        pytest.param(["discretization", "--segments=4,8", "--log2"], "--log2", id="log2-list"),
     ])
     def test_bad_input_is_one_line_error(self, tcp_params, tmp_path, capsys, args, named):
         out = tmp_path / "x.csv"
@@ -204,6 +238,17 @@ class TestFft:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    def test_overflowing_spectrum_is_one_line_error(self, tmp_path, capsys):
+        pulse, out = tmp_path / "pulse.csv", tmp_path / "spec.csv"
+        pulse.write_text("t_s,u1x_rad_s,u1y_rad_s\n0.0005,1e308,-1e308\n"
+                         "0.0015,1e308,-1e308\n0.0025,-1e308,1e308\n")
+        assert main(["fft", str(pulse), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the spectrum of channel 1 overflows: "
+                                "amplitudes too large\n")
+        assert not out.exists()
+
     def test_hand_written_midpoints_are_read(self, tmp_path, capsys):
         # 1 ms segments written as short decimals, one ms-long cosine period
         pulse, out = tmp_path / "pulse.csv", tmp_path / "spec.csv"
@@ -243,6 +288,22 @@ class TestTrajectory:
         assert rc == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "discretization", "--target", "lls", "--segments", "4,8"],
+    ["sweep", "amperr", "--target", "lls"],
+    ["trajectory", "--samples", "4"],
+], ids=["discretization", "amperr", "trajectory"])
+def test_dimension_mismatch_is_one_line_error(command, tcp_params, three_spin_system, tmp_path,
+                                              capsys):
+    out = tmp_path / "x.csv"
+    rc = main([*command, "--params", tcp_params, "--system", three_spin_system, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "(4, 4)" in err and "(8, 8)" in err
+    assert not out.exists()
+
+
 class TestSynthesize:
     def test_short_run_exits_2_and_writes_artifacts(self, tmp_path):
         cfg = {
@@ -280,13 +341,13 @@ class TestSynthesize:
         assert record["context"]["config"]["system"] == "defm"
 
     def test_divergence_is_one_line_error(self, tmp_path, capsys, monkeypatch):
-        from pinnctl import cli
+        from pinnctl import optimizer
         from pinnctl.optimizer import DivergenceError
 
         def diverge(*args, **kwargs):
             raise DivergenceError("fidelity collapsed at iteration 7")
 
-        monkeypatch.setattr(cli, "train", diverge)
+        monkeypatch.setattr(optimizer, "train", diverge)
         cfg = {
             "system": "defm",
             "objective": {"target": "cnot:0,1"},
@@ -440,11 +501,53 @@ class TestSynthesize:
             assert err == f"error: invalid run configuration: unknown {block} key {key!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("system, named", [
+        ('{"spins": 2, "channels": [[0, 1]], "couplings": [{"i": 0, "j": 1, "J_hz": NaN}]}',
+         "J_hz must be finite"),
+        ('{"spins": 2, "channels": [[0, 1]], "offsets_hz": [Infinity, 0]}',
+         "offsets_hz must be finite"),
+        ('{"spins": 3, "channels": [[0, 1, 2]]}', "(4, 4); the system's is (8, 8)"),
+    ], ids=["J-nan", "offset-inf", "three-spins"])
+    def test_bad_system_file_fails_before_out_exists(self, tmp_path, capsys, monkeypatch,
+                                                     system, named):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training ran before the configuration error")
+
+        monkeypatch.setattr(cli, "multi_start", no_training)
+        (tmp_path / "system.json").write_text(system)
+        cfg = {
+            "system": str(tmp_path / "system.json"),
+            "objective": {"target": "lls"},
+            "network": {"layer_sizes": [1, 8, 2], "duration_s": 0.05},
+            "optimizer": {"max_iters": 1, "n_fine": 16, "seed": 0},
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        rc = main(["synthesize", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid run configuration: ") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
+
+    def test_single_start_record_names_its_seed(self, tmp_path):
+        cfg = {
+            "system": "defm",
+            "objective": {"target": "cnot:0,1"},
+            "network": {"layer_sizes": [1, 4, 4], "duration_s": 0.02},
+            "optimizer": {"max_iters": 2, "n_fine": 16, "seed": 5},
+        }
+        record, grape_record = cli.synthesize(cfg)
+        assert grape_record is None
+        assert record.context == {"seed": 5, "config": cfg}
+        assert record.final_params.metadata["seed"] == 5
+
     def test_out_that_cannot_be_made_fails_before_training(self, tmp_path, capsys, monkeypatch):
         def no_training(*args, **kwargs):
             raise AssertionError("training ran before --out was made")
 
-        monkeypatch.setattr(cli, "train", no_training)
+        monkeypatch.setattr(cli, "multi_start", no_training)
         cfg = {
             "system": "defm",
             "objective": {"target": "cnot:0,1"},

@@ -137,7 +137,9 @@ class TestForward:
 class TestBackprop:
     def test_zero_upstream_zero_gradient(self):
         p = init_params((1, 6, 6, 2), 1.0, 1.0, seed=3)
-        gw, gb = backprop_pulse(p, 0.3, np.zeros((1, 2)))
+        tape = []
+        forward_batch(p, 0.3, tape)
+        gw, gb = backprop_pulse(p, np.zeros((1, 2)), tape)
         assert all(np.allclose(g, 0) for g in gw + gb)
 
     def test_one_node_analytic_derivative(self):
@@ -146,7 +148,9 @@ class TestBackprop:
         t = 0.7
         h = np.tanh(t)
         analytic = (1 - np.tanh(h) ** 2) * 1.0 * (1 - h**2) * t
-        gw, _ = backprop_pulse(p, t, np.array([[1.0, 0.0]]))
+        tape = []
+        forward_batch(p, t, tape)
+        gw, _ = backprop_pulse(p, np.array([[1.0, 0.0]]), tape)
         assert np.isclose(gw[0][0, 0], analytic, rtol=1e-12)
 
     @pytest.mark.parametrize("sizes", [(1, 3, 2), (1, 3, 3, 2), (1, 4, 4, 4, 2), (1, 3, 3, 3, 3, 2)])
@@ -155,7 +159,9 @@ class TestBackprop:
         p = init_params(sizes, 2.0, 1.0, seed=9)
         t = np.array([0.35, 0.8])
         upstream = rng.normal(size=(2, 2))
-        gw, gb = backprop_pulse(p, t, upstream)
+        tape = []
+        forward_batch(p, t, tape)
+        gw, gb = backprop_pulse(p, upstream, tape)
         g = np.concatenate([a.ravel() for a in gw + gb])
 
         def value(pp):
@@ -177,8 +183,10 @@ class TestBackprop:
 
     def test_shape_mismatch_rejected(self):
         p = init_params((1, 3, 2), 1.0, 1.0, seed=0)
+        tape = []
+        forward_batch(p, 0.5, tape)
         with pytest.raises(ValueError):
-            backprop_pulse(p, 0.5, np.zeros((1, 4)))
+            backprop_pulse(p, np.zeros((1, 4)), tape)
 
 
 def _locate(arrays, flat_idx):

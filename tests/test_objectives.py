@@ -451,6 +451,19 @@ class TestEvaluateFidelity:
         assert np.isclose(f_plain, f_noise0, atol=1e-12)
 
 
+class TestObjectiveDimension:
+    THREE = SpinSystem(3, channels=((0, 1, 2),), couplings=((0, 1, 8.75),))
+
+    @pytest.mark.parametrize("score", [
+        lambda sys_, table, obj: pulse_table_gradient(sys_, table, obj),
+        lambda sys_, table, obj: evaluate_fidelity(sys_, table, obj),
+    ], ids=["pulse_table_gradient", "evaluate_fidelity"])
+    def test_names_both_sizes(self, score):
+        table = PulseTable(0.05, np.zeros((8, 1, 2)))
+        with pytest.raises(ValueError, match=r"target has shape \(4, 4\).*\(8, 8\)"):
+            score(self.THREE, table, lls_objective())
+
+
 class TestTrajectoryShaping:
     def shaped(self, weight=0.5):
         return lls_objective(shape_weight=weight)

@@ -350,8 +350,8 @@ class TestFitNetworkToTable:
             assert np.array_equal(wa, wb)
 
     def test_equals_a_per_array_reference_loop(self):
-        # the tcp-lls architecture; the reference lets backprop_pulse re-run
-        # the forward pass and keeps one Adam moment array per parameter array
+        # the tcp-lls architecture; the reference runs its own forward pass and
+        # keeps one Adam moment array per parameter array
         from dataclasses import replace
 
         from pinnctl.network import PulseTable, backprop_pulse, forward_batch, segment_times
@@ -368,8 +368,9 @@ class TestFitNetworkToTable:
 
         def grads(arrays):
             params = replace(p0, weights=tuple(arrays[:nw]), biases=tuple(arrays[nw:]))
-            err = forward_batch(params, t) - target
-            gw, gb = backprop_pulse(params, t, (-2.0 / err.size) * err)
+            tape = []
+            err = forward_batch(params, t, tape) - target
+            gw, gb = backprop_pulse(params, (-2.0 / err.size) * err, tape)
             return [*gw, *gb]
 
         arrays = [*p0.weights, *p0.biases]

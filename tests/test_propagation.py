@@ -336,6 +336,19 @@ class TestPropagateDensity:
         assert np.linalg.norm(res.final - res.final.conj().T) < 1e-9
 
 
+class TestStateDimension:
+    # a 4 x 4 state on a 3-spin system, an 8 x 8 one on a 2-spin system
+    def test_density_names_both_sizes(self):
+        three = SpinSystem(3, channels=((0, 1, 2),), couplings=((0, 1, 8.75),))
+        with pytest.raises(ValueError, match=r"\(4, 4\).*\(8, 8\)"):
+            propagate_density(three, zero_pulse(0.05, 8, 1), thermal_deviation())
+
+    def test_lindblad_names_both_sizes(self):
+        noise = noise_operators(PRESETS["tcp"], "local", 0.02)
+        with pytest.raises(ValueError, match=r"\(8, 8\).*\(4, 4\)"):
+            propagate_lindblad(PRESETS["tcp"], zero_pulse(0.05, 8, 1), np.eye(8) / 8, noise)
+
+
 class TestPropagateLindblad:
     def test_gamma_zero_matches_density(self):
         p = init_params((1, 8, 8, 2), 2 * np.pi * 200, 0.05, seed=2)

@@ -249,6 +249,20 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SpinSystem(5, channels=())
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("J_hz", {"couplings": ((0, 1, float("nan")),)}),
+        ("J_hz", {"couplings": ((0, 1, -float("inf")),)}),
+        ("offsets_hz", {"offsets_hz": (float("inf"), 0.0)}),
+        ("offsets_hz", {"offsets_hz": (0.0, float("nan"))}),
+    ], ids=["J-nan", "J-minus-inf", "offset-inf", "offset-nan"])
+    def test_non_finite_coupling_or_offset_rejected(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SpinSystem(2, channels=((0,), (1,)), **kwargs)
+
+    def test_load_system_takes_a_name_or_a_path(self):
+        with pytest.raises(TypeError, match="preset name or a file path"):
+            load_system(PRESETS["defm"])
+
     def test_dimension(self):
         assert PRESETS["defm"].dimension == 4
         assert SpinSystem(3, channels=((0,),)).dimension == 8
