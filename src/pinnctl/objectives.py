@@ -2,10 +2,12 @@
 
 Gradients are reverse-mode derivatives of the discretized dynamics: the
 eigendecomposition-based Frechet derivative of each segment exponential
-(Daleckii-Krein) chained into the network backprop for the unitary path, and
-the exact adjoint of the per-segment RK4 polynomial for the dissipative path,
-taken in real arithmetic in the orthonormal Hermitian basis of
-``spins.SystemOperators``.
+(Daleckii-Krein), formed in each segment's eigenbasis, chained into the
+network backprop for the unitary path, and the exact adjoint of the
+per-segment RK4 polynomial for the dissipative path, taken in real arithmetic
+in the orthonormal Hermitian basis of ``spins.SystemOperators``.  Both write
+their temporaries into the ascent's workspace (``propagation._buffer``) and
+return fresh arrays.
 """
 
 from __future__ import annotations
@@ -83,6 +85,9 @@ class ObjectiveSpec:
                 raise ValueError("state target must be Hermitian")
             if self.initial is None:
                 raise ValueError("state objectives require an initial state")
+            if self.initial.shape != self.target.shape:
+                raise ValueError(f"state target has shape {self.target.shape} and initial "
+                                 f"state {self.initial.shape}; they must match")
             if np.linalg.norm(self.initial - self.initial.conj().T) > 1e-10:
                 raise ValueError("initial state must be Hermitian")
         if self.kind == "gate":
@@ -129,18 +134,6 @@ def state_fidelity(rho_final: np.ndarray, target: np.ndarray, initial: np.ndarra
     return overlap / _checked_transfer_bound(target, initial)
 
 
-def _phase_divided_differences(evals: np.ndarray, dt: float) -> np.ndarray:
-    """Divided differences of f(x) = exp(-i x dt) on each eigenvalue pair.
-
-    F_ab = (f(a)-f(b))/(a-b) via the exact, degeneracy-safe form
-    -i dt exp(-i (a+b) dt / 2) sinc((a-b) dt / 2).
-    """
-    lam_a = evals[:, :, None]
-    lam_b = evals[:, None, :]
-    mid = np.exp(-0.5j * (lam_a + lam_b) * dt)
-    return -1j * dt * mid * np.sinc((lam_a - lam_b) * dt / (2.0 * np.pi))
-
-
 def _shape_window_checkpoints(n_segments: int) -> list[int]:
     """Segment boundaries k (state after k segments) whose time k/n lies in SHAPE_WINDOW."""
     lo, hi = SHAPE_WINDOW
@@ -165,10 +158,11 @@ def _shape_expectations(pre: np.ndarray, rho_i: np.ndarray, observables):
 
 def _shape_cotangent(pre: np.ndarray, rho_i: np.ndarray, observables) -> tuple[float, np.ndarray]:
     """Penalty P = mean_k mean_b Tr(O_b rho_k)^2 over mid-window checkpoints,
-    and its cotangent C with dP = 2 Re sum_s Tr(C_s dU_s).
+    and the (N, d, d) factors R_s of its cotangent: dP = 2 Re sum_s Tr(C_s dU_s)
+    with C_s = P_s R_s P_{s+1}^dag.
 
-    With W_k = dP/drho_k = 2/(KB) sum_b e_kb O_b, C_j = P_j rho_i S_{j+1} P_{j+1}^dag,
-    where S_m is the sum of P_k^dag W_k P_k over the checkpoints k >= m.
+    With W_k = dP/drho_k = 2/(KB) sum_b e_kb O_b, R_j = rho_i S_{j+1}, where
+    S_m is the sum of P_k^dag W_k P_k over the checkpoints k >= m.
     """
     ks, obs, e = _shape_expectations(pre, rho_i, observables)
     n, d = len(pre) - 1, rho_i.shape[0]
@@ -176,9 +170,7 @@ def _shape_cotangent(pre: np.ndarray, rho_i: np.ndarray, observables) -> tuple[f
     terms = np.zeros((n + 1, d, d), dtype=complex)
     terms[ks] = np.matmul(np.matmul(pre[ks].conj().transpose(0, 2, 1), w_k), pre[ks])
     s_mat = np.cumsum(terms[::-1], axis=0)[::-1]
-    pre_h = pre.conj().transpose(0, 2, 1)
-    cot = np.matmul(np.matmul(pre[:-1], np.matmul(rho_i, s_mat[1:])), pre_h[1:])
-    return float(np.mean(e**2)), cot
+    return float(np.mean(e**2)), np.matmul(rho_i, s_mat[1:])
 
 
 def _unitary_pulse_gradient(
@@ -187,11 +179,16 @@ def _unitary_pulse_gradient(
     """Unnormalized overlap and its gradient w.r.t. the amplitude table (N, 2M).
 
     The product after segment s is U(T) P_{s+1}^dag, so every cotangent
-    C_s = P_s K U(T) P_{s+1}^dag comes from the prefix products alone.
+    C_s = P_s K_s P_{s+1}^dag comes from the prefix products alone.  K_s = K
+    is one matrix, less ratio * R_s (``_shape_cotangent``) under trajectory
+    shaping.  Write U_s = V D V^dag and E = D^(1/2).  Since
+    P_{s+1}^dag V = P_s^dag V D^*, the Daleckii-Krein matrix in the
+    eigenbasis is (V^dag C_s V) o F = -i dt (A K_s A^dag) o S, with
+    A = E V^dag P_s and S_ab = sinc((l_a - l_b) dt / 2): the phase of the
+    divided differences F of exp(-i x dt) cancels against E.
     """
     dt = table.dt
-    h_batch = segment_hamiltonians(system, table)
-    evals, vecs, units = segment_unitaries(h_batch, dt)
+    evals, vecs, units = segment_unitaries(segment_hamiltonians(system, table), dt)
     pre = prefix_products(units)  # pre[s] = product before segment s
     u_total = pre[-1]
 
@@ -206,26 +203,31 @@ def _unitary_pulse_gradient(
         rho_i = objective.initial
         overlap = float(np.real(np.trace(rho_t @ u_total @ rho_i @ u_total.conj().T)))
         k_total = rho_i @ u_total.conj().T @ rho_t @ u_total
-    pre_h = pre.conj().transpose(0, 2, 1)
-    cot = np.matmul(np.matmul(pre[:-1], k_total), pre_h[1:])
+    n, d = evals.shape
+    shape = vecs.shape
+    vecs_h = np.conj(vecs, out=_buffer("gradient_vecs_h", shape, complex)).transpose(0, 2, 1)
+    a_mat = np.matmul(vecs_h, pre[:-1], out=_buffer("gradient_a", shape, complex))
+    a_mat *= np.exp(-0.5j * dt * evals)[:, :, None]
+    ak = _buffer("gradient_ak", shape, complex)
     if objective.shape_weight > 0.0:
-        pen, pen_cot = _shape_cotangent(pre, objective.initial, objective.shape_observables)
+        pen, pen_factors = _shape_cotangent(pre, objective.initial, objective.shape_observables)
         # the caller rescales value and gradient by norm_factor; divide the
         # penalty out here so the combined result is exactly
         # F_normalized - weight * P and its gradient
         ratio = objective.shape_weight / objective.norm_factor
         overlap = overlap - ratio * pen
-        cot = cot - ratio * pen_cot
-
-    # Daleckii-Krein: dF/du_c = 2 Re Tr(G O_c), G = V ((V^dag C V) o F^T) V^dag
-    vecs_h = vecs.conj().transpose(0, 2, 1)
-    k_mat = np.matmul(np.matmul(vecs_h, cot), vecs)
-    f_mat = _phase_divided_differences(evals, dt)
-    g_mat = np.matmul(np.matmul(vecs, k_mat * f_mat.transpose(0, 2, 1)), vecs_h)
+        np.matmul(a_mat, k_total - ratio * pen_factors, out=ak)
+    else:  # A K as one (N d, d) @ (d, d) product
+        np.matmul(a_mat.reshape(n * d, d), k_total, out=ak.reshape(n * d, d))
+    a_h = np.conj(a_mat, out=_buffer("gradient_a_h", shape, complex)).transpose(0, 2, 1)
+    m_mat = np.matmul(ak, a_h, out=_buffer("gradient_m", shape, complex))
+    m_mat *= np.sinc((evals[:, :, None] - evals[:, None, :]) * (dt / (2.0 * np.pi)))
+    # back to the lab frame, G = V M V^dag (M without its factor -i dt), in the spent A and AK
+    g_mat = np.matmul(np.matmul(vecs, m_mat, out=a_mat), vecs_h, out=ak)
+    # dF/du_c = 2 Re Tr(-i dt G O_c) = 2 dt Im Tr(G O_c)
     ops = control_operator_stack(system)
-    n, d = g_mat.shape[:2]
     ops_t = ops.transpose(0, 2, 1).reshape(len(ops), d * d)
-    du = 2.0 * np.real(g_mat.reshape(n, d * d) @ ops_t.T)
+    du = (2.0 * dt) * np.imag(g_mat.reshape(n, d * d) @ ops_t.T)
     return overlap, du
 
 

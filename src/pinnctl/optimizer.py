@@ -141,7 +141,7 @@ def _grad_norm(*groups) -> float:
     return float(np.sqrt(sum(sum(float(np.sum(g * g)) for g in group) for group in groups)))
 
 
-@_workspace()  # one per call: the dissipative gradient reuses its buffers every step
+@_workspace()  # one per call: the unitary and dissipative gradients reuse its buffers every step
 def ascend(score, arrays: list[np.ndarray], config: AscentConfig, *, project=None,
            norm=_grad_norm):
     """Maximise score(arrays) -> (value, gradients) with Adam until the value

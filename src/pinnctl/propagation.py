@@ -17,11 +17,11 @@ the vectorized master equation with fixed-step RK4 inside each segment, in
 real arithmetic: in an orthonormal basis of Hermitian matrices every
 Hermiticity-preserving generator is a real d^2 x d^2 matrix, and density
 matrices are real coordinate vectors.  During an ascent (``optimizer.ascend``)
-the segment maps and the dissipative adjoint write their (N, d^2, d^2)
-temporaries into one workspace of buffers kept for the whole ascent: arrays of
-that size are handed back to the kernel when freed and would fault in fresh
-pages on every step.  Outside an ascent they are allocated per call, and the
-forward-only Lindblad walk reuses one chunk's buffers for the next.  The
+both gradients and the segment arrays they build write their (N, d, d) and
+(N, d^2, d^2) temporaries into one workspace of buffers kept for the whole
+ascent: freed arrays of these sizes would fault in fresh pages on every step.
+Outside an ascent they are allocated per call, and the forward-only Lindblad
+walk reuses one chunk's buffers for the next.  The
 independent cross-check, an adaptive Dormand-Prince integrator that treats
 the network as a continuous-time Hamiltonian, lives with the tests
 (tests/oracles.py), so this module needs numpy alone.
@@ -90,30 +90,60 @@ def _as_pulse(system: SpinSystem, pulse, n_fine: int | None) -> PulseTable:
     return table
 
 
+_WORKSPACE = threading.local()
+
+
+@contextmanager
+def _workspace():
+    """Keep the large temporaries that ``_buffer`` hands out alive until
+    exit, so repeated calls write into pages already faulted in instead of
+    fresh ones.  A nested workspace starts empty and restores the outer one."""
+    outer = getattr(_WORKSPACE, "buffers", None)
+    _WORKSPACE.buffers = {}
+    try:
+        yield
+    finally:
+        _WORKSPACE.buffers = outer
+
+
+def _buffer(key: str, shape: tuple, dtype=float) -> np.ndarray:
+    """An uninitialised array: np.empty, or in a workspace its buffer for key, valid
+    until key is asked for again (reallocated when the shape or dtype changes)."""
+    buffers = getattr(_WORKSPACE, "buffers", None)
+    if buffers is None:
+        return np.empty(shape, dtype)
+    buf = buffers.get(key)
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        buf = buffers[key] = np.empty(shape, dtype)
+    return buf
+
+
 def segment_hamiltonians(
     system: SpinSystem, table: PulseTable, rows: slice = slice(None)
 ) -> np.ndarray:
-    """Batched H_s = H0 + sum_c u_cx X_c + u_cy Y_c, shape (N, dim, dim), for
-    the segments in rows (all by default)."""
-    h0 = drift_hamiltonian(system)
+    """Batched H_s = H0 + sum_c u_cx X_c + u_cy Y_c, shape (N, dim, dim), for the
+    segments in rows (all by default); in a workspace, its buffer."""
     ops = control_operator_stack(system)
     amps = table.flat_amplitudes()[rows]
-    return h0[None, :, :] + np.einsum("nc,cij->nij", amps, ops)
+    h = _buffer("hamiltonians", (len(amps), *ops.shape[1:]), complex)
+    np.dot(amps, ops.reshape(len(ops), -1), out=h.reshape(len(amps), -1))
+    return np.add(h, drift_hamiltonian(system), out=h)
 
 
 def segment_unitaries(h_batch: np.ndarray, dt: float):
-    """Eigendecompose each segment Hamiltonian and form exp(-i H dt).
+    """Eigendecompose each segment Hamiltonian and form exp(-i H dt) = (V * phases) V^dag.
 
-    Returns (evals (N,d), vecs (N,d,d), unitaries (N,d,d)).
+    Returns (evals (N,d), vecs (N,d,d), unitaries (N,d,d), in a workspace its buffer).
     """
     evals, vecs = np.linalg.eigh(h_batch)
-    phases = np.exp(-1j * evals * dt)
-    units = np.einsum("nik,nk,njk->nij", vecs, phases, vecs.conj())
-    return evals, vecs, units
+    phases = np.exp(-1j * evals * dt)[:, None, :]
+    scaled = np.multiply(vecs, phases, out=_buffer("unitary_scaled", vecs.shape, complex))
+    vecs_h = np.conj(vecs, out=_buffer("unitary_vecs_h", vecs.shape, complex)).transpose(0, 2, 1)
+    return evals, vecs, np.matmul(scaled, vecs_h, out=_buffer("unitaries", vecs.shape, complex))
 
 
 def prefix_products(units: np.ndarray) -> np.ndarray:
-    """P[s] = U_s ... U_1 for s = 1..N, with P[0] = identity; shape (N+1, d, d).
+    """P[s] = U_s ... U_1 for s = 1..N, P[0] = identity: (N+1, d, d), in a workspace its buffer.
 
     Blocked scan: the N segments are split into blocks of b = ceil(sqrt(N))
     (the last one padded with identities).  Products inside every block are
@@ -124,7 +154,7 @@ def prefix_products(units: np.ndarray) -> np.ndarray:
     n, d, _ = units.shape
     b = math.isqrt(max(n - 1, 0)) + 1
     nb = max(1, -(-n // b))
-    local = np.empty((nb * b, d, d), dtype=complex)
+    local = _buffer("prefix_blocks", (nb * b, d, d), complex)
     local[:n] = units
     local[n:] = np.eye(d)
     local = local.reshape(nb, b, d, d)
@@ -134,10 +164,10 @@ def prefix_products(units: np.ndarray) -> np.ndarray:
     carry[0] = np.eye(d)
     for k in range(1, nb):
         carry[k] = local[k - 1, -1] @ carry[k - 1]
-    out = np.empty((n + 1, d, d), dtype=complex)
+    out = _buffer("prefix_products", (nb * b + 1, d, d), complex)
     out[0] = np.eye(d)
-    out[1:] = np.matmul(local, carry[:, None]).reshape(nb * b, d, d)[:n]
-    return out
+    np.matmul(local, carry[:, None], out=out[1:].reshape(nb, b, d, d))
+    return out[: n + 1]
 
 
 def _ordered_product(maps: np.ndarray) -> np.ndarray:
@@ -252,34 +282,6 @@ def lindblad_substeps(
     return m
 
 
-_WORKSPACE = threading.local()
-
-
-@contextmanager
-def _workspace():
-    """Keep the large float temporaries that ``_buffer`` hands out alive until
-    exit, so repeated calls write into pages already faulted in instead of
-    fresh ones.  A nested workspace starts empty and restores the outer one."""
-    outer = getattr(_WORKSPACE, "buffers", None)
-    _WORKSPACE.buffers = {}
-    try:
-        yield
-    finally:
-        _WORKSPACE.buffers = outer
-
-
-def _buffer(key: str, shape: tuple) -> np.ndarray:
-    """An uninitialised float array: the workspace's buffer for key when a
-    workspace is open (reallocated when the shape changes), else np.empty."""
-    buffers = getattr(_WORKSPACE, "buffers", None)
-    if buffers is None:
-        return np.empty(shape)
-    buf = buffers.get(key)
-    if buf is None or buf.shape != shape:
-        buf = buffers[key] = np.empty(shape)
-    return buf
-
-
 def _add_identity(batch: np.ndarray):
     """batch[s] += eye for an (N, d, d) batch, in place through the strided
     view of its diagonals."""
@@ -300,9 +302,8 @@ def segment_lindblad_maps(
     each row is the same bits either way).
 
     With a constant generator one RK4 step is the 4th-order Taylor polynomial
-    of exp(h L), evaluated here by Horner.  Returns (L, R, M), each (N, d^2, d^2).
-    Inside a workspace (an ascent, or the forward-only walk) the three arrays
-    are workspace buffers: valid until the next call there, which overwrites them.
+    of exp(h L), evaluated here by Horner.  Returns (L, R, M), each (N, d^2, d^2),
+    in a workspace (an ascent's, or the forward-only walk's) its buffer.
     """
     ops = system_operators(system)
     amps, gens = table.flat_amplitudes()[rows], ops.control_generators

@@ -300,17 +300,27 @@ PRESETS: dict[str, SpinSystem] = {
 }
 
 
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def system_from_dict(cfg: dict) -> SpinSystem:
     """Build a SpinSystem from the JSON configuration schema.
 
     {"spins": n, "channels": [[0],[1]],
      "couplings": [{"i":0,"j":1,"J_hz":48.2}], "offsets_hz": [0,0]}
+    with integer spin counts and indices.
     """
     try:
-        n = int(cfg["spins"])
-        channels = tuple(tuple(int(s) for s in g) for g in cfg["channels"])
+        n = _integer("spins", cfg["spins"])
+        channels = tuple(
+            tuple(_integer("channel spin index", s) for s in g) for g in cfg["channels"]
+        )
         couplings = tuple(
-            (int(c["i"]), int(c["j"]), float(c["J_hz"])) for c in cfg.get("couplings", [])
+            (_integer("coupling i", c["i"]), _integer("coupling j", c["j"]), float(c["J_hz"]))
+            for c in cfg.get("couplings", [])
         )
         offsets = tuple(float(o) for o in cfg.get("offsets_hz", [0.0] * n))
     except (KeyError, TypeError, ValueError) as exc:

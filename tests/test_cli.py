@@ -507,7 +507,11 @@ class TestSynthesize:
         ('{"spins": 2, "channels": [[0, 1]], "offsets_hz": [Infinity, 0]}',
          "offsets_hz must be finite"),
         ('{"spins": 3, "channels": [[0, 1, 2]]}', "(4, 4); the system's is (8, 8)"),
-    ], ids=["J-nan", "offset-inf", "three-spins"])
+        ('{"spins": 2.9, "channels": [[0, 1]]}',
+         "invalid system configuration: spins must be an integer, got 2.9"),
+        ('{"spins": 2, "channels": [[0.7, 1]]}',
+         "invalid system configuration: channel spin index must be an integer, got 0.7"),
+    ], ids=["J-nan", "offset-inf", "three-spins", "spins-float", "channel-float"])
     def test_bad_system_file_fails_before_out_exists(self, tmp_path, capsys, monkeypatch,
                                                      system, named):
         def no_training(*args, **kwargs):

@@ -133,6 +133,10 @@ class TestObjectiveSpec:
         with pytest.raises(ValueError):
             ObjectiveSpec(kind="state", target=singlet_order_operator())
 
+    def test_state_shapes_must_match(self):
+        with pytest.raises(ValueError, match=r"target has shape \(4, 4\).*\(8, 8\)"):
+            ObjectiveSpec(kind="state", target=np.diag([1.0, 0, 0, 0]), initial=np.eye(8) / 8)
+
     def test_norm_factor(self):
         q, rho = singlet_order_operator(), thermal_deviation()
         gate = ObjectiveSpec(kind="gate", target=cnot(0, 1))
@@ -305,7 +309,8 @@ class TestUnitaryGradientReference:
         _, _, units = segment_unitaries(segment_hamiltonians(system, table), table.dt)
         pre = prefix_products(units)
         args = (obj.initial, obj.shape_observables)
-        pen, cot = _shape_cotangent(pre, *args)
+        pen, factors = _shape_cotangent(pre, *args)
+        cot = pre[:-1] @ factors @ pre[1:].conj().transpose(0, 2, 1)  # C_s = P_s R_s P_{s+1}^dag
         ref_pen, ref_cot = loop_shape_cotangent(pre, units, *args)
         assert abs(pen - ref_pen) < 1e-12 * ref_pen
         assert np.max(np.abs(cot - ref_cot)) < 1e-12 * np.max(np.abs(ref_cot))
@@ -431,6 +436,54 @@ class TestLindbladWorkspace:
             finally:
                 tracemalloc.stop()
         assert peak <= 2.5 * n * 16**2 * 8
+
+
+class TestUnitaryWorkspace:
+    """Inside an ascent the unitary gradient writes its (N, d, d) temporaries
+    into buffers kept between calls; the arithmetic must not notice, and the
+    arrays it returns stay the caller's."""
+
+    CASES = {
+        "gate": (PRESETS["defm"], cnot_objective(), (1, 12, 12, 4), 2 * np.pi * 500, 0.02),
+        "shaped": (PRESETS["tcp"], lls_objective(shape_weight=1.0), (1, 12, 12, 2),
+                   2 * np.pi * 200, 0.1),
+    }
+
+    @pytest.mark.parametrize("case", ["gate", "shaped"])
+    def test_gradient_in_workspace_is_bit_identical(self, case):
+        system, obj, sizes, amp_scale, duration = self.CASES[case]
+        p = init_params(sizes, amp_scale, duration, seed=3)
+        grids = [256, 32, 256]
+        fresh = [loss_and_gradient(p, system, obj, n) for n in grids]
+        with _workspace():
+            reused = [loss_and_gradient(p, system, obj, n) for n in grids]
+        for (f0, (gw0, gb0)), (f1, (gw1, gb1)) in zip(fresh, reused):
+            assert f0 == f1
+            assert all(np.array_equal(a, b) for a, b in zip(gw0 + gb0, gw1 + gb1))
+
+    def test_returned_gradient_outlives_the_next_call(self):
+        rng = np.random.default_rng(4)
+        first, second = (PulseTable(0.02, rng.normal(0, 600, size=(64, 2, 2))) for _ in range(2))
+        with _workspace():
+            _, du = pulse_table_gradient(PRESETS["defm"], first, cnot_objective())
+            held = du.copy()
+            pulse_table_gradient(PRESETS["defm"], second, cnot_objective())
+        assert np.array_equal(du, held)
+
+    def test_nested_ascent_restores_the_outer_workspace(self):
+        cfg = OptimizerConfig(learning_rate=3e-3, f_threshold=1.0, max_iters=2, n_fine=32)
+
+        def go():
+            return multi_start(PRESETS["defm"], cnot_objective(), (1, 6, 4), 2 * np.pi * 500,
+                               0.02, cfg, 2).final_params
+
+        alone = go()
+        with _workspace():
+            held = _buffer("unitaries", (32, 4, 4), complex)
+            nested = go()
+            assert _buffer("unitaries", (32, 4, 4), complex) is held
+        assert all(np.array_equal(a, b) for a, b in zip(alone.weights + alone.biases,
+                                                        nested.weights + nested.biases))
 
 
 class TestEvaluateFidelity:

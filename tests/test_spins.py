@@ -238,6 +238,19 @@ class TestSystemConfig:
         sys_ = system_from_dict(cfg)
         assert sys_ == PRESETS["defm"]
 
+    @pytest.mark.parametrize("edit, named", [
+        ({"spins": 2.9}, "spins must be an integer, got 2.9"),
+        ({"channels": [[0.7], [1]]}, "channel spin index must be an integer, got 0.7"),
+        ({"couplings": [{"i": 0.4, "j": 1, "J_hz": 48.2}]}, "coupling i must be an integer"),
+        ({"spins": "2"}, "spins must be an integer, got '2'"),
+        ({"spins": True}, "spins must be an integer, got True"),
+    ], ids=["spins-float", "channel-float", "coupling-float", "spins-string", "spins-bool"])
+    def test_non_integer_count_or_index_rejected(self, edit, named):
+        cfg = {"spins": 2, "channels": [[0], [1]],
+               "couplings": [{"i": 0, "j": 1, "J_hz": 48.2}], **edit}
+        with pytest.raises(ValueError, match=f"^invalid system configuration: {named}"):
+            system_from_dict(cfg)
+
     def test_load_system_preset(self):
         assert load_system("defm") is PRESETS["defm"]
 
