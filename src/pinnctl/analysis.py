@@ -6,6 +6,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
+from .checks import real
 from .network import NetworkParams, PulseTable
 from .objectives import ObjectiveSpec, evaluate_fidelity
 from .propagation import _as_pulse, propagate_density, propagate_lindblad
@@ -169,7 +170,7 @@ def amplitude_error_sweep(
     sampled onto the default grid, under `noise` if given, else the
     objective's own; the metadata names the noise that was evaluated."""
     deviations = list(deviations)
-    if not all(abs(d) <= 0.5 for d in deviations):  # NaN-safe
+    if not all(abs(real("deviations", d)) <= 0.5 for d in deviations):
         raise ValueError(f"deviations must lie within [-0.5, +0.5], got {deviations}")
     base = _as_pulse(system, params, None)
     obj = dc_replace(objective, noise=noise) if noise is not None else objective

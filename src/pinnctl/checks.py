@@ -1,0 +1,42 @@
+"""One rule for every number from outside (settings, run configurations,
+system and parameter files): a bool is not a number, an integer field holds
+an integer, and no range admits NaN or infinity.  Each error names the value.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+# concrete types: an isinstance check against the numbers ABCs costs several times more
+INTEGERS = (int, np.integer)
+REALS = (int, float, np.integer, np.floating)
+# the ranges a real value can be held to, each named as its error message names it
+RULES = {
+    "finite": lambda x: True,
+    "positive and finite": lambda x: x > 0,
+    "finite and >= 0": lambda x: x >= 0,
+    "in (0, 1]": lambda x: 0 < x <= 1,
+}
+
+
+def integer(name: str, value, low: int | None = None) -> int:
+    """value as an int; ValueError unless it is an integer, not a bool, and at least low."""
+    if (isinstance(value, bool) or not isinstance(value, INTEGERS)
+            or (low is not None and value < low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def real(name: str, value, rule: str = "finite") -> float:
+    """value as a float; ValueError unless it is a real number, not a bool,
+    neither NaN nor infinite, and in the range RULES[rule]."""
+    try:
+        if (not isinstance(value, bool) and isinstance(value, REALS)
+                and math.isfinite(value) and RULES[rule](value)):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValueError(f"{name} must be {rule}, got {value!r}")

@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, fileio
+from .checks import integer
 from .grape import GrapeConfig, grape_train
 from .network import init_params, load_params, sample_pulse, save_params
 from .optimizer import (
-    OptimizerConfig, RunRecord, _require_count, fit_network_to_table, multi_start,
-    save_run_record, train,
+    OptimizerConfig, RunRecord, fit_network_to_table, multi_start, save_run_record, train,
 )
 from .spins import load_system, noise_operators
 from .targets import named_target, singlet_triplet_basis, thermal_deviation
@@ -132,50 +132,41 @@ def _build_run(cfg: dict):
                 unknown = min(entries.keys() - known)
                 raise ValueError(f"unknown {block or 'top-level'} key {unknown!r}")
         system = load_system(cfg["system"])
-        obj_cfg = cfg["objective"]
-        objective = named_target(
-            obj_cfg["target"], shape_weight=float(obj_cfg.get("shape_weight", 0.0))
-        )
+        # each block with its defaults; a block that is not an object is a TypeError
+        obj_cfg = {"shape_weight": 0.0, **cfg["objective"]}
+        objective = named_target(obj_cfg["target"], shape_weight=obj_cfg["shape_weight"])
         objective.check_dimension(system.dimension)
-        net = cfg["network"]
-        sizes = [int(s) for s in net["layer_sizes"]]
-        amp_scale = float(net.get("amp_scale_rad_s", DEFAULT_AMP_SCALE))
-        input_gain = float(net.get("input_gain", 1.0))
-        duration = float(net["duration_s"])
+        net = {"amp_scale_rad_s": DEFAULT_AMP_SCALE, "input_gain": 1.0, **cfg["network"]}
+        input_gain = net["input_gain"]
         opt = OptimizerConfig(**cfg.get("optimizer", {}))
-        n_starts = cfg.get("n_starts", 1)
-        _require_count("n_starts", n_starts)
+        n_starts = integer("n_starts", cfg.get("n_starts", 1), 1)
         # checks the network settings, so no run fails on them after --out exists
-        params0 = init_params(sizes, amp_scale, duration, opt.seed, input_gain=input_gain)
-    except (KeyError, TypeError, ValueError) as exc:
+        params0 = init_params(net["layer_sizes"], net["amp_scale_rad_s"], net["duration_s"],
+                              opt.seed, input_gain=input_gain)
+        params0.check_channels(system.n_channels)
+    except (KeyError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid run configuration: {exc}") from exc
-    if sizes[-1] != 2 * system.n_channels:
-        raise ConfigError(
-            f"network output width {sizes[-1]} does not match "
-            f"2 x {system.n_channels} system channels (network.layer_sizes)"
-        )
+    sizes, amp_scale, duration = params0.layer_sizes, params0.amp_scale, params0.time_scale
     noise_cfg = cfg.get("noise")
     if noise_cfg:
         try:
-            noise = noise_operators(system, noise_cfg["kind"], float(noise_cfg["gamma"]))
+            noise = noise_operators(system, noise_cfg["kind"], noise_cfg["gamma"])
+            objective = dc_replace(objective, noise=noise)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid noise configuration: {exc}") from exc
-        if objective.kind != "state":
-            raise ConfigError("noise training is only defined for state objectives")
-        objective = dc_replace(objective, noise=noise)
     ws_cfg = cfg.get("warm_start")
     if ws_cfg:
         try:
-            ws_objective = named_target(
-                obj_cfg["target"],
-                shape_weight=float(ws_cfg.get("shape_weight", obj_cfg.get("shape_weight", 0.0))),
-            )
+            ws = {"n_segments": 64, "amp_limit_rad_s": 0.9 * amp_scale, "learning_rate": 10.0,
+                  "shape_weight": obj_cfg["shape_weight"],
+                  "f_threshold": opt.f_threshold, "max_iters": 8000, **ws_cfg}
+            ws_objective = named_target(obj_cfg["target"], shape_weight=ws["shape_weight"])
             grape_cfg = GrapeConfig(
-                n_segments=ws_cfg.get("n_segments", 64),
-                amp_limit=ws_cfg.get("amp_limit_rad_s", 0.9 * amp_scale),
-                learning_rate=ws_cfg.get("learning_rate", 10.0),
-                f_threshold=ws_cfg.get("f_threshold", opt.f_threshold),
-                max_iters=ws_cfg.get("max_iters", 8000),
+                n_segments=ws["n_segments"],
+                amp_limit=ws["amp_limit_rad_s"],
+                learning_rate=ws["learning_rate"],
+                f_threshold=ws["f_threshold"],
+                max_iters=ws["max_iters"],
                 seed=opt.seed,
                 log_every=500,
             )
@@ -341,7 +332,7 @@ def cmd_trajectory(args) -> int:
         raise ConfigError(f"unknown basis {args.basis!r}")
     basis = singlet_triplet_basis()
     labels = ["T_plus", "T_zero", "S_zero", "T_minus"]
-    _require_count("samples", args.samples)
+    integer("samples", args.samples, 1)
     times, values = analysis.basis_trajectory(
         params, system, thermal_deviation(), basis, n_samples=args.samples,
         noise=_noise_model(system, args),

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import integer, real
 from .network import PulseTable
 from .objectives import ObjectiveSpec, pulse_table_gradient
-from .optimizer import AscentConfig, RunRecord, _require_count, ascend
+from .optimizer import AscentConfig, RunRecord, ascend
 from .spins import SpinSystem
 
 
@@ -27,9 +28,8 @@ class GrapeConfig(AscentConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        _require_count("n_segments", self.n_segments)
-        if not self.amp_limit > 0:
-            raise ValueError("amp_limit must be positive")
+        integer("n_segments", self.n_segments, 1)
+        real("amp_limit", self.amp_limit, "positive and finite")
 
 
 def grape_train(

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .checks import integer, real
+
 
 @dataclass(frozen=True)
 class NetworkParams:
@@ -38,14 +40,18 @@ class NetworkParams:
             if w.shape != (sizes[l], sizes[l + 1]) or b.shape != (sizes[l + 1],):
                 raise ValueError(f"layer {l} shape mismatch: {w.shape}, {b.shape}")
         # scalars only: this runs on every update of a training run
-        if not 0 < self.amp_scale < np.inf:  # NaN-safe
-            raise ValueError(f"amp_scale must be positive and finite, got {self.amp_scale!r}")
-        if not 0 < self.time_scale < np.inf:
-            raise ValueError(f"time_scale must be positive and finite, got {self.time_scale!r}")
+        for name in ("amp_scale", "time_scale"):
+            object.__setattr__(self, name, real(name, getattr(self, name), "positive and finite"))
 
     @property
     def n_channels(self) -> int:
         return self.layer_sizes[-1] // 2
+
+    def check_channels(self, n_channels: int) -> None:
+        """Raise ValueError unless the output layer drives n_channels (x, y) pairs."""
+        if self.n_channels != n_channels:
+            raise ValueError(f"network output width {self.layer_sizes[-1]} does not match "
+                             f"2 x {n_channels} system channels")
 
 
 @dataclass(frozen=True)
@@ -58,8 +64,7 @@ class PulseTable:
     def __post_init__(self):
         if self.samples.ndim != 3 or self.samples.shape[2] != 2:
             raise ValueError("samples must have shape (n_segments, channels, 2)")
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
+        real("duration", self.duration, "positive and finite")
 
     @property
     def n_segments(self) -> int:
@@ -96,30 +101,24 @@ def init_params(
     from the start (drawn from a separate stream so the base draw is
     unchanged).
     """
-    sizes = tuple(int(s) for s in layer_sizes)
-    if not 0 < input_gain < np.inf:  # NaN-safe
-        raise ValueError(f"input_gain must be positive and finite, got {input_gain!r}")
+    sizes = tuple(integer("layer_sizes", s, 1) for s in layer_sizes)
+    input_gain = real("input_gain", input_gain, "positive and finite")
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out)))
-        biases.append(np.zeros(n_out))
-    if input_gain != 1.0:
-        gain_rng = np.random.default_rng(seed + 999)
-        weights[0] = weights[0] * input_gain
-        biases[0] = gain_rng.uniform(-input_gain, input_gain, size=sizes[1]) * 0.5
-    meta = {"seed": seed}
-    if input_gain != 1.0:
-        meta["input_gain"] = float(input_gain)
-    return NetworkParams(
+    params = NetworkParams(
         layer_sizes=sizes,
-        weights=tuple(weights),
-        biases=tuple(biases),
-        amp_scale=float(amp_scale),
-        time_scale=float(time_scale),
-        metadata=meta,
+        weights=tuple(rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out))
+                      for n_in, n_out in zip(sizes[:-1], sizes[1:])),
+        biases=tuple(np.zeros(n) for n in sizes[1:]),
+        amp_scale=amp_scale,
+        time_scale=time_scale,
+        metadata={"seed": seed},
     )
+    if input_gain != 1.0:  # in place, now that the layer sizes are checked
+        w0, b0 = params.weights[0], params.biases[0]
+        w0 *= input_gain
+        b0[:] = np.random.default_rng(seed + 999).uniform(-input_gain, input_gain, size=sizes[1]) * 0.5
+        params.metadata["input_gain"] = input_gain
+    return params
 
 
 def _check_times(params: NetworkParams, t: np.ndarray):
@@ -181,8 +180,7 @@ def segment_times(duration: float, n_segments: int) -> np.ndarray:
 
 def sample_pulse(params: NetworkParams, n_segments: int) -> PulseTable:
     """Discretize the network onto n_segments piecewise-constant segments."""
-    if n_segments < 1:
-        raise ValueError("n_segments must be >= 1")
+    integer("n_segments", n_segments, 1)
     t = segment_times(params.time_scale, n_segments)
     u = forward_batch(params, t)
     samples = u.reshape(n_segments, params.n_channels, 2)
@@ -202,7 +200,7 @@ def params_to_dict(params: NetworkParams) -> dict:
 
 def params_from_dict(doc: dict) -> NetworkParams:
     try:
-        sizes = tuple(int(s) for s in doc["layer_sizes"])
+        sizes = tuple(integer("layer_sizes", s, 1) for s in doc["layer_sizes"])
         weights = tuple(
             np.asarray(doc["weights"][l], dtype=float).reshape(sizes[l], sizes[l + 1])
             for l in range(len(sizes) - 1)
@@ -214,8 +212,8 @@ def params_from_dict(doc: dict) -> NetworkParams:
             layer_sizes=sizes,
             weights=weights,
             biases=biases,
-            amp_scale=float(doc["amp_scale"]),
-            time_scale=float(doc["time_scale"]),
+            amp_scale=doc["amp_scale"],
+            time_scale=doc["time_scale"],
             metadata=dict(doc.get("metadata", {})),
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -235,11 +233,8 @@ def load_params(path, expected_channels: int | None = None) -> NetworkParams:
     except json.JSONDecodeError as exc:
         raise ValueError(f"cannot parse parameter file {path}: {exc}") from exc
     params = params_from_dict(doc)
-    if expected_channels is not None and params.n_channels != expected_channels:
-        raise ValueError(
-            f"network output width {params.layer_sizes[-1]} does not match "
-            f"2 x {expected_channels} system channels"
-        )
+    if expected_channels is not None:
+        params.check_channels(expected_channels)
     return params
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import real
 from .network import (
     NetworkParams,
     PulseTable,
@@ -62,8 +63,7 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.kind not in ("gate", "state"):
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        if not 0 <= self.shape_weight < np.inf:  # NaN-safe
-            raise ValueError(f"shape_weight must be finite and >= 0, got {self.shape_weight!r}")
+        real("shape_weight", self.shape_weight, "finite and >= 0")
         if self.shape_weight > 0:
             if self.kind != "state":
                 raise ValueError("trajectory shaping applies to state objectives only")
@@ -328,11 +328,7 @@ def loss_and_gradient(
 
     Returns (value, (grad_w, grad_b)).
     """
-    if params.n_channels != system.n_channels:
-        raise ValueError(
-            f"network output width {params.layer_sizes[-1]} does not match "
-            f"2 x {system.n_channels} system channels"
-        )
+    params.check_channels(system.n_channels)
     ts = segment_times(params.time_scale, n_fine)
     tape = []
     amps = forward_batch(params, ts, tape)

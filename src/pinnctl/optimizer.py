@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .checks import integer, real
 from .network import (
     NetworkParams,
     PulseTable,
@@ -41,11 +42,6 @@ class DivergenceError(RuntimeError):
     pass
 
 
-def _require_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass(frozen=True)
 class AscentConfig:
     """Settings of one Adam ascent: step size, stopping and logging."""
@@ -57,12 +53,11 @@ class AscentConfig:
     log_every: int = 1
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < np.inf:  # NaN-safe
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
-        if not 0 < self.f_threshold <= 1:
-            raise ValueError(f"f_threshold must be in (0, 1], got {self.f_threshold!r}")
-        _require_count("max_iters", self.max_iters)
-        _require_count("log_every", self.log_every)
+        real("learning_rate", self.learning_rate, "positive and finite")
+        real("f_threshold", self.f_threshold, "in (0, 1]")
+        integer("max_iters", self.max_iters, 1)
+        integer("seed", self.seed, 0)
+        integer("log_every", self.log_every, 1)
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,7 @@ class OptimizerConfig(AscentConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        _require_count("n_fine", self.n_fine)
+        integer("n_fine", self.n_fine, 1)
         _check_substep_tol(self.substep_tol)
 
 
@@ -268,7 +263,7 @@ def multi_start(
     the fidelity threshold; otherwise the best final fidelity wins, ties by
     lower seed.
     """
-    _require_count("n_starts", n_starts)
+    integer("n_starts", n_starts, 1)
     best: RunRecord | None = None
     for k in range(n_starts):
         seed = config.seed + k

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import real
 from .network import NetworkParams, PulseTable, sample_pulse
 from .spins import (
     NoiseModel,
@@ -253,8 +254,7 @@ def _check_substep_tol(tol) -> None:
     # The Liouvillian's norm can reach about twice the rate (gamma*||H0|| +
     # ||H||) that tol caps per substep, and RK4 is stable only for h*||L||
     # below about 2.8, so a tolerance above 1 can let every substep diverge.
-    if not 0 < tol <= 1:  # NaN-safe
-        raise ValueError(f"substep_tol must be in (0, 1], got {tol!r}")
+    real("substep_tol", tol, "in (0, 1]")
 
 
 def lindblad_substeps(

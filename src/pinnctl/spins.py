@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import integer, real
+
 MAX_SPINS = 4
 
 _PAULI_HALF = {
@@ -43,8 +45,9 @@ class SpinSystem:
             raise ValueError(f"n_spins must be in [1, {MAX_SPINS}], got {self.n_spins}")
         # tuples throughout, so that a system given lists still keys the operator cache
         object.__setattr__(self, "channels", tuple(tuple(g) for g in self.channels))
-        object.__setattr__(self, "couplings", tuple(tuple(c) for c in self.couplings))
-        object.__setattr__(self, "offsets_hz", tuple(self.offsets_hz))
+        object.__setattr__(self, "couplings", tuple(
+            (i, j, real("coupling J_hz", j_hz)) for i, j, j_hz in self.couplings))
+        object.__setattr__(self, "offsets_hz", tuple(real("offsets_hz", o) for o in self.offsets_hz))
         seen: set[int] = set()
         for group in self.channels:
             for s in group:
@@ -53,17 +56,13 @@ class SpinSystem:
                 if s in seen:
                     raise ValueError(f"spin {s} appears in more than one channel group")
                 seen.add(s)
-        for i, j, j_hz in self.couplings:
+        for i, j, _ in self.couplings:
             if i == j:
                 raise ValueError("coupling requires distinct spins")
             if not (0 <= i < self.n_spins and 0 <= j < self.n_spins):
                 raise ValueError("coupling spin index out of range")
-            if not abs(j_hz) < np.inf:  # NaN-safe
-                raise ValueError(f"coupling J_hz must be finite, got {j_hz!r}")
         if self.offsets_hz and len(self.offsets_hz) != self.n_spins:
             raise ValueError("offsets_hz length must equal n_spins")
-        if not all(abs(o) < np.inf for o in self.offsets_hz):  # NaN-safe
-            raise ValueError(f"offsets_hz must be finite, got {list(self.offsets_hz)}")
 
     @property
     def dimension(self) -> int:
@@ -84,8 +83,7 @@ class NoiseModel:
     drift_norm: float  # rad/s, spectral norm of the drift Hamiltonian
 
     def __post_init__(self):
-        if not 0 <= self.gamma < np.inf:  # NaN-safe
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        real("gamma", self.gamma, "finite and >= 0")
         if self.kind not in ("local", "global"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.gamma > 0 and not self.drift_norm > 0:
@@ -300,12 +298,6 @@ PRESETS: dict[str, SpinSystem] = {
 }
 
 
-def _integer(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def system_from_dict(cfg: dict) -> SpinSystem:
     """Build a SpinSystem from the JSON configuration schema.
 
@@ -314,15 +306,15 @@ def system_from_dict(cfg: dict) -> SpinSystem:
     with integer spin counts and indices.
     """
     try:
-        n = _integer("spins", cfg["spins"])
+        n = integer("spins", cfg["spins"])
         channels = tuple(
-            tuple(_integer("channel spin index", s) for s in g) for g in cfg["channels"]
+            tuple(integer("channel spin index", s) for s in g) for g in cfg["channels"]
         )
         couplings = tuple(
-            (_integer("coupling i", c["i"]), _integer("coupling j", c["j"]), float(c["J_hz"]))
+            (integer("coupling i", c["i"]), integer("coupling j", c["j"]), c["J_hz"])
             for c in cfg.get("couplings", [])
         )
-        offsets = tuple(float(o) for o in cfg.get("offsets_hz", [0.0] * n))
+        offsets = tuple(cfg.get("offsets_hz", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid system configuration: {exc}") from exc
     return SpinSystem(n_spins=n, channels=channels, couplings=couplings, offsets_hz=offsets)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checks import real
 from .objectives import ObjectiveSpec
 from .spins import spin_half_operator
 
@@ -71,8 +72,8 @@ def named_target(name: str, shape_weight: float = 0.0) -> ObjectiveSpec:
     that takes a shape_weight)."""
     if name == "lls":
         return lls_objective(shape_weight=shape_weight)
-    if name.startswith("cnot"):
-        if shape_weight:
+    if isinstance(name, str) and name.startswith("cnot"):
+        if real("shape_weight", shape_weight):
             raise ValueError("shape_weight applies to the lls target only")
         if ":" in name:
             c, t = (int(x) for x in name.split(":", 1)[1].split(","))

@@ -8,8 +8,13 @@ rebuild (ROADMAP item 3).
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 ARTIFACTS = Path(__file__).parent / "artifacts"
+
+# every property test draws the same examples on every run and writes no example database
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -7,12 +8,30 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pinnctl
 from pinnctl import cli
 from pinnctl.cli import main
 from pinnctl.fileio import read_pulse_csv
 from pinnctl.network import init_params, save_params
+
+
+def key_paths(doc: dict, prefix=()):
+    """The path of every key of a nested configuration, blocks and their entries alike."""
+    for key, value in doc.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from key_paths(value, (*prefix, key))
+
+
+PRESET_KEYS = [(name, path) for name in ("defm-cnot", "tcp-lls")
+               for path in key_paths(cli.RUN_PRESETS[name])]
+# bounded: no drawn count or width can ask for a large array
+SCALARS = st.one_of(st.booleans(), st.none(), st.text(max_size=4), st.integers(-2, 64),
+                    st.floats(-1e3, 1e3), st.sampled_from([np.nan, np.inf, -np.inf]))
+OUTSIDE_VALUES = SCALARS | st.lists(SCALARS, max_size=4)
 
 
 @pytest.fixture
@@ -413,6 +432,7 @@ class TestSynthesize:
         pytest.param({"kind": "local", "gamma": None}, id="gamma-null"),
         pytest.param([1], id="not-a-mapping"),
         pytest.param({"kind": "local"}, id="gamma-missing"),
+        pytest.param({"kind": "local", "gamma": True}, id="gamma-bool"),
     ])
     def test_bad_noise_block_is_one_line_error(self, tmp_path, capsys, noise):
         cfg = {
@@ -471,6 +491,31 @@ class TestSynthesize:
         # without a warm start, whose amp_limit check would catch it first
         (None, {"network": {"layer_sizes": [1, 8, 4], "duration_s": 0.02,
                             "amp_scale_rad_s": float("inf")}, "warm_start": {}}),
+        ("warm_start", {"amp_limit_rad_s": float("inf")}),
+        # a bool or a string is not a number, and an integer field holds an integer
+        ("optimizer", {"learning_rate": True}),
+        ("optimizer", {"f_threshold": True}),
+        ("optimizer", {"substep_tol": True}),
+        ("optimizer", {"seed": True}),
+        ("network", {"duration_s": True}),
+        ("network", {"duration_s": "0.02"}),
+        ("network", {"input_gain": True}),
+        ("network", {"amp_scale_rad_s": True}),
+        ("network", {"layer_sizes": [1, 40.2, 40, 4]}),
+        ("objective", {"target": "lls", "shape_weight": True}),
+        (None, {"objective": {"target": "lls"},
+                "warm_start": {"n_segments": 4, "max_iters": 2, "shape_weight": True}}),
+        ("warm_start", {"amp_limit_rad_s": True}),
+        ("warm_start", {"learning_rate": True}),
+        ("warm_start", {"f_threshold": True}),
+        ("objective", {"target": 5}),
+        # blocks of the wrong shape, and a gain applied before the layer sizes are checked
+        (None, {"warm_start": "fast"}),
+        ("network", {"layer_sizes": [4], "input_gain": 8}),
+        # trajectory shaping under dissipation
+        (None, {"system": "tcp", "objective": {"target": "lls", "shape_weight": 1.0},
+                "network": {"layer_sizes": [1, 8, 2], "duration_s": 0.05},
+                "noise": {"kind": "local", "gamma": 0.02}, "warm_start": {}}),
     ])
     def test_config_error_trains_nothing_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch, section, bad
@@ -511,7 +556,14 @@ class TestSynthesize:
          "invalid system configuration: spins must be an integer, got 2.9"),
         ('{"spins": 2, "channels": [[0.7, 1]]}',
          "invalid system configuration: channel spin index must be an integer, got 0.7"),
-    ], ids=["J-nan", "offset-inf", "three-spins", "spins-float", "channel-float"])
+        ('{"spins": 2, "channels": [[0, 1]], "couplings": [{"i": 0, "j": 1, "J_hz": true}]}',
+         "coupling J_hz must be finite, got True"),
+        ('{"spins": 2, "channels": [[0, 1]], "offsets_hz": ["-63.75", 63.75]}',
+         "offsets_hz must be finite, got '-63.75'"),
+        # no per-spin default is built before the count is checked
+        ('{"spins": 10000000000000000000, "channels": [[0, 1]]}', "n_spins must be in [1, 4]"),
+    ], ids=["J-nan", "offset-inf", "three-spins", "spins-float", "channel-float", "J-bool",
+            "offset-string", "spins-huge"])
     def test_bad_system_file_fails_before_out_exists(self, tmp_path, capsys, monkeypatch,
                                                      system, named):
         def no_training(*args, **kwargs):
@@ -618,6 +670,24 @@ class TestSynthesize:
     @pytest.mark.parametrize("name", sorted(cli.RUN_PRESETS))
     def test_preset_validates_without_training(self, name):
         assert callable(cli._build_run(cli.RUN_PRESETS[name]))
+
+    @given(st.sampled_from(PRESET_KEYS), OUTSIDE_VALUES)
+    @settings(max_examples=400)
+    @example(("tcp-lls", ("noise",)), {"kind": "local", "gamma": 0.02})
+    def test_any_one_value_builds_a_run_or_is_a_config_error(self, key, value):
+        """The run is never called: nothing trains, and no drawn value reaches
+        an allocation larger than a 64-wide layer."""
+        name, path = key
+        cfg = copy.deepcopy(cli.RUN_PRESETS[name])
+        block = cfg
+        for part in path[:-1]:
+            block = block[part]
+        block[path[-1]] = value
+        try:
+            run = cli._build_run(cfg)
+        except cli.ConfigError:
+            return
+        assert callable(run)
 
     def test_requires_config_or_preset(self, capsys):
         assert main(["synthesize"]) == 1

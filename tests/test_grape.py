@@ -22,7 +22,7 @@ class TestGrapeConfig:
             GrapeConfig(amp_limit=-1.0)
         for bad in ({"learning_rate": -5.0}, {"f_threshold": 2.0}, {"max_iters": 0},
                     {"log_every": 0}, {"log_every": 2.5}, {"n_segments": 4.7},
-                    {"max_iters": True}, {"max_iters": 2.5}):
+                    {"max_iters": True}, {"max_iters": 2.5}, {"amp_limit": np.inf}):
             with pytest.raises(ValueError):
                 GrapeConfig(**bad)
 

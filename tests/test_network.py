@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,7 +59,7 @@ class TestInit:
         with pytest.raises(ValueError):
             init_params((1, 4, 3), 1.0, 1.0, 0)
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0, True])
     def test_rejects_scales_that_are_not_positive_and_finite(self, bad):
         with pytest.raises(ValueError, match="amp_scale must be positive and finite"):
             init_params((1, 4, 2), bad, 1.0, 0)
@@ -252,6 +255,21 @@ class TestSaveLoad:
         save_params(p, path)
         path.write_text(path.read_text()[:40])
         with pytest.raises(ValueError):
+            load_params(path)
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("amp_scale", True, "amp_scale must be positive and finite, got True"),
+        ("time_scale", True, "time_scale must be positive and finite, got True"),
+        ("time_scale", "1.0", "time_scale must be positive and finite, got '1.0'"),
+        ("layer_sizes", [1, 4.9, 2], "layer_sizes must be an integer >= 1, got 4.9"),
+    ], ids=["amp-scale-bool", "time-scale-bool", "time-scale-string", "width-float"])
+    def test_value_that_is_not_a_number_of_its_kind_errors(self, tmp_path, key, value, named):
+        path = tmp_path / "params.json"
+        save_params(init_params((1, 4, 2), 1.0, 1.0, seed=0), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^malformed parameter document: {re.escape(named)}$"):
             load_params(path)
 
     def test_channel_mismatch_errors(self, tmp_path):

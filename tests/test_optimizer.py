@@ -236,7 +236,7 @@ class TestAscend:
                     {"learning_rate": float("inf")},
                     {"f_threshold": 2.0}, {"f_threshold": 0.0}, {"max_iters": 0},
                     {"log_every": 0}, {"log_every": 1.0}, {"log_every": True},
-                    {"max_iters": 2.5}, {"max_iters": True}):
+                    {"max_iters": 2.5}, {"max_iters": True}, {"seed": True}, {"seed": -1}):
             with pytest.raises(ValueError):
                 AscentConfig(**bad)
 

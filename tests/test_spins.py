@@ -267,7 +267,9 @@ class TestSystemConfig:
         ("J_hz", {"couplings": ((0, 1, -float("inf")),)}),
         ("offsets_hz", {"offsets_hz": (float("inf"), 0.0)}),
         ("offsets_hz", {"offsets_hz": (0.0, float("nan"))}),
-    ], ids=["J-nan", "J-minus-inf", "offset-inf", "offset-nan"])
+        ("J_hz", {"couplings": ((0, 1, True),)}),
+        ("offsets_hz", {"offsets_hz": ("0", 0.0)}),
+    ], ids=["J-nan", "J-minus-inf", "offset-inf", "offset-nan", "J-bool", "offset-string"])
     def test_non_finite_coupling_or_offset_rejected(self, field, kwargs):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SpinSystem(2, channels=((0,), (1,)), **kwargs)
