@@ -146,6 +146,9 @@ def _build_run(cfg: dict):
         params0.check_channels(system.n_channels)
     except (KeyError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid run configuration: {exc}") from exc
+    except MemoryError as exc:  # numpy's message names the size asked for
+        raise ConfigError(
+            f"invalid run configuration: network too large to allocate: {exc}") from exc
     sizes, amp_scale, duration = params0.layer_sizes, params0.amp_scale, params0.time_scale
     noise_cfg = cfg.get("noise")
     if noise_cfg:

@@ -44,13 +44,9 @@ def grape_train(
     n, m2 = config.n_segments, 2 * system.n_channels
     amps = np.random.default_rng(config.seed).normal(0.0, 0.05 * config.amp_limit, size=(n, m2))
 
-    def score(arrays):
-        table = PulseTable(duration, arrays[0].reshape(n, -1, 2))
-        fid, grad = pulse_table_gradient(system, table, objective)
-        return fid, [grad]
+    def score(a):
+        return pulse_table_gradient(system, PulseTable(duration, a.reshape(n, -1, 2)), objective)
 
-    def clip(arrays):
-        return [np.clip(arrays[0], -config.amp_limit, config.amp_limit)]
-
-    (amps,), record = ascend(score, [amps], config, project=clip)
+    amps, record = ascend(score, amps, config,
+                          project=lambda a: np.clip(a, -config.amp_limit, config.amp_limit))
     return PulseTable(duration, amps.reshape(n, -1, 2)), record

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checks import integer, real
+from .checks import REALS, integer, real
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,25 @@ class NetworkParams:
     @property
     def n_channels(self) -> int:
         return self.layer_sizes[-1] // 2
+
+    @staticmethod
+    def flatten(weights, biases) -> np.ndarray:
+        """Arrays shaped like the weights and biases (the parameters or their
+        gradients) as one fresh vector: every weight, then every bias, each row-major."""
+        return np.concatenate([*weights, *biases], axis=None)
+
+    def vector(self) -> np.ndarray:
+        """The parameters as one fresh vector, laid out by ``flatten``."""
+        return self.flatten(self.weights, self.biases)
+
+    def with_vector(self, x: np.ndarray) -> "NetworkParams":
+        """These params with each weight and bias a view of x, laid out as ``vector()``."""
+        arrays, start = [], 0
+        for a in (*self.weights, *self.biases):
+            arrays.append(x[start:start + a.size].reshape(a.shape))
+            start += a.size
+        n = len(self.weights)
+        return replace(self, weights=tuple(arrays[:n]), biases=tuple(arrays[n:]))
 
     def check_channels(self, n_channels: int) -> None:
         """Raise ValueError unless the output layer drives n_channels (x, y) pairs."""
@@ -198,14 +217,25 @@ def params_to_dict(params: NetworkParams) -> dict:
     }
 
 
+def _numbers(name: str, values) -> np.ndarray:
+    """A (nested) JSON array as floats; ValueError on an element that is not a number."""
+    items = np.asarray(values, dtype=object).ravel()
+    # the few element types, then the first element of a wrong one
+    wrong = {k for k in set(map(type, items)) if k is bool or not issubclass(k, REALS)}
+    if wrong:
+        bad = next(v for v in items if type(v) in wrong)
+        raise ValueError(f"{name} must hold numbers only, got {bad!r}")
+    return np.asarray(values, dtype=float)
+
+
 def params_from_dict(doc: dict) -> NetworkParams:
     try:
         sizes = tuple(integer("layer_sizes", s, 1) for s in doc["layer_sizes"])
         weights = tuple(
-            np.asarray(doc["weights"][l], dtype=float).reshape(sizes[l], sizes[l + 1])
+            _numbers("weights", doc["weights"][l]).reshape(sizes[l], sizes[l + 1])
             for l in range(len(sizes) - 1)
         )
-        biases = tuple(np.asarray(b, dtype=float) for b in doc["biases"])
+        biases = tuple(_numbers("biases", b) for b in doc["biases"])
         if not all(np.all(np.isfinite(a)) for a in weights + biases):
             raise ValueError("non-finite weight or bias")
         return NetworkParams(
@@ -216,7 +246,7 @@ def params_from_dict(doc: dict) -> NetworkParams:
             time_scale=doc["time_scale"],
             metadata=dict(doc.get("metadata", {})),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed parameter document: {exc}") from exc
 
 

@@ -74,40 +74,28 @@ class OptimizerConfig(AscentConfig):
 
 
 class AdamState:
-    """First/second moment accumulators over a list of arrays.
+    """First/second moment accumulators shaped like one parameter array, so an
+    update is one pass over every element."""
 
-    Each moment is one flat vector, so an update is one pass over every
-    element.
-    """
-
-    def __init__(self, shapes_like: list[np.ndarray]):
+    def __init__(self, like: np.ndarray):
         self.step = 0
-        sizes = [np.size(a) for a in shapes_like]
-        self._layout = [(slice(end - n, end), np.shape(a))
-                        for a, n, end in zip(shapes_like, sizes, np.cumsum(sizes))]
-        self._m, self._v = np.zeros((2, sum(sizes)))
+        self._m, self._v = np.zeros((2, *np.shape(like)))
 
-    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        return [flat[part].reshape(shape) for part, shape in self._layout]
+    def update(self, grad: np.ndarray, lr: float) -> np.ndarray:
+        """Return the parameter increment for one ascent step along `grad`.
 
-    def update(self, grads: list[np.ndarray], lr: float):
-        """Return the parameter increments for one ascent step along `grads`.
-
-        The moments are kept for the descent gradient -grads: the sign is taken
-        once, on the concatenated vector.
+        The moments are kept for the descent gradient -grad.
         """
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         self.step += 1
-        g = np.concatenate(grads, axis=None)
-        np.negative(g, out=g)
-        # in place, rounded exactly as b1 * m + (1 - b1) * g and b2 * v + (1 - b2) * g * g
+        # in place, rounded exactly as b1 * m + (1 - b1) * -grad and b2 * v + (1 - b2) * grad * grad
         self._m *= b1
-        self._m += (1 - b1) * g
+        self._m -= (1 - b1) * grad
         self._v *= b2
-        self._v += (1 - b2) * g * g
+        self._v += (1 - b2) * grad * grad
         m_hat = self._m / (1 - b1**self.step)
         v_hat = self._v / (1 - b2**self.step)
-        return self._views(-lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        return -lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -131,43 +119,40 @@ class RunRecord:
         return self.iterations[-1][0]
 
 
-def _grad_norm(*groups) -> float:
-    """2-norm of gradient arrays, the squares summed group by group."""
-    return float(np.sqrt(sum(sum(float(np.sum(g * g)) for g in group) for group in groups)))
-
-
 @_workspace()  # one per call: the unitary and dissipative gradients reuse its buffers every step
-def ascend(score, arrays: list[np.ndarray], config: AscentConfig, *, project=None,
-           norm=_grad_norm):
-    """Maximise score(arrays) -> (value, gradients) with Adam until the value
-    reaches config.f_threshold or after config.max_iters updates.
+def ascend(score, x: np.ndarray, config: AscentConfig, *, project=None):
+    """Maximise score(x) -> (value, gradient shaped like x) with Adam until the
+    value reaches config.f_threshold or after config.max_iters updates.
 
-    ``project`` maps the arrays after every update.  Returns the final arrays
-    and a RunRecord of the (iteration, value, norm(gradients)) rows, the
-    converged flag, the config and the wall time.
+    ``project`` maps x after every update.  Returns the final x and a
+    RunRecord of the (iteration, value, gradient 2-norm) rows, the converged
+    flag, the config and the wall time.
     Raises FloatingPointError on a non-finite value, and DivergenceError after
     DIVERGENCE_WINDOW consecutive updates below the initial value - 0.5.
     """
     t0 = time.monotonic()
-    state = AdamState(arrays)
-    value, grads = score(arrays)
+    state = AdamState(x)
+    value, grad = score(x)
+
+    def row(it):
+        return (it, value, float(np.sqrt(np.sum(grad * grad))))
+
     initial = value
-    rows = [(0, value, norm(grads))]
+    rows = [row(0)]
     converged = value >= config.f_threshold
     below = 0
     it = 0
     while not converged and it < config.max_iters:
         it += 1
-        deltas = state.update(grads, config.learning_rate)
-        arrays = [a + d for a, d in zip(arrays, deltas)]
+        x = x + state.update(grad, config.learning_rate)
         if project is not None:
-            arrays = project(arrays)
-        value, grads = score(arrays)
+            x = project(x)
+        value, grad = score(x)
         if not math.isfinite(value):
             raise FloatingPointError(f"non-finite score at iteration {it}")
         converged = value >= config.f_threshold
         if converged or it % config.log_every == 0:
-            rows.append((it, value, norm(grads)))
+            rows.append(row(it))
         if value < initial - 0.5:
             below += 1
             if below >= DIVERGENCE_WINDOW:
@@ -176,13 +161,8 @@ def ascend(score, arrays: list[np.ndarray], config: AscentConfig, *, project=Non
         else:
             below = 0
     if rows[-1][0] != it:
-        rows.append((it, value, norm(grads)))
-    return arrays, RunRecord(rows, converged, config, time.monotonic() - t0)
-
-
-def _with_arrays(params: NetworkParams, arrays: list[np.ndarray]) -> NetworkParams:
-    nw = len(params.weights)
-    return replace(params, weights=tuple(arrays[:nw]), biases=tuple(arrays[nw:]))
+        rows.append(row(it))
+    return x, RunRecord(rows, converged, config, time.monotonic() - t0)
 
 
 def train(
@@ -192,19 +172,14 @@ def train(
     config: OptimizerConfig,
 ) -> RunRecord:
     """Ascend fidelity with Adam until f_threshold or max_iters."""
-    nw = len(params0.weights)
 
-    def score(arrays):
-        params = _with_arrays(params0, arrays)
-        fid, (gw, gb) = loss_and_gradient(params, system, objective, config.n_fine,
-                                          substep_tol=config.substep_tol)
-        return fid, [*gw, *gb]
+    def score(x):
+        fid, grads = loss_and_gradient(params0.with_vector(x), system, objective, config.n_fine,
+                                       substep_tol=config.substep_tol)
+        return fid, NetworkParams.flatten(*grads)
 
-    arrays, record = ascend(
-        score, [*params0.weights, *params0.biases], config,
-        norm=lambda grads: _grad_norm(grads[:nw], grads[nw:]),
-    )
-    record.final_params = _with_arrays(params0, arrays)
+    x, record = ascend(score, params0.vector(), config)
+    record.final_params = params0.with_vector(x)
     return record
 
 
@@ -234,18 +209,17 @@ def fit_network_to_table(
     if np.any(np.abs(target) >= params0.amp_scale):
         raise ValueError("table amplitudes exceed the network amp_scale bound")
 
-    def score(arrays):
-        params = _with_arrays(params0, arrays)
+    def score(x):
+        params = params0.with_vector(x)
         tape = []
         err = forward_batch(params, t, tape) - target
-        gw, gb = backprop_pulse(params, (-2.0 / err.size) * err, tape)
-        return -float(np.vdot(err, err)) / err.size, [*gw, *gb]
+        grads = backprop_pulse(params, (-2.0 / err.size) * err, tape)
+        return -float(np.vdot(err, err)) / err.size, NetworkParams.flatten(*grads)
 
     # -MSE <= 0 never reaches a threshold in (0, 1]: exactly n_iters updates
     config = AscentConfig(learning_rate=FIT_LEARNING_RATE, f_threshold=1.0, max_iters=n_iters,
                           log_every=n_iters)
-    arrays = ascend(score, [*params0.weights, *params0.biases], config)[0]
-    return _with_arrays(params0, arrays)
+    return params0.with_vector(ascend(score, params0.vector(), config)[0])
 
 
 def multi_start(

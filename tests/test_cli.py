@@ -619,6 +619,30 @@ class TestSynthesize:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_network_too_large_to_allocate_is_one_line_error(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the allocation fails as numpy's would, without asking for the memory
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                              "(1000000, 1000000) and data type float64")
+
+        monkeypatch.setattr(cli, "init_params", too_large)
+        cfg = {
+            "system": "defm",
+            "objective": {"target": "cnot:0,1"},
+            "network": {"layer_sizes": [1, 1000000, 1000000, 4], "duration_s": 0.02},
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        rc = main(["synthesize", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == ("error: invalid run configuration: network too large to allocate: "
+                       "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) "
+                       "and data type float64\n")
+        assert not out.exists()
+
     def test_warm_start_run_matches_the_library_call(self, tmp_path, capsys):
         # GRAPE stops at its 2-iteration cap, so the CLI warns and goes on
         cfg = {

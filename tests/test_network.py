@@ -67,6 +67,38 @@ class TestInit:
             init_params((1, 4, 2), 1.0, bad, 0)
 
 
+class TestParameterVector:
+    def params(self):
+        p = init_params((1, 5, 3, 4), U_MAX, 0.02, seed=7)
+        return p.with_vector(p.vector() + np.arange(p.vector().size))  # nonzero biases
+
+    def test_weights_then_biases_row_major(self):
+        p = self.params()
+        expected = [*(w.ravel() for w in p.weights), *p.biases]
+        assert np.array_equal(p.vector(), np.concatenate(expected))
+        gw, gb = [2.0 * w for w in p.weights], [3.0 * b for b in p.biases]
+        expected = [*(w.ravel() for w in gw), *gb]
+        assert np.array_equal(NetworkParams.flatten(gw, gb), np.concatenate(expected))
+
+    def test_vector_is_a_copy(self):
+        p = self.params()
+        before = [a.copy() for a in (*p.weights, *p.biases)]
+        x = p.vector()
+        assert not any(np.shares_memory(x, a) for a in (*p.weights, *p.biases))
+        x[:] = np.nan
+        assert all(np.array_equal(a, b) for a, b in zip((*p.weights, *p.biases), before))
+
+    def test_with_vector_reproduces_every_array_as_a_view(self):
+        p = self.params()
+        x = p.vector()
+        q = p.with_vector(x)
+        for name in ("layer_sizes", "amp_scale", "time_scale", "metadata"):
+            assert getattr(q, name) == getattr(p, name)
+        for a, b in zip((*q.weights, *q.biases), (*p.weights, *p.biases)):
+            assert a.shape == b.shape and np.array_equal(a, b)
+            assert np.shares_memory(a, x)
+
+
 class TestForward:
     def test_zero_network_outputs_zero(self):
         p = init_params((1, 5, 4), U_MAX, 0.02, seed=0)
@@ -262,7 +294,14 @@ class TestSaveLoad:
         ("time_scale", True, "time_scale must be positive and finite, got True"),
         ("time_scale", "1.0", "time_scale must be positive and finite, got '1.0'"),
         ("layer_sizes", [1, 4.9, 2], "layer_sizes must be an integer >= 1, got 4.9"),
-    ], ids=["amp-scale-bool", "time-scale-bool", "time-scale-string", "width-float"])
+        ("weights", [[True, 0.1, 0.2, 0.3], [0.0] * 8], "weights must hold numbers only, got True"),
+        ("weights", [[0.0] * 4, [[0.0, 1.0]] * 3 + [[0.0, None]]],
+         "weights must hold numbers only, got None"),
+        ("biases", [[0.0] * 4, ["0.5", 0.0]], "biases must hold numbers only, got '0.5'"),
+        ("biases", [[0.0] * 4, [0.0, [0.5]]], "biases must hold numbers only, got [0.5]"),
+        ("biases", [[0.0] * 4, [10**400, 0.0]], "int too large to convert to float"),
+    ], ids=["amp-scale-bool", "time-scale-bool", "time-scale-string", "width-float",
+            "weight-bool", "weight-null", "bias-string", "bias-ragged", "bias-beyond-float"])
     def test_value_that_is_not_a_number_of_its_kind_errors(self, tmp_path, key, value, named):
         path = tmp_path / "params.json"
         save_params(init_params((1, 4, 2), 1.0, 1.0, seed=0), path)

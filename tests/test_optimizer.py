@@ -39,12 +39,12 @@ class TestAdam:
     def test_hand_computed_three_steps(self):
         # scalar parameter, constant descent gradient g=2 (ascent gradient -2),
         # lr=0.1, standard betas
-        state = AdamState([np.zeros(1)])
+        state = AdamState(np.zeros(1))
         x = 0.0
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         m = v = 0.0
         for t in range(1, 4):
-            (delta,) = state.update([np.array([-2.0])], lr)
+            delta = state.update(np.array([-2.0]), lr)
             x += delta[0]
             m = b1 * m + (1 - b1) * 2.0
             v = b2 * v + (1 - b2) * 4.0
@@ -77,6 +77,45 @@ class TestTrain:
         for wa, wb in zip(a.final_params.weights, b.final_params.weights):
             assert np.array_equal(wa, wb)
 
+    def test_equals_a_per_array_reference_loop(self):
+        # the reference keeps one Adam moment array per parameter array
+        from dataclasses import replace
+
+        from pinnctl.objectives import loss_and_gradient
+
+        p0, system, objective = small_params(), PRESETS["defm"], cnot_objective()
+        cfg = quick_config(f_threshold=1.0, max_iters=20)
+        record = train(p0, system, objective, cfg)
+        nw = len(p0.weights)
+
+        def score(arrays):
+            params = replace(p0, weights=tuple(arrays[:nw]), biases=tuple(arrays[nw:]))
+            fid, (gw, gb) = loss_and_gradient(params, system, objective, cfg.n_fine)
+            return fid, [*gw, *gb]
+
+        arrays = [*p0.weights, *p0.biases]
+        m = [np.zeros_like(a) for a in arrays]
+        v = [np.zeros_like(a) for a in arrays]
+        fid, g = score(arrays)
+        fids = [fid]
+        for step in range(1, 21):
+            arrays = per_array_adam(arrays, g, m, v, step, cfg.learning_rate)
+            fid, g = score(arrays)
+            fids.append(fid)
+        assert [f for _, f, _ in record.iterations] == fids
+        final = record.final_params
+        assert all(np.array_equal(a, b) for a, b in zip([*final.weights, *final.biases], arrays))
+
+    def test_leaves_its_inputs_and_earlier_results_alone(self):
+        p0 = small_params()
+        start = [a.copy() for a in (*p0.weights, *p0.biases)]
+        first = train(p0, PRESETS["defm"], cnot_objective(), quick_config(max_iters=5))
+        assert all(np.array_equal(a, b) for a, b in zip((*p0.weights, *p0.biases), start))
+        kept = [a.copy() for a in (*first.final_params.weights, *first.final_params.biases)]
+        train(first.final_params, PRESETS["defm"], cnot_objective(), quick_config(max_iters=5))
+        after = (*first.final_params.weights, *first.final_params.biases)
+        assert all(np.array_equal(a, b) for a, b in zip(after, kept))
+
     def test_running_max_nondecreasing(self):
         rec = train(small_params(), PRESETS["defm"], cnot_objective(), quick_config(max_iters=40))
         fids = [f for _, f, _ in rec.iterations]
@@ -102,10 +141,9 @@ class TestTrain:
 def quadratic(center):
     """Concave score 1 - |x - center|^2 and its gradient."""
 
-    def score(arrays):
-        (x,) = arrays
+    def score(x):
         d = x - center
-        return 1.0 - float(np.sum(d * d)), [-2.0 * d]
+        return 1.0 - float(np.sum(d * d)), -2.0 * d
 
     return score
 
@@ -115,7 +153,7 @@ def hand_rolled_adam(score, x, config):
     b1, b2 = 0.9, 0.999
     m = np.zeros_like(x)
     v = np.zeros_like(x)
-    value, (g,) = score([x])
+    value, g = score(x)
     seen = [(0, value, float(np.sqrt(np.sum(g * g))))]
     for t in range(1, config.max_iters + 1):
         if value >= config.f_threshold:
@@ -124,7 +162,7 @@ def hand_rolled_adam(score, x, config):
         v = b2 * v + (1 - b2) * g * g
         step = (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + 1e-8)
         x = x - config.learning_rate * step
-        value, (g,) = score([x])
+        value, g = score(x)
         seen.append((t, value, float(np.sqrt(np.sum(g * g)))))
     return seen, x
 
@@ -152,7 +190,7 @@ class TestAscend:
         score = quadratic(self.CENTER)
         cfg = AscentConfig(learning_rate=1e-2, f_threshold=threshold, max_iters=40,
                            log_every=log_every)
-        (x,), record = ascend(score, [np.zeros(3)], cfg)
+        x, record = ascend(score, np.zeros(3), cfg)
         rows, converged = record.iterations, record.converged
         assert record.config is cfg and record.wall_time_s >= 0 and record.final_params is None
         seen, x_ref = hand_rolled_adam(score, np.zeros(3), cfg)
@@ -169,16 +207,16 @@ class TestAscend:
     def test_project_runs_after_every_update(self):
         seen, calls = [], []
 
-        def score(arrays):
-            seen.append(arrays[0].copy())
-            return quadratic(self.CENTER)(arrays)
+        def score(x):
+            seen.append(x.copy())
+            return quadratic(self.CENTER)(x)
 
-        def project(arrays):
+        def project(x):
             calls.append(1)
-            return [np.clip(a, -0.05, 0.05) for a in arrays]
+            return np.clip(x, -0.05, 0.05)
 
         cfg = AscentConfig(learning_rate=1e-2, f_threshold=1.0, max_iters=25)
-        (x,), record = ascend(score, [np.zeros(3)], cfg, project=project)
+        x, record = ascend(score, np.zeros(3), cfg, project=project)
         assert len(calls) == record.n_iters == 25
         assert all(np.max(np.abs(a)) <= 0.05 for a in seen[1:])
         assert np.array_equal(np.abs(x), np.full(3, 0.05))
@@ -186,49 +224,49 @@ class TestAscend:
     def test_divergence_after_window(self):
         calls = []
 
-        def collapsing(arrays):
+        def collapsing(x):
             calls.append(1)
-            return (0.9 if len(calls) == 1 else 0.3999), [np.ones(2)]
+            return (0.9 if len(calls) == 1 else 0.3999), np.ones(2)
 
         cfg = AscentConfig(f_threshold=1.0, max_iters=DIVERGENCE_WINDOW - 1)
-        ascend(collapsing, [np.zeros(2)], cfg)  # one update short of the window
+        ascend(collapsing, np.zeros(2), cfg)  # one update short of the window
         calls.clear()
         cfg = AscentConfig(f_threshold=1.0, max_iters=10 * DIVERGENCE_WINDOW)
         with pytest.raises(DivergenceError):
-            ascend(collapsing, [np.zeros(2)], cfg)
+            ascend(collapsing, np.zeros(2), cfg)
         assert len(calls) == DIVERGENCE_WINDOW + 1
 
     def test_non_finite_value_raises(self):
         calls = []
 
-        def blows_up(arrays):
+        def blows_up(x):
             calls.append(1)
-            return (0.5 if len(calls) < 3 else float("nan")), [np.ones(2)]
+            return (0.5 if len(calls) < 3 else float("nan")), np.ones(2)
 
         with pytest.raises(FloatingPointError, match="iteration 2"):
-            ascend(blows_up, [np.zeros(2)], AscentConfig(f_threshold=1.0, max_iters=10))
+            ascend(blows_up, np.zeros(2), AscentConfig(f_threshold=1.0, max_iters=10))
 
     def test_one_workspace_per_ascent(self):
         seen = []
 
-        def score(arrays):
+        def score(x):
             seen.append(_buffer("probe", (2,)))
-            return 0.5, [np.ones(2)]
+            return 0.5, np.ones(2)
 
         cfg = AscentConfig(f_threshold=1.0, max_iters=3)
-        ascend(score, [np.zeros(2)], cfg)
-        ascend(score, [np.zeros(2)], cfg)
+        ascend(score, np.zeros(2), cfg)
+        ascend(score, np.zeros(2), cfg)
         assert len(seen) == 8
         assert all(b is seen[0] for b in seen[:4]) and all(b is seen[4] for b in seen[4:])
         assert seen[4] is not seen[0]
 
     def test_workspace_closes_when_the_ascent_raises(self):
-        def blows_up(arrays):
+        def blows_up(x):
             _buffer("probe", (2,))
-            return float("nan"), [np.ones(2)]
+            return float("nan"), np.ones(2)
 
         with pytest.raises(FloatingPointError):
-            ascend(blows_up, [np.zeros(2)], AscentConfig(f_threshold=1.0, max_iters=3))
+            ascend(blows_up, np.zeros(2), AscentConfig(f_threshold=1.0, max_iters=3))
         assert _buffer("probe", (2,)) is not _buffer("probe", (2,))
 
     def test_config_validation(self):
@@ -348,6 +386,18 @@ class TestFitNetworkToTable:
         b = fit_network_to_table(p0, table, n_samples=32, n_iters=50)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
+
+    def test_leaves_its_inputs_and_earlier_results_alone(self):
+        from pinnctl.optimizer import fit_network_to_table
+
+        table = self.table()
+        p0 = init_params((1, 12, 4), 2 * np.pi * 500, 0.005, seed=3)
+        start = [a.copy() for a in (*p0.weights, *p0.biases)]
+        first = fit_network_to_table(p0, table, n_samples=32, n_iters=5)
+        assert all(np.array_equal(a, b) for a, b in zip((*p0.weights, *p0.biases), start))
+        kept = [a.copy() for a in (*first.weights, *first.biases)]
+        fit_network_to_table(first, table, n_samples=32, n_iters=5)
+        assert all(np.array_equal(a, b) for a, b in zip((*first.weights, *first.biases), kept))
 
     def test_equals_a_per_array_reference_loop(self):
         # the tcp-lls architecture; the reference runs its own forward pass and
