@@ -82,6 +82,16 @@ RUN_PRESETS = {
         "n_starts": 1,
     },
 }
+# the noise analysis's retrain of a trained tcp-lls network, named by `network`,
+# with the noise set per run: a fixed budget (f_threshold 1.0, so exit code 2)
+RUN_PRESETS["tcp-lls-noisy"] = {
+    "system": "tcp",
+    "objective": {"target": "lls"},
+    "network": RUN_PRESETS["tcp-lls"]["network"],
+    "noise": {"kind": "local", "gamma": 0.02},
+    "optimizer": {"learning_rate": 3e-3, "f_threshold": 1.0, "max_iters": 400,
+                  "n_fine": 512, "substep_tol": 0.05},
+}
 
 
 # The keys _build_run reads, per block of a run configuration (None: the top level).
@@ -136,14 +146,18 @@ def _build_run(cfg: dict):
         obj_cfg = {"shape_weight": 0.0, **cfg["objective"]}
         objective = named_target(obj_cfg["target"], shape_weight=obj_cfg["shape_weight"])
         objective.check_dimension(system.dimension)
-        net = {"amp_scale_rad_s": DEFAULT_AMP_SCALE, "input_gain": 1.0, **cfg["network"]}
-        input_gain = net["input_gain"]
         opt = OptimizerConfig(**cfg.get("optimizer", {}))
         n_starts = integer("n_starts", cfg.get("n_starts", 1), 1)
-        # checks the network settings, so no run fails on them after --out exists
-        params0 = init_params(net["layer_sizes"], net["amp_scale_rad_s"], net["duration_s"],
-                              opt.seed, input_gain=input_gain)
-        params0.check_channels(system.n_channels)
+        given = isinstance(cfg["network"], str)  # a parameter file, named as a system file is
+        if given:
+            params0 = load_params(cfg["network"], expected_channels=system.n_channels)
+        else:
+            net = {"amp_scale_rad_s": DEFAULT_AMP_SCALE, "input_gain": 1.0, **cfg["network"]}
+            input_gain = net["input_gain"]
+            # checks the network settings, so no run fails on them after --out exists
+            params0 = init_params(net["layer_sizes"], net["amp_scale_rad_s"],
+                                  net["duration_s"], opt.seed, input_gain=input_gain)
+            params0.check_channels(system.n_channels)
     except (KeyError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid run configuration: {exc}") from exc
     except MemoryError as exc:  # numpy's message names the size asked for
@@ -158,6 +172,10 @@ def _build_run(cfg: dict):
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid noise configuration: {exc}") from exc
     ws_cfg = cfg.get("warm_start")
+    if given and ws_cfg:
+        raise ConfigError("a run from a given network takes no warm_start block")
+    if (given or ws_cfg) and n_starts > 1:
+        raise ConfigError("a given or warm start trains one start; n_starts must be 1")
     if ws_cfg:
         try:
             ws = {"n_segments": 64, "amp_limit_rad_s": 0.9 * amp_scale, "learning_rate": 10.0,
@@ -179,20 +197,20 @@ def _build_run(cfg: dict):
         if grape_cfg.amp_limit >= amp_scale:
             raise ConfigError(f"warm_start.amp_limit_rad_s {grape_cfg.amp_limit:g} must be below "
                               f"network.amp_scale_rad_s {amp_scale:g}")
-        if n_starts > 1:
-            raise ConfigError("a warm_start run trains one start; n_starts must be 1")
         if input_gain != 1.0:
             raise ConfigError("a warm_start run does not apply network.input_gain; leave it at 1")
 
     def run() -> tuple[RunRecord, RunRecord | None]:
-        grape_record = None
+        grape_record, start = None, params0 if given else None
         if ws_cfg:
             # solve segment-wise, regress params0 (input gain 1) onto that
             # pulse, and fine-tune the network from there
             table, grape_record = grape_train(system, ws_objective, duration, grape_cfg)
             if not grape_record.converged:
                 print("warm start did not converge; continuing anyway", file=sys.stderr)
-            record = train(fit_network_to_table(params0, table), system, objective, opt)
+            start = fit_network_to_table(params0, table)
+        if start is not None:
+            record = train(start, system, objective, opt)
         else:
             record = multi_start(system, objective, sizes, amp_scale, duration, opt, n_starts,
                                  input_gain=input_gain)
@@ -205,7 +223,8 @@ def _build_run(cfg: dict):
 def synthesize(cfg: dict) -> tuple[RunRecord, RunRecord | None]:
     """Run a training recipe: a RUN_PRESETS entry, or the same schema read from JSON.
 
-    The whole configuration is validated first (ConfigError).  A warm_start
+    The whole configuration is validated first (ConfigError).  A `network`
+    that names a parameter file is trained from where it is.  A warm_start
     block solves the objective segment-wise, fits the network to that pulse
     and fine-tunes it; otherwise multi_start trains seeds seed..seed+n_starts-1
     (n_starts defaults to 1), stops at the first that converges and names the
@@ -420,8 +439,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, KeyError, OSError, RuntimeError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, KeyError, OSError, RuntimeError, FloatingPointError,
+            MemoryError) as exc:  # numpy's MemoryError names the size, Python's nothing
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

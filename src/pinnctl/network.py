@@ -228,13 +228,21 @@ def _numbers(name: str, values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+def _weights(values, n_in: int, n_out: int) -> np.ndarray:
+    """One layer's weights, as params_to_dict writes them (a flat row-major list)
+    or nested exactly (n_in, n_out); a transposed nesting is an error, not a reshape."""
+    w = _numbers("weights", values)
+    if w.shape not in ((n_in * n_out,), (n_in, n_out)):
+        raise ValueError(f"weights of a {n_in} x {n_out} layer must be a flat list of "
+                         f"{n_in * n_out} numbers or nested ({n_in}, {n_out}), got shape {w.shape}")
+    return w.reshape(n_in, n_out)
+
+
 def params_from_dict(doc: dict) -> NetworkParams:
     try:
         sizes = tuple(integer("layer_sizes", s, 1) for s in doc["layer_sizes"])
-        weights = tuple(
-            _numbers("weights", doc["weights"][l]).reshape(sizes[l], sizes[l + 1])
-            for l in range(len(sizes) - 1)
-        )
+        weights = tuple(_weights(doc["weights"][l], sizes[l], sizes[l + 1])
+                        for l in range(len(sizes) - 1))
         biases = tuple(_numbers("biases", b) for b in doc["biases"])
         if not all(np.all(np.isfinite(a)) for a in weights + biases):
             raise ValueError("non-finite weight or bias")

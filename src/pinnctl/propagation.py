@@ -24,7 +24,7 @@ Outside an ascent they are allocated per call, and the forward-only Lindblad
 walk reuses one chunk's buffers for the next.  The
 independent cross-check, an adaptive Dormand-Prince integrator that treats
 the network as a continuous-time Hamiltonian, lives with the tests
-(tests/oracles.py), so this module needs numpy alone.
+(their oracles module), so this module needs numpy alone.
 """
 
 from __future__ import annotations

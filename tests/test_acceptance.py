@@ -11,6 +11,7 @@ first because nothing else is meaningful if it fails.
 
 import copy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,11 +52,10 @@ EVAL_N_FINE = 4096
 # committed pulse was trained at; ROADMAP item 4 decides the value
 CNOT_RECIPE = copy.deepcopy(RUN_PRESETS["defm-cnot"])
 CNOT_RECIPE["network"]["input_gain"] = 1
-# warm-started dissipative retraining: coarser grid and substepping for speed;
-# all reported fidelities below are re-evaluated at the tight defaults
-NOISY_CONFIG = OptimizerConfig(
-    learning_rate=3e-3, f_threshold=1.0, max_iters=400, n_fine=512, substep_tol=0.05
-)
+# the noiseless pulse as the lls_params fixture saves it: the start of every
+# dissipative retrain (the tcp-lls-noisy preset: coarser grid and substepping
+# for speed; all reported fidelities below are re-evaluated at the tight defaults)
+LLS_START = Path(__file__).parent / "artifacts" / "lls_tcp.json"
 GAMMAS = [0.0, 0.02, 0.04, 0.06, 0.07]
 
 
@@ -82,16 +82,15 @@ def lls_params(artifact_cache):
 
 @pytest.fixture(scope="session")
 def noisy_lls_params(artifact_cache, lls_params):
-    """gamma -> params per noise kind, warm-started from the noiseless pulse."""
+    """gamma -> params per noise kind, each retrained from the noiseless pulse."""
     out = {}
     for kind in ("local", "global"):
         by_gamma = {0.0: lls_params}
         for gamma in GAMMAS[1:]:
             def build(kind=kind, gamma=gamma):
-                objective = replace(
-                    lls_objective(), noise=noise_operators(TCP, kind, gamma)
-                )
-                return train(lls_params, TCP, objective, NOISY_CONFIG).final_params
+                record, _ = synthesize({**RUN_PRESETS["tcp-lls-noisy"], "network": str(LLS_START),
+                                        "noise": {"kind": kind, "gamma": gamma}})
+                return record.final_params
 
             by_gamma[gamma] = artifact_cache(f"lls_tcp_{kind}_g{gamma}", build)
         out[kind] = by_gamma

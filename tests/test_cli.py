@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,10 @@ import pinnctl
 from pinnctl import cli
 from pinnctl.cli import main
 from pinnctl.fileio import read_pulse_csv
-from pinnctl.network import init_params, save_params
+from pinnctl.network import init_params, load_params, save_params
+from pinnctl.optimizer import OptimizerConfig, train
+from pinnctl.spins import PRESETS, noise_operators
+from pinnctl.targets import lls_objective
 
 
 def key_paths(doc: dict, prefix=()):
@@ -26,7 +30,7 @@ def key_paths(doc: dict, prefix=()):
             yield from key_paths(value, (*prefix, key))
 
 
-PRESET_KEYS = [(name, path) for name in ("defm-cnot", "tcp-lls")
+PRESET_KEYS = [(name, path) for name in sorted(cli.RUN_PRESETS)
                for path in key_paths(cli.RUN_PRESETS[name])]
 # bounded: no drawn count or width can ask for a large array
 SCALARS = st.one_of(st.booleans(), st.none(), st.text(max_size=4), st.integers(-2, 64),
@@ -83,6 +87,25 @@ class TestSample:
         assert main(["sample", str(params), "--segments", "8", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == "error: malformed parameter document: non-finite weight or bias\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 745. GiB for an array with shape (100000000000,) and data type "
+         "float64", "error: Unable to allocate 745. GiB for an array with shape "
+         "(100000000000,) and data type float64\n"),
+        ("", "error: MemoryError\n"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_is_one_line_error(self, defm_params, tmp_path, capsys, monkeypatch,
+                                            message, line):
+        # the allocation fails as numpy's (or Python's) would, without asking for the memory
+        def too_large(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "sample_pulse", too_large)
+        out = tmp_path / "pulse.csv"
+        rc = main(["sample", defm_params, "--segments", "100000000000", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == line
         assert not out.exists()
 
     def test_missing_file_is_error(self, tmp_path):
@@ -516,6 +539,12 @@ class TestSynthesize:
         (None, {"system": "tcp", "objective": {"target": "lls", "shape_weight": 1.0},
                 "network": {"layer_sizes": [1, 8, 2], "duration_s": 0.05},
                 "noise": {"kind": "local", "gamma": 0.02}, "warm_start": {}}),
+        # a given network (a path relative to the working directory) is the one start
+        (None, {"network": "defm.json"}),
+        (None, {"network": "defm.json", "warm_start": {}, "n_starts": 2}),
+        (None, {"network": "missing.json", "warm_start": {}}),
+        (None, {"network": "garbled.json", "warm_start": {}}),
+        (None, {"network": "tcp.json", "warm_start": {}}),
     ])
     def test_config_error_trains_nothing_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch, section, bad
@@ -525,6 +554,10 @@ class TestSynthesize:
 
         for stage in ("train", "multi_start", "grape_train", "fit_network_to_table"):
             monkeypatch.setattr(cli, stage, no_training)
+        monkeypatch.chdir(tmp_path)
+        save_params(init_params((1, 8, 4), 2 * np.pi * 1000, 0.02, seed=4), "defm.json")
+        save_params(init_params((1, 8, 2), 2 * np.pi * 1000, 0.02, seed=4), "tcp.json")
+        Path("garbled.json").write_text('{"layer_sizes": [1, 8, 4], "weights": [')
         cfg = {
             "system": "defm",
             "objective": {"target": "cnot:0,1"},
@@ -687,6 +720,41 @@ class TestSynthesize:
         assert err_at_train == ["warm start did not converge; continuing anyway\n"]
         assert capsys.readouterr().err == ""
 
+    @staticmethod
+    def given_network_run(tmp_path) -> dict:
+        """The tcp-lls-noisy preset, capped at 2 steps, from a small saved tcp network."""
+        path = tmp_path / "start.json"
+        save_params(init_params((1, 8, 2), 2 * np.pi * 60, 0.15, seed=4), path)
+        cfg = copy.deepcopy(cli.RUN_PRESETS["tcp-lls-noisy"])
+        cfg["network"] = str(path)
+        cfg["optimizer"]["max_iters"] = 2
+        return cfg
+
+    def test_given_network_trains_as_train_on_the_loaded_network(self, tmp_path):
+        cfg = self.given_network_run(tmp_path)
+        record, grape_record = cli.synthesize(cfg)
+        tcp = PRESETS["tcp"]
+        objective = replace(lls_objective(), noise=noise_operators(tcp, "local", 0.02))
+        expected = train(load_params(cfg["network"]), tcp, objective,
+                         OptimizerConfig(**cfg["optimizer"]))
+        assert grape_record is None
+        assert record.context == {"config": cfg}
+        assert record.iterations == expected.iterations
+        assert record.final_params.vector().tobytes() == expected.final_params.vector().tobytes()
+
+    def test_given_network_command_writes_the_library_result_and_exits_2(self, tmp_path):
+        cfg = self.given_network_run(tmp_path)
+        record, _ = cli.synthesize(cfg)
+        save_params(record.final_params, tmp_path / "expected.json")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        # f_threshold 1.0 is a fixed budget, never a convergence
+        assert main(["synthesize", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert (out / "params.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+        saved = json.loads((out / "run_record.json").read_text())
+        assert saved["context"]["config"]["network"] == cfg["network"]
+
     def test_library_call_on_a_non_object_is_a_config_error(self):
         with pytest.raises(cli.ConfigError, match="invalid run configuration"):
             cli.synthesize([1, 2])
@@ -698,6 +766,7 @@ class TestSynthesize:
     @given(st.sampled_from(PRESET_KEYS), OUTSIDE_VALUES)
     @settings(max_examples=400)
     @example(("tcp-lls", ("noise",)), {"kind": "local", "gamma": 0.02})
+    @example(("tcp-lls-noisy", ("network",)), "no-such-params.json")
     def test_any_one_value_builds_a_run_or_is_a_config_error(self, key, value):
         """The run is never called: nothing trains, and no drawn value reaches
         an allocation larger than a 64-wide layer."""

@@ -14,6 +14,8 @@ from pinnctl.network import (
     forward_batch,
     init_params,
     load_params,
+    params_from_dict,
+    params_to_dict,
     sample_pulse,
     save_params,
 )
@@ -281,6 +283,13 @@ class TestSaveLoad:
         t = np.random.default_rng(0).uniform(0, 0.02, 100)
         assert np.array_equal(forward_batch(p, t), forward_batch(q, t))
 
+    def test_weights_nested_in_their_shape_load_as_the_flat_form(self, tmp_path):
+        p = init_params((1, 4, 2), 1.0, 1.0, seed=0)
+        doc = params_to_dict(p)
+        doc["weights"] = [w.tolist() for w in p.weights]
+        q = params_from_dict(doc)
+        assert all(np.array_equal(a, b) for a, b in zip(p.weights, q.weights))
+
     def test_truncated_file_errors(self, tmp_path):
         p = init_params((1, 4, 2), 1.0, 1.0, seed=0)
         path = tmp_path / "params.json"
@@ -300,8 +309,16 @@ class TestSaveLoad:
         ("biases", [[0.0] * 4, ["0.5", 0.0]], "biases must hold numbers only, got '0.5'"),
         ("biases", [[0.0] * 4, [0.0, [0.5]]], "biases must hold numbers only, got [0.5]"),
         ("biases", [[0.0] * 4, [10**400, 0.0]], "int too large to convert to float"),
+        # a (4, 2) layer nested as its transpose is not reshaped into place
+        ("weights", [[0.0] * 4, np.arange(8.0).reshape(4, 2).T.tolist()],
+         "weights of a 4 x 2 layer must be a flat list of 8 numbers or nested (4, 2), "
+         "got shape (2, 4)"),
+        ("weights", [[0.0] * 4, [0.0] * 7],
+         "weights of a 4 x 2 layer must be a flat list of 8 numbers or nested (4, 2), "
+         "got shape (7,)"),
     ], ids=["amp-scale-bool", "time-scale-bool", "time-scale-string", "width-float",
-            "weight-bool", "weight-null", "bias-string", "bias-ragged", "bias-beyond-float"])
+            "weight-bool", "weight-null", "bias-string", "bias-ragged", "bias-beyond-float",
+            "weight-transposed", "weight-short"])
     def test_value_that_is_not_a_number_of_its_kind_errors(self, tmp_path, key, value, named):
         path = tmp_path / "params.json"
         save_params(init_params((1, 4, 2), 1.0, 1.0, seed=0), path)
