@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .checks import REALS, integer, real
+from .workspace import _buffer
 
 
 @dataclass(frozen=True)
@@ -140,27 +141,26 @@ def init_params(
     return params
 
 
-def _check_times(params: NetworkParams, t: np.ndarray):
-    # written so that NaN, which compares false, fails the check
-    if not np.all((t >= -1e-12) & (t <= params.time_scale * (1 + 1e-12))):
-        raise ValueError("time outside the control window [0, T]")
-
-
 def forward_batch(params: NetworkParams, t, tape: list | None = None) -> np.ndarray:
-    """Evaluate the control amplitudes at times t (shape (N,)) -> (N, 2M) rad/s.
+    """Evaluate the control amplitudes at times t (shape (N,)) -> fresh (N, 2M) rad/s.
 
     Given a list as ``tape``, appends the input column and every tanh output
     (hidden layers, then the output layer before amp_scale), which is
-    sufficient for an exact reverse pass since d tanh = 1 - tanh^2.
+    sufficient for an exact reverse pass since d tanh = 1 - tanh^2.  Each layer
+    is formed in place in one buffer (in a workspace, the layer's), so a tape
+    filled there lasts until the next forward pass.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    _check_times(params, t)
+    # written so that NaN, which compares false, fails the check
+    if not np.all((t >= -1e-12) & (t <= params.time_scale * (1 + 1e-12))):
+        raise ValueError("time outside the control window [0, T]")
     a = (t / params.time_scale)[:, None]
     if tape is not None:
         tape.append(a)
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = _buffer(f"layer{l}", (len(t), len(b)))
         # one time input: the first layer is a broadcast product, bit-equal to a k=1 matmul
-        a = np.tanh((a * w if l == 0 else a @ w) + b)
+        a = np.tanh(np.add((np.multiply if l == 0 else np.matmul)(a, w, out=z), b, out=z), out=z)
         if tape is not None:
             tape.append(a)
     return params.amp_scale * a
@@ -173,7 +173,7 @@ def backprop_pulse(
 
     tape is the list that ``forward_batch(params, t, tape)`` filled; upstream
     has shape (N, 2M) matching its times t.  Returns (grad_w, grad_b) with the
-    same shapes as params.weights / params.biases.
+    same shapes as params.weights / params.biases, as fresh arrays.
     """
     upstream = np.atleast_2d(np.asarray(upstream, dtype=float))
     if upstream.shape != tape[-1].shape:
@@ -181,14 +181,18 @@ def backprop_pulse(
     n_layers = len(params.weights)
     grad_w = [None] * n_layers
     grad_b = [None] * n_layers
-    # output layer: u = amp_scale * tanh(z); tape[-1] is tanh(z)
-    delta = upstream * params.amp_scale * (1.0 - tape[-1] ** 2)
+    keys = ["backprop_a", "backprop_b"]  # delta and its 1 - a^2 factor take turns in two buffers
+    # output layer: u = amp_scale * tanh(z)
+    delta = np.multiply(upstream, params.amp_scale, out=_buffer(keys[0], upstream.shape))
     for l in range(n_layers - 1, -1, -1):
-        a_prev = tape[l]
-        grad_w[l] = a_prev.T @ delta
+        # this layer's tanh output a: delta * (1.0 - a**2), the factor formed in the other buffer
+        factor = np.square(tape[l + 1], out=_buffer(keys[1], delta.shape))
+        delta = np.multiply(delta, np.subtract(1.0, factor, out=factor), out=delta)
+        grad_w[l] = tape[l].T @ delta
         grad_b[l] = delta.sum(axis=0)
-        if l > 0:
-            delta = (delta @ params.weights[l].T) * (1.0 - a_prev**2)
+        if l > 0:  # the next delta goes where the factor was
+            delta = np.matmul(delta, params.weights[l].T, out=_buffer(keys[1], tape[l].shape))
+            keys.reverse()
     return tuple(grad_w), tuple(grad_b)
 
 

@@ -5,9 +5,9 @@ eigendecomposition-based Frechet derivative of each segment exponential
 (Daleckii-Krein), formed in each segment's eigenbasis, chained into the
 network backprop for the unitary path, and the exact adjoint of the
 per-segment RK4 polynomial for the dissipative path, taken in real arithmetic
-in the orthonormal Hermitian basis of ``spins.SystemOperators``.  Both write
-their temporaries into the ascent's workspace (``propagation._buffer``) and
-return fresh arrays.
+in the orthonormal Hermitian basis of ``spins.SystemOperators``.  Both, and
+the network's forward and reverse passes, write their temporaries into the
+ascent's workspace (``workspace._buffer``); every gradient returned is fresh.
 """
 
 from __future__ import annotations
@@ -341,8 +341,7 @@ def loss_and_gradient(
     fid, du = pulse_table_gradient(
         system, table, objective, substep_tol=substep_tol, amp_bound=params.amp_scale
     )
-    grad_w, grad_b = backprop_pulse(params, du, tape)
-    return fid, (grad_w, grad_b)
+    return fid, backprop_pulse(params, du, tape)
 
 
 def evaluate_fidelity(

@@ -26,8 +26,9 @@ from .network import (
     segment_times,
 )
 from .objectives import ObjectiveSpec, loss_and_gradient
-from .propagation import DEFAULT_N_FINE, DEFAULT_SUBSTEP_TOL, _check_substep_tol, _workspace
+from .propagation import DEFAULT_N_FINE, DEFAULT_SUBSTEP_TOL, _check_substep_tol
 from .spins import SpinSystem
+from .workspace import _workspace
 
 DIVERGENCE_WINDOW = 100
 # Adam moment decay rates and denominator guard (the standard values)
@@ -74,28 +75,30 @@ class OptimizerConfig(AscentConfig):
 
 
 class AdamState:
-    """First/second moment accumulators shaped like one parameter array, so an
-    update is one pass over every element."""
+    """First/second moment accumulators shaped like one parameter array, and two
+    more that an update computes in, so an update is one pass over every element."""
 
     def __init__(self, like: np.ndarray):
         self.step = 0
-        self._m, self._v = np.zeros((2, *np.shape(like)))
+        self._m, self._v, self._inc, self._den = np.zeros((4, *np.shape(like)))
 
     def update(self, grad: np.ndarray, lr: float) -> np.ndarray:
-        """Return the parameter increment for one ascent step along `grad`.
+        """Return the parameter increment for one ascent step along `grad`, until the next update.
 
         The moments are kept for the descent gradient -grad.
         """
         b1, b2 = ADAM_BETA1, ADAM_BETA2
+        inc, den = self._inc, self._den
         self.step += 1
         # in place, rounded exactly as b1 * m + (1 - b1) * -grad and b2 * v + (1 - b2) * grad * grad
         self._m *= b1
-        self._m -= (1 - b1) * grad
+        self._m -= np.multiply(1 - b1, grad, out=inc)
         self._v *= b2
-        self._v += (1 - b2) * grad * grad
-        m_hat = self._m / (1 - b1**self.step)
-        v_hat = self._v / (1 - b2**self.step)
-        return -lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        self._v += np.multiply(np.multiply(1 - b2, grad, out=den), grad, out=den)
+        # -lr * m_hat / (sqrt(v_hat) + eps)
+        np.multiply(-lr, np.divide(self._m, 1 - b1**self.step, out=inc), out=inc)
+        np.sqrt(np.divide(self._v, 1 - b2**self.step, out=den), out=den)
+        return np.divide(inc, np.add(den, ADAM_EPS, out=den), out=inc)
 
 
 @dataclass
@@ -131,6 +134,7 @@ def ascend(score, x: np.ndarray, config: AscentConfig, *, project=None):
     DIVERGENCE_WINDOW consecutive updates below the initial value - 0.5.
     """
     t0 = time.monotonic()
+    x = np.array(x, dtype=float)  # the one copy, stepped in place
     state = AdamState(x)
     value, grad = score(x)
 
@@ -144,7 +148,7 @@ def ascend(score, x: np.ndarray, config: AscentConfig, *, project=None):
     it = 0
     while not converged and it < config.max_iters:
         it += 1
-        x = x + state.update(grad, config.learning_rate)
+        x += state.update(grad, config.learning_rate)
         if project is not None:
             x = project(x)
         value, grad = score(x)
@@ -162,7 +166,7 @@ def ascend(score, x: np.ndarray, config: AscentConfig, *, project=None):
             below = 0
     if rows[-1][0] != it:
         rows.append(row(it))
-    return x, RunRecord(rows, converged, config, time.monotonic() - t0)
+    return x.copy(), RunRecord(rows, converged, config, time.monotonic() - t0)
 
 
 def train(
@@ -210,8 +214,7 @@ def fit_network_to_table(
         raise ValueError("table amplitudes exceed the network amp_scale bound")
 
     def score(x):
-        params = params0.with_vector(x)
-        tape = []
+        params, tape = params0.with_vector(x), []
         err = forward_batch(params, t, tape) - target
         grads = backprop_pulse(params, (-2.0 / err.size) * err, tape)
         return -float(np.vdot(err, err)) / err.size, NetworkParams.flatten(*grads)

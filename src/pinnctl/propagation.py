@@ -16,12 +16,10 @@ U(T) P_s^dagger.  Dissipative evolution integrates
 the vectorized master equation with fixed-step RK4 inside each segment, in
 real arithmetic: in an orthonormal basis of Hermitian matrices every
 Hermiticity-preserving generator is a real d^2 x d^2 matrix, and density
-matrices are real coordinate vectors.  During an ascent (``optimizer.ascend``)
-both gradients and the segment arrays they build write their (N, d, d) and
-(N, d^2, d^2) temporaries into one workspace of buffers kept for the whole
-ascent: freed arrays of these sizes would fault in fresh pages on every step.
-Outside an ascent they are allocated per call, and the forward-only Lindblad
-walk reuses one chunk's buffers for the next.  The
+matrices are real coordinate vectors.  Inside an ascent the segment arrays
+are buffers of its workspace (``workspace._buffer``), valid until the next
+call; outside one they are fresh, and the forward-only Lindblad walk reuses
+one chunk's buffers for the next.  The
 independent cross-check, an adaptive Dormand-Prince integrator that treats
 the network as a continuous-time Hamiltonian, lives with the tests
 (their oracles module), so this module needs numpy alone.
@@ -30,9 +28,7 @@ the network as a continuous-time Hamiltonian, lives with the tests
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Callable
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +42,7 @@ from .spins import (
     drift_hamiltonian,
     system_operators,
 )
+from .workspace import _buffer, _workspace
 
 DEFAULT_N_FINE = 4096  # 2**12
 # Per-RK4-substep cap on (gamma*||H0|| + ||H||)*h; 0.005 keeps the gamma=0
@@ -89,34 +86,6 @@ def _as_pulse(system: SpinSystem, pulse, n_fine: int | None) -> PulseTable:
             f"pulse has {table.n_channels} channels, system has {system.n_channels}"
         )
     return table
-
-
-_WORKSPACE = threading.local()
-
-
-@contextmanager
-def _workspace():
-    """Keep the large temporaries that ``_buffer`` hands out alive until
-    exit, so repeated calls write into pages already faulted in instead of
-    fresh ones.  A nested workspace starts empty and restores the outer one."""
-    outer = getattr(_WORKSPACE, "buffers", None)
-    _WORKSPACE.buffers = {}
-    try:
-        yield
-    finally:
-        _WORKSPACE.buffers = outer
-
-
-def _buffer(key: str, shape: tuple, dtype=float) -> np.ndarray:
-    """An uninitialised array: np.empty, or in a workspace its buffer for key, valid
-    until key is asked for again (reallocated when the shape or dtype changes)."""
-    buffers = getattr(_WORKSPACE, "buffers", None)
-    if buffers is None:
-        return np.empty(shape, dtype)
-    buf = buffers.get(key)
-    if buf is None or buf.shape != shape or buf.dtype != dtype:
-        buf = buffers[key] = np.empty(shape, dtype)
-    return buf
 
 
 def segment_hamiltonians(

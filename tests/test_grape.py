@@ -71,6 +71,25 @@ class TestGrapeTrain:
             fd = (fp - fm) / (2 * eps)
             assert abs(fd - grad[s, c]) < 1e-6 * max(1.0, abs(fd))
 
+    def test_table_rounds_as_an_out_of_place_clipped_adam(self):
+        # the ascent steps its copy of the table in place; every step must round
+        # exactly as x = clip(x + -lr * m_hat / (sqrt(v_hat) + eps))
+        system, obj, n, duration = PRESETS["defm"], cnot_objective(), 16, 0.02
+        cfg = GrapeConfig(n_segments=n, amp_limit=2 * np.pi * 60, learning_rate=1e2,
+                          f_threshold=1.0, max_iters=25, seed=4)
+        table, _ = grape_train(system, obj, duration, cfg)
+        x = np.random.default_rng(cfg.seed).normal(0.0, 0.05 * cfg.amp_limit, size=(n, 4))
+        m = v = np.zeros_like(x)
+        _, g = pulse_table_gradient(system, PulseTable(duration, x.reshape(n, -1, 2)), obj)
+        for t in range(1, cfg.max_iters + 1):
+            m = 0.9 * m + (1 - 0.9) * -g
+            v = 0.999 * v + (1 - 0.999) * g * g
+            step = -cfg.learning_rate * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+            x = np.clip(x + step, -cfg.amp_limit, cfg.amp_limit)
+            _, g = pulse_table_gradient(system, PulseTable(duration, x.reshape(n, -1, 2)), obj)
+        assert np.any(np.abs(x) == cfg.amp_limit)  # the projection is exercised
+        assert np.array_equal(table.samples.reshape(n, -1), x)
+
     def test_determinism(self):
         cfg = GrapeConfig(n_segments=16, learning_rate=50.0, max_iters=10, seed=3)
         t1, r1 = grape_train(PRESETS["defm"], cnot_objective(), 0.02, cfg)

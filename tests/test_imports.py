@@ -1,6 +1,8 @@
 """The package needs numpy alone at runtime: scipy is a test dependency
-(tests/oracles.py), so importing pinnctl must not load it."""
+(tests/oracles.py), so importing pinnctl must not load it.  The ascent
+workspace sits at the bottom of the import graph, below network."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -24,3 +26,38 @@ def test_sources_never_name_scipy():
             for path in sorted(SRC.rglob("*.py"))
             for n, line in enumerate(path.read_text().splitlines(), 1) if "scipy" in line]
     assert not hits
+
+
+def imported_modules(name: str) -> set[str]:
+    """The pinnctl modules that src/pinnctl/<name>.py imports ("pinnctl" for the package)."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / "pinnctl" / f"{name}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, from . import x
+            found.update([node.module.split(".")[0]] if node.module else
+                         [alias.name for alias in node.names])
+        else:
+            dotted = [node.module or ""] if isinstance(node, ast.ImportFrom) else (
+                [alias.name for alias in node.names] if isinstance(node, ast.Import) else [])
+            found.update(d.split(".")[1] if "." in d else d
+                         for d in dotted if d.split(".")[0] == "pinnctl")
+    return found
+
+
+def imported_below(name: str) -> set[str]:
+    """Every pinnctl module that <name> imports, directly or through another."""
+    seen, todo = set(), [name]
+    while todo:
+        for module in imported_modules(todo.pop()) - seen:
+            seen.add(module)
+            todo.append(module)
+    return seen
+
+
+def test_workspace_imports_nothing_from_pinnctl():
+    assert imported_modules("workspace") == set()
+
+
+def test_network_imports_no_module_above_it():
+    below = imported_below("network")
+    assert "workspace" in below
+    assert not below & {"network", "propagation", "objectives", "optimizer"}

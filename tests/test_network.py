@@ -19,6 +19,7 @@ from pinnctl.network import (
     sample_pulse,
     save_params,
 )
+from pinnctl.workspace import _WORKSPACE, _workspace
 
 U_MAX = 2 * np.pi * 1000.0
 
@@ -224,6 +225,77 @@ class TestBackprop:
         forward_batch(p, 0.5, tape)
         with pytest.raises(ValueError):
             backprop_pulse(p, np.zeros((1, 4)), tape)
+
+
+class TestNetworkWorkspace:
+    """Inside an ascent the forward pass forms each layer in the workspace's
+    buffer for it and backprop takes turns between two buffers; the arithmetic
+    must not notice, and the amplitudes and gradients returned stay the caller's."""
+
+    SIZES = (1, 5, 7, 4)  # unequal hidden widths: the two backprop buffers change shape
+
+    @staticmethod
+    def setup(n, seed=2):
+        p = init_params(TestNetworkWorkspace.SIZES, U_MAX, 0.02, seed=seed, input_gain=3.0)
+        rng = np.random.default_rng(n + seed)
+        return p, rng.uniform(0, 0.02, n), rng.normal(size=(n, 4))
+
+    @staticmethod
+    def passes(p, t, upstream):
+        tape = []
+        u = forward_batch(p, t, tape)
+        copied = [a.copy() for a in tape]
+        gw, gb = backprop_pulse(p, upstream, tape)
+        return u, copied, list(gw + gb)
+
+    @staticmethod
+    def out_of_place_backprop(p, upstream, tape):
+        # the reverse pass as written before it moved into buffers
+        grads = [None] * (2 * len(p.weights))
+        delta = upstream * p.amp_scale * (1.0 - tape[-1] ** 2)
+        for l in range(len(p.weights) - 1, -1, -1):
+            grads[l], grads[len(p.weights) + l] = tape[l].T @ delta, delta.sum(axis=0)
+            if l > 0:
+                delta = (delta @ p.weights[l].T) * (1.0 - tape[l] ** 2)
+        return grads
+
+    def test_backprop_rounds_as_the_out_of_place_pass(self):
+        p, t, up = self.setup(64)
+        tape = []
+        forward_batch(p, t, tape)
+        gw, gb = backprop_pulse(p, up, tape)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(gw + gb, self.out_of_place_backprop(p, up, tape)))
+
+    def test_passes_in_workspace_are_bit_identical(self):
+        grids = [256, 1, 33, 256]  # the buffers shrink, then grow back
+        fresh = [self.passes(*self.setup(n)) for n in grids]
+        with _workspace():
+            reused = [self.passes(*self.setup(n)) for n in grids]
+        for (u0, tape0, g0), (u1, tape1, g1) in zip(fresh, reused):
+            assert np.array_equal(u0, u1)
+            assert all(np.array_equal(a, b) for a, b in zip(tape0 + g0, tape1 + g1))
+
+    def test_output_and_gradients_outlive_the_next_call(self):
+        first, second = self.setup(64, seed=2), self.setup(64, seed=3)
+        with _workspace():
+            u, _, grads = self.passes(*first)
+            held = [a.copy() for a in (u, *grads)]
+            self.passes(*second)
+        assert all(np.array_equal(a, b) for a, b in zip((u, *grads), held))
+        assert not any(np.shares_memory(a, b) for a in (u, *grads) for b in (u, *grads)
+                       if a is not b)
+
+    def test_second_call_allocates_no_buffer(self):
+        p, t, up = self.setup(256)
+        with _workspace():
+            self.passes(p, t, up)
+            first = dict(_WORKSPACE.buffers)
+            self.passes(p, t, up)
+            assert _WORKSPACE.buffers.keys() == first.keys()
+            assert all(_WORKSPACE.buffers[k] is buf for k, buf in first.items())
+        # one buffer per layer (the tape) and two for the whole reverse pass
+        assert len(first) == len(self.SIZES) - 1 + 2
 
 
 def _locate(arrays, flat_idx):

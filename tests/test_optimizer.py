@@ -65,6 +65,17 @@ class TestTrain:
         assert rec.converged
         assert rec.n_iters == 0
 
+    def test_final_params_outlive_a_later_ascent(self):
+        cfg = quick_config(max_iters=3, f_threshold=1.0)
+        p0 = small_params()
+        start = p0.vector()
+        record = train(p0, PRESETS["defm"], cnot_objective(), cfg)
+        held = record.final_params.vector()
+        later = train(record.final_params, PRESETS["defm"], cnot_objective(), cfg)
+        assert np.array_equal(p0.vector(), start)
+        assert np.array_equal(record.final_params.vector(), held)
+        assert not np.array_equal(later.final_params.vector(), held)
+
     def test_fidelity_improves(self):
         rec = train(small_params(), PRESETS["defm"], cnot_objective(), quick_config(max_iters=50))
         assert rec.iterations[-1][1] > rec.iterations[0][1]
@@ -220,6 +231,15 @@ class TestAscend:
         assert len(calls) == record.n_iters == 25
         assert all(np.max(np.abs(a)) <= 0.05 for a in seen[1:])
         assert np.array_equal(np.abs(x), np.full(3, 0.05))
+
+    def test_leaves_the_callers_x_and_returns_a_fresh_one(self):
+        cfg = AscentConfig(learning_rate=1e-2, f_threshold=1.0, max_iters=10)
+        x0 = np.zeros(3)
+        x, _ = ascend(quadratic(self.CENTER), x0, cfg)
+        assert np.array_equal(x0, np.zeros(3)) and not np.shares_memory(x, x0)
+        held = x.copy()
+        later, _ = ascend(quadratic(-self.CENTER), x, cfg)  # a later ascent from the result
+        assert np.array_equal(x, held) and not np.array_equal(later, held)
 
     def test_divergence_after_window(self):
         calls = []
