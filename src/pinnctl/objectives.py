@@ -221,7 +221,11 @@ def _unitary_pulse_gradient(
         np.matmul(a_mat.reshape(n * d, d), k_total, out=ak.reshape(n * d, d))
     a_h = np.conj(a_mat, out=_buffer("gradient_a_h", shape, complex)).transpose(0, 2, 1)
     m_mat = np.matmul(ak, a_h, out=_buffer("gradient_m", shape, complex))
-    m_mat *= np.sinc((evals[:, :, None] - evals[:, None, :]) * (dt / (2.0 * np.pi)))
+    y = np.subtract(evals[:, :, None], evals[:, None, :], out=_buffer("gradient_sinc_y", shape))
+    y *= dt / (2.0 * np.pi)
+    y *= np.pi  # S = np.sinc(y / pi) as np.sinc forms it (zeros made eps), in workspace buffers
+    y[y == 0] = np.finfo(float).eps
+    m_mat *= np.divide(np.sin(y, out=_buffer("gradient_sinc", shape)), y, out=y)
     # back to the lab frame, G = V M V^dag (M without its factor -i dt), in the spent A and AK
     g_mat = np.matmul(np.matmul(vecs, m_mat, out=a_mat), vecs_h, out=ak)
     # dF/du_c = 2 Re Tr(-i dt G O_c) = 2 dt Im Tr(G O_c)

@@ -1,28 +1,19 @@
 """Time evolution under piecewise-constant Hamiltonians.
 
-The primary propagator forms exact segment exponentials (eigendecomposition of
-each 4x4 Hermitian segment Hamiltonian) and takes their ordered product as a
-pairwise tree, adjacent pairs multiplied together level by level, so N segments
-cost log2(N) batched matmuls.  The forward-only propagators walk the segments
-in chunks of at most _CHUNK: each chunk's maps are built once, while they
-still fit in cache, and folded into the state (one tree per span between
-sample boundaries) before the next chunk is built, so their memory is
-O(chunk), not O(N).  For gradients, ``prefix_products``
-forms every partial product P_s = U_s ... U_1 by a blocked scan: products inside
-blocks of about sqrt(N) segments are formed for all blocks at once, then each
-block is carried by the product of the blocks before it.  Suffix products are
-not formed separately: for unitary segments the product after segment s is
-U(T) P_s^dagger.  Dissipative evolution integrates
-the vectorized master equation with fixed-step RK4 inside each segment, in
-real arithmetic: in an orthonormal basis of Hermitian matrices every
-Hermiticity-preserving generator is a real d^2 x d^2 matrix, and density
-matrices are real coordinate vectors.  Inside an ascent the segment arrays
-are buffers of its workspace (``workspace._buffer``), valid until the next
-call; outside one they are fresh, and the forward-only Lindblad walk reuses
-one chunk's buffers for the next.  The
-independent cross-check, an adaptive Dormand-Prince integrator that treats
-the network as a continuous-time Hamiltonian, lives with the tests
-(their oracles module), so this module needs numpy alone.
+The forward-only propagators walk the segments in chunks of at most _CHUNK,
+folding each chunk's maps into the state by a pairwise product tree before the
+next chunk is built, so their memory is O(chunk), not O(N).  Their unitary maps
+are exp(-i H dt) by Taylor polynomial and squaring in the real form
+[[Re U, -Im U], [Im U, Re U]], acting on the state [Re U; Im U]: no
+eigendecomposition.  Only the gradient eigendecomposes (``segment_unitaries``,
+for Daleckii-Krein) and forms every partial product P_s = U_s ... U_1, by a
+blocked sqrt(N) scan; the product after segment s is U(T) P_s^dagger.  The
+master equation runs in the real coordinates of an orthonormal Hermitian basis,
+where its generators are real d^2 x d^2 matrices; an RK4 substep is the degree-4
+call of the same Horner-and-squaring helper.  Inside an ascent the segment arrays
+are buffers of its workspace (``workspace._buffer``), valid until the next call;
+outside one they are fresh, and a forward-only walk reuses one chunk's buffers
+for the next.  This module needs numpy alone; the Dormand-Prince check is a test oracle.
 """
 
 from __future__ import annotations
@@ -51,6 +42,7 @@ DEFAULT_SUBSTEP_TOL = 0.005
 # Segments per map build in the forward-only walk: a chunk's (256, 16, 16)
 # Lindblad temporaries take 2 MB and stay in L2 through the build and product.
 _CHUNK = 256
+_MAX_SQUARINGS = 18  # 2**18 * eps = 5.8e-11: beyond, their round-off is not negligible
 
 
 @dataclass
@@ -106,7 +98,8 @@ def segment_unitaries(h_batch: np.ndarray, dt: float):
     Returns (evals (N,d), vecs (N,d,d), unitaries (N,d,d), in a workspace its buffer).
     """
     evals, vecs = np.linalg.eigh(h_batch)
-    phases = np.exp(-1j * evals * dt)[:, None, :]
+    phases = np.multiply(-1j, evals, out=_buffer("unitary_phases", evals.shape, complex))
+    phases = np.exp(np.multiply(phases, dt, out=phases), out=phases)[:, None, :]
     scaled = np.multiply(vecs, phases, out=_buffer("unitary_scaled", vecs.shape, complex))
     vecs_h = np.conj(vecs, out=_buffer("unitary_vecs_h", vecs.shape, complex)).transpose(0, 2, 1)
     return evals, vecs, np.matmul(scaled, vecs_h, out=_buffer("unitaries", vecs.shape, complex))
@@ -190,20 +183,50 @@ def _sweep_segments(
     return x, traj
 
 
+def taylor_plan(system: SpinSystem, table: PulseTable) -> tuple[int, int]:
+    """(degree, squarings) for every segment's exp(-i H dt), from one table-wide bound
+    theta = (||H0|| + max_s sum_c |u_sc| ||O_c||) dt >= ||H_s dt||, so that a map is the same
+    bits in any chunk: theta / 2^squarings <= 1/2 and the Taylor remainder there <= eps."""
+    ops, amps = system_operators(system), table.flat_amplitudes()
+    with np.errstate(over="ignore"):  # past the float range theta is inf, rejected below
+        theta = table.dt * (ops.drift_norm + max(  # by chunks: no temporary grows with N
+            np.max(np.abs(amps[i : i + _CHUNK]) @ ops.control_norms) for i in range(0, len(amps), _CHUNK)))
+    if not theta <= (limit := 2.0 ** (_MAX_SQUARINGS - 1)):
+        raise ValueError(f"segment phase bound ||H dt|| <= {theta:.3g} rad exceeds {limit:g} rad, "
+                         f"the most {_MAX_SQUARINGS} squarings keep to round-off; use more segments")
+    squarings = math.ceil(math.log2(2.0 * theta)) if theta > 0.5 else 0
+    scaled, eps = theta / 2**squarings, np.finfo(float).eps
+    return next(m for m in range(1, 30) if scaled ** (m + 1) / math.factorial(m + 1) <= eps), squarings
+
+
+def segment_unitary_maps(system: SpinSystem, table: PulseTable, plan: tuple[int, int],
+                         rows: slice = slice(None)) -> np.ndarray:
+    """Real forms of U_s = exp(-i H_s dt), (N, 2d, 2d), for the segments in rows, by the
+    plan of ``taylor_plan``; in a workspace, its buffer."""
+    h = segment_hamiltonians(system, table, rows)
+    n, d, c = len(h), h.shape[1], table.dt / 2 ** plan[1]
+    x = _buffer("unitary_generator", (n, 2 * d, 2 * d))
+    # the real form of -i c H = c Im H - i c Re H
+    np.multiply(h.imag, c, out=x[:, :d, :d])
+    np.multiply(h.real, c, out=x[:, :d, d:])
+    x[:, d:, :d], x[:, d:, d:] = -x[:, :d, d:], x[:, :d, :d]
+    return _taylor_power(x, *plan)[1]
+
+
 def propagate_unitary(
     system: SpinSystem, pulse, *, n_fine: int | None = None, sample_times=None
 ) -> EvolutionResult:
     """U(T) as the ordered product of segment exponentials over the pulse."""
     table = _as_pulse(system, pulse, n_fine)
+    plan, d = taylor_plan(system, table), system.dimension
 
-    def units(rows: slice) -> np.ndarray:
-        return segment_unitaries(segment_hamiltonians(system, table, rows), table.dt)[2]
+    def read(x: np.ndarray) -> np.ndarray:  # [Re U; Im U] -> U
+        return x[:d] + 1j * x[d:]
 
-    acc, traj = _sweep_segments(
-        table.n_segments, units, np.eye(system.dimension, dtype=complex),
-        sample_times, table.duration, np.copy,
-    )
-    return EvolutionResult(final=acc, trajectory=traj)
+    with _workspace():  # one chunk's buffers, reused by the next chunk
+        x, traj = _sweep_segments(table.n_segments, lambda rows: segment_unitary_maps(
+            system, table, plan, rows), np.eye(2 * d, d), sample_times, table.duration, read)
+    return EvolutionResult(final=read(x), trajectory=traj)
 
 
 def propagate_density(
@@ -258,6 +281,23 @@ def _add_identity(batch: np.ndarray):
     diagonals += 1.0
 
 
+def _taylor_power(x: np.ndarray, degree: int, squarings: int):
+    """(r, m): r = eye + x (eye + x/2 (... (eye + x/degree))), exp(x)'s Taylor polynomial by
+    nested Horner, and m = r^(2^squarings), for a batch of real matrices x, spent on the squarings."""
+    r = np.divide(x, float(degree), out=_buffer("horner_a", x.shape))
+    tmp = _buffer("horner_b", x.shape)
+    _add_identity(r)
+    for k in range(degree - 1, 0, -1):
+        np.matmul(x, r, out=tmp)
+        r, tmp = (np.divide(tmp, float(k), out=r), tmp) if k > 1 else (tmp, r)  # no division by 1
+        _add_identity(r)
+    # squarings ping-pong between the spent x and tmp; r stays intact for the Lindblad gradient
+    m, spare = r, x
+    for i in range(squarings):
+        m, spare = np.matmul(m, m, out=spare), m if i else tmp
+    return r, m
+
+
 def segment_lindblad_maps(
     system: SpinSystem,
     noise: NoiseModel,
@@ -271,7 +311,7 @@ def segment_lindblad_maps(
     each row is the same bits either way).
 
     With a constant generator one RK4 step is the 4th-order Taylor polynomial
-    of exp(h L), evaluated here by Horner.  Returns (L, R, M), each (N, d^2, d^2),
+    of exp(h L) (``_taylor_power``).  Returns (L, R, M), each (N, d^2, d^2),
     in a workspace (an ascent's, or the forward-only walk's) its buffer.
     """
     ops = system_operators(system)
@@ -282,25 +322,7 @@ def segment_lindblad_maps(
     np.dot(amps, gens.reshape(len(gens), -1), out=lv.reshape(len(amps), -1))
     lv += ops.drift_generator + noise.dissipator
     hl = np.multiply(lv, table.dt / substeps, out=_buffer("lindblad_step", shape))
-    # Horner in place: r = eye + hl/4, then r = eye + hl @ r / k for k = 3, 2, 1
-    # (the last division is by 1 and is skipped)
-    r = np.divide(hl, 4.0, out=_buffer("lindblad_horner_a", shape))
-    tmp = _buffer("lindblad_horner_b", shape)
-    _add_identity(r)
-    for k in (3.0, 2.0):
-        np.matmul(hl, r, out=tmp)
-        np.divide(tmp, k, out=r)
-        _add_identity(r)
-    np.matmul(hl, r, out=tmp)
-    r, tmp = tmp, r
-    _add_identity(r)
-    # squarings ping-pong between tmp and the spent hl; r stays intact for the gradient
-    m = r
-    if substeps > 1:
-        m, spare = np.matmul(r, r, out=tmp), hl
-        for _ in range(substeps.bit_length() - 2):
-            m, spare = np.matmul(m, m, out=spare), m
-    return lv, r, m
+    return (lv, *_taylor_power(hl, 4, substeps.bit_length() - 1))
 
 
 def propagate_lindblad(

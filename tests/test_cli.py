@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -148,6 +149,28 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named}") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("amp_scale, rc", [(1e6, 0), (1e300, 1), (1.7e308, 1)])
+    def test_huge_amplitude_scale_is_finite_or_one_line_error(self, tmp_path, capsys,
+                                                               amp_scale, rc):
+        # past the squaring limit of the segment exponentials an error names the limit,
+        # rather than NaN fidelities and overflow warnings
+        params = tmp_path / "huge.json"
+        save_params(replace(init_params((1, 8, 4), 2 * np.pi * 1000, 0.02, seed=4),
+                            amp_scale=amp_scale), params)
+        out = tmp_path / "disc.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "discretization", "--params", str(params),
+                         "--segments", "1..4", "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith("error: segment phase bound") and err.count("\n") == 1
+            assert "131072" in err and not out.exists()
+        else:
+            with open(out) as fh:
+                rows = list(csv.reader(fh))
+            assert len(rows) == 5 and np.all(np.isfinite(np.array(rows[1:], dtype=float)))
 
     def test_noise_with_override(self, tcp_params, tmp_path):
         out = tmp_path / "noise.csv"

@@ -22,6 +22,8 @@ from pinnctl.propagation import (
     segment_hamiltonians,
     segment_lindblad_maps,
     segment_unitaries,
+    segment_unitary_maps,
+    taylor_plan,
 )
 from pinnctl.spins import (
     PRESETS,
@@ -33,7 +35,8 @@ from pinnctl.spins import (
     spin_half_operator,
     system_operators,
 )
-from pinnctl.targets import lls_objective, singlet_triplet_basis, thermal_deviation
+from pinnctl.targets import cnot_objective, lls_objective, singlet_triplet_basis, thermal_deviation
+from pinnctl.workspace import _workspace
 
 from oracles import expm_hermitian, propagate_oracle, shape_penalty
 
@@ -555,6 +558,84 @@ class TestChunkedWalk:
                            sample_times=times)
         chunks = -(-n // _CHUNK)
         assert builds == ["segment_hamiltonians"] * chunks + ["segment_lindblad_maps"] * chunks
+
+
+def real_form(u):
+    """[[Re U, -Im U], [Im U, Re U]] of each matrix of an (N, d, d) batch."""
+    return np.concatenate([np.concatenate([u.real, -u.imag], axis=2),
+                           np.concatenate([u.imag, u.real], axis=2)], axis=1)
+
+
+class TestSegmentUnitaryMaps:
+    """The forward-only segment maps: Taylor and squaring in real form, no eigendecomposition."""
+
+    @pytest.mark.parametrize("system, table, squares", [
+        pytest.param(SpinSystem(2, ((0,), (1,))), zero_pulse(0.01, 8, 2), False, id="zero"),
+        pytest.param(PRESETS["defm"], zero_pulse(0.02, 16, 2), False, id="drift-only"),
+        # one segment at the CNOT recipe's amplitudes: ||H dt|| of about 50
+        pytest.param(PRESETS["defm"], PulseTable(0.02, np.full((1, 2, 2), 2500.0)), True,
+                     id="one-segment"),
+        pytest.param(PRESETS["defm"], PulseTable(
+            0.02, np.random.default_rng(5).normal(0, 3000, size=(32768, 2, 2))), False, id="32768"),
+    ])
+    def test_each_map_matches_the_eigendecomposition(self, system, table, squares):
+        degree, squarings = taylor_plan(system, table)
+        assert (squarings > 0) == squares
+        h = segment_hamiltonians(system, table)
+        units = segment_unitaries(h, table.dt)[2]
+        scale = np.maximum(1.0, np.linalg.norm(h * table.dt, ord=2, axis=(1, 2)))
+        err = np.max(np.abs(segment_unitary_maps(system, table, (degree, squarings))
+                            - real_form(units)), axis=(1, 2))
+        assert np.all(err <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("n", [257, 4097])
+    def test_chunk_maps_are_the_rows_of_one_full_build(self, n):
+        system = PRESETS["defm"]
+        table = PulseTable(0.02, np.random.default_rng(n).normal(0, 3000, size=(n, 2, 2)))
+        plan = taylor_plan(system, table)
+        full = segment_unitary_maps(system, table, plan)
+        with _workspace():  # as the walk builds them
+            for lo in range(0, n, _CHUNK):
+                rows = slice(lo, min(lo + _CHUNK, n))
+                assert np.array_equal(segment_unitary_maps(system, table, plan, rows), full[rows])
+
+    def test_agrees_with_the_eigendecomposition_product_at_32768_segments(self):
+        system = PRESETS["defm"]
+        table = sample_pulse(init_params((1, 16, 16, 4), 2 * np.pi * 1000, 0.02, seed=8), 32768)
+
+        def units(rows):
+            return segment_unitaries(segment_hamiltonians(system, table, rows), table.dt)[2]
+
+        ref = _sweep_segments(32768, units, np.eye(4, dtype=complex), None, 0.02, np.copy)[0]
+        u = propagate_unitary(system, table).final
+        assert np.max(np.abs(u - ref)) <= 1e-12
+        assert np.linalg.norm(u.conj().T @ u - np.eye(4)) <= 1e-10
+
+    def test_forward_propagators_do_not_call_eigh(self, monkeypatch):
+        def eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        system = PRESETS["defm"]
+        table = PulseTable(0.02, np.random.default_rng(2).normal(0, 3000, size=(300, 2, 2)))
+        times = [0.0, 0.01, 0.02]
+        assert len(propagate_unitary(system, table, sample_times=times).trajectory) == 3
+        propagate_density(system, table, thermal_deviation(), sample_times=times)
+        assert 0.0 <= evaluate_fidelity(system, table, cnot_objective()) <= 1.0
+
+    @pytest.mark.parametrize("over", [False, True])
+    def test_phase_bound_past_the_squaring_limit_is_an_error(self, over):
+        # one segment with ||H dt|| bound just under or over 2^17 rad
+        system = SpinSystem(1, ((0,),))
+        ops = system_operators(system)
+        amp = 2.0**17 / ops.control_norms[0] * (1.0 + (1e-6 if over else -1e-6))
+        table = PulseTable(1.0, np.array([[[amp, 0.0]]]))
+        if over:
+            with pytest.raises(ValueError, match="131072"):
+                propagate_unitary(system, table)
+        else:
+            u = propagate_unitary(system, table).final
+            assert np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-10
 
 
 class TestForwardMemory:
