@@ -42,7 +42,7 @@ DEFAULT_SUBSTEP_TOL = 0.005
 # Segments per map build in the forward-only walk: a chunk's (256, 16, 16)
 # Lindblad temporaries take 2 MB and stay in L2 through the build and product.
 _CHUNK = 256
-_MAX_SQUARINGS = 18  # 2**18 * eps = 5.8e-11: beyond, their round-off is not negligible
+_MAX_SQUARINGS = 18  # per segment exponential: their round-off, about 2**s * eps, stays below 6e-11
 
 
 @dataclass

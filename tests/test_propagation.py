@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from math import factorial
 
 import numpy as np
@@ -623,19 +624,21 @@ class TestSegmentUnitaryMaps:
         propagate_density(system, table, thermal_deviation(), sample_times=times)
         assert 0.0 <= evaluate_fidelity(system, table, cnot_objective()) <= 1.0
 
-    @pytest.mark.parametrize("over", [False, True])
-    def test_phase_bound_past_the_squaring_limit_is_an_error(self, over):
-        # one segment with ||H dt|| bound just under or over 2^17 rad
-        system = SpinSystem(1, ((0,),))
-        ops = system_operators(system)
-        amp = 2.0**17 / ops.control_norms[0] * (1.0 + (1e-6 if over else -1e-6))
-        table = PulseTable(1.0, np.array([[[amp, 0.0]]]))
-        if over:
-            with pytest.raises(ValueError, match="131072"):
-                propagate_unitary(system, table)
-        else:
-            u = propagate_unitary(system, table).final
-            assert np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-10
+    @pytest.mark.parametrize("amp", [2.0**16 * (1 - 1e-6), 2.0**16 * (1 + 1e-6), 1.7e308],
+                             ids=["under", "over", "overflowing"])
+    def test_phase_bound_past_the_squaring_limit_is_an_error(self, amp):
+        # one segment of a channel over two spins (control norms 1, no drift), so the
+        # bound is 2 amp: just under or over 2^17 rad, or past the float range
+        system = SpinSystem(2, ((0, 1),))
+        table = PulseTable(1.0, np.array([[[amp, amp]]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if amp < 2.0**16:
+                u = propagate_unitary(system, table).final
+                assert np.linalg.norm(u.conj().T @ u - np.eye(4)) <= 1e-10
+            else:
+                with pytest.raises(ValueError, match="exceeds 131072 rad"):
+                    propagate_unitary(system, table)
 
 
 class TestForwardMemory:
