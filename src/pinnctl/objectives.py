@@ -3,9 +3,9 @@
 Gradients are reverse-mode derivatives of the discretized dynamics: the
 eigendecomposition-based Frechet derivative of each segment exponential
 (Daleckii-Krein), formed in each segment's eigenbasis, chained into the
-network backprop for the unitary path, and the exact adjoint of the
-per-segment RK4 polynomial for the dissipative path, taken in real arithmetic
-in the orthonormal Hermitian basis of ``spins.SystemOperators``.  Both, and
+network backprop for the unitary path, and for the dissipative path the
+reverse pass of each segment's RK4 map and its squarings, taken in real
+arithmetic (``propagation._taylor_power_adjoint``).  Both, and
 the network's forward and reverse passes, write their temporaries into the
 ascent's workspace (``workspace._buffer``); every gradient returned is fresh.
 """
@@ -27,7 +27,7 @@ from .network import (
 from .propagation import (
     DEFAULT_N_FINE,
     DEFAULT_SUBSTEP_TOL,
-    _buffer,
+    _taylor_power_adjoint,
     lindblad_substeps,
     prefix_products,
     propagate_density,
@@ -38,6 +38,7 @@ from .propagation import (
     segment_unitaries,
 )
 from .spins import NoiseModel, SpinSystem, control_operator_stack, system_operators
+from .workspace import _buffer
 
 # trajectory shaping penalizes the checkpoints in this mid-sequence window (fractions of T)
 SHAPE_WINDOW = (0.25, 0.75)
@@ -243,43 +244,23 @@ def _lindblad_pulse_gradient(
 ) -> tuple[float, np.ndarray]:
     """Unnormalized overlap and amplitude-table gradient for the dissipative path."""
     ops = system_operators(system)
-    lv, r_mats, maps = segment_lindblad_maps(system, objective.noise, table, substeps)
-    n, dd, _ = lv.shape
+    lv, *levels = segment_lindblad_maps(system, objective.noise, table, substeps)
+    maps, (n, dd, _) = levels[-1], lv.shape
 
-    # substep states alpha_p = R^p x_s entering segment s, costates
-    # beta_p = (R^T)^(m-1-p) y_s leaving it, and Z = sum_p alpha_p beta_p^T
-    alphas = _buffer("substep_states", (n, dd, substeps))
-    betas = _buffer("substep_costates", (n, dd, substeps))
+    # states x_s entering segment s and costates y_s leaving it
+    xs, ys = _buffer("segment_states", (n, dd)), _buffer("segment_costates", (n, dd))
     x = ops.coordinates(objective.initial)
     for s in range(n):
-        alphas[s, :, 0] = x
+        xs[s] = x
         x = maps[s] @ x
     y = ops.coordinates(objective.target)
     overlap = float(y @ x)
     for s in range(n - 1, -1, -1):
-        betas[s, :, -1] = y
+        ys[s] = y
         y = y @ maps[s]
-    r_t = r_mats.transpose(0, 2, 1)
-    for p in range(1, substeps):
-        alphas[:, :, p] = np.matmul(r_mats, alphas[:, :, p - 1, None])[:, :, 0]
-        betas[:, :, -1 - p] = np.matmul(r_t, betas[:, :, -p, None])[:, :, 0]
-    z_mat = np.matmul(alphas, betas.transpose(0, 2, 1), out=_buffer("adjoint_z", lv.shape))
-
-    # W = sum_{a+b<=3} c_{a+b+1} L^b Z L^a with c_k = h^k / k!, by Horner on
-    # both sides: Y_3 = c_4 Z, Y_b = c_{b+1} Z + Y_{b+1} L, and
-    # W = Y_0 + L (Y_1 + L (Y_2 + L Y_3)); every stage is written into a
-    # workspace buffer, and W accumulates in the spent Y buffers
-    h_sub = table.dt / substeps
-    spare = _buffer("adjoint_spare", lv.shape)
-    ys = [np.multiply(z_mat, h_sub**4 / 24.0, out=_buffer("adjoint_y3", lv.shape))]
-    for k, k_fact in ((3, 6.0), (2, 2.0), (1, 1.0)):
-        y_b = np.matmul(ys[-1], lv, out=_buffer(f"adjoint_y{k - 1}", lv.shape))
-        y_b += np.multiply(z_mat, h_sub**k / k_fact, out=spare)
-        ys.append(y_b)
-    w_mat = ys[0]
-    for y_b in ys[1:]:
-        y_b += np.matmul(lv, w_mat, out=spare)
-        w_mat = y_b
+    # dF = Tr(Z_s dM_s) with Z_s = x_s y_s^T, in the spent maps, then back through the squarings
+    z_mat = np.multiply(xs[:, :, None], ys[:, None, :], out=maps)
+    w_mat = _taylor_power_adjoint(z_mat, levels, lv, table.dt / substeps)
 
     # dF/du_c = Tr(G_c W)
     du = np.tensordot(w_mat, ops.control_generators, axes=([1, 2], [2, 1]))

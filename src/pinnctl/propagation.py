@@ -10,10 +10,11 @@ for Daleckii-Krein) and forms every partial product P_s = U_s ... U_1, by a
 blocked sqrt(N) scan; the product after segment s is U(T) P_s^dagger.  The
 master equation runs in the real coordinates of an orthonormal Hermitian basis,
 where its generators are real d^2 x d^2 matrices; an RK4 substep is the degree-4
-call of the same Horner-and-squaring helper.  Inside an ascent the segment arrays
-are buffers of its workspace (``workspace._buffer``), valid until the next call;
-outside one they are fresh, and a forward-only walk reuses one chunk's buffers
-for the next.  This module needs numpy alone; the Dormand-Prince check is a test oracle.
+call of the same Horner-and-squaring helper, which keeps every squaring: its
+reverse pass (``_taylor_power_adjoint``) is the dissipative gradient's.  Inside
+an ascent the segment arrays are buffers of its workspace (``workspace._buffer``),
+valid until the next call; outside one they are fresh, and a forward-only walk
+reuses one chunk's buffers for the next.  numpy only; Dormand-Prince is a test oracle.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def segment_unitary_maps(system: SpinSystem, table: PulseTable, plan: tuple[int,
     np.multiply(h.imag, c, out=x[:, :d, :d])
     np.multiply(h.real, c, out=x[:, :d, d:])
     x[:, d:, :d], x[:, d:, d:] = -x[:, :d, d:], x[:, :d, :d]
-    return _taylor_power(x, *plan)[1]
+    return _taylor_power(x, *plan)[-1]
 
 
 def propagate_unitary(
@@ -281,9 +282,9 @@ def _add_identity(batch: np.ndarray):
     diagonals += 1.0
 
 
-def _taylor_power(x: np.ndarray, degree: int, squarings: int):
-    """(r, m): r = eye + x (eye + x/2 (... (eye + x/degree))), exp(x)'s Taylor polynomial by
-    nested Horner, and m = r^(2^squarings), for a batch of real matrices x, spent on the squarings."""
+def _taylor_power(x: np.ndarray, degree: int, squarings: int) -> list[np.ndarray]:
+    """[r, r^2, ..., r^(2^squarings)]: r = eye + x (eye + x/2 (... (eye + x/degree))), exp(x)'s Taylor
+    polynomial by nested Horner, and its squarings, for a batch of real matrices x, spent on them."""
     r = np.divide(x, float(degree), out=_buffer("horner_a", x.shape))
     tmp = _buffer("horner_b", x.shape)
     _add_identity(r)
@@ -291,11 +292,34 @@ def _taylor_power(x: np.ndarray, degree: int, squarings: int):
         np.matmul(x, r, out=tmp)
         r, tmp = (np.divide(tmp, float(k), out=r), tmp) if k > 1 else (tmp, r)  # no division by 1
         _add_identity(r)
-    # squarings ping-pong between the spent x and tmp; r stays intact for the Lindblad gradient
-    m, spare = r, x
+    levels = [r]  # all kept for _taylor_power_adjoint: in the spent x and tmp, then a buffer each
     for i in range(squarings):
-        m, spare = np.matmul(m, m, out=spare), m if i else tmp
-    return r, m
+        out = (x, tmp)[i] if i < 2 else _buffer(f"taylor_level_{i + 1}", x.shape)
+        levels.append(np.matmul(levels[-1], levels[-1], out=out))
+    return levels
+
+
+def _taylor_power_adjoint(z: np.ndarray, levels: list, generator: np.ndarray, step: float):
+    """Reverse pass of levels = _taylor_power(step * L, 4, squarings), RK4 maps M = levels[-1] of L:
+    from their cotangents z (dF = Tr(z dM), spent), W with dF = Tr(W dL), in a workspace its buffer."""
+    spare, other = _buffer("adjoint_spare", z.shape), _buffer("adjoint_z", z.shape)
+    for m in reversed(levels[:-1]):  # M_(j+1) = M_j M_j: Z_j = M_j Z_(j+1) + Z_(j+1) M_j, down to R
+        z, other = np.matmul(m, z, out=other), z
+        z += np.matmul(other, m, out=spare)
+    # W = sum_{a+b<=3} c_{a+b+1} L^b Z L^a with c_k = h^k / k!, by Horner on
+    # both sides: Y_3 = c_4 Z, Y_b = c_{b+1} Z + Y_{b+1} L, and
+    # W = Y_0 + L (Y_1 + L (Y_2 + L Y_3)); every stage is written into a
+    # workspace buffer, and W accumulates in the spent Y buffers
+    ys = [np.multiply(z, step**4 / 24.0, out=_buffer("adjoint_y3", z.shape))]
+    for k, k_fact in ((3, 6.0), (2, 2.0), (1, 1.0)):
+        y_b = np.matmul(ys[-1], generator, out=_buffer(f"adjoint_y{k - 1}", z.shape))
+        y_b += np.multiply(z, step**k / k_fact, out=spare)
+        ys.append(y_b)
+    w_mat = ys[0]
+    for y_b in ys[1:]:
+        y_b += np.matmul(generator, w_mat, out=spare)
+        w_mat = y_b
+    return w_mat
 
 
 def segment_lindblad_maps(
@@ -304,15 +328,15 @@ def segment_lindblad_maps(
     table: PulseTable,
     substeps: int,
     rows: slice = slice(None),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-segment real Liouvillians L, RK4 substep maps R and segment maps
-    M = R^substeps (substeps a power of two), in the coordinates of
+) -> tuple[np.ndarray, ...]:
+    """Per-segment real Liouvillians L, RK4 substep maps R, R^2, R^4, ... and
+    segment maps M = R^substeps (substeps a power of two), in the coordinates of
     ``SystemOperators.coordinates``, for the segments in rows (all by default;
     each row is the same bits either way).
 
     With a constant generator one RK4 step is the 4th-order Taylor polynomial
-    of exp(h L) (``_taylor_power``).  Returns (L, R, M), each (N, d^2, d^2),
-    in a workspace (an ascent's, or the forward-only walk's) its buffer.
+    of exp(h L) (``_taylor_power``).  Returns (L, R, ..., M), each (N, d^2, d^2),
+    M at [-1], in a workspace (an ascent's, or the forward-only walk's) its buffer.
     """
     ops = system_operators(system)
     amps, gens = table.flat_amplitudes()[rows], ops.control_generators
@@ -342,7 +366,7 @@ def propagate_lindblad(
     ops = system_operators(system)
 
     def maps(rows: slice) -> np.ndarray:
-        return segment_lindblad_maps(system, noise, table, m_sub, rows)[2]
+        return segment_lindblad_maps(system, noise, table, m_sub, rows)[-1]
 
     with _workspace():  # one chunk's buffers, reused by the next chunk
         x, traj = _sweep_segments(

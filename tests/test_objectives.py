@@ -16,7 +16,7 @@ from pinnctl.objectives import (
     state_fidelity,
     transfer_bound,
 )
-from pinnctl.objectives import _shape_cotangent
+from pinnctl.objectives import _lindblad_pulse_gradient, _shape_cotangent
 from pinnctl.optimizer import OptimizerConfig, multi_start
 from pinnctl.propagation import (
     _buffer,
@@ -330,6 +330,18 @@ class TestLindbladGradientReference:
         assert abs(fid - ref_fid) < 1e-12 * abs(ref_fid)
         assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
 
+    @pytest.mark.parametrize("substeps", [1, 2, 4, 8])
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_matches_complex_reference_at_each_squaring_count(self, kind, substeps):
+        # 0-3 squarings: the levels in r alone, then the spent x and tmp, then a buffer of their own
+        system = PRESETS["tcp"]
+        obj = replace(lls_objective(), noise=noise_operators(system, kind, 0.05))
+        table = PulseTable(0.02, np.random.default_rng(5).normal(0, 300, size=(16, 1, 2)))
+        fid, grad = _lindblad_pulse_gradient(system, table, obj, substeps)
+        ref_fid, ref_grad = reference_lindblad_gradient(system, table, obj, substeps)
+        assert abs(fid - ref_fid) < 1e-12 * abs(ref_fid)
+        assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
+
 
 class TestLossAndGradient:
     def test_stationary_at_identity_target(self):
@@ -380,8 +392,8 @@ class TestLindbladWorkspace:
     """Inside an ascent the dissipative gradient writes its temporaries into
     buffers kept between calls; the arithmetic must not notice."""
 
-    # n_fine and substep count change from call to call: 8, 64, 128, 8 substeps
-    GRIDS = [(512, 0.05), (64, 0.05), (512, 0.005), (512, 0.05)]
+    # n_fine and substep count change from call to call: 8, 1, 64, 2, 128, 8 substeps
+    GRIDS = [(512, 0.05), (4096, 0.05), (64, 0.05), (2048, 0.05), (512, 0.005), (512, 0.05)]
 
     @staticmethod
     def noisy(kind, gamma):
@@ -423,7 +435,7 @@ class TestLindbladWorkspace:
     @pytest.mark.parametrize("tol", [0.05, 0.005], ids=["8-substeps", "128-substeps"])
     def test_second_call_in_workspace_allocates_few_new_maps(self, tol):
         # the lindblad_retrain network; a step without the workspace traces
-        # 11.7 (8 substeps) and 26.7 (128 substeps) arrays of N (d^2 x d^2) floats
+        # 11.9 (8 substeps) and 15.9 (128 substeps) arrays of N (d^2 x d^2) floats
         n = 512
         p = init_params((1, 60, 60, 60, 2), 2 * np.pi * 60, 0.15, seed=3)
         obj = self.noisy("local", 0.05)
@@ -436,6 +448,21 @@ class TestLindbladWorkspace:
             finally:
                 tracemalloc.stop()
         assert peak <= 2.5 * n * 16**2 * 8
+
+    def test_fresh_gradient_memory_does_not_grow_with_substeps(self):
+        # one level per squaring and nothing per substep: 8 and 1024 substeps
+        # trace 11.1 and 18.1 arrays of N (d^2 x d^2) floats
+        system, obj = PRESETS["tcp"], self.noisy("local", 0.05)
+        table = PulseTable(0.15, np.random.default_rng(7).normal(0, 300, size=(512, 1, 2)))
+        peaks = []
+        for substeps in (8, 1024):
+            tracemalloc.start()
+            try:
+                _lindblad_pulse_gradient(system, table, obj, substeps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
 
 
 class TestUnitaryWorkspace:

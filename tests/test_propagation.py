@@ -144,7 +144,7 @@ def tcp_lindblad_maps(n, seed=0):
     table = PulseTable(0.05, np.random.default_rng(seed).normal(0, 300, size=(n, 1, 2)))
     noise = noise_operators(PRESETS["tcp"], "local", 0.05)
     substeps = lindblad_substeps(PRESETS["tcp"], table, noise, 0.005)
-    return segment_lindblad_maps(PRESETS["tcp"], noise, table, substeps)[2]
+    return segment_lindblad_maps(PRESETS["tcp"], noise, table, substeps)[-1]
 
 
 class TestProductTree:
@@ -257,11 +257,12 @@ class TestSegmentLindbladMaps:
         r = eye + hl / 4.0
         for k in (3.0, 2.0, 1.0):
             r = eye + np.matmul(hl, r) / k
-        m = r
+        levels = [r]
         for _ in range(substeps.bit_length() - 1):
-            m = np.matmul(m, m)
+            levels.append(np.matmul(levels[-1], levels[-1]))
         got = segment_lindblad_maps(system, noise, table, substeps)
-        for a, b in zip(got, (lv, r, m)):
+        assert len(got) == 1 + len(levels)
+        for a, b in zip(got, (lv, *levels)):
             assert np.array_equal(a, b)
 
 
@@ -517,7 +518,7 @@ class TestChunkedWalk:
         times = chunk_edge_times(n, table.duration)
         res = propagate_lindblad(system, table, rho0, noise, sample_times=times)
         substeps = lindblad_substeps(system, table, noise, propagation.DEFAULT_SUBSTEP_TOL)
-        maps = segment_lindblad_maps(system, noise, table, substeps)[2]
+        maps = segment_lindblad_maps(system, noise, table, substeps)[-1]
         ops = system_operators(system)
         ref_final, ref_rows = loop_sweep(maps, ops.coordinates(rho0), times, table.duration)
         assert np.max(np.abs(res.final - ops.density(ref_final))) <= 1e-13
