@@ -437,8 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    try:  # a numpy fault is one error line, not a RuntimeWarning; underflow to zero is none
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (ConfigError, ValueError, KeyError, OSError, RuntimeError, FloatingPointError,
             MemoryError) as exc:  # numpy's MemoryError names the size, Python's nothing
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -93,7 +93,7 @@ def write_shaped_pulse(table: PulseTable, amp_scale: float, path) -> None:
         out = []
         for c in range(table.n_channels):
             ux, uy = table.samples[s, c, 0], table.samples[s, c, 1]
-            amp = np.hypot(ux, uy) / amp_scale * 100.0
+            amp = np.hypot(ux / amp_scale, uy / amp_scale) * 100.0  # finite for |u| <= amp_scale
             phase = np.degrees(np.arctan2(uy, ux)) % 360.0
             out += [f"{amp:.6f}", f"{phase:.6f}"]
         return out

@@ -30,6 +30,7 @@ from .network import NetworkParams, PulseTable, sample_pulse
 from .spins import (
     NoiseModel,
     SpinSystem,
+    SystemOperators,
     control_operator_stack,
     drift_hamiltonian,
     system_operators,
@@ -184,14 +185,24 @@ def _sweep_segments(
     return x, traj
 
 
+def _control_bound(ops: SystemOperators, table: PulseTable, amp_bound: float | None = None) -> float:
+    """max_s sum_c |u_sc| ||O_c|| >= ||H_s - H0||, or amp_bound sum_c ||O_c|| when an amplitude
+    bound is given: the control term of both segment plans.  inf past the float range."""
+    with np.errstate(over="ignore"):
+        if amp_bound is not None:
+            return amp_bound * float(ops.control_norms.sum())
+        amps = table.flat_amplitudes()
+        return float(max(  # by chunks: no temporary grows with N
+            np.max(np.abs(amps[i : i + _CHUNK]) @ ops.control_norms) for i in range(0, len(amps), _CHUNK)))
+
+
 def taylor_plan(system: SpinSystem, table: PulseTable) -> tuple[int, int]:
     """(degree, squarings) for every segment's exp(-i H dt), from one table-wide bound
     theta = (||H0|| + max_s sum_c |u_sc| ||O_c||) dt >= ||H_s dt||, so that a map is the same
     bits in any chunk: theta / 2^squarings <= 1/2 and the Taylor remainder there <= eps."""
-    ops, amps = system_operators(system), table.flat_amplitudes()
+    ops = system_operators(system)
     with np.errstate(over="ignore"):  # past the float range theta is inf, rejected below
-        theta = table.dt * (ops.drift_norm + max(  # by chunks: no temporary grows with N
-            np.max(np.abs(amps[i : i + _CHUNK]) @ ops.control_norms) for i in range(0, len(amps), _CHUNK)))
+        theta = table.dt * (ops.drift_norm + _control_bound(ops, table))
     if not theta <= (limit := 2.0 ** (_MAX_SQUARINGS - 1)):
         raise ValueError(f"segment phase bound ||H dt|| <= {theta:.3g} rad exceeds {limit:g} rad, "
                          f"the most {_MAX_SQUARINGS} squarings keep to round-off; use more segments")
@@ -253,20 +264,12 @@ def _check_substep_tol(tol) -> None:
 def lindblad_substeps(
     system: SpinSystem, table: PulseTable, noise: NoiseModel, tol: float, amp_bound: float | None = None
 ) -> int:
-    """Power-of-two substep count per segment so (rate + ||H||)*h <= tol,
-    for a tol in (0, 1].
-
-    When amp_bound is given the bound uses it instead of the realized
-    amplitudes, making the count independent of the pulse values.
-    """
+    """Power-of-two substep count per segment so (rate + ||H||)*h <= tol, for a tol in (0, 1].
+    When amp_bound is given the bound uses it instead of the realized amplitudes, making the
+    count independent of the pulse values."""
     _check_substep_tol(tol)
     ops = system_operators(system)
-    if amp_bound is not None:
-        ctrl = amp_bound * float(ops.control_norms.sum())
-    else:
-        ctrl = float(np.max(np.abs(table.flat_amplitudes()) @ ops.control_norms))
-    rate_total = noise.rate + ops.drift_norm + ctrl
-    needed = rate_total * table.dt / tol
+    needed = (noise.rate + ops.drift_norm + _control_bound(ops, table, amp_bound)) * table.dt / tol
     m = 1
     while m < needed:
         m *= 2

@@ -177,11 +177,6 @@ def control_operator_stack(system: SpinSystem) -> np.ndarray:
     return system_operators(system).controls
 
 
-def drift_norm(system: SpinSystem) -> float:
-    """Spectral norm (largest |eigenvalue|) of the drift Hamiltonian, rad/s."""
-    return system_operators(system).drift_norm
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -273,7 +268,8 @@ def noise_operators(system: SpinSystem, kind: str, gamma: float) -> NoiseModel:
         ops = (sx[0] + sx[1], sy[0] + sy[1])
     else:
         raise ValueError(f"unknown noise kind {kind!r}")
-    return NoiseModel(gamma=gamma, kind=kind, collapse_ops=ops, drift_norm=drift_norm(system))
+    return NoiseModel(gamma=gamma, kind=kind, collapse_ops=ops,
+                      drift_norm=system_operators(system).drift_norm)
 
 
 # Built-in presets.

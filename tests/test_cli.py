@@ -369,6 +369,47 @@ def test_dimension_mismatch_is_one_line_error(command, tcp_params, three_spin_sy
     assert not out.exists()
 
 
+# every output of this one-channel network sits at tanh(20) = 1, so each amplitude is 1.7e308
+SATURATING_PARAMS = {"layer_sizes": [1, 2], "weights": [[0, 0]], "biases": [[20, 20]],
+                     "amp_scale": 1.7e308, "time_scale": 0.15}
+SATURATING_CNOT = {"system": "defm", "objective": {"target": "cnot:0,1"},
+                   "network": {"layer_sizes": [1, 4, 4], "amp_scale_rad_s": 1.7e308,
+                               "duration_s": 0.02},
+                   "optimizer": {"max_iters": 2, "n_fine": 8}}
+SWEEP_TCP = ["--params", "PARAMS", "--system", "tcp", "--target", "lls"]
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "amperr", *SWEEP_TCP, "--deviations=0.5"],
+    ["sweep", "amperr", *SWEEP_TCP, "--deviations=0.5", "--gamma", "0.02"],
+    ["sweep", "noise", *SWEEP_TCP, "--gammas", "0.02"],
+    ["trajectory", "--params", "PARAMS", "--gamma", "0.02"],
+    ["synthesize", "--config", "CONFIG"],
+    ["sample", "PARAMS", "--segments", "4", "--format", "shaped"],
+], ids=["amperr", "amperr-gamma", "noise", "trajectory", "synthesize", "sample-shaped"])
+def test_floating_point_fault_is_one_line_error(command, tmp_path, capsys):
+    # a numpy overflow is one error line and exit 1, never a RuntimeWarning and a half-written file
+    files = {"PARAMS": tmp_path / "params.json", "CONFIG": tmp_path / "config.json"}
+    files["PARAMS"].write_text(json.dumps(SATURATING_PARAMS))
+    files["CONFIG"].write_text(json.dumps(SATURATING_CNOT))
+    out = tmp_path / "out.csv"
+    argv = [str(files.get(a, a)) for a in command]
+    argv += ["--out", str(tmp_path / "run" if command[0] == "synthesize" else out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    err = capsys.readouterr().err
+    if command[0] == "sample":  # each amplitude is sqrt(2) amp_scale: 141.421356 %
+        assert rc == 0 and err == ""
+        with open(out) as fh:
+            pct = np.array([row[0] for row in list(csv.reader(fh))[1:]], dtype=float)
+        assert len(pct) == 4 and np.all(np.isfinite(pct))
+        return
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists() and not (tmp_path / "run" / "fidelity_trace.csv").exists()
+
+
 class TestSynthesize:
     def test_short_run_exits_2_and_writes_artifacts(self, tmp_path):
         cfg = {

@@ -397,6 +397,15 @@ class TestPropagateLindblad:
         with pytest.raises(ValueError, match=r"substep_tol must be in \(0, 1\]"):
             lindblad_substeps(PRESETS["tcp"], table, noise, tol)
 
+    def test_amplitudes_past_the_float_range_are_a_step_underflow(self):
+        # the control bound overflows to inf quietly; the count then names the underflow
+        table = PulseTable(0.15, np.full((3, 1, 2), 1.7e308))
+        noise = noise_operators(PRESETS["tcp"], "local", 0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="step-size underflow"):
+                lindblad_substeps(PRESETS["tcp"], table, noise, DEFAULT_SUBSTEP_TOL)
+
     def test_maximally_mixed_is_stationary_under_local_noise(self):
         noise = noise_operators(PRESETS["tcp"], "local", 0.07)
         rho0 = np.eye(4) / 4

@@ -12,7 +12,7 @@ import pytest
 from pinnctl.network import PulseTable
 from pinnctl.objectives import ObjectiveSpec, evaluate_fidelity, pulse_table_gradient
 from pinnctl.propagation import propagate_density, propagate_lindblad, propagate_unitary
-from pinnctl.spins import MAX_SPINS, NoiseModel, SpinSystem, drift_norm, spin_half_operator
+from pinnctl.spins import MAX_SPINS, NoiseModel, SpinSystem, spin_half_operator, system_operators
 
 from oracles import propagate_oracle
 
@@ -102,7 +102,7 @@ def lindblad_case(n_spins, seed, gamma):
     collapse = tuple(spin_half_operator(n_spins, k, axis)
                      for k in range(n_spins) for axis in ("x", "y"))
     noise = NoiseModel(gamma=gamma, kind="local", collapse_ops=collapse,
-                       drift_norm=drift_norm(system))
+                       drift_norm=system_operators(system).drift_norm)
     rho_i = sum((k + 1.0) * spin_half_operator(n_spins, k, "z") for k in range(n_spins))
     return system, table, noise, rho_i
 

@@ -7,7 +7,6 @@ from pinnctl.spins import (
     SpinSystem,
     control_operator_stack,
     drift_hamiltonian,
-    drift_norm,
     load_system,
     noise_operators,
     spin_half_operator,
@@ -82,7 +81,7 @@ class TestDriftHamiltonian:
     def test_tcp_spectral_norm_matches_eigensolve(self):
         h0 = drift_hamiltonian(PRESETS["tcp"])
         brute = max(abs(np.linalg.eigvals(h0)))
-        assert np.isclose(drift_norm(PRESETS["tcp"]), brute.real, rtol=1e-12)
+        assert np.isclose(system_operators(PRESETS["tcp"]).drift_norm, brute.real, rtol=1e-12)
 
     @pytest.mark.parametrize("name", ["defm", "tcp"])
     def test_paper_systems_diagonal_and_hermitian(self, name):
