@@ -1,6 +1,6 @@
-"""One rule for every number from outside (settings, run configurations,
-system and parameter files): a bool is not a number, an integer field holds
-an integer, and no range admits NaN or infinity.  Each error names the value.
+"""One rule per property of an input from outside: a bool is not a number, an
+integer field holds an integer, no range admits NaN or infinity, and a state or
+an observable is Hermitian to round-off.  Each error names the input.
 """
 
 from __future__ import annotations
@@ -40,3 +40,9 @@ def real(name: str, value, rule: str = "finite") -> float:
     except OverflowError:  # an int beyond the float range
         pass
     raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def hermitian(name: str, m: np.ndarray) -> None:
+    """ValueError unless m is Hermitian to round-off: ||m - m^dag|| <= 1e-10 max(1, ||m||)."""
+    if np.linalg.norm(m - m.conj().T) > 1e-10 * max(1.0, np.linalg.norm(m)):
+        raise ValueError(f"{name} must be Hermitian")

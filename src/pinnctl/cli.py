@@ -82,12 +82,12 @@ RUN_PRESETS = {
         "n_starts": 1,
     },
 }
-# the noise analysis's retrain of a trained tcp-lls network, named by `network`,
-# with the noise set per run: a fixed budget (f_threshold 1.0, so exit code 2)
+# the noise analysis's retrain of a trained tcp-lls network, by default the one that
+# `--preset tcp-lls --out runs/lls` writes: a fixed budget (f_threshold 1.0, so exit code 2)
 RUN_PRESETS["tcp-lls-noisy"] = {
     "system": "tcp",
     "objective": {"target": "lls"},
-    "network": RUN_PRESETS["tcp-lls"]["network"],
+    "network": "runs/lls/params.json",
     "noise": {"kind": "local", "gamma": 0.02},
     "optimizer": {"learning_rate": 3e-3, "f_threshold": 1.0, "max_iters": 400,
                   "n_fine": 512, "substep_tol": 0.05},

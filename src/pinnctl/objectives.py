@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import real
+from .checks import hermitian, real
 from .network import (
     NetworkParams,
     PulseTable,
@@ -27,6 +27,7 @@ from .network import (
 from .propagation import (
     DEFAULT_N_FINE,
     DEFAULT_SUBSTEP_TOL,
+    _as_pulse,
     _taylor_power_adjoint,
     lindblad_substeps,
     prefix_products,
@@ -68,34 +69,34 @@ class ObjectiveSpec:
         if self.shape_weight > 0:
             if self.kind != "state":
                 raise ValueError("trajectory shaping applies to state objectives only")
-            if self.noise is not None and self.noise.gamma > 0:
+            if self.dissipative:
                 raise ValueError("trajectory shaping is not supported with dissipative evolution")
             if not self.shape_observables:
                 raise ValueError("shape_weight > 0 requires shape_observables")
             for o in self.shape_observables:
-                if np.linalg.norm(o - o.conj().T) > 1e-10:
-                    raise ValueError("shape observables must be Hermitian")
+                hermitian("shape observables", o)
         d = self.target.shape[0]
         if self.kind == "gate":
             if np.linalg.norm(self.target @ self.target.conj().T - np.eye(d)) > 1e-10:
                 raise ValueError("gate target must be unitary")
-            if self.noise is not None:
+            if self.dissipative:
                 raise ValueError("gate objectives do not support dissipative evolution")
+            factor = 1.0 / d**2
         else:
-            if np.linalg.norm(self.target - self.target.conj().T) > 1e-10:
-                raise ValueError("state target must be Hermitian")
+            hermitian("state target", self.target)
             if self.initial is None:
                 raise ValueError("state objectives require an initial state")
             if self.initial.shape != self.target.shape:
                 raise ValueError(f"state target has shape {self.target.shape} and initial "
                                  f"state {self.initial.shape}; they must match")
-            if np.linalg.norm(self.initial - self.initial.conj().T) > 1e-10:
-                raise ValueError("initial state must be Hermitian")
-        if self.kind == "gate":
-            factor = 1.0 / d**2
-        else:
+            hermitian("initial state", self.initial)
             factor = 1.0 / _checked_transfer_bound(self.target, self.initial)
         object.__setattr__(self, "norm_factor", factor)
+
+    @property
+    def dissipative(self) -> bool:
+        """Whether the objective's evolution dissipates: a noise model with gamma > 0."""
+        return self.noise is not None and self.noise.gamma > 0
 
     def check_dimension(self, d: int) -> None:
         """Raise ValueError unless the target (and initial state) are d x d."""
@@ -282,9 +283,8 @@ def pulse_table_gradient(
     trajectory penalty when shaping is enabled, so thresholding the value
     guarantees at least that fidelity."""
     objective.check_dimension(system.dimension)
-    if table.n_channels != system.n_channels:
-        raise ValueError("pulse channel count does not match system")
-    if objective.noise is not None and objective.noise.gamma > 0:
+    _as_pulse(system, table, None)  # the channel check of every forward evaluation
+    if objective.dissipative:
         substeps = lindblad_substeps(system, table, objective.noise, substep_tol, amp_bound)
         overlap, du = _lindblad_pulse_gradient(system, table, objective, substeps)
     else:
@@ -341,7 +341,7 @@ def evaluate_fidelity(
     if objective.kind == "gate":
         res = propagate_unitary(system, pulse, n_fine=n_fine)
         return gate_fidelity(res.final, objective.target)
-    if objective.noise is not None and objective.noise.gamma > 0:
+    if objective.dissipative:
         res = propagate_lindblad(system, pulse, objective.initial, objective.noise, n_fine=n_fine)
     else:
         res = propagate_density(system, pulse, objective.initial, n_fine=n_fine)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import real
+from .checks import hermitian, real
 from .network import NetworkParams, PulseTable, sample_pulse
 from .spins import (
     NoiseModel,
@@ -53,16 +53,11 @@ class EvolutionResult:
     trajectory: list[tuple[float, np.ndarray]] | None
 
 
-def _hermitian_check(h: np.ndarray, tol: float = 1e-10):
-    if np.linalg.norm(h - h.conj().T) > tol * max(1.0, np.linalg.norm(h)):
-        raise ValueError("matrix is not Hermitian")
-
-
 def _check_state(system: SpinSystem, rho0: np.ndarray):
     if rho0.shape != (system.dimension,) * 2:
         raise ValueError(f"initial state has shape {rho0.shape}; the system's is "
                          f"{(system.dimension,) * 2}")
-    _hermitian_check(rho0)
+    hermitian("initial state", rho0)
 
 
 def _as_pulse(system: SpinSystem, pulse, n_fine: int | None) -> PulseTable:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .checks import real
@@ -68,16 +70,12 @@ def cnot_objective(control: int = 0, target: int = 1) -> ObjectiveSpec:
 
 
 def named_target(name: str, shape_weight: float = 0.0) -> ObjectiveSpec:
-    """Resolve CLI-style target names: 'cnot:0,1' or 'lls' (the only one
-    that takes a shape_weight)."""
+    """Resolve a CLI-style target name, read exactly: 'lls' (the only one that
+    takes a shape_weight), 'cnot' (control 0, target 1) or 'cnot:C,T'."""
     if name == "lls":
         return lls_objective(shape_weight=shape_weight)
-    if isinstance(name, str) and name.startswith("cnot"):
+    if isinstance(name, str) and (match := re.fullmatch(r"cnot(?::(\d+),(\d+))?", name)):
         if real("shape_weight", shape_weight):
             raise ValueError("shape_weight applies to the lls target only")
-        if ":" in name:
-            c, t = (int(x) for x in name.split(":", 1)[1].split(","))
-        else:
-            c, t = 0, 1
-        return cnot_objective(c, t)
+        return cnot_objective(*(int(i) for i in match.groups() if i is not None))
     raise ValueError(f"unknown target {name!r}")

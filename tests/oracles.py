@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from pinnctl.checks import hermitian
 from pinnctl.network import NetworkParams, forward_batch
 from pinnctl.objectives import ObjectiveSpec, _shape_expectations
 from pinnctl.propagation import (
     EvolutionResult,
     _as_pulse,
-    _hermitian_check,
     prefix_products,
     segment_hamiltonians,
     segment_unitaries,
@@ -33,7 +33,7 @@ from pinnctl.spins import (
 
 def expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i h dt) for Hermitian h via eigendecomposition."""
-    _hermitian_check(h)
+    hermitian("h", h)
     if dt < 0:
         raise ValueError("dt must be >= 0")
     evals, vecs = np.linalg.eigh(h)
@@ -105,7 +105,7 @@ def propagate_oracle(
             return (-1j * hamiltonian(t) @ y.reshape(d, d)).reshape(-1)
 
     elif mode == "density":
-        _hermitian_check(initial)
+        hermitian("initial state", initial)
         y0 = initial.reshape(-1).astype(complex)
 
         def rhs(t, y):
@@ -115,7 +115,7 @@ def propagate_oracle(
     else:
         if noise is None:
             raise ValueError("lindblad mode requires a noise model")
-        _hermitian_check(initial)
+        hermitian("initial state", initial)
         y0 = initial.reshape(-1).astype(complex)
         l_noise = liouvillian(np.zeros((d, d)), noise)
 

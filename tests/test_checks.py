@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pinnctl.checks import RULES, integer, real
+from pinnctl.checks import RULES, hermitian, integer, real
 
 # the ranges again, written out apart from checks.RULES
 IN_RULE = {
@@ -60,3 +60,19 @@ def test_real_accepts_exactly_the_finite_numbers_in_range(value, rule):
     else:
         with pytest.raises(ValueError, match=rf"^x must be {re.escape(rule)}, got "):
             real("x", value, rule)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-6, 1.0, 1e4, 1e8])
+@pytest.mark.parametrize("phase", [1.0, 1j])
+def test_hermitian_allows_round_off_of_the_norm(scale, phase):
+    """||m - m^dag|| may reach 1e-10 max(1, ||m||): an absolute bound for a
+    small matrix, a relative one for a large matrix."""
+    m = scale * np.array([[1.0, 0.5j, 0.0], [-0.5j, 0.0, 2.0], [0.0, 2.0, -1.0]])
+    allowed = 1e-10 * max(1.0, np.linalg.norm(m))
+    # x at (0, 2) with no partner at (2, 0) puts sqrt(2) |x| into m - m^dag
+    skew = np.zeros((3, 3), dtype=complex)
+    skew[0, 2] = phase * allowed / np.sqrt(2.0)
+    hermitian("rho", m)
+    hermitian("rho", m + 0.9 * skew)
+    with pytest.raises(ValueError, match="^rho must be Hermitian$"):
+        hermitian("rho", m + 1.1 * skew)

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import csv
 import json
@@ -51,6 +52,16 @@ def tcp_params(tmp_path):
     path = tmp_path / "tcp_params.json"
     save_params(init_params((1, 8, 2), 2 * np.pi * 200, 0.05, seed=4), path)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def lls_run_dir(tmp_path_factory):
+    """A working directory holding runs/lls/params.json, where the README's
+    `synthesize --preset tcp-lls --out runs/lls` writes: a small saved tcp network."""
+    root = tmp_path_factory.mktemp("lls_run")
+    (root / "runs" / "lls").mkdir(parents=True)
+    save_params(init_params((1, 8, 2), 2 * np.pi * 60, 0.15, seed=4), root / "runs/lls/params.json")
+    return root
 
 
 @pytest.fixture
@@ -408,6 +419,28 @@ def test_floating_point_fault_is_one_line_error(command, tmp_path, capsys):
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists() and not (tmp_path / "run" / "fidelity_trace.csv").exists()
+
+
+@pytest.mark.parametrize("target", ["cnots", "cnotfoo", "cnot:0,1,2", "cnot:a,b", "CNOT"])
+@pytest.mark.parametrize("command", ["synthesize", "sweep"])
+def test_misspelt_target_is_one_line_error(command, target, defm_params, tmp_path, capsys):
+    # a target name is read exactly: a name that merely starts with cnot is no CNOT
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "system": "defm", "objective": {"target": target},
+        "network": {"layer_sizes": [1, 8, 4], "duration_s": 0.02},
+        "optimizer": {"max_iters": 1, "n_fine": 16}}))
+    out = tmp_path / "out"
+    if command == "synthesize":
+        argv = ["synthesize", "--config", str(config)]
+    else:
+        argv = ["sweep", "discretization", "--params", defm_params, "--target", target,
+                "--segments", "4,8"]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert err.endswith(f"unknown target {target!r}\n")
+    assert not out.exists()
 
 
 class TestSynthesize:
@@ -819,19 +852,46 @@ class TestSynthesize:
         saved = json.loads((out / "run_record.json").read_text())
         assert saved["context"]["config"]["network"] == cfg["network"]
 
+    def test_gate_objective_takes_a_noise_model_only_at_gamma_zero(self):
+        """gamma 0 is the noiseless run for a gate objective as for a state one:
+        the same record, bit for bit; a positive gamma is a configuration error."""
+        cfg = {"system": "defm", "objective": {"target": "cnot:0,1"},
+               "network": {"layer_sizes": [1, 8, 4], "duration_s": 0.02},
+               "optimizer": {"max_iters": 2, "n_fine": 16, "seed": 0}}
+        noiseless, _ = cli._build_run(cfg)()
+        for kind in ("local", "global"):
+            record, _ = cli._build_run({**cfg, "noise": {"kind": kind, "gamma": 0}})()
+            assert record.iterations == noiseless.iterations
+            assert (record.final_params.vector().tobytes()
+                    == noiseless.final_params.vector().tobytes())
+            with pytest.raises(cli.ConfigError, match="do not support dissipative evolution"):
+                cli._build_run({**cfg, "noise": {"kind": kind, "gamma": 0.02}})
+
     def test_library_call_on_a_non_object_is_a_config_error(self):
         with pytest.raises(cli.ConfigError, match="invalid run configuration"):
             cli.synthesize([1, 2])
 
     @pytest.mark.parametrize("name", sorted(cli.RUN_PRESETS))
-    def test_preset_validates_without_training(self, name):
-        assert callable(cli._build_run(cli.RUN_PRESETS[name]))
+    def test_preset_validates_without_training(self, name, lls_run_dir):
+        with contextlib.chdir(lls_run_dir):
+            assert callable(cli._build_run(cli.RUN_PRESETS[name]))
+
+    def test_noisy_preset_without_its_start_network_is_one_line_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["synthesize", "--preset", "tcp-lls-noisy", "--out", "out"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid run configuration: ") and err.count("\n") == 1
+        assert "runs/lls/params.json" in err
+        assert not (tmp_path / "out").exists()
 
     @given(st.sampled_from(PRESET_KEYS), OUTSIDE_VALUES)
     @settings(max_examples=400)
     @example(("tcp-lls", ("noise",)), {"kind": "local", "gamma": 0.02})
     @example(("tcp-lls-noisy", ("network",)), "no-such-params.json")
-    def test_any_one_value_builds_a_run_or_is_a_config_error(self, key, value):
+    def test_any_one_value_builds_a_run_or_is_a_config_error(self, lls_run_dir, key, value):
         """The run is never called: nothing trains, and no drawn value reaches
         an allocation larger than a 64-wide layer."""
         name, path = key
@@ -841,7 +901,8 @@ class TestSynthesize:
             block = block[part]
         block[path[-1]] = value
         try:
-            run = cli._build_run(cfg)
+            with contextlib.chdir(lls_run_dir):
+                run = cli._build_run(cfg)
         except cli.ConfigError:
             return
         assert callable(run)

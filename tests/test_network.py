@@ -227,6 +227,18 @@ class TestBackprop:
             backprop_pulse(p, np.zeros((1, 4)), tape)
 
 
+class TestParamsInvariants:
+    def test_weight_and_bias_count_must_match_the_layers(self):
+        p = one_node_params()
+        with pytest.raises(ValueError, match="weight/bias count inconsistent"):
+            NetworkParams(p.layer_sizes, p.weights[:1], p.biases[:1], 1.0, 1.0)
+
+    def test_each_layer_shape_must_match(self):
+        p = one_node_params()
+        with pytest.raises(ValueError, match=r"^layer 1 shape mismatch: \(2, 1\), \(2,\)$"):
+            NetworkParams(p.layer_sizes, (p.weights[0], p.weights[1].T), p.biases, 1.0, 1.0)
+
+
 class TestNetworkWorkspace:
     """Inside an ascent the forward pass forms each layer in the workspace's
     buffer for it and backprop takes turns between two buffers; the arithmetic

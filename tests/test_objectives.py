@@ -22,6 +22,8 @@ from pinnctl.propagation import (
     _buffer,
     _workspace,
     lindblad_substeps,
+    propagate_density,
+    propagate_unitary,
     prefix_products,
     segment_hamiltonians,
     segment_unitaries,
@@ -123,6 +125,11 @@ class TestStateFidelity:
         with pytest.raises(ValueError):
             state_fidelity(z, z, z)
 
+    def test_dimension_mismatch_rejected(self):
+        q = singlet_order_operator()
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            state_fidelity(np.eye(2), q, q)
+
 
 class TestObjectiveSpec:
     def test_gate_target_must_be_unitary(self):
@@ -150,6 +157,72 @@ class TestObjectiveSpec:
         z = np.zeros((4, 4))
         with pytest.raises(ValueError, match="transfer bound"):
             ObjectiveSpec(kind="state", target=z, initial=z)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown objective kind 'unitary'$"):
+            ObjectiveSpec(kind="unitary", target=np.eye(4))
+
+    @pytest.mark.parametrize("field", ["shape observables", "state target", "initial state"])
+    def test_each_non_hermitian_input_is_named(self, field):
+        skew = np.triu(np.ones((4, 4)))
+        fields = {"shape observables": {"shape_weight": 1.0, "shape_observables": (skew,)},
+                  "state target": {"target": skew}, "initial state": {"initial": skew}}
+        spec = {"kind": "state", "target": singlet_order_operator(),
+                "initial": thermal_deviation(), **fields[field]}
+        with pytest.raises(ValueError, match=f"^{field} must be Hermitian$"):
+            ObjectiveSpec(**spec)
+
+
+class TestOneRulePerInput:
+    """Each property of an objective's inputs is judged one way, wherever it is checked."""
+
+    @pytest.mark.parametrize("defect, hermitian", [(2.8e-9, True), (1e-3, False)])
+    def test_objective_and_propagation_judge_a_state_alike(self, defect, hermitian):
+        # ||rho|| is 1.4e4, so an asymmetry of 2.8e-9 is round-off to the relative rule
+        rho = 1e4 * thermal_deviation()
+        rho[0, 1] += defect
+        entries = [
+            lambda: ObjectiveSpec(kind="state", target=singlet_order_operator(), initial=rho),
+            lambda: propagate_density(PRESETS["tcp"], PulseTable(0.05, np.zeros((4, 1, 2))), rho),
+        ]
+        for entry in entries:
+            if hermitian:
+                entry()
+            else:
+                with pytest.raises(ValueError, match="^initial state must be Hermitian$"):
+                    entry()
+
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_gate_objective_takes_a_noise_model_only_at_gamma_zero(self, kind):
+        table = PulseTable(0.02, np.random.default_rng(3).normal(0, 500, (16, 2, 2)))
+        plain = cnot_objective()
+        quiet = replace(plain, noise=noise_operators(PRESETS["defm"], kind, 0.0))
+        assert not quiet.dissipative
+        value, grad = pulse_table_gradient(PRESETS["defm"], table, quiet)
+        plain_value, plain_grad = pulse_table_gradient(PRESETS["defm"], table, plain)
+        assert value == plain_value and grad.tobytes() == plain_grad.tobytes()
+        fid = evaluate_fidelity(PRESETS["defm"], table, quiet)
+        assert fid == evaluate_fidelity(PRESETS["defm"], table, plain)
+        with pytest.raises(ValueError, match="gate objectives do not support dissipative"):
+            replace(plain, noise=noise_operators(PRESETS["defm"], kind, 0.02))
+
+    def test_gradient_and_forward_share_the_channel_message(self):
+        table = PulseTable(0.02, np.zeros((4, 1, 2)))
+        calls = [
+            lambda: pulse_table_gradient(PRESETS["defm"], table, cnot_objective()),
+            lambda: evaluate_fidelity(PRESETS["defm"], table, cnot_objective()),
+            lambda: propagate_unitary(PRESETS["defm"], table),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^pulse has 1 channels, system has 2$"):
+                call()
+
+    def test_non_finite_gradient_is_a_floating_point_error(self):
+        # past the float range the gradient overflows; with numpy's warnings
+        # silenced the guard still refuses to return it
+        table = PulseTable(0.02, np.full((4, 2, 2), 1e308))
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            pulse_table_gradient(PRESETS["defm"], table, cnot_objective())
 
 
 def fd_check(params, system, objective, n_fine, rng, n_probes, eps=1e-6, **kwargs):

@@ -310,6 +310,10 @@ class TestPropagateUnitary:
         with pytest.raises(ValueError):
             propagate_unitary(PRESETS["defm"], zero_pulse(0.01, 4, 1))
 
+    def test_only_a_table_or_a_network_is_a_pulse(self):
+        with pytest.raises(TypeError, match="^cannot interpret ndarray as a pulse$"):
+            propagate_unitary(PRESETS["defm"], np.zeros((4, 2, 2)))
+
     def test_second_order_convergence_midpoint(self):
         p = init_params((1, 10, 10, 4), 2 * np.pi * 500, 0.02, seed=2)
         oracle = propagate_oracle(PRESETS["defm"], p, mode="unitary").final

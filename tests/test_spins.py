@@ -13,6 +13,7 @@ from pinnctl.spins import (
     system_from_dict,
     system_operators,
 )
+from pinnctl.spins import _hermitian_basis, _real_superoperator
 
 
 def herm_defect(a):
@@ -56,6 +57,8 @@ class TestSpinHalfOperator:
             spin_half_operator(5, 0, "x")
         with pytest.raises(ValueError):
             spin_half_operator(0, 0, "x")
+        with pytest.raises(ValueError, match="axis must be one of x, y, z, got 'w'"):
+            spin_half_operator(2, 0, "w")
 
 
 class TestDriftHamiltonian:
@@ -225,6 +228,17 @@ class TestNoiseOperators:
         with pytest.raises(ValueError):
             NoiseModel(gamma=0.1, kind="local", collapse_ops=(), drift_norm=0.0)
 
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown noise kind 'dephasing'"):
+            NoiseModel(gamma=0.1, kind="dephasing", collapse_ops=(), drift_norm=1.0)
+        with pytest.raises(ValueError, match="unknown noise kind 'dephasing'"):
+            noise_operators(PRESETS["tcp"], "dephasing", 0.1)
+
+    def test_real_form_needs_a_hermiticity_preserving_superoperator(self):
+        # -i I maps a Hermitian matrix to an anti-Hermitian one
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            _real_superoperator(_hermitian_basis(2), -1j * np.eye(4))
+
 
 class TestSystemConfig:
     def test_from_dict_roundtrip(self):
@@ -260,6 +274,12 @@ class TestSystemConfig:
             SpinSystem(2, channels=((0,),), couplings=((1, 1, 5.0),))
         with pytest.raises(ValueError):
             SpinSystem(5, channels=())
+        with pytest.raises(ValueError, match="^channel spin index 2 out of range$"):
+            SpinSystem(2, channels=((0, 2),))
+        with pytest.raises(ValueError, match="^coupling spin index out of range$"):
+            SpinSystem(2, channels=((0,),), couplings=((0, 5, 1.0),))
+        with pytest.raises(ValueError, match="^offsets_hz length must equal n_spins$"):
+            SpinSystem(2, channels=((0,),), offsets_hz=(1.0,))
 
     @pytest.mark.parametrize("field, kwargs", [
         ("J_hz", {"couplings": ((0, 1, float("nan")),)}),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,21 @@ class TestNamedTarget:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             named_target("toffoli")
+
+    def test_bare_cnot_is_control_0_target_1(self):
+        obj = named_target("cnot")
+        assert obj.kind == "gate"
+        assert np.array_equal(obj.target, cnot(0, 1))
+
+    def test_reversed_indices(self):
+        assert np.array_equal(named_target("cnot:1,0").target, cnot(1, 0))
+
+    @pytest.mark.parametrize("name", ["cnots", "cnotfoo", "cnot:", "cnot:0", "cnot:0,1,2",
+                                      "cnot:a,b", "cnot:0, 1", "CNOT", "lls ", None, 3])
+    def test_name_is_read_exactly(self, name):
+        with pytest.raises(ValueError, match=f"^unknown target {re.escape(repr(name))}$"):
+            named_target(name)
+
+    def test_spin_index_out_of_range(self):
+        with pytest.raises(ValueError, match="spin index out of range"):
+            named_target("cnot:0,2")
