@@ -1,13 +1,12 @@
 """Gate/state fidelity functionals and exact gradients w.r.t. network parameters.
 
-Gradients are reverse-mode derivatives of the discretized dynamics: the
-eigendecomposition-based Frechet derivative of each segment exponential
-(Daleckii-Krein), formed in each segment's eigenbasis, chained into the
-network backprop for the unitary path, and for the dissipative path the
-reverse pass of each segment's RK4 map and its squarings, taken in real
-arithmetic (``propagation._taylor_power_adjoint``).  Both, and
-the network's forward and reverse passes, write their temporaries into the
-ascent's workspace (``workspace._buffer``); every gradient returned is fresh.
+Gradients are reverse-mode derivatives of the discretized dynamics.  The unitary path takes the
+eigendecomposition-based Frechet derivative of each segment exponential (Daleckii-Krein), formed
+in each segment's eigenbasis, and chains it into the network backprop.  The dissipative path
+sweeps states and costates by blocks of sqrt(N) segments (``propagation.state_costate_sweeps``),
+then takes the reverse pass of each segment's RK4 map through its squarings and its polynomial,
+in real arithmetic (``propagation._taylor_power_adjoint``).  Both, and the network's passes, write
+their temporaries into the ascent's workspace (``workspace._buffer``); every gradient is fresh.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from .propagation import (
     segment_hamiltonians,
     segment_lindblad_maps,
     segment_unitaries,
+    state_costate_sweeps,
 )
 from .spins import NoiseModel, SpinSystem, control_operator_stack, system_operators
 from .workspace import _buffer
@@ -246,19 +246,11 @@ def _lindblad_pulse_gradient(
     """Unnormalized overlap and amplitude-table gradient for the dissipative path."""
     ops = system_operators(system)
     lv, *levels = segment_lindblad_maps(system, objective.noise, table, substeps)
-    maps, (n, dd, _) = levels[-1], lv.shape
+    maps = levels[-1]
 
     # states x_s entering segment s and costates y_s leaving it
-    xs, ys = _buffer("segment_states", (n, dd)), _buffer("segment_costates", (n, dd))
-    x = ops.coordinates(objective.initial)
-    for s in range(n):
-        xs[s] = x
-        x = maps[s] @ x
-    y = ops.coordinates(objective.target)
-    overlap = float(y @ x)
-    for s in range(n - 1, -1, -1):
-        ys[s] = y
-        y = y @ maps[s]
+    xs, ys, overlap = state_costate_sweeps(
+        maps, ops.coordinates(objective.initial), ops.coordinates(objective.target))
     # dF = Tr(Z_s dM_s) with Z_s = x_s y_s^T, in the spent maps, then back through the squarings
     z_mat = np.multiply(xs[:, :, None], ys[:, None, :], out=maps)
     w_mat = _taylor_power_adjoint(z_mat, levels, lv, table.dt / substeps)

@@ -1,20 +1,20 @@
 """Time evolution under piecewise-constant Hamiltonians.
 
-The forward-only propagators walk the segments in chunks of at most _CHUNK,
-folding each chunk's maps into the state by a pairwise product tree before the
-next chunk is built, so their memory is O(chunk), not O(N).  Their unitary maps
-are exp(-i H dt) by Taylor polynomial and squaring in the real form
-[[Re U, -Im U], [Im U, Re U]], acting on the state [Re U; Im U]: no
-eigendecomposition.  Only the gradient eigendecomposes (``segment_unitaries``,
-for Daleckii-Krein) and forms every partial product P_s = U_s ... U_1, by a
-blocked sqrt(N) scan; the product after segment s is U(T) P_s^dagger.  The
-master equation runs in the real coordinates of an orthonormal Hermitian basis,
-where its generators are real d^2 x d^2 matrices; an RK4 substep is the degree-4
-call of the same Horner-and-squaring helper, which keeps every squaring: its
-reverse pass (``_taylor_power_adjoint``) is the dissipative gradient's.  Inside
-an ascent the segment arrays are buffers of its workspace (``workspace._buffer``),
-valid until the next call; outside one they are fresh, and a forward-only walk
-reuses one chunk's buffers for the next.  numpy only; Dormand-Prince is a test oracle.
+The forward-only propagators walk the segments in chunks of at most _CHUNK, folding each
+chunk's maps into the state by a pairwise product tree before the next chunk is built, so their
+memory is O(chunk), not O(N).  Their unitary maps are exp(-i H dt) by Taylor polynomial and
+squaring in the real form [[Re U, -Im U], [Im U, Re U]], acting on the state [Re U; Im U]: no
+eigendecomposition.  One helper (``_taylor_power``) forms every such polynomial by Horner on its
+coefficients 1/k!, with no division per stage, and keeps every squaring.  Only the unitary
+gradient eigendecomposes (``segment_unitaries``, for Daleckii-Krein) and forms every partial
+product P_s = U_s ... U_1 by a blocked sqrt(N) scan; the product after segment s is U(T) P_s^dagger.
+The master equation runs in the real coordinates of an orthonormal Hermitian basis, where its
+generators are real d^2 x d^2 matrices; an RK4 substep is the degree-4 Taylor call.  The
+dissipative gradient's state and costate sweeps are the same blocked scan over block maps
+(``state_costate_sweeps``), and its reverse pass through the squarings is ``_taylor_power_adjoint``.
+Inside an ascent the segment arrays are buffers of its workspace (``workspace._buffer``), valid
+until the next call; outside one they are fresh, and a forward-only walk reuses one chunk's
+buffers for the next.  numpy only; Dormand-Prince is a test oracle.
 """
 
 from __future__ import annotations
@@ -128,6 +128,37 @@ def prefix_products(units: np.ndarray) -> np.ndarray:
     out[0] = np.eye(d)
     np.matmul(local, carry[:, None], out=out[1:].reshape(nb, b, d, d))
     return out[: n + 1]
+
+
+def state_costate_sweeps(maps: np.ndarray, x0: np.ndarray, y0: np.ndarray):
+    """States x_s = M_(s-1) ... M_0 x0 entering each segment s, costates y_s = y0 M_(N-1) ... M_(s+1)
+    leaving it ((N, n) each, in a workspace its buffers) and the overlap y0 . M_(N-1) ... M_0 x0.
+
+    Blocked scan, as ``prefix_products``: the maps T_k of blocks of b = isqrt(N) segments are formed
+    together, carry x and y across the blocks, then fill every block at once, one batched matvec
+    per position; the last N mod b segments step singly.  About 5 sqrt(N) Python-level steps
+    instead of 2N, and the only further array is the carry."""
+    (n, dd, _), b = maps.shape, math.isqrt(len(maps))
+    m = n - n % b  # segments in full blocks
+    blocks = maps[:m].reshape(-1, b, dd, dd)
+    carry, spare = blocks[:, 0], _buffer("sweep_carry", (2, m // b, dd, dd))
+    for j in range(1, b):
+        carry = np.matmul(blocks[:, j], carry, out=spare[j % 2])
+    xs, ys = _buffer("segment_states", (n, dd)), _buffer("segment_costates", (n, dd))
+    xb, yb = xs[:m].reshape(-1, b, dd), ys[:m].reshape(-1, b, dd)
+    x, y = x0, y0
+    for k in range(m // b):
+        xb[k, 0], x = x, carry[k] @ x
+    for s in range(m, n):
+        xs[s], x = x, maps[s] @ x
+    for s in range(n - 1, m - 1, -1):
+        ys[s], y = y, y @ maps[s]
+    for k in range(m // b - 1, -1, -1):
+        yb[k, -1], y = y, y @ carry[k]
+    for j in range(1, b):
+        np.matmul(blocks[:, j - 1], xb[:, j - 1, :, None], out=xb[:, j, :, None])
+        np.matmul(yb[:, b - j, None], blocks[:, b - j], out=yb[:, b - j - 1, None])
+    return xs, ys, float(y0 @ x)
 
 
 def _ordered_product(maps: np.ndarray) -> np.ndarray:
@@ -269,27 +300,26 @@ def lindblad_substeps(
     while m < needed:
         m *= 2
         if m > 2**20:
-            raise RuntimeError("Lindblad step-size underflow: pathological parameters")
+            raise RuntimeError(f"Lindblad step-size underflow: (rate + ||H||) dt / tol = {needed:.3g};"
+                               " use more segments, a larger substep_tol or smaller amplitudes")
     return m
 
 
-def _add_identity(batch: np.ndarray):
-    """batch[s] += eye for an (N, d, d) batch, in place through the strided
-    view of its diagonals."""
-    diagonals = np.einsum("nii->ni", batch)
-    diagonals += 1.0
+def _add_identity(batch: np.ndarray, c: float):
+    """batch[s] += c * eye for an (N, d, d) batch, in place through the flat view of its diagonals."""
+    n, d, _ = batch.shape
+    batch.reshape(n, d * d)[:, :: d + 1] += c
 
 
 def _taylor_power(x: np.ndarray, degree: int, squarings: int) -> list[np.ndarray]:
-    """[r, r^2, ..., r^(2^squarings)]: r = eye + x (eye + x/2 (... (eye + x/degree))), exp(x)'s Taylor
-    polynomial by nested Horner, and its squarings, for a batch of real matrices x, spent on them."""
-    r = np.divide(x, float(degree), out=_buffer("horner_a", x.shape))
+    """[r, r^2, ..., r^(2^squarings)]: r = c_m x + c_(m-1) eye, then r <- x r + c_k eye (c_k = 1/k!),
+    exp(x)'s Taylor polynomial by Horner, and its squarings, for a batch of real x, spent on them."""
+    r = np.divide(x, float(math.factorial(degree)), out=_buffer("horner_a", x.shape))
     tmp = _buffer("horner_b", x.shape)
-    _add_identity(r)
-    for k in range(degree - 1, 0, -1):
-        np.matmul(x, r, out=tmp)
-        r, tmp = (np.divide(tmp, float(k), out=r), tmp) if k > 1 else (tmp, r)  # no division by 1
-        _add_identity(r)
+    _add_identity(r, 1.0 / math.factorial(degree - 1))
+    for k in range(degree - 2, -1, -1):
+        r, tmp = np.matmul(x, r, out=tmp), r
+        _add_identity(r, 1.0 / math.factorial(k))
     levels = [r]  # all kept for _taylor_power_adjoint: in the spent x and tmp, then a buffer each
     for i in range(squarings):
         out = (x, tmp)[i] if i < 2 else _buffer(f"taylor_level_{i + 1}", x.shape)

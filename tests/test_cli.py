@@ -421,6 +421,17 @@ def test_floating_point_fault_is_one_line_error(command, tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "run" / "fidelity_trace.csv").exists()
 
 
+@pytest.mark.parametrize("gamma", [[], ["--gamma", "0.02"]], ids=["unitary", "lindblad"])
+def test_amperr_overflow_names_the_factor(gamma, tmp_path, capsys):
+    params, out = tmp_path / "params.json", tmp_path / "out.csv"
+    params.write_text(json.dumps(SATURATING_PARAMS))
+    argv = ["sweep", "amperr", *SWEEP_TCP, "--deviations=0.5", *gamma, "--out", str(out)]
+    assert main([str(params) if a == "PARAMS" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: amplitude factor 1.5 ") and err.count("\n") == 1
+    assert "largest amplitude 1.7e+308" in err and not out.exists()
+
+
 @pytest.mark.parametrize("target", ["cnots", "cnotfoo", "cnot:0,1,2", "cnot:a,b", "CNOT"])
 @pytest.mark.parametrize("command", ["synthesize", "sweep"])
 def test_misspelt_target_is_one_line_error(command, target, defm_params, tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from pinnctl import objectives
 from pinnctl.network import PulseTable, apply_update, init_params
 from pinnctl.objectives import (
     SHAPE_WINDOW,
@@ -26,7 +27,9 @@ from pinnctl.propagation import (
     propagate_unitary,
     prefix_products,
     segment_hamiltonians,
+    segment_lindblad_maps,
     segment_unitaries,
+    state_costate_sweeps,
 )
 from pinnctl.spins import (
     PRESETS,
@@ -35,6 +38,7 @@ from pinnctl.spins import (
     drift_hamiltonian,
     liouvillian,
     noise_operators,
+    system_operators,
 )
 from pinnctl.targets import (
     cnot,
@@ -414,6 +418,71 @@ class TestLindbladGradientReference:
         ref_fid, ref_grad = reference_lindblad_gradient(system, table, obj, substeps)
         assert abs(fid - ref_fid) < 1e-12 * abs(ref_fid)
         assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
+
+
+class TestBlockedSweeps:
+    """The state and costate sweeps by blocks of isqrt(N) segments, with a remainder."""
+
+    @staticmethod
+    def plain_sweeps(maps, x0, y0):
+        xs, ys = np.empty((len(maps), len(x0))), np.empty((len(maps), len(y0)))
+        x, y = x0, y0
+        for s in range(len(maps)):
+            xs[s] = x
+            x = maps[s] @ x
+        for s in range(len(maps) - 1, -1, -1):
+            ys[s] = y
+            y = y @ maps[s]
+        return xs, ys, float(y0 @ x)
+
+    @staticmethod
+    def case(kind, n):
+        # the segment length of the 16-segment cases, and the singlet order kept rather than
+        # made, so that even one segment has an overlap of order 1
+        system = PRESETS["tcp"]
+        obj = replace(lls_objective(), initial=singlet_order_operator(),
+                      noise=noise_operators(system, kind, 0.05))
+        table = PulseTable(0.02 * n / 16, np.random.default_rng(n).normal(0, 300, size=(n, 1, 2)))
+        return system, table, obj
+
+    # block sizes 1, 1, 1, 3, 4, 6 with remainders 0, 0, 0, 1, 1, 1
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 17, 37])
+    @pytest.mark.parametrize("substeps", [2, 8])
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_matches_complex_reference(self, kind, substeps, n):
+        system, table, obj = self.case(kind, n)
+        fid, grad = _lindblad_pulse_gradient(system, table, obj, substeps)
+        ref_fid, ref_grad = reference_lindblad_gradient(system, table, obj, substeps)
+        assert abs(fid - ref_fid) < 1e-12 * abs(ref_fid)
+        assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
+
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_matches_a_plain_sweep_at_512_segments(self, kind, monkeypatch):
+        # b = 22 and 23 full blocks, remainder 6
+        system, table, obj = self.case(kind, 512)
+        ops = system_operators(system)
+        maps = segment_lindblad_maps(system, obj.noise, table, 8)[-1]
+        x0, y0 = ops.coordinates(obj.initial), ops.coordinates(obj.target)
+        for got, ref in zip(state_costate_sweeps(maps, x0, y0), self.plain_sweeps(maps, x0, y0)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        fid, grad = _lindblad_pulse_gradient(system, table, obj, 8)
+        monkeypatch.setattr(objectives, "state_costate_sweeps", self.plain_sweeps)
+        ref_fid, ref_grad = _lindblad_pulse_gradient(system, table, obj, 8)
+        assert abs(fid - ref_fid) <= 1e-13 * abs(ref_fid)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * np.max(np.abs(ref_grad))
+
+    @pytest.mark.parametrize("n", [3, 37, 512])
+    def test_bit_identical_in_a_workspace_and_on_a_second_call(self, n):
+        system, table, obj = self.case("local", n)
+        fresh = _lindblad_pulse_gradient(system, table, obj, 8)
+        with _workspace():
+            _lindblad_pulse_gradient(*self.case("global", 500), 8)  # other buffer shapes first
+            first = _lindblad_pulse_gradient(system, table, obj, 8)
+            first = first[0], first[1].copy()
+            second = _lindblad_pulse_gradient(system, table, obj, 8)
+        for fid, grad in (first, second):
+            assert fid == fresh[0]
+            assert np.array_equal(grad, fresh[1])
 
 
 class TestLossAndGradient:

@@ -15,6 +15,7 @@ from pinnctl.propagation import (
     DEFAULT_SUBSTEP_TOL,
     _ordered_product,
     _sweep_segments,
+    _taylor_power,
     lindblad_substeps,
     prefix_products,
     propagate_density,
@@ -254,9 +255,9 @@ class TestSegmentLindbladMaps:
         )
         hl = (table.dt / substeps) * lv
         eye = np.eye(16)
-        r = eye + hl / 4.0
-        for k in (3.0, 2.0, 1.0):
-            r = eye + np.matmul(hl, r) / k
+        r = hl / 24.0 + eye / 6.0  # Horner on the coefficients 1/k!
+        for c_k in (1 / 2, 1.0, 1.0):
+            r = np.matmul(hl, r) + c_k * eye
         levels = [r]
         for _ in range(substeps.bit_length() - 1):
             levels.append(np.matmul(levels[-1], levels[-1]))
@@ -264,6 +265,20 @@ class TestSegmentLindbladMaps:
         assert len(got) == 1 + len(levels)
         for a, b in zip(got, (lv, *levels)):
             assert np.array_equal(a, b)
+
+
+class TestTaylorPower:
+    @pytest.mark.parametrize("d", [8, 16])
+    @pytest.mark.parametrize("degree", range(1, 15))
+    def test_polynomial_of_every_degree(self, degree, d):
+        # the unitary plans use degrees 5-14 and the Lindblad maps 4; |x| <= 1/2 as planned
+        x = np.random.default_rng(degree * d).normal(0, 0.5 / d, size=(32, d, d))
+        power, ref = np.broadcast_to(np.eye(d), x.shape), np.zeros_like(x)
+        for k in range(degree + 1):
+            ref += power / factorial(k)
+            power = np.matmul(x, power)
+        got = _taylor_power(x.copy(), degree, 0)[0]
+        assert np.max(np.abs(got - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
 class TestPropagateUnitary:
@@ -409,6 +424,15 @@ class TestPropagateLindblad:
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError, match="step-size underflow"):
                 lindblad_substeps(PRESETS["tcp"], table, noise, DEFAULT_SUBSTEP_TOL)
+
+    def test_step_underflow_names_the_count_and_the_remedies(self):
+        table = PulseTable(0.15, np.full((3, 1, 2), 1e12))
+        noise = noise_operators(PRESETS["tcp"], "local", 0.02)
+        with pytest.raises(RuntimeError, match="step-size underflow") as err:
+            lindblad_substeps(PRESETS["tcp"], table, noise, DEFAULT_SUBSTEP_TOL)
+        needed = float(f"{err.value}".split("= ")[1].split(";")[0])
+        assert 2**20 < needed < np.inf
+        assert all(w in f"{err.value}" for w in ("more segments", "substep_tol", "smaller amplitudes"))
 
     def test_maximally_mixed_is_stationary_under_local_noise(self):
         noise = noise_operators(PRESETS["tcp"], "local", 0.07)
