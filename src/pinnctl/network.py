@@ -103,7 +103,8 @@ class PulseTable:
         return self.samples.reshape(self.n_segments, -1)
 
     def scaled(self, factor: float) -> "PulseTable":
-        if not np.isfinite((peak := float(np.max(np.abs(self.samples), initial=0.0))) * float(factor)):
+        peak = float(np.max(np.abs(self.samples), initial=0.0))
+        if not np.isfinite(peak * float(factor)):
             raise ValueError(f"amplitude factor {factor:g} takes the largest amplitude "
                              f"{peak:.3g} rad/s past the float range")
         return PulseTable(self.duration, self.samples * factor)

@@ -246,13 +246,12 @@ def _lindblad_pulse_gradient(
     """Unnormalized overlap and amplitude-table gradient for the dissipative path."""
     ops = system_operators(system)
     lv, *levels = segment_lindblad_maps(system, objective.noise, table, substeps)
-    maps = levels[-1]
 
     # states x_s entering segment s and costates y_s leaving it
     xs, ys, overlap = state_costate_sweeps(
-        maps, ops.coordinates(objective.initial), ops.coordinates(objective.target))
+        levels[-1], ops.coordinates(objective.initial), ops.coordinates(objective.target))
     # dF = Tr(Z_s dM_s) with Z_s = x_s y_s^T, in the spent maps, then back through the squarings
-    z_mat = np.multiply(xs[:, :, None], ys[:, None, :], out=maps)
+    z_mat = np.multiply(xs[:, :, None], ys[:, None, :], out=levels[-1])
     w_mat = _taylor_power_adjoint(z_mat, levels, lv, table.dt / substeps)
 
     # dF/du_c = Tr(G_c W)

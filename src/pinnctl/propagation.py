@@ -132,7 +132,7 @@ def prefix_products(units: np.ndarray) -> np.ndarray:
 
 def state_costate_sweeps(maps: np.ndarray, x0: np.ndarray, y0: np.ndarray):
     """States x_s = M_(s-1) ... M_0 x0 entering each segment s, costates y_s = y0 M_(N-1) ... M_(s+1)
-    leaving it ((N, n) each, in a workspace its buffers) and the overlap y0 . M_(N-1) ... M_0 x0.
+    leaving it ((N, d^2) each, in a workspace its buffers) and the overlap y0 . M_(N-1) ... M_0 x0.
 
     Blocked scan, as ``prefix_products``: the maps T_k of blocks of b = isqrt(N) segments are formed
     together, carry x and y across the blocks, then fill every block at once, one batched matvec
