@@ -445,7 +445,7 @@ class TestBlockedSweeps:
         table = PulseTable(0.02 * n / 16, np.random.default_rng(n).normal(0, 300, size=(n, 1, 2)))
         return system, table, obj
 
-    # block sizes 1, 1, 1, 3, 4, 6 with remainders 0, 0, 0, 1, 1, 1
+    # b = 1, 1, 1, 3, 4, 6 with remainders 0, 0, 0, 1, 1, 1 (the 16-segment cases above: b = 4, none)
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 17, 37])
     @pytest.mark.parametrize("substeps", [2, 8])
     @pytest.mark.parametrize("kind", ["local", "global"])
