@@ -1,12 +1,12 @@
 """Gate/state fidelity functionals and exact gradients w.r.t. network parameters.
 
-Gradients are reverse-mode derivatives of the discretized dynamics.  The unitary path takes the
-eigendecomposition-based Frechet derivative of each segment exponential (Daleckii-Krein), formed
-in each segment's eigenbasis, and chains it into the network backprop.  The dissipative path
-sweeps states and costates by blocks of sqrt(N) segments (``propagation.state_costate_sweeps``),
-then takes the reverse pass of each segment's RK4 map through its squarings and its polynomial,
-in real arithmetic (``propagation._taylor_power_adjoint``).  Both, and the network's passes, write
-their temporaries into the ascent's workspace (``workspace._buffer``); every gradient is fresh.
+Gradients are reverse-mode derivatives of the discretized dynamics; both take the maps' product
+up to every segment from one blocked sqrt(N) scan.  The unitary path takes its prefix products
+(``propagation.prefix_products``) and each exponential's Frechet derivative in its eigenbasis
+(Daleckii-Krein), chained into the network backprop.  The dissipative path takes its states and,
+over the same block maps, its costates (``propagation.state_costate_sweeps``), then each RK4 map's
+reverse pass in real arithmetic (``propagation._taylor_power_adjoint``).  Both, and the network's
+passes, write temporaries into the ascent's workspace (``workspace._buffer``); gradients are fresh.
 """
 
 from __future__ import annotations

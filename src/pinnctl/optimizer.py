@@ -127,11 +127,10 @@ def ascend(score, x: np.ndarray, config: AscentConfig, *, project=None):
     """Maximise score(x) -> (value, gradient shaped like x) with Adam until the
     value reaches config.f_threshold or after config.max_iters updates.
 
-    ``project`` maps x after every update.  Returns the final x and a
-    RunRecord of the (iteration, value, gradient 2-norm) rows, the converged
-    flag, the config and the wall time.
-    Raises FloatingPointError on a non-finite value, and DivergenceError after
-    DIVERGENCE_WINDOW consecutive updates below the initial value - 0.5.
+    ``project`` maps x after every update.  Returns the final x and a RunRecord of the
+    (iteration, value, gradient 2-norm) rows, the converged flag, the config and the wall time.
+    Raises FloatingPointError on a non-finite value or gradient 2-norm, and DivergenceError
+    after DIVERGENCE_WINDOW consecutive updates below the initial value - 0.5.
     """
     t0 = time.monotonic()
     x = np.array(x, dtype=float)  # the one copy, stepped in place
@@ -139,7 +138,12 @@ def ascend(score, x: np.ndarray, config: AscentConfig, *, project=None):
     value, grad = score(x)
 
     def row(it):
-        return (it, value, float(np.sqrt(np.sum(grad * grad))))
+        with np.errstate(over="ignore"):  # past the float range the norm is inf, reported below
+            norm = float(np.sqrt(np.sum(grad * grad)))
+        if not math.isfinite(norm):
+            raise FloatingPointError(f"gradient 2-norm is {norm} at iteration {it} "
+                                     f"(largest component {np.max(np.abs(grad)):.3g})")
+        return (it, value, norm)
 
     initial = value
     rows = [row(0)]

@@ -6,12 +6,13 @@ memory is O(chunk), not O(N).  Their unitary maps are exp(-i H dt) by Taylor pol
 squaring in the real form [[Re U, -Im U], [Im U, Re U]], acting on the state [Re U; Im U]: no
 eigendecomposition.  One helper (``_taylor_power``) forms every such polynomial by Horner on its
 coefficients 1/k!, with no division per stage, and keeps every squaring.  Only the unitary
-gradient eigendecomposes (``segment_unitaries``, for Daleckii-Krein) and forms every partial
-product P_s = U_s ... U_1 by a blocked sqrt(N) scan; the product after segment s is U(T) P_s^dagger.
-The master equation runs in the real coordinates of an orthonormal Hermitian basis, where its
-generators are real d^2 x d^2 matrices; an RK4 substep is the degree-4 Taylor call.  The
-dissipative gradient's state and costate sweeps are the same blocked scan over block maps
-(``state_costate_sweeps``), and its reverse pass through the squarings is ``_taylor_power_adjoint``.
+gradient eigendecomposes (``segment_unitaries``, for Daleckii-Krein).  One blocked sqrt(N) scan
+(``_blocked_states``) gives both gradients the product of the maps up to every segment: the unitary
+P_s = U_s ... U_1 run from the identity (the product after segment s is U(T) P_s^dagger), and the
+dissipative states, whose costates run back over its block maps (``state_costate_sweeps``).  The
+master equation runs in the real coordinates of an orthonormal Hermitian basis, where its generators
+are real d^2 x d^2 matrices; an RK4 substep is the degree-4 Taylor call, and its reverse pass
+through the squarings is ``_taylor_power_adjoint``.
 Inside an ascent the segment arrays are buffers of its workspace (``workspace._buffer``), valid
 until the next call; outside one they are fresh, and a forward-only walk reuses one chunk's
 buffers for the next.  numpy only; Dormand-Prince is a test oracle.
@@ -102,63 +103,52 @@ def segment_unitaries(h_batch: np.ndarray, dt: float):
     return evals, vecs, np.matmul(scaled, vecs_h, out=_buffer("unitaries", vecs.shape, complex))
 
 
+def _blocked_states(maps: np.ndarray, x0: np.ndarray):
+    """States x_s = M_(s-1) ... M_0 x0, s = 0..N ((N+1, *x0.shape), in a workspace its buffer), the
+    full blocks of b = isqrt(N) maps and their products T_k = M_(kb+b-1) ... M_(kb), formed together
+    by b - 1 batched matmuls.  The T_k carry x0 across the blocks, the last N mod b maps step singly,
+    and one batched matmul per position fills every block: about 3 sqrt(N) Python-level steps
+    instead of N, and the only further array is the carry."""
+    (n, *shape), b = maps.shape, math.isqrt(len(maps))
+    m = n - n % b  # segments in full blocks
+    blocks = maps[:m].reshape(-1, b, *shape)
+    carry, spare = blocks[:, 0], _buffer("scan_carry", (2, m // b, *shape), maps.dtype)
+    for j in range(1, b):
+        carry = np.matmul(blocks[:, j], carry, out=spare[j % 2])
+    xs = _buffer("scan_states", (n + 1, *x0.shape), maps.dtype)
+    xb, x = xs[:m].reshape(-1, b, *x0.shape), x0
+    for k in range(m // b):
+        xb[k, 0], x = x, carry[k] @ x
+    for s in range(m, n):
+        xs[s], x = x, maps[s] @ x
+    xs[n] = x
+    for j in range(1, b):
+        np.matmul(blocks[:, j - 1], xb[:, j - 1], out=xb[:, j])
+    return xs, blocks, carry
+
+
 def prefix_products(units: np.ndarray) -> np.ndarray:
     """P[s] = U_s ... U_1 for s = 1..N, P[0] = identity: (N+1, d, d), in a workspace its buffer.
-
-    Blocked scan: the N segments are split into blocks of b = ceil(sqrt(N))
-    (the last one padded with identities).  Products inside every block are
-    formed together, one batched matmul per position in the block; each block
-    is then carried by the product of all blocks before it.  N matmuls per
-    phase, with about 2 sqrt(N) Python-level steps instead of N.
-    """
-    n, d, _ = units.shape
-    b = math.isqrt(max(n - 1, 0)) + 1
-    nb = max(1, -(-n // b))
-    local = _buffer("prefix_blocks", (nb * b, d, d), complex)
-    local[:n] = units
-    local[n:] = np.eye(d)
-    local = local.reshape(nb, b, d, d)
-    for j in range(1, b):
-        local[:, j] = np.matmul(local[:, j], local[:, j - 1])
-    carry = np.empty((nb, d, d), dtype=complex)
-    carry[0] = np.eye(d)
-    for k in range(1, nb):
-        carry[k] = local[k - 1, -1] @ carry[k - 1]
-    out = _buffer("prefix_products", (nb * b + 1, d, d), complex)
-    out[0] = np.eye(d)
-    np.matmul(local, carry[:, None], out=out[1:].reshape(nb, b, d, d))
-    return out[: n + 1]
+    The states of the blocked scan (``_blocked_states``) run from the identity."""
+    return _blocked_states(units, np.eye(units.shape[1]))[0]
 
 
 def state_costate_sweeps(maps: np.ndarray, x0: np.ndarray, y0: np.ndarray):
     """States x_s = M_(s-1) ... M_0 x0 entering each segment s, costates y_s = y0 M_(N-1) ... M_(s+1)
     leaving it ((N, d^2) each, in a workspace its buffers) and the overlap y0 . M_(N-1) ... M_0 x0.
-
-    Blocked scan, as ``prefix_products``: the maps T_k of blocks of b = isqrt(N) segments are formed
-    together, carry x and y across the blocks, then fill every block at once, one batched matvec
-    per position; the last N mod b segments step singly.  About 5 sqrt(N) Python-level steps
-    instead of 2N, and the only further array is the carry."""
-    (n, dd, _), b = maps.shape, math.isqrt(len(maps))
-    m = n - n % b  # segments in full blocks
-    blocks = maps[:m].reshape(-1, b, dd, dd)
-    carry, spare = blocks[:, 0], _buffer("sweep_carry", (2, m // b, dd, dd))
-    for j in range(1, b):
-        carry = np.matmul(blocks[:, j], carry, out=spare[j % 2])
-    xs, ys = _buffer("segment_states", (n, dd)), _buffer("segment_costates", (n, dd))
-    xb, yb = xs[:m].reshape(-1, b, dd), ys[:m].reshape(-1, b, dd)
-    x, y = x0, y0
-    for k in range(m // b):
-        xb[k, 0], x = x, carry[k] @ x
-    for s in range(m, n):
-        xs[s], x = x, maps[s] @ x
-    for s in range(n - 1, m - 1, -1):
+    The states are the blocked scan's (x0 as a column); the costates step back singly over the last
+    N mod b segments, across the blocks by the scan's block maps T_k, then fill every block at once."""
+    (n, dd, _), (xs, blocks, carry) = maps.shape, _blocked_states(maps, x0[:, None])
+    nb, b = blocks.shape[:2]
+    ys, y = _buffer("segment_costates", (n, dd)), y0
+    yb = ys[: nb * b].reshape(nb, b, dd)
+    for s in range(n - 1, nb * b - 1, -1):
         ys[s], y = y, y @ maps[s]
-    for k in range(m // b - 1, -1, -1):
+    for k in range(nb - 1, -1, -1):
         yb[k, -1], y = y, y @ carry[k]
     for j in range(1, b):
-        np.matmul(blocks[:, j - 1], xb[:, j - 1, :, None], out=xb[:, j, :, None])
         np.matmul(yb[:, b - j, None], blocks[:, b - j], out=yb[:, b - j - 1, None])
-    return xs, ys, float(y0 @ x)
+    return xs[:n, :, 0], ys, float(y0 @ xs[n, :, 0])
 
 
 def _ordered_product(maps: np.ndarray) -> np.ndarray:
@@ -295,13 +285,16 @@ def lindblad_substeps(
     count independent of the pulse values."""
     _check_substep_tol(tol)
     ops = system_operators(system)
-    needed = (noise.rate + ops.drift_norm + _control_bound(ops, table, amp_bound)) * table.dt / tol
+    control = _control_bound(ops, table, amp_bound)
+    needed = (noise.rate + ops.drift_norm + control) * table.dt / tol
     m = 1
     while m < needed:
         m *= 2
         if m > 2**20:
-            raise RuntimeError(f"Lindblad step-size underflow: (rate + ||H||) dt / tol = {needed:.3g};"
-                               " use more segments, a larger substep_tol or smaller amplitudes")
+            raise RuntimeError(
+                f"Lindblad step-size underflow: (rate + ||H||) dt / tol = {needed:.3g}; collapse rate "
+                f"gamma*||H0|| {noise.rate:.3g} rad/s, Hamiltonian bound {ops.drift_norm + control:.3g}"
+                " rad/s; use more segments, a larger substep_tol, a smaller gamma or smaller amplitudes")
     return m
 
 

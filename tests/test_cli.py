@@ -432,6 +432,33 @@ def test_amperr_overflow_names_the_factor(gamma, tmp_path, capsys):
     assert "largest amplitude 1.7e+308" in err and not out.exists()
 
 
+def test_overflowing_gradient_norm_names_the_gradient_and_iteration(tmp_path, capsys):
+    # the gradient's components are finite, their squares are not
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "system": "defm", "objective": {"target": "cnot"},
+        "network": {"layer_sizes": [1, 4, 4], "amp_scale_rad_s": 1e200, "duration_s": 0.02},
+        "optimizer": {"max_iters": 2, "n_fine": 8}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["synthesize", "--config", str(config), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: gradient 2-norm is inf at iteration 0 ") and err.count("\n") == 1
+    assert not (tmp_path / "run" / "fidelity_trace.csv").exists()
+
+
+def test_lindblad_step_underflow_names_gamma(tcp_params, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "noise", "--params", str(tcp_params), "--system", "tcp", "--target", "lls",
+            "--gammas", "1e308", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Lindblad step-size underflow") and err.count("\n") == 1
+    assert "collapse rate gamma*||H0|| inf" in err and "a smaller gamma" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["cnots", "cnotfoo", "cnot:0,1,2", "cnot:a,b", "CNOT"])
 @pytest.mark.parametrize("command", ["synthesize", "sweep"])
 def test_misspelt_target_is_one_line_error(command, target, defm_params, tmp_path, capsys):

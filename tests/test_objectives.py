@@ -456,6 +456,16 @@ class TestBlockedSweeps:
         assert abs(fid - ref_fid) < 1e-12 * abs(ref_fid)
         assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 17, 37])
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_matches_a_plain_sweep(self, kind, n):
+        system, table, obj = self.case(kind, n)
+        ops = system_operators(system)
+        maps = segment_lindblad_maps(system, obj.noise, table, 8)[-1]
+        x0, y0 = ops.coordinates(obj.initial), ops.coordinates(obj.target)
+        for got, ref in zip(state_costate_sweeps(maps, x0, y0), self.plain_sweeps(maps, x0, y0)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("kind", ["local", "global"])
     def test_matches_a_plain_sweep_at_512_segments(self, kind, monkeypatch):
         # b = 22 and 23 full blocks, remainder 6
@@ -483,6 +493,19 @@ class TestBlockedSweeps:
         for fid, grad in (first, second):
             assert fid == fresh[0]
             assert np.array_equal(grad, fresh[1])
+
+    def test_gate_and_dissipative_gradients_share_the_scan_buffers(self):
+        # the scan's buffers hold complex (38, 4, 4) states, then real (501, 16, 1), then complex
+        rng = np.random.default_rng(37)
+        gate = PRESETS["defm"], PulseTable(0.02, rng.normal(0, 600, size=(37, 2, 2))), cnot_objective()
+        noisy = self.case("global", 500)
+        fresh = [pulse_table_gradient(*gate), _lindblad_pulse_gradient(*noisy, 8)]
+        with _workspace():
+            mixed = [pulse_table_gradient(*gate), _lindblad_pulse_gradient(*noisy, 8),
+                     pulse_table_gradient(*gate)]
+        for (fid, grad), (ref_fid, ref_grad) in zip(mixed, fresh + fresh[:1]):
+            assert fid == ref_fid
+            assert np.array_equal(grad, ref_grad)
 
 
 class TestLossAndGradient:
