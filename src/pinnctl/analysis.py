@@ -111,16 +111,13 @@ def basis_trajectory(
         res = propagate_lindblad(system, table, rho0, noise, sample_times=times)
     else:
         res = propagate_density(system, table, rho0, sample_times=times)
-    out = np.empty((len(res.trajectory), len(basis)))
-    ts = np.empty(len(res.trajectory))
-    for i, (t, rho) in enumerate(res.trajectory):
-        ts[i] = t
-        for j, psi in enumerate(basis):
-            val = np.vdot(psi, rho @ psi)
-            if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
-                raise FloatingPointError("expectation value is not real")
-            out[i, j] = val.real
-    return ts, out
+    d = system.dimension  # shapes given, so no samples or an empty basis give empty rows
+    rhos = np.array([rho for _, rho in res.trajectory], complex).reshape(n_samples, d, d)
+    psis = np.array(basis, complex).reshape(len(basis), d)
+    vals = np.einsum("bi,nij,bj->nb", psis.conj(), rhos, psis)
+    if np.any(np.abs(vals.imag) > 1e-10 * np.maximum(1.0, np.abs(vals))):
+        raise FloatingPointError("expectation value is not real")
+    return times, vals.real
 
 
 def noise_sweep(

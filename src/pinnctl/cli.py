@@ -17,10 +17,12 @@ import numpy as np
 from . import analysis, fileio
 from .checks import integer
 from .grape import GrapeConfig, grape_train
-from .network import init_params, load_params, sample_pulse, save_params
+from .network import PulseTable, init_params, load_params, sample_pulse, save_params
+from .objectives import _shape_window_checkpoints
 from .optimizer import (
     OptimizerConfig, RunRecord, fit_network_to_table, multi_start, save_run_record, train,
 )
+from .propagation import lindblad_substeps
 from .spins import load_system, noise_operators
 from .targets import named_target, singlet_triplet_basis, thermal_deviation
 
@@ -199,6 +201,16 @@ def _build_run(cfg: dict):
                               f"network.amp_scale_rad_s {amp_scale:g}")
         if input_gain != 1.0:
             raise ConfigError("a warm_start run does not apply network.input_gain; leave it at 1")
+    try:  # the grids training runs on: each shaped stage's window, the noisy gradient's substeps
+        if objective.shape_weight:
+            _shape_window_checkpoints(opt.n_fine)
+        if ws_cfg and ws_objective.shape_weight:
+            _shape_window_checkpoints(grape_cfg.n_segments)
+        if objective.dissipative:
+            grid = PulseTable(duration, np.broadcast_to(0.0, (opt.n_fine, system.n_channels, 2)))
+            lindblad_substeps(system, grid, objective.noise, opt.substep_tol, amp_scale)
+    except (RuntimeError, ValueError) as exc:
+        raise ConfigError(f"invalid run configuration: {exc}") from exc
 
     def run() -> tuple[RunRecord, RunRecord | None]:
         grape_record, start = None, params0 if given else None

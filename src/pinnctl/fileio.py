@@ -51,8 +51,8 @@ def read_pulse_csv(path) -> PulseTable:
     amplitude must be finite."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])  # an empty file fails the header check
-        if not header or header[0] != "t_s" or (len(header) - 1) % 2 != 0:
+        header = next(reader, [])  # an empty file, or t_s alone, fails the header check
+        if len(header) < 3 or header[0] != "t_s" or (len(header) - 1) % 2 != 0:
             raise ValueError(f"not a pulse CSV: unexpected header {header!r}")
         n_channels = (len(header) - 1) // 2
         rows = []

@@ -141,7 +141,7 @@ def _shape_window_checkpoints(n_segments: int) -> list[int]:
     lo, hi = SHAPE_WINDOW
     ks = [k for k in range(1, n_segments + 1) if lo <= k / n_segments <= hi]
     if not ks:
-        raise ValueError("shape window contains no segment boundaries at this resolution")
+        raise ValueError(f"shape window contains no segment boundaries on a {n_segments}-segment grid")
     return ks
 
 

@@ -14,8 +14,8 @@ master equation runs in the real coordinates of an orthonormal Hermitian basis, 
 are real d^2 x d^2 matrices; an RK4 substep is the degree-4 Taylor call, and its reverse pass
 through the squarings is ``_taylor_power_adjoint``.
 Inside an ascent the segment arrays are buffers of its workspace (``workspace._buffer``), valid
-until the next call; outside one they are fresh, and a forward-only walk reuses one chunk's
-buffers for the next.  numpy only; Dormand-Prince is a test oracle.
+until the next call; outside one they are fresh.  The forward walk (``_sweep_segments``) opens a
+workspace of its own, whose buffers each chunk reuses.  numpy only; Dormand-Prince is a test oracle.
 """
 
 from __future__ import annotations
@@ -170,35 +170,31 @@ def _ordered_product(maps: np.ndarray) -> np.ndarray:
 
 
 def _sweep_segments(
-    n: int, build: Callable[[slice], np.ndarray], x: np.ndarray, sample_times,
-    duration: float, read,
-):
-    """Apply the maps of n segments to x in order.  Returns the final x and,
-    when sample_times is given, one row (t, read(x)) per sample time, in the
-    order given, with x taken at the segment boundary nearest to t.
+    table: PulseTable, build: Callable[[slice], np.ndarray], x: np.ndarray, sample_times, read,
+) -> EvolutionResult:
+    """Apply the maps of the table's segments to x in order, in a workspace of the walk's own.
+    Returns read(x) at the end and, when sample_times is given, one row (t, read(x)) per sample
+    time, in the order given, with x taken at the segment boundary nearest to t.
 
-    build(rows) returns the stacked maps of the segments in the slice rows; it
-    is called for one chunk of at most _CHUNK segments at a time, and each
-    chunk is folded into x before the next is built, so only one chunk of
-    maps is alive at once."""
-    if sample_times is None:
-        snap = []
-    else:
-        snap = [int(round(np.clip(t, 0.0, duration) / duration * n)) for t in sample_times]
-    wanted = set(snap)
-    states = {}
-    start = 0
-    # every span lies inside one chunk, and a chunk's first span starts it
-    for stop in sorted(wanted | {*range(_CHUNK, n, _CHUNK), n}):
-        if stop > start:
-            if start % _CHUNK == 0:
-                lo, chunk = start, build(slice(start, start + _CHUNK))
-            x = _ordered_product(chunk[start - lo : stop - lo]) @ x
-        if stop in wanted:
-            states[stop] = read(x)
-        start = stop
+    build(rows) returns the stacked maps of the segments in the slice rows; it is called for one
+    chunk of at most _CHUNK segments at a time, and each chunk is folded into x before the next is
+    built, so only one chunk of maps is alive at once."""
+    n, duration = table.n_segments, table.duration
+    times = () if sample_times is None else sample_times
+    snap = [int(round(np.clip(t, 0.0, duration) / duration * n)) for t in times]
+    wanted, states, start = {*snap, n}, {}, 0
+    with _workspace():  # one chunk's buffers, reused by the next chunk
+        # every span lies inside one chunk, and a chunk's first span starts it
+        for stop in sorted(wanted | {*range(_CHUNK, n, _CHUNK)}):
+            if stop > start:
+                if start % _CHUNK == 0:
+                    lo, chunk = start, build(slice(start, start + _CHUNK))
+                x = _ordered_product(chunk[start - lo : stop - lo]) @ x
+            if stop in wanted:
+                states[stop] = read(x)
+            start = stop
     traj = None if sample_times is None else [(t, states[s]) for t, s in zip(sample_times, snap)]
-    return x, traj
+    return EvolutionResult(final=states[n], trajectory=traj)
 
 
 def _control_bound(ops: SystemOperators, table: PulseTable, amp_bound: float | None = None) -> float:
@@ -247,14 +243,8 @@ def propagate_unitary(
     """U(T) as the ordered product of segment exponentials over the pulse."""
     table = _as_pulse(system, pulse, n_fine)
     plan, d = taylor_plan(system, table), system.dimension
-
-    def read(x: np.ndarray) -> np.ndarray:  # [Re U; Im U] -> U
-        return x[:d] + 1j * x[d:]
-
-    with _workspace():  # one chunk's buffers, reused by the next chunk
-        x, traj = _sweep_segments(table.n_segments, lambda rows: segment_unitary_maps(
-            system, table, plan, rows), np.eye(2 * d, d), sample_times, table.duration, read)
-    return EvolutionResult(final=read(x), trajectory=traj)
+    return _sweep_segments(table, lambda rows: segment_unitary_maps(system, table, plan, rows),
+                           np.eye(2 * d, d), sample_times, lambda x: x[:d] + 1j * x[d:])  # [Re U; Im U]
 
 
 def propagate_density(
@@ -383,15 +373,7 @@ def propagate_lindblad(
     substep count of DEFAULT_SUBSTEP_TOL."""
     _check_state(system, rho0)
     table = _as_pulse(system, pulse, n_fine)
-    m_sub = lindblad_substeps(system, table, noise, DEFAULT_SUBSTEP_TOL)
-    ops = system_operators(system)
-
-    def maps(rows: slice) -> np.ndarray:
-        return segment_lindblad_maps(system, noise, table, m_sub, rows)[-1]
-
-    with _workspace():  # one chunk's buffers, reused by the next chunk
-        x, traj = _sweep_segments(
-            table.n_segments, maps, ops.coordinates(rho0), sample_times, table.duration,
-            ops.density,
-        )
-    return EvolutionResult(final=ops.density(x), trajectory=traj)
+    m_sub, ops = lindblad_substeps(system, table, noise, DEFAULT_SUBSTEP_TOL), system_operators(system)
+    return _sweep_segments(
+        table, lambda rows: segment_lindblad_maps(system, noise, table, m_sub, rows)[-1],
+        ops.coordinates(rho0), sample_times, ops.density)

@@ -14,7 +14,7 @@ from pinnctl.analysis import (
 )
 from pinnctl.network import PulseTable, init_params, sample_pulse
 from pinnctl.objectives import ObjectiveSpec, evaluate_fidelity
-from pinnctl.propagation import DEFAULT_N_FINE
+from pinnctl.propagation import DEFAULT_N_FINE, propagate_density, propagate_lindblad
 from pinnctl.spins import PRESETS, noise_operators
 from pinnctl.targets import cnot_objective, lls_objective, singlet_triplet_basis
 
@@ -123,6 +123,20 @@ class TestBasisTrajectory:
                                       noise=noise)
         for a, b in zip(from_network, from_table):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.02])
+    def test_matches_one_vdot_per_sample_and_vector(self, gamma):
+        sys_, basis = PRESETS["tcp"], singlet_triplet_basis()
+        table = random_table(300, 1, seed=4, scale=300.0, duration=0.05)
+        noise = noise_operators(sys_, "local", gamma) if gamma else None
+        rho0 = np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex)
+        times, values = basis_trajectory(table, sys_, rho0, basis, n_samples=50, noise=noise)
+        if noise is None:
+            res = propagate_density(sys_, table, rho0, sample_times=times)
+        else:
+            res = propagate_lindblad(sys_, table, rho0, noise, sample_times=times)
+        ref = [[np.vdot(psi, rho @ psi).real for psi in basis] for _, rho in res.trajectory]
+        assert np.max(np.abs(values - np.array(ref))) <= 1e-15
 
     def test_rejects_unnormalized_basis(self):
         sys_ = PRESETS["tcp"]

@@ -266,6 +266,13 @@ class TestFft:
         assert err.startswith("error: not a pulse CSV") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_header_with_no_amplitude_pair_is_one_line_error(self, tmp_path, capsys):
+        pulse, out = tmp_path / "times.csv", tmp_path / "spec.csv"
+        pulse.write_text("t_s\n0.5\n1.5\n")
+        assert main(["fft", str(pulse), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: not a pulse CSV: unexpected header ['t_s']\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("body, line, fields", [
         ("0.5,1.0,2.0\n\n1.5,3.0,4.0\n", 3, 0),
         ("0.5,1.0,2.0\n1.5,3.0\n", 3, 2),
@@ -680,6 +687,17 @@ class TestSynthesize:
         (None, {"network": "missing.json", "warm_start": {}}),
         (None, {"network": "garbled.json", "warm_start": {}}),
         (None, {"network": "tcp.json", "warm_start": {}}),
+        # grids that training would reject: a shape window with no checkpoint in the
+        # fine-tune or in the warm start, and too many Lindblad substeps per segment
+        (None, {**cli.RUN_PRESETS["tcp-lls"],
+                "optimizer": {**cli.RUN_PRESETS["tcp-lls"]["optimizer"], "n_fine": 1}}),
+        (None, {"system": "tcp", "objective": {"target": "lls", "shape_weight": 1.0},
+                "network": {"layer_sizes": [1, 8, 2], "duration_s": 0.05},
+                "warm_start": {"n_segments": 1, "max_iters": 2}}),
+        (None, {"system": "tcp", "objective": {"target": "lls"},
+                "network": {"layer_sizes": [1, 8, 2], "duration_s": 0.15, "amp_scale_rad_s": 1e9},
+                "noise": {"kind": "local", "gamma": 0.02}, "optimizer": {"n_fine": 4},
+                "warm_start": {}}),
     ])
     def test_config_error_trains_nothing_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch, section, bad

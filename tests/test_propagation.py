@@ -1,15 +1,16 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 from math import factorial
 
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
-from pinnctl import propagation
+from pinnctl import propagation, workspace
 from pinnctl.analysis import basis_trajectory
 from pinnctl.network import PulseTable, init_params, sample_pulse
-from pinnctl.objectives import evaluate_fidelity
+from pinnctl.objectives import evaluate_fidelity, pulse_table_gradient
 from pinnctl.propagation import (
     _CHUNK,
     DEFAULT_SUBSTEP_TOL,
@@ -164,9 +165,10 @@ class TestProductTree:
         hs = [random_hermitian(rng, 4, 3.0) for _ in range(n)]
         units = np.stack([expm_hermitian(h, 1.0) for h in hs])
         times = self.sample_times(n, 0.02)
-        final, traj = _sweep_segments(
-            len(units), units.__getitem__, np.eye(4, dtype=complex), times, 0.02, np.copy
+        res = _sweep_segments(
+            zero_pulse(0.02, len(units), 1), units.__getitem__, np.eye(4, dtype=complex), times, np.copy
         )
+        final, traj = res.final, res.trajectory
         ref_final, ref_rows = loop_sweep(units, np.eye(4, dtype=complex), times, 0.02)
         assert np.max(np.abs(final - ref_final)) <= 1e-13
         assert [t for t, _ in traj] == times
@@ -181,7 +183,8 @@ class TestProductTree:
         rho0 = np.eye(4) / 4 + 0.1 * thermal_deviation()
         x0 = ops.coordinates(rho0)
         times = self.sample_times(n, 0.05)
-        final, traj = _sweep_segments(len(maps), maps.__getitem__, x0, times, 0.05, np.copy)
+        res = _sweep_segments(zero_pulse(0.05, len(maps), 1), maps.__getitem__, x0, times, np.copy)
+        final, traj = res.final, res.trajectory
         ref_final, ref_rows = loop_sweep(maps, x0, times, 0.05)
         assert np.max(np.abs(final - ref_final)) <= 1e-13
         for (_, row), ref in zip(traj, ref_rows):
@@ -645,7 +648,7 @@ class TestSegmentUnitaryMaps:
         def units(rows):
             return segment_unitaries(segment_hamiltonians(system, table, rows), table.dt)[2]
 
-        ref = _sweep_segments(32768, units, np.eye(4, dtype=complex), None, 0.02, np.copy)[0]
+        ref = _sweep_segments(table, units, np.eye(4, dtype=complex), None, np.copy).final
         u = propagate_unitary(system, table).final
         assert np.max(np.abs(u - ref)) <= 1e-12
         assert np.linalg.norm(u.conj().T @ u - np.eye(4)) <= 1e-10
@@ -709,6 +712,50 @@ class TestForwardMemory:
         finally:
             tracemalloc.stop()
         assert peak <= self.BOUND
+
+
+def forward_results():
+    """Each forward propagator's final state and samples, and each kind of fidelity, over
+    tables longer than one chunk."""
+    defm, tcp = PRESETS["defm"], PRESETS["tcp"]
+    gate = PulseTable(0.02, np.random.default_rng(3).normal(0, 3000, size=(300, 2, 2)))
+    lls = PulseTable(0.05, np.random.default_rng(4).normal(0, 300, size=(300, 1, 2)))
+    noisy = replace(lls_objective(), noise=noise_operators(tcp, "local", 0.02))
+    results = [propagate_unitary(defm, gate, sample_times=[0.0, 0.01]),
+               propagate_density(tcp, lls, thermal_deviation(), sample_times=[0.02, 0.05]),
+               propagate_lindblad(tcp, lls, thermal_deviation(), noisy.noise, sample_times=[0.03])]
+    fids = [evaluate_fidelity(defm, gate, cnot_objective()),
+            evaluate_fidelity(tcp, lls, lls_objective()), evaluate_fidelity(tcp, lls, noisy)]
+    return [a for r in results for a in (r.final, *(row for _, row in r.trajectory))] + [fids]
+
+
+class TestWalkWorkspace:
+    """The forward walk builds its maps in a workspace of its own: an outer one, such as an
+    ascent's, neither changes what it returns nor is changed by it."""
+
+    def test_results_are_the_same_inside_an_outer_workspace(self):
+        outside = forward_results()
+        with _workspace():
+            inside = forward_results()
+            assert workspace._WORKSPACE.buffers == {}  # nothing written into the outer one
+        assert all(np.array_equal(a, b) for a, b in zip(outside, inside, strict=True))
+
+    @pytest.mark.parametrize("system, table, objective", [
+        pytest.param(PRESETS["defm"], PulseTable(
+            0.02, np.random.default_rng(5).normal(0, 3000, size=(64, 2, 2))), cnot_objective(),
+            id="unitary"),
+        pytest.param(PRESETS["tcp"], PulseTable(
+            0.05, np.random.default_rng(6).normal(0, 300, size=(64, 1, 2))),
+            replace(lls_objective(), noise=noise_operators(PRESETS["tcp"], "local", 0.02)),
+            id="dissipative"),
+    ])
+    def test_gradient_is_the_same_bits_after_a_forward_evaluation(self, system, table, objective):
+        with _workspace():
+            fid, grad = pulse_table_gradient(system, table, objective, substep_tol=0.05)
+            grad = grad.copy()
+            forward_results()
+            again = pulse_table_gradient(system, table, objective, substep_tol=0.05)
+        assert fid == again[0] and np.array_equal(grad, again[1])
 
 
 class TestNetworkSampling:
