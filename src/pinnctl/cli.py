@@ -22,7 +22,7 @@ from .objectives import _shape_window_checkpoints
 from .optimizer import (
     OptimizerConfig, RunRecord, fit_network_to_table, multi_start, save_run_record, train,
 )
-from .propagation import lindblad_substeps
+from .propagation import DEFAULT_N_FINE, lindblad_substeps
 from .spins import load_system, noise_operators
 from .targets import named_target, singlet_triplet_basis, thermal_deviation
 
@@ -367,11 +367,17 @@ def cmd_trajectory(args) -> int:
     basis = singlet_triplet_basis()
     labels = ["T_plus", "T_zero", "S_zero", "T_minus"]
     integer("samples", args.samples, 1)
+    noise = _noise_model(system, args)
     times, values = analysis.basis_trajectory(
-        params, system, thermal_deviation(), basis, n_samples=args.samples,
-        noise=_noise_model(system, args),
+        params, system, thermal_deviation(), basis, n_samples=args.samples, noise=noise,
+        n_fine=DEFAULT_N_FINE,
     )
     fileio.write_trajectory_csv(times, values, labels, args.out)
+    fileio._write_sidecar(args.out, {
+        "basis": args.basis, "samples": len(times), "segments": DEFAULT_N_FINE,
+        "gamma": 0.0 if noise is None else noise.gamma,
+        "noise_kind": None if noise is None else noise.kind,
+    })
     print(f"wrote {len(times)} samples to {args.out}")
     return 0
 

@@ -26,7 +26,9 @@ from .network import (
 from .propagation import (
     DEFAULT_N_FINE,
     DEFAULT_SUBSTEP_TOL,
+    _CHUNK,
     _as_pulse,
+    _complex_matmul,
     _taylor_power_adjoint,
     lindblad_substeps,
     prefix_products,
@@ -207,8 +209,8 @@ def _unitary_pulse_gradient(
         k_total = rho_i @ u_total.conj().T @ rho_t @ u_total
     n, d = evals.shape
     shape = vecs.shape
-    vecs_h = np.conj(vecs, out=_buffer("gradient_vecs_h", shape, complex)).transpose(0, 2, 1)
-    a_mat = np.matmul(vecs_h, pre[:-1], out=_buffer("gradient_a", shape, complex))
+    vecs_h = np.conj(vecs.transpose(0, 2, 1), out=_buffer("gradient_vecs_h", shape, complex))
+    a_mat = _complex_matmul(vecs_h, pre[:-1], _buffer("gradient_a", shape, complex))
     a_mat *= np.exp(-0.5j * dt * evals)[:, :, None]
     ak = _buffer("gradient_ak", shape, complex)
     if objective.shape_weight > 0.0:
@@ -218,18 +220,18 @@ def _unitary_pulse_gradient(
         # F_normalized - weight * P and its gradient
         ratio = objective.shape_weight / objective.norm_factor
         overlap = overlap - ratio * pen
-        np.matmul(a_mat, k_total - ratio * pen_factors, out=ak)
+        _complex_matmul(a_mat, k_total - ratio * pen_factors, ak)
     else:  # A K as one (N d, d) @ (d, d) product
         np.matmul(a_mat.reshape(n * d, d), k_total, out=ak.reshape(n * d, d))
     a_h = np.conj(a_mat, out=_buffer("gradient_a_h", shape, complex)).transpose(0, 2, 1)
-    m_mat = np.matmul(ak, a_h, out=_buffer("gradient_m", shape, complex))
+    m_mat = _complex_matmul(ak, a_h, _buffer("gradient_m", shape, complex))
     y = np.subtract(evals[:, :, None], evals[:, None, :], out=_buffer("gradient_sinc_y", shape))
     y *= dt / (2.0 * np.pi)
     y *= np.pi  # S = np.sinc(y / pi) as np.sinc forms it (zeros made eps), in workspace buffers
     y[y == 0] = np.finfo(float).eps
     m_mat *= np.divide(np.sin(y, out=_buffer("gradient_sinc", shape)), y, out=y)
     # back to the lab frame, G = V M V^dag (M without its factor -i dt), in the spent A and AK
-    g_mat = np.matmul(np.matmul(vecs, m_mat, out=a_mat), vecs_h, out=ak)
+    g_mat = _complex_matmul(_complex_matmul(vecs, m_mat, a_mat), vecs_h, ak)
     # dF/du_c = 2 Re Tr(-i dt G O_c) = 2 dt Im Tr(G O_c)
     ops = control_operator_stack(system)
     ops_t = ops.transpose(0, 2, 1).reshape(len(ops), d * d)
@@ -250,12 +252,14 @@ def _lindblad_pulse_gradient(
     # states x_s entering segment s and costates y_s leaving it
     xs, ys, overlap = state_costate_sweeps(
         levels[-1], ops.coordinates(objective.initial), ops.coordinates(objective.target))
-    # dF = Tr(Z_s dM_s) with Z_s = x_s y_s^T, in the spent maps, then back through the squarings
-    z_mat = np.multiply(xs[:, :, None], ys[:, None, :], out=levels[-1])
-    w_mat = _taylor_power_adjoint(z_mat, levels, lv, table.dt / substeps)
-
-    # dF/du_c = Tr(G_c W)
-    du = np.tensordot(w_mat, ops.control_generators, axes=([1, 2], [2, 1]))
+    du = np.empty((len(lv), len(ops.control_generators)))
+    for i in range(0, len(lv), _CHUNK):  # the reverse pass by chunks: its temporaries are O(chunk)
+        rows = slice(i, i + _CHUNK)
+        # dF = Tr(Z_s dM_s) with Z_s = x_s y_s^T, in the spent maps, then back through the squarings
+        z_mat = np.multiply(xs[rows, :, None], ys[rows, None, :], out=levels[-1][rows])
+        w_mat = _taylor_power_adjoint(z_mat, [m[rows] for m in levels], lv[rows], table.dt / substeps)
+        # dF/du_c = Tr(G_c W)
+        du[rows] = np.tensordot(w_mat, ops.control_generators, axes=([1, 2], [2, 1]))
     return overlap, du
 
 

@@ -100,7 +100,20 @@ def segment_unitaries(h_batch: np.ndarray, dt: float):
     phases = np.exp(np.multiply(phases, dt, out=phases), out=phases)[:, None, :]
     scaled = np.multiply(vecs, phases, out=_buffer("unitary_scaled", vecs.shape, complex))
     vecs_h = np.conj(vecs, out=_buffer("unitary_vecs_h", vecs.shape, complex)).transpose(0, 2, 1)
-    return evals, vecs, np.matmul(scaled, vecs_h, out=_buffer("unitaries", vecs.shape, complex))
+    return evals, vecs, _complex_matmul(scaled, vecs_h, _buffer("unitaries", vecs.shape, complex))
+
+
+def _complex_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a @ b for complex batches as one real matmul: the rows of a, read as (re, im) pairs,
+    times the 2x2-block real form [[re, im], [-im, re]] of b's entries, whose rows are the pairs
+    of b and of i b (a workspace buffer).  numpy's batched complex matmul has no small-matrix
+    path.  a and out need a contiguous last axis (``view`` raises otherwise); b may be any view."""
+    *batch, k, n = b.shape
+    form = _buffer("complex_matmul_form", (*batch, k, 2, n), complex)
+    form[..., 0, :] = b
+    np.multiply(b, 1j, out=form[..., 1, :])
+    np.matmul(a.view(float), form.view(float).reshape(*batch, 2 * k, 2 * n), out=out.view(float))
+    return out
 
 
 def _blocked_states(maps: np.ndarray, x0: np.ndarray):
@@ -129,8 +142,17 @@ def _blocked_states(maps: np.ndarray, x0: np.ndarray):
 
 def prefix_products(units: np.ndarray) -> np.ndarray:
     """P[s] = U_s ... U_1 for s = 1..N, P[0] = identity: (N+1, d, d), in a workspace its buffer.
-    The states of the blocked scan (``_blocked_states``) run from the identity."""
-    return _blocked_states(units, np.eye(units.shape[1]))[0]
+    The states [Re P; Im P] of the blocked scan (``_blocked_states``) run from the identity over
+    the real forms [[Re U, -Im U], [Im U, Re U]], read back to complex once."""
+    n, d, _ = units.shape
+    form = _buffer("prefix_form", (n, 2, d, 2, d))
+    form[:, 0, :, 0] = form[:, 1, :, 1] = units.real
+    np.negative(units.imag, out=form[:, 0, :, 1])
+    form[:, 1, :, 0] = units.imag
+    xs = _blocked_states(form.reshape(n, 2 * d, 2 * d), np.eye(2 * d, d))[0]
+    pre = _buffer("prefix_products", (n + 1, d, d), complex)
+    pre.real, pre.imag = xs[:, :d], xs[:, d:]
+    return pre
 
 
 def state_costate_sweeps(maps: np.ndarray, x0: np.ndarray, y0: np.ndarray):

@@ -352,6 +352,20 @@ class TestTrajectory:
         assert rows[0] == ["t_s", "T_plus", "T_zero", "S_zero", "T_minus"]
         assert len(rows) == 17
 
+    @pytest.mark.parametrize("args, gamma, kind", [
+        ([], 0.0, None),
+        (["--gamma", "0.02", "--noise", "local"], 0.02, "local"),
+    ], ids=["noiseless", "local-0.02"])
+    def test_sidecar_records_noise_and_grid(self, tcp_params, tmp_path, args, gamma, kind):
+        # a CSV made under noise must be told apart from a noiseless one
+        out = tmp_path / "traj.csv"
+        rc = main(["trajectory", *args, "--params", tcp_params, "--system", "tcp",
+                   "--samples", "5", "--out", str(out)])
+        assert rc == 0
+        meta = json.loads((tmp_path / "traj.csv.meta.json").read_text())
+        assert meta == {"basis": "singlet-triplet", "samples": 5, "segments": 4096,
+                        "gamma": gamma, "noise_kind": kind}
+
     @pytest.mark.parametrize("args, named", [
         (["--gamma=-0.05"], "gamma"),
         (["--gamma=nan"], "gamma"),

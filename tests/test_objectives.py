@@ -394,6 +394,64 @@ class TestUnitaryGradientReference:
         assert shape_penalty(system, table, obj) == pen
 
 
+def complex_products_gradient(system, table, objective):
+    """Unnormalized overlap and amplitude-table gradient by numpy's complex matmul throughout:
+    plain sequential prefix products, then the eigenbasis Daleckii-Krein block."""
+    dt = table.dt
+    evals, vecs = np.linalg.eigh(segment_hamiltonians(system, table))
+    vecs_h = vecs.conj().transpose(0, 2, 1)
+    units = np.matmul(vecs * np.exp(-1j * dt * evals)[:, None, :], vecs_h)
+    pre = [np.eye(system.dimension, dtype=complex)]
+    for u in units:
+        pre.append(u @ pre[-1])
+    pre = np.array(pre)
+    u = pre[-1]
+    if objective.kind == "gate":
+        z = np.trace(objective.target.conj().T @ u)
+        overlap, k_mat = abs(z) ** 2, np.conj(z) * objective.target.conj().T @ u
+    else:
+        rho_t, rho_i = objective.target, objective.initial
+        overlap = np.real(np.trace(rho_t @ u @ rho_i @ u.conj().T))
+        k_mat = rho_i @ u.conj().T @ rho_t @ u
+    if objective.shape_weight > 0:
+        pen, factors = _shape_cotangent(pre, objective.initial, objective.shape_observables)
+        ratio = objective.shape_weight / objective.norm_factor
+        overlap, k_mat = overlap - ratio * pen, k_mat - ratio * factors
+    a_mat = np.matmul(vecs_h, pre[:-1]) * np.exp(-0.5j * dt * evals)[:, :, None]
+    m_mat = np.matmul(np.matmul(a_mat, k_mat), a_mat.conj().transpose(0, 2, 1))
+    m_mat *= np.sinc((evals[:, :, None] - evals[:, None, :]) * (dt / (2 * np.pi)))
+    g_mat = np.matmul(np.matmul(vecs, m_mat), vecs_h)
+    return overlap, 2 * dt * np.imag(np.einsum("nij,cji->nc", g_mat, control_operator_stack(system)))
+
+
+class TestRealFormProducts:
+    """The unitary gradient's complex products, formed in real arithmetic, against the same
+    products in complex arithmetic; the same bits in and out of a workspace."""
+
+    @staticmethod
+    def case(name, n):
+        rng = np.random.default_rng(n)
+        if name == "cnot":
+            return PRESETS["defm"], PulseTable(0.02, rng.normal(0, 600, size=(n, 2, 2))), cnot_objective()
+        obj = lls_objective(shape_weight=1.0)
+        return PRESETS["tcp"], PulseTable(0.05, rng.normal(0, 300, size=(n, 1, 2))), obj
+
+    # a one-segment grid has no boundary in the shape window
+    @pytest.mark.parametrize("name, n", [("cnot", 1), ("cnot", 8), ("cnot", 256), ("cnot", 4096),
+                                         ("shaped-lls", 8), ("shaped-lls", 256), ("shaped-lls", 4096)])
+    def test_matches_complex_products(self, name, n):
+        system, table, obj = self.case(name, n)
+        fid, grad = pulse_table_gradient(system, table, obj)
+        ref_fid, ref_grad = scaled(obj, complex_products_gradient(system, table, obj))
+        assert abs(fid - ref_fid) <= 1e-12 * abs(ref_fid)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+        with _workspace():
+            pulse_table_gradient(*self.case(name, 37))  # other buffer shapes first
+            reused = pulse_table_gradient(system, table, obj)
+        assert reused[0] == fid
+        assert np.array_equal(reused[1], grad)
+
+
 class TestLindbladGradientReference:
     @pytest.mark.parametrize("kind", ["local", "global"])
     def test_matches_complex_reference(self, kind):
@@ -628,6 +686,23 @@ class TestLindbladWorkspace:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 2 * peaks[0]
+
+    @pytest.mark.parametrize("substeps", [8, 128])
+    def test_fresh_gradient_memory_grows_by_the_maps_alone(self, substeps):
+        # only the generator, its step, the Horner pair and the squaring levels are full length;
+        # the reverse pass runs in chunks of rows, so doubling N adds squarings + 2 arrays
+        system, obj = PRESETS["tcp"], self.noisy("local", 0.05)
+        peaks = []
+        for n in (512, 1024):
+            table = PulseTable(0.15 * n / 512, np.random.default_rng(7).normal(0, 300, size=(n, 1, 2)))
+            tracemalloc.start()
+            try:
+                _lindblad_pulse_gradient(system, table, obj, substeps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        squarings = substeps.bit_length() - 1
+        assert peaks[1] - peaks[0] <= (squarings + 3) * 512 * 16**2 * 8
 
 
 class TestUnitaryWorkspace:

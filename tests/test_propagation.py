@@ -93,6 +93,59 @@ class TestPrefixProducts:
             ref[s + 1] = acc
         assert np.max(np.abs(prefix_products(units) - ref)) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 4097])
+    def test_real_form_scan_matches_plain_complex_products(self, n):
+        # 4097 = 64^2 + 1: full blocks and one segment stepped singly
+        rng = np.random.default_rng(n)
+        units = np.stack([expm_hermitian(random_hermitian(rng, 4, 3.0), 1.0) for _ in range(n)])
+        acc, ref = np.eye(4, dtype=complex), [np.eye(4)]
+        for u in units:
+            acc = u @ acc
+            ref.append(acc)
+        pre = prefix_products(units)
+        assert pre.dtype == complex and pre.shape == (n + 1, 4, 4)
+        assert np.max(np.abs(pre - np.array(ref))) < 1e-13
+
+
+class TestComplexMatmul:
+    """The complex batched product formed as one real matmul."""
+
+    @staticmethod
+    def cmat(rng, *shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    @pytest.mark.parametrize("batch", [1, 256])
+    @pytest.mark.parametrize("m, k, n", [(4, 4, 4), (3, 5, 2), (1, 4, 6)])
+    @pytest.mark.parametrize("b_view", ["contiguous", "transposed"])
+    def test_matches_matmul(self, batch, m, k, n, b_view):
+        rng = np.random.default_rng(batch * m * k * n)
+        a = self.cmat(rng, batch, m, k)
+        b = self.cmat(rng, batch, k, n) if b_view == "contiguous" else \
+            self.cmat(rng, batch, n, k).transpose(0, 2, 1)
+        out = propagation._complex_matmul(a, b, np.empty((batch, m, n), complex))
+        bound = 1e-15 * np.linalg.norm(a) * np.linalg.norm(b)
+        assert np.max(np.abs(out - np.matmul(a, b))) <= bound
+
+    def test_same_bits_inside_and_outside_a_workspace(self):
+        rng = np.random.default_rng(3)
+        a, b = self.cmat(rng, 64, 4, 4), self.cmat(rng, 64, 4, 4)
+        fresh = propagation._complex_matmul(a, b, np.empty_like(a))
+        with _workspace():
+            propagation._complex_matmul(b[:5], a[:5], np.empty_like(a[:5]))  # another shape first
+            reused = propagation._complex_matmul(a, b, np.empty_like(a))
+        assert np.array_equal(fresh, reused)
+
+    @pytest.mark.parametrize("operand", ["a", "out"])
+    def test_non_contiguous_rows_are_refused(self, operand):
+        # a transposed view read as (re, im) pairs would pair the wrong entries
+        rng = np.random.default_rng(4)
+        a, b = self.cmat(rng, 8, 4, 4), self.cmat(rng, 8, 4, 4)
+        out = np.zeros_like(a)
+        args = {"a": (a.transpose(0, 2, 1), b, out), "out": (a, b, out.transpose(0, 2, 1))}
+        with pytest.raises(ValueError):
+            propagation._complex_matmul(*args[operand])
+        assert not np.any(out)
+
 
 class TestSampleTimes:
     """One trajectory row per requested time, in the order given."""
