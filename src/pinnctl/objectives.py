@@ -2,11 +2,13 @@
 
 Gradients are reverse-mode derivatives of the discretized dynamics; both take the maps' product
 up to every segment from one blocked sqrt(N) scan.  The unitary path takes its prefix products
-(``propagation.prefix_products``) and each exponential's Frechet derivative in its eigenbasis
-(Daleckii-Krein), chained into the network backprop.  The dissipative path takes its states and,
-over the same block maps, its costates (``propagation.state_costate_sweeps``), then each RK4 map's
-reverse pass in real arithmetic (``propagation._taylor_power_adjoint``).  Both, and the network's
-passes, write temporaries into the ascent's workspace (``workspace._buffer``); gradients are fresh.
+(``propagation.prefix_products``, scanned in real form) and each exponential's Frechet derivative
+in its eigenbasis (Daleckii-Krein), whose batched complex products are each one real matmul
+(``propagation._complex_matmul``), chained into the network backprop.  The dissipative path takes
+its states and, over the same block maps, its costates (``propagation.state_costate_sweeps``), then
+each RK4 map's reverse pass in real arithmetic (``propagation._taylor_power_adjoint``), in chunks
+of ``_CHUNK`` segments.  Both, and the network's passes, write temporaries into the ascent's
+workspace (``workspace._buffer``); gradients are fresh.
 """
 
 from __future__ import annotations

@@ -6,13 +6,14 @@ memory is O(chunk), not O(N).  Their unitary maps are exp(-i H dt) by Taylor pol
 squaring in the real form [[Re U, -Im U], [Im U, Re U]], acting on the state [Re U; Im U]: no
 eigendecomposition.  One helper (``_taylor_power``) forms every such polynomial by Horner on its
 coefficients 1/k!, with no division per stage, and keeps every squaring.  Only the unitary
-gradient eigendecomposes (``segment_unitaries``, for Daleckii-Krein).  One blocked sqrt(N) scan
-(``_blocked_states``) gives both gradients the product of the maps up to every segment: the unitary
-P_s = U_s ... U_1 run from the identity (the product after segment s is U(T) P_s^dagger), and the
-dissipative states, whose costates run back over its block maps (``state_costate_sweeps``).  The
-master equation runs in the real coordinates of an orthonormal Hermitian basis, where its generators
-are real d^2 x d^2 matrices; an RK4 substep is the degree-4 Taylor call, and its reverse pass
-through the squarings is ``_taylor_power_adjoint``.
+gradient eigendecomposes (``segment_unitaries``, for Daleckii-Krein); its batched complex products
+are each one real matmul (``_complex_matmul``).  One blocked sqrt(N) scan (``_blocked_states``)
+gives both gradients the product of the maps up to every segment: the unitary P_s = U_s ... U_1,
+run from the identity over the real forms of the U_s (the product after segment s is
+U(T) P_s^dagger), and the dissipative states, whose costates run back over its block maps
+(``state_costate_sweeps``).  The master equation runs in the real coordinates of an orthonormal
+Hermitian basis, where its generators are real d^2 x d^2 matrices; an RK4 substep is the degree-4
+Taylor call, and its reverse pass through the squarings is ``_taylor_power_adjoint``.
 Inside an ascent the segment arrays are buffers of its workspace (``workspace._buffer``), valid
 until the next call; outside one they are fresh.  The forward walk (``_sweep_segments``) opens a
 workspace of its own, whose buffers each chunk reuses.  numpy only; Dormand-Prince is a test oracle.

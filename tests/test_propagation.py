@@ -123,8 +123,8 @@ class TestComplexMatmul:
         b = self.cmat(rng, batch, k, n) if b_view == "contiguous" else \
             self.cmat(rng, batch, n, k).transpose(0, 2, 1)
         out = propagation._complex_matmul(a, b, np.empty((batch, m, n), complex))
-        bound = 1e-15 * np.linalg.norm(a) * np.linalg.norm(b)
-        assert np.max(np.abs(out - np.matmul(a, b))) <= bound
+        bound = 1e-15 * np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2))
+        assert np.all(np.max(np.abs(out - np.matmul(a, b)), axis=(1, 2)) <= bound)
 
     def test_same_bits_inside_and_outside_a_workspace(self):
         rng = np.random.default_rng(3)
