@@ -6,9 +6,10 @@ up to every segment from one blocked sqrt(N) scan.  The unitary path takes its p
 in its eigenbasis (Daleckii-Krein), whose batched complex products are each one real matmul
 (``propagation._complex_matmul``), chained into the network backprop.  The dissipative path takes
 its states and, over the same block maps, its costates (``propagation.state_costate_sweeps``), then
-each RK4 map's reverse pass in real arithmetic (``propagation._taylor_power_adjoint``), in chunks
-of ``_CHUNK`` segments.  Both, and the network's passes, write temporaries into the ascent's
-workspace (``workspace._buffer``); gradients are fresh.
+each RK4 map's reverse pass in real arithmetic (``propagation._taylor_power_adjoint``) on the
+factors x_s, y_s of its rank-one cotangent x_s y_s^T, in chunks of ``_CHUNK`` segments.  Both, and
+the network's passes, write temporaries into the ascent's workspace (``workspace._buffer``);
+gradients are fresh.
 """
 
 from __future__ import annotations
@@ -257,9 +258,9 @@ def _lindblad_pulse_gradient(
     du = np.empty((len(lv), len(ops.control_generators)))
     for i in range(0, len(lv), _CHUNK):  # the reverse pass by chunks: its temporaries are O(chunk)
         rows = slice(i, i + _CHUNK)
-        # dF = Tr(Z_s dM_s) with Z_s = x_s y_s^T, in the spent maps, then back through the squarings
-        z_mat = np.multiply(xs[rows, :, None], ys[rows, None, :], out=levels[-1][rows])
-        w_mat = _taylor_power_adjoint(z_mat, [m[rows] for m in levels], lv[rows], table.dt / substeps)
+        # dF = Tr(Z_s dM_s) with Z_s = x_s y_s^T, passed as its factors, back through the squarings
+        w_mat = _taylor_power_adjoint(xs[rows, :, None], ys[rows, None, :], [m[rows] for m in levels],
+                                      lv[rows], table.dt / substeps, 4)
         # dF/du_c = Tr(G_c W)
         du[rows] = np.tensordot(w_mat, ops.control_generators, axes=([1, 2], [2, 1]))
     return overlap, du

@@ -13,7 +13,10 @@ run from the identity over the real forms of the U_s (the product after segment 
 U(T) P_s^dagger), and the dissipative states, whose costates run back over its block maps
 (``state_costate_sweeps``).  The master equation runs in the real coordinates of an orthonormal
 Hermitian basis, where its generators are real d^2 x d^2 matrices; an RK4 substep is the degree-4
-Taylor call, and its reverse pass through the squarings is ``_taylor_power_adjoint``.
+Taylor call.  ``_taylor_power_adjoint`` is the reverse pass of a Taylor call of any degree: it
+takes the cotangent as factors (x y^T for a Lindblad segment), runs the Horner half on them first,
+which commutes with the squarings, then doubles them down the squarings while their width stays
+within d^2, and only then steps densely.
 Inside an ascent the segment arrays are buffers of its workspace (``workspace._buffer``), valid
 until the next call; outside one they are fresh.  The forward walk (``_sweep_segments``) opens a
 workspace of its own, whose buffers each chunk reuses.  numpy only; Dormand-Prince is a test oracle.
@@ -333,26 +336,44 @@ def _taylor_power(x: np.ndarray, degree: int, squarings: int) -> list[np.ndarray
     return levels
 
 
-def _taylor_power_adjoint(z: np.ndarray, levels: list, generator: np.ndarray, step: float):
-    """Reverse pass of levels = _taylor_power(step * L, 4, squarings), RK4 maps M = levels[-1] of L:
-    from their cotangents z (dF = Tr(z dM), spent), W with dF = Tr(W dL), in a workspace its buffer."""
-    spare, other = _buffer("adjoint_spare", z.shape), _buffer("adjoint_z", z.shape)
-    for m in reversed(levels[:-1]):  # M_(j+1) = M_j M_j: Z_j = M_j Z_(j+1) + Z_(j+1) M_j, down to R
-        z, other = np.matmul(m, z, out=other), z
-        z += np.matmul(other, m, out=spare)
-    # W = sum_{a+b<=3} c_{a+b+1} L^b Z L^a with c_k = h^k / k!, by Horner on
-    # both sides: Y_3 = c_4 Z, Y_b = c_{b+1} Z + Y_{b+1} L, and
-    # W = Y_0 + L (Y_1 + L (Y_2 + L Y_3)); every stage is written into a
-    # workspace buffer, and W accumulates in the spent Y buffers
-    ys = [np.multiply(z, step**4 / 24.0, out=_buffer("adjoint_y3", z.shape))]
-    for k, k_fact in ((3, 6.0), (2, 2.0), (1, 1.0)):
-        y_b = np.matmul(ys[-1], generator, out=_buffer(f"adjoint_y{k - 1}", z.shape))
-        y_b += np.multiply(z, step**k / k_fact, out=spare)
-        ys.append(y_b)
-    w_mat = ys[0]
-    for y_b in ys[1:]:
-        y_b += np.matmul(generator, w_mat, out=spare)
-        w_mat = y_b
+def _taylor_power_adjoint(x: np.ndarray, yt: np.ndarray, levels: list, generator: np.ndarray,
+                          step: float, degree: int):
+    """Reverse pass of levels = _taylor_power(step * L, degree, squarings) for a batch of generators L:
+    from the cotangent of M = levels[-1] as factors, dF = Tr(X Yt dM) with X (N, D, r) and Yt (N, r, D),
+    W with dF = Tr(W dL), in a workspace its buffer.
+
+    W = sum_(a+b<m) c_(a+b+1) L^b Z L^a (m = degree, c_k = step^k / k!), Z the cotangent of
+    R = levels[0], is B (C kron I_r) A for B = [X, LX, ..., L^(m-1) X], A = [Yt; Yt L; ...; Yt L^(m-1)]
+    and C_ab = c_(a+b+1) (0 for a + b >= m).  R is a polynomial in L, so this Horner half commutes with
+    the squarings' Z <- S Z + Z S and runs first, on the rank-r factors.  Each squared level S, from
+    the top, then doubles the factors to ([B, S B], [A S; A]) while their width stays within D (the
+    rank test); W = B A, and the levels left step it densely down to R."""
+    n, dd, r = x.shape
+    width, squarings, factored = degree * r, len(levels) - 1, 0
+    while factored < squarings and width << (factored + 1) <= dd:
+        factored += 1
+    full = width << factored
+    # B fills the columns from the left and A the rows from the bottom, so no factor is copied
+    b, a = _buffer("adjoint_b", (n, dd, full)), _buffer("adjoint_a", (n, full, dd))
+    powers, bottom = _buffer("adjoint_powers", (n, dd, width)), a[:, full - width :]
+    powers[..., :r], bottom[:, :r] = x, yt
+    for i in range(r, width, r):
+        np.matmul(generator, powers[..., i - r : i], out=powers[..., i : i + r])
+        np.matmul(bottom[:, i - r : i], generator, out=bottom[:, i : i + r])
+    c = [step**k / math.factorial(k) for k in range(1, degree + 1)]
+    hankel = [[c[i + j] if i + j < degree else 0.0 for j in range(degree)] for i in range(degree)]
+    # one product over every row of every segment, into the first columns of B
+    np.matmul(powers.reshape(-1, width), np.kron(hankel, np.eye(r)), out=b.reshape(-1, full)[:, :width])
+    for s in reversed(levels[squarings - factored : -1]):
+        np.matmul(s, b[..., :width], out=b[..., width : 2 * width])
+        np.matmul(a[:, full - width :], s, out=a[:, full - 2 * width : full - width])
+        width *= 2
+    w_mat, rest = np.matmul(b, a, out=_buffer("adjoint_w", (n, dd, dd))), levels[: squarings - factored]
+    if rest:  # the factors are spent: their buffers take the dense steps
+        other, spare = _buffer("adjoint_b", (n, dd, dd)), _buffer("adjoint_a", (n, dd, dd))
+        for s in reversed(rest):
+            w_mat, other = np.matmul(s, w_mat, out=other), w_mat
+            w_mat += np.matmul(other, s, out=spare)
     return w_mat
 
 

@@ -465,10 +465,12 @@ class TestLindbladGradientReference:
         assert abs(fid - ref_fid) < 1e-12 * abs(ref_fid)
         assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
 
-    @pytest.mark.parametrize("substeps", [1, 2, 4, 8])
+    @pytest.mark.parametrize("substeps", [1, 2, 4, 8, 16, 32, 128])
     @pytest.mark.parametrize("kind", ["local", "global"])
     def test_matches_complex_reference_at_each_squaring_count(self, kind, substeps):
-        # 0-3 squarings: the levels in r alone, then the spent x and tmp, then a buffer of their own
+        # 0-7 squarings: the levels in r alone, then the spent x and tmp, then a buffer of their own;
+        # the reverse pass doubles its width-4 factors down the top two (to 16 = d^2), then steps
+        # the rest densely: from 3 squarings on, both sides of its switch run
         system = PRESETS["tcp"]
         obj = replace(lls_objective(), noise=noise_operators(system, kind, 0.05))
         table = PulseTable(0.02, np.random.default_rng(5).normal(0, 300, size=(16, 1, 2)))
@@ -503,8 +505,9 @@ class TestBlockedSweeps:
         table = PulseTable(0.02 * n / 16, np.random.default_rng(n).normal(0, 300, size=(n, 1, 2)))
         return system, table, obj
 
-    # b = 1, 1, 1, 3, 4, 6 with remainders 0, 0, 0, 1, 1, 1 (the 16-segment cases above: b = 4, none)
-    @pytest.mark.parametrize("n", [1, 2, 3, 10, 17, 37])
+    # b = 1, 1, 1, 3, 4, 6, 17 with remainders 0, 0, 0, 1, 1, 1, 11 (the 16-segment cases above:
+    # b = 4, none); 300 segments are one full _CHUNK of the reverse pass and a partial one
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 17, 37, 300])
     @pytest.mark.parametrize("substeps", [2, 8])
     @pytest.mark.parametrize("kind", ["local", "global"])
     def test_matches_complex_reference(self, kind, substeps, n):
@@ -553,7 +556,8 @@ class TestBlockedSweeps:
             assert np.array_equal(grad, fresh[1])
 
     def test_gate_and_dissipative_gradients_share_the_scan_buffers(self):
-        # the scan's buffers hold complex (38, 4, 4) states, then real (501, 16, 1), then complex
+        # both scans are real: the gate's (38, 8, 4) states in the scan's buffers, then the
+        # dissipative (501, 16, 1), then the gate's again
         rng = np.random.default_rng(37)
         gate = PRESETS["defm"], PulseTable(0.02, rng.normal(0, 600, size=(37, 2, 2))), cnot_objective()
         noisy = self.case("global", 500)
@@ -658,7 +662,7 @@ class TestLindbladWorkspace:
     @pytest.mark.parametrize("tol", [0.05, 0.005], ids=["8-substeps", "128-substeps"])
     def test_second_call_in_workspace_allocates_few_new_maps(self, tol):
         # the lindblad_retrain network; a step without the workspace traces
-        # 11.9 (8 substeps) and 15.9 (128 substeps) arrays of N (d^2 x d^2) floats
+        # 9.0 (8 substeps) and 13.0 (128 substeps) arrays of N (d^2 x d^2) floats
         n = 512
         p = init_params((1, 60, 60, 60, 2), 2 * np.pi * 60, 0.15, seed=3)
         obj = self.noisy("local", 0.05)
@@ -674,7 +678,7 @@ class TestLindbladWorkspace:
 
     def test_fresh_gradient_memory_does_not_grow_with_substeps(self):
         # one level per squaring and nothing per substep: 8 and 1024 substeps
-        # trace 11.1 and 18.1 arrays of N (d^2 x d^2) floats
+        # trace 8.3 and 15.3 arrays of N (d^2 x d^2) floats
         system, obj = PRESETS["tcp"], self.noisy("local", 0.05)
         table = PulseTable(0.15, np.random.default_rng(7).normal(0, 300, size=(512, 1, 2)))
         peaks = []

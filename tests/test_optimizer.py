@@ -16,7 +16,7 @@ from pinnctl.optimizer import (
     save_run_record,
     train,
 )
-from pinnctl.propagation import _buffer
+from pinnctl.workspace import _buffer, _workspace
 from pinnctl.spins import SpinSystem
 from pinnctl.targets import cnot_objective
 from pinnctl.spins import PRESETS
@@ -279,6 +279,13 @@ class TestAscend:
         assert len(seen) == 8
         assert all(b is seen[0] for b in seen[:4]) and all(b is seen[4] for b in seen[4:])
         assert seen[4] is not seen[0]
+
+    def test_buffer_of_another_dtype_is_fresh(self):
+        with _workspace():
+            real = _buffer("probe", (4, 2))
+            cplx = _buffer("probe", (2, 2), complex)
+            assert cplx.dtype == complex and not np.shares_memory(cplx, real)
+            assert np.shares_memory(_buffer("probe", (2, 2), complex), cplx)  # and kept from then on
 
     def test_workspace_closes_when_the_ascent_raises(self):
         def blows_up(x):

@@ -17,6 +17,7 @@ from pinnctl.propagation import (
     _ordered_product,
     _sweep_segments,
     _taylor_power,
+    _taylor_power_adjoint,
     lindblad_substeps,
     prefix_products,
     propagate_density,
@@ -335,6 +336,30 @@ class TestTaylorPower:
             power = np.matmul(x, power)
         got = _taylor_power(x.copy(), degree, 0)[0]
         assert np.max(np.abs(got - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("squarings", range(6))
+    @pytest.mark.parametrize("degree", [4, 13])
+    def test_reverse_pass_matches_the_dense_sum(self, degree, squarings, rank):
+        # W = sum_(a+b<m) c_(a+b+1) L^b Z0 L^a, Z0 = sum_j R^j Z R^(2^k-1-j).  At degree 4 the
+        # factors (width 4 or 8) double up to D = 16 and the squarings past that run densely;
+        # degree 13 starts wider than D / 2, so every squaring runs densely
+        rng, d, step = np.random.default_rng(10 * degree + squarings), 16, 0.01
+        gen = rng.normal(0, 50 / d, size=(3, d, d))
+        x, yt = rng.normal(size=(3, d, rank)), rng.normal(size=(3, rank, d))
+        levels = _taylor_power(step * gen, degree, squarings)
+        r_pow = [np.broadcast_to(np.eye(d), gen.shape)]
+        for _ in range(2**squarings):
+            r_pow.append(np.matmul(levels[0], r_pow[-1]))
+        z = x @ yt
+        z0 = sum(r_pow[j] @ z @ r_pow[2**squarings - 1 - j] for j in range(2**squarings))
+        l_pow = [r_pow[0]]
+        for _ in range(degree - 1):
+            l_pow.append(np.matmul(gen, l_pow[-1]))
+        ref = sum(step ** (a + b + 1) / factorial(a + b + 1) * l_pow[b] @ z0 @ l_pow[a]
+                  for a in range(degree) for b in range(degree - a))
+        got = _taylor_power_adjoint(x, yt, levels, gen, step, degree)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestPropagateUnitary:
