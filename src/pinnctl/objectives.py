@@ -5,11 +5,11 @@ up to every segment from one blocked sqrt(N) scan.  The unitary path takes its p
 (``propagation.prefix_products``, scanned in real form) and each exponential's Frechet derivative
 in its eigenbasis (Daleckii-Krein), whose batched complex products are each one real matmul
 (``propagation._complex_matmul``), chained into the network backprop.  The dissipative path takes
-its states and, over the same block maps, its costates (``propagation.state_costate_sweeps``), then
-each RK4 map's reverse pass in real arithmetic (``propagation._taylor_power_adjoint``) on the
-factors x_s, y_s of its rank-one cotangent x_s y_s^T, in chunks of ``_CHUNK`` segments.  Both, and
-the network's passes, write temporaries into the ascent's workspace (``workspace._buffer``);
-gradients are fresh.
+its RK4 maps (one GEMM over the amplitude monomials, ``propagation.segment_lindblad_maps``), their
+states and, over the same block maps, costates (``propagation.state_costate_sweeps``), then each
+map's reverse pass in real arithmetic (``propagation._taylor_power_adjoint``) on the factors x_s, y_s
+of its rank-one cotangent x_s y_s^T, in chunks of ``_CHUNK`` segments.  Both, and the network's
+passes, write temporaries into the ascent's workspace (``workspace._buffer``); gradients are fresh.
 """
 
 from __future__ import annotations

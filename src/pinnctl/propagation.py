@@ -4,19 +4,21 @@ The forward-only propagators walk the segments in chunks of at most _CHUNK, fold
 chunk's maps into the state by a pairwise product tree before the next chunk is built, so their
 memory is O(chunk), not O(N).  Their unitary maps are exp(-i H dt) by Taylor polynomial and
 squaring in the real form [[Re U, -Im U], [Im U, Re U]], acting on the state [Re U; Im U]: no
-eigendecomposition.  One helper (``_taylor_power``) forms every such polynomial by Horner on its
-coefficients 1/k!, with no division per stage, and keeps every squaring.  Only the unitary
+eigendecomposition.  ``_taylor_power`` forms each such polynomial by Horner on its coefficients
+1/k!, with no division per stage, and keeps every squaring (``_squarings``).  Only the unitary
 gradient eigendecomposes (``segment_unitaries``, for Daleckii-Krein); its batched complex products
 are each one real matmul (``_complex_matmul``).  One blocked sqrt(N) scan (``_blocked_states``)
 gives both gradients the product of the maps up to every segment: the unitary P_s = U_s ... U_1,
 run from the identity over the real forms of the U_s (the product after segment s is
 U(T) P_s^dagger), and the dissipative states, whose costates run back over its block maps
 (``state_costate_sweeps``).  The master equation runs in the real coordinates of an orthonormal
-Hermitian basis, where its generators are real d^2 x d^2 matrices; an RK4 substep is the degree-4
-Taylor call.  ``_taylor_power_adjoint`` is the reverse pass of a Taylor call of any degree: it
-takes the cotangent as factors (x y^T for a Lindblad segment), runs the Horner half on them first,
-which commutes with the squarings, then doubles them down the squarings while their width stays
-within d^2, and only then steps densely.
+Hermitian basis, where its generators are real d^2 x d^2 matrices.  An RK4 substep map is a fixed
+polynomial in its amplitudes: one GEMM over their monomials, with a matrix built once per system,
+noise and step (``_rk4_coefficients``), gives a chunk's.  ``_taylor_power_adjoint`` is the reverse
+pass of a Taylor polynomial of any degree and its squarings: it takes the cotangent as factors
+(x y^T for a Lindblad segment), runs the Horner half on them first, which commutes with the
+squarings, then doubles them down the squarings while their width stays within d^2, and only then
+steps densely.
 Inside an ascent the segment arrays are buffers of its workspace (``workspace._buffer``), valid
 until the next call; outside one they are fresh.  The forward walk (``_sweep_segments``) opens a
 workspace of its own, whose buffers each chunk reuses.  numpy only; Dormand-Prince is a test oracle.
@@ -24,6 +26,8 @@ workspace of its own, whose buffers each chunk reuses.  numpy only; Dormand-Prin
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -36,6 +40,7 @@ from .spins import (
     NoiseModel,
     SpinSystem,
     SystemOperators,
+    _read_only,
     control_operator_stack,
     drift_hamiltonian,
     system_operators,
@@ -320,20 +325,26 @@ def _add_identity(batch: np.ndarray, c: float):
     batch.reshape(n, d * d)[:, :: d + 1] += c
 
 
+def _squarings(r: np.ndarray, squarings: int, spare: tuple = ()) -> list[np.ndarray]:
+    """[r, r^2, ..., r^(2^squarings)], kept for the adjoint: squares into spare, then a buffer each."""
+    levels = [r]
+    for i in range(squarings):
+        out = spare[i] if i < len(spare) else _buffer(f"taylor_level_{i + 1}", r.shape)
+        levels.append(np.matmul(levels[-1], levels[-1], out=out))
+    return levels
+
+
 def _taylor_power(x: np.ndarray, degree: int, squarings: int) -> list[np.ndarray]:
-    """[r, r^2, ..., r^(2^squarings)]: r = c_m x + c_(m-1) eye, then r <- x r + c_k eye (c_k = 1/k!),
-    exp(x)'s Taylor polynomial by Horner, and its squarings, for a batch of real x, spent on them."""
+    """[r, r^2, ..., r^(2^squarings)] of a unitary map: r = c_m x + c_(m-1) eye, then r <- x r + c_k eye
+    (c_k = 1/k!), exp(x)'s Taylor polynomial by Horner, and its squarings, for a batch of real x,
+    spent on them."""
     r = np.divide(x, float(math.factorial(degree)), out=_buffer("horner_a", x.shape))
     tmp = _buffer("horner_b", x.shape)
     _add_identity(r, 1.0 / math.factorial(degree - 1))
     for k in range(degree - 2, -1, -1):
         r, tmp = np.matmul(x, r, out=tmp), r
         _add_identity(r, 1.0 / math.factorial(k))
-    levels = [r]  # all kept for _taylor_power_adjoint: in the spent x and tmp, then a buffer each
-    for i in range(squarings):
-        out = (x, tmp)[i] if i < 2 else _buffer(f"taylor_level_{i + 1}", x.shape)
-        levels.append(np.matmul(levels[-1], levels[-1], out=out))
-    return levels
+    return _squarings(r, squarings, (x, tmp))
 
 
 def _taylor_power_adjoint(x: np.ndarray, yt: np.ndarray, levels: list, generator: np.ndarray,
@@ -377,42 +388,61 @@ def _taylor_power_adjoint(x: np.ndarray, yt: np.ndarray, levels: list, generator
     return w_mat
 
 
-def segment_lindblad_maps(
-    system: SpinSystem,
-    noise: NoiseModel,
-    table: PulseTable,
-    substeps: int,
-    rows: slice = slice(None),
-) -> tuple[np.ndarray, ...]:
+@functools.lru_cache(maxsize=16)
+def _rk4_coefficients(system: SpinSystem, dissipator: bytes, step: float):
+    """R - eye = sum_a w^a K_a, R = sum_(j<=4) (step L)^j / j!, L = A + sum_c u_c G_c (A: drift plus
+    dissipator, whose bytes key the cache), over the monomials of w = step u up to degree 4, graded:
+    1, w, then [(lo, parents, last)] per degree from 2, each a parent's times a degree-1 one.  K (P,
+    d^4) by Horner on the coefficient matrices, r <- (step L) (eye + r) / j, G_c taking a to a + e_c."""
+    ops = system_operators(system)
+    gens, dd = ops.control_generators, ops.drift_generator.shape[0]
+    drift = step * (ops.drift_generator + np.frombuffer(dissipator).reshape(dd, dd))
+    terms = [t for j in range(5) for t in itertools.combinations_with_replacement(range(len(gens)), j)]
+    index, below = {t: i for i, t in enumerate(terms)}, sum(len(t) < 4 for t in terms)
+    r = np.zeros((len(terms), dd, dd))
+    for j in (4, 3, 2, 1):
+        r[0] += np.eye(dd)
+        xr = np.matmul(drift, r)
+        for c, g in enumerate(gens):  # the monomials of degree <= 3 lead
+            xr[[index[tuple(sorted((*t, c)))] for t in terms[:below]]] += np.matmul(g, r[:below])
+        r = xr / j
+    split = {j: [(index[t[:-1]], index[t[-1:]]) for t in terms if len(t) == j] for j in (2, 3, 4)}
+    blocks = tuple((index[(0,) * j], *_read_only(np.array(pairs)).T) for j, pairs in split.items())
+    return blocks, _read_only(r.reshape(len(terms), -1))
+
+
+def segment_lindblad_maps(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int,
+                          rows: slice = slice(None)) -> tuple[np.ndarray, ...]:
     """Per-segment real Liouvillians L, RK4 substep maps R, R^2, R^4, ... and
     segment maps M = R^substeps (substeps a power of two), in the coordinates of
     ``SystemOperators.coordinates``, for the segments in rows (all by default;
     each row is the same bits either way).
 
-    With a constant generator one RK4 step is the 4th-order Taylor polynomial
-    of exp(h L) (``_taylor_power``).  Returns (L, R, ..., M), each (N, d^2, d^2),
-    M at [-1], in a workspace (an ascent's, or the forward-only walk's) its buffer.
+    With a constant generator one RK4 step is the 4th-order Taylor polynomial of
+    exp(h L), a fixed polynomial in w = h u: all R are one GEMM of the monomials of
+    w with ``_rk4_coefficients``.  Returns (L, R, ..., M), each (N, d^2, d^2), M at
+    [-1], in a workspace (an ascent's, or the forward-only walk's) its buffer.
     """
     ops = system_operators(system)
     amps, gens = table.flat_amplitudes()[rows], ops.control_generators
-    shape = (len(amps), *gens.shape[1:])
-    lv = _buffer("lindblad_generator", shape)
+    (n, k), dd, step = amps.shape, gens.shape[1], table.dt / substeps
+    lv = _buffer("lindblad_generator", (n, dd, dd))
     # the product np.tensordot(amps, gens, axes=1) forms, written into lv
-    np.dot(amps, gens.reshape(len(gens), -1), out=lv.reshape(len(amps), -1))
+    np.dot(amps, gens.reshape(k, -1), out=lv.reshape(n, -1))
     lv += ops.drift_generator + noise.dissipator
-    hl = np.multiply(lv, table.dt / substeps, out=_buffer("lindblad_step", shape))
-    return (lv, *_taylor_power(hl, 4, substeps.bit_length() - 1))
+    blocks, coefficients = _rk4_coefficients(system, noise.dissipator.tobytes(), step)
+    m = max(n, 2)  # a one-row product would run as a GEMV, whose bits differ from the GEMM's rows
+    monomials = np.ones((len(coefficients), m))  # a row each, so the rows below are copied whole
+    np.multiply(amps.T, step, out=monomials[1 : k + 1, :n])
+    for lo, parents, last in blocks:  # each degree from the one below
+        np.multiply(monomials[parents], monomials[last], out=monomials[lo : lo + len(parents)])
+    r = np.matmul(monomials.T, coefficients, out=_buffer("rk4_maps", (m, dd * dd))).reshape(m, dd, dd)
+    _add_identity(r, 1.0)  # after the GEMM, so that R rounds as Horner's last step does
+    return (lv, *_squarings(r[:n], substeps.bit_length() - 1))
 
 
-def propagate_lindblad(
-    system: SpinSystem,
-    pulse,
-    rho0: np.ndarray,
-    noise: NoiseModel,
-    *,
-    n_fine: int | None = None,
-    sample_times=None,
-) -> EvolutionResult:
+def propagate_lindblad(system: SpinSystem, pulse, rho0: np.ndarray, noise: NoiseModel, *,
+                       n_fine: int | None = None, sample_times=None) -> EvolutionResult:
     """Integrate the master equation with collapse rate gamma*||H0||, at the
     substep count of DEFAULT_SUBSTEP_TOL."""
     _check_state(system, rho0)

@@ -453,12 +453,16 @@ class TestRealFormProducts:
 
 
 class TestLindbladGradientReference:
-    @pytest.mark.parametrize("kind", ["local", "global"])
-    def test_matches_complex_reference(self, kind):
-        system = PRESETS["tcp"]
+    # defm: two channels, so four controls and 70 monomials in each RK4 map
+    @pytest.mark.parametrize("name, kind", [
+        pytest.param("tcp", "local", id="local"), pytest.param("tcp", "global", id="global"),
+        pytest.param("defm", "local", id="defm-local"), pytest.param("defm", "global", id="defm-global"),
+    ])
+    def test_matches_complex_reference(self, name, kind):
+        system = PRESETS[name]
         noise = noise_operators(system, kind, 0.05)
         obj = replace(lls_objective(), noise=noise)
-        table = PulseTable(0.02, np.random.default_rng(5).normal(0, 300, size=(16, 1, 2)))
+        table = PulseTable(0.02, np.random.default_rng(5).normal(0, 300, size=(16, system.n_channels, 2)))
         fid, grad = pulse_table_gradient(system, table, obj, substep_tol=0.05)
         substeps = lindblad_substeps(system, table, noise, 0.05)
         ref_fid, ref_grad = scaled(obj, reference_lindblad_gradient(system, table, obj, substeps))

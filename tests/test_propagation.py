@@ -302,10 +302,13 @@ class TestSegmentLindbladMaps:
 
     @pytest.mark.parametrize("kind", ["local", "global"])
     @pytest.mark.parametrize("substeps", [1, 2, 8])
-    def test_matches_literal_horner_bit_for_bit(self, kind, substeps):
-        system = PRESETS["tcp"]
+    @pytest.mark.parametrize("name", ["tcp", "defm"])
+    def test_matches_literal_horner(self, name, kind, substeps):
+        # L and every squaring are the same bits; R, a GEMM over the monomials of h u, agrees
+        # with Horner in h L to rounding (at most 1.02 eps max|R| measured)
+        system = PRESETS[name]
         noise = noise_operators(system, kind, 0.05)
-        table = PulseTable(0.05, np.random.default_rng(4).normal(0, 300, size=(64, 1, 2)))
+        table = PulseTable(0.05, np.random.default_rng(4).normal(0, 300, size=(64, system.n_channels, 2)))
         ops = system_operators(system)
         lv = ops.drift_generator + noise.dissipator + np.tensordot(
             table.flat_amplitudes(), ops.control_generators, axes=1
@@ -315,13 +318,12 @@ class TestSegmentLindbladMaps:
         r = hl / 24.0 + eye / 6.0  # Horner on the coefficients 1/k!
         for c_k in (1 / 2, 1.0, 1.0):
             r = np.matmul(hl, r) + c_k * eye
-        levels = [r]
-        for _ in range(substeps.bit_length() - 1):
-            levels.append(np.matmul(levels[-1], levels[-1]))
         got = segment_lindblad_maps(system, noise, table, substeps)
-        assert len(got) == 1 + len(levels)
-        for a, b in zip(got, (lv, *levels)):
-            assert np.array_equal(a, b)
+        assert len(got) == 2 + substeps.bit_length() - 1
+        assert np.array_equal(got[0], lv)
+        assert np.max(np.abs(got[1] - r)) <= 4 * np.finfo(float).eps * np.max(np.abs(r))
+        for level, square in zip(got[1:], got[2:]):
+            assert np.array_equal(square, np.matmul(level, level))
 
 
 class TestTaylorPower:
@@ -678,6 +680,25 @@ class TestChunkedWalk:
                            sample_times=times)
         chunks = -(-n // _CHUNK)
         assert builds == ["segment_hamiltonians"] * chunks + ["segment_lindblad_maps"] * chunks
+
+    def test_one_coefficient_build_per_walk(self, monkeypatch):
+        # the RK4 coefficient matrix is formed once per system, noise model and substep length,
+        # never per chunk; an equal noise model built anew finds it too
+        builds = []
+        original = propagation.segment_lindblad_maps
+
+        def counted(*args, **kwargs):
+            builds.append(args[3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(propagation, "segment_lindblad_maps", counted)
+        system, table = PRESETS["tcp"], self.tcp_table(4097)
+        propagation._rk4_coefficients.cache_clear()
+        for _ in range(2):
+            propagate_lindblad(system, table, thermal_deviation(), noise_operators(system, "local", 0.05))
+        info = propagation._rk4_coefficients.cache_info()
+        assert len(builds) == 2 * 17 and len(set(builds)) == 1
+        assert (info.misses, info.hits) == (1, 2 * 17 - 1)
 
 
 def real_form(u):
