@@ -40,6 +40,7 @@ from .propagation import (
     propagate_unitary,
     segment_hamiltonians,
     segment_lindblad_maps,
+    segment_liouvillians,
     segment_unitaries,
     state_costate_sweeps,
 )
@@ -250,7 +251,8 @@ def _lindblad_pulse_gradient(
 ) -> tuple[float, np.ndarray]:
     """Unnormalized overlap and amplitude-table gradient for the dissipative path."""
     ops = system_operators(system)
-    lv, *levels = segment_lindblad_maps(system, objective.noise, table, substeps)
+    lv = segment_liouvillians(system, objective.noise, table)
+    levels = segment_lindblad_maps(system, objective.noise, table, substeps)
 
     # states x_s entering segment s and costates y_s leaving it
     xs, ys, overlap = state_costate_sweeps(

@@ -1,24 +1,26 @@
 """Time evolution under piecewise-constant Hamiltonians.
 
-The forward-only propagators walk the segments in chunks of at most _CHUNK, folding each
-chunk's maps into the state by a pairwise product tree before the next chunk is built, so their
-memory is O(chunk), not O(N).  Their unitary maps are exp(-i H dt) by Taylor polynomial and
-squaring in the real form [[Re U, -Im U], [Im U, Re U]], acting on the state [Re U; Im U]: no
-eigendecomposition.  ``_taylor_power`` forms each such polynomial by Horner on its coefficients
-1/k!, with no division per stage, and keeps every squaring (``_squarings``).  Only the unitary
-gradient eigendecomposes (``segment_unitaries``, for Daleckii-Krein); its batched complex products
-are each one real matmul (``_complex_matmul``).  One blocked sqrt(N) scan (``_blocked_states``)
-gives both gradients the product of the maps up to every segment: the unitary P_s = U_s ... U_1,
-run from the identity over the real forms of the U_s (the product after segment s is
-U(T) P_s^dagger), and the dissipative states, whose costates run back over its block maps
-(``state_costate_sweeps``).  The master equation runs in the real coordinates of an orthonormal
-Hermitian basis, where its generators are real d^2 x d^2 matrices.  An RK4 substep map is a fixed
-polynomial in its amplitudes: one GEMM over their monomials, with a matrix built once per system,
-noise and step (``_rk4_coefficients``), gives a chunk's.  ``_taylor_power_adjoint`` is the reverse
-pass of a Taylor polynomial of any degree and its squarings: it takes the cotangent as factors
-(x y^T for a Lindblad segment), runs the Horner half on them first, which commutes with the
-squarings, then doubles them down the squarings while their width stays within d^2, and only then
-steps densely.
+The forward-only propagators walk the segments in chunks of at most _CHUNK, folding each chunk's
+maps into the state by a pairwise product tree before the next chunk is built, so their memory is
+O(chunk), not O(N).  Their unitary maps are exp(-i H dt) by Taylor polynomial and squaring in the
+real form [[Re U, -Im U], [Im U, Re U]], acting on the state [Re U; Im U]: no eigendecomposition
+and no complex H: a chunk's generators are one GEMM over the real forms of -i H0 and -i O_c
+(``SystemOperators.unitary_generators``).  ``_taylor_power`` forms each such polynomial by
+Paterson-Stockmeyer, about 2 sqrt(m) matmuls at degree m, and keeps every squaring
+(``_squarings``).  Only the unitary gradient eigendecomposes (``segment_unitaries``, for
+Daleckii-Krein); its batched complex products are each one real matmul (``_complex_matmul``).  One
+blocked sqrt(N) scan (``_blocked_states``) gives both gradients the product of the maps up to every
+segment: the unitary P_s = U_s ... U_1, run from the identity over the real forms of the U_s (the
+product after segment s is U(T) P_s^dagger), and the dissipative states, whose costates run back
+over its block maps (``state_costate_sweeps``).  The master equation runs in the real coordinates
+of an orthonormal Hermitian basis, where its generators are real d^2 x d^2 matrices.  An RK4
+substep map is a fixed polynomial in its amplitudes: one GEMM over their monomials, with a matrix
+built once per system, noise and step (``_rk4_coefficients``), gives a chunk's, so the forward walk
+never forms the Liouvillians, which only the gradient reads (``segment_liouvillians``).
+``_taylor_power_adjoint`` is the reverse pass of a Taylor polynomial of any degree and its
+squarings: it takes the cotangent as factors (x y^T for a Lindblad segment), runs the Horner half
+on them first, which commutes with the squarings, then doubles them down the squarings while their
+width stays within d^2, and only then steps densely.
 Inside an ascent the segment arrays are buffers of its workspace (``workspace._buffer``), valid
 until the next call; outside one they are fresh.  The forward walk (``_sweep_segments``) opens a
 workspace of its own, whose buffers each chunk reuses.  numpy only; Dormand-Prince is a test oracle.
@@ -257,15 +259,16 @@ def taylor_plan(system: SpinSystem, table: PulseTable) -> tuple[int, int]:
 def segment_unitary_maps(system: SpinSystem, table: PulseTable, plan: tuple[int, int],
                          rows: slice = slice(None)) -> np.ndarray:
     """Real forms of U_s = exp(-i H_s dt), (N, 2d, 2d), for the segments in rows, by the
-    plan of ``taylor_plan``; in a workspace, its buffer."""
-    h = segment_hamiltonians(system, table, rows)
-    n, d, c = len(h), h.shape[1], table.dt / 2 ** plan[1]
-    x = _buffer("unitary_generator", (n, 2 * d, 2 * d))
-    # the real form of -i c H = c Im H - i c Re H
-    np.multiply(h.imag, c, out=x[:, :d, :d])
-    np.multiply(h.real, c, out=x[:, :d, d:])
-    x[:, d:, :d], x[:, d:, d:] = -x[:, :d, d:], x[:, :d, :d]
-    return _taylor_power(x, *plan)[-1]
+    plan of ``taylor_plan``; in a workspace, its buffer.  The generators c realform(-i H_s),
+    c = dt / 2^squarings, are one GEMM of [c, c u_s] with ``SystemOperators.unitary_generators``."""
+    gens = system_operators(system).unitary_generators
+    amps, c = table.flat_amplitudes()[rows], table.dt / 2 ** plan[1]
+    n, m = len(amps), max(len(amps), 2)  # a one-row product would run as a GEMV, with other bits
+    coefficients = np.full((m, len(gens)), c)
+    np.multiply(amps, c, out=coefficients[:n, 1:])
+    x = _buffer("unitary_generator", (m, *gens.shape[1:]))
+    np.matmul(coefficients, gens.reshape(len(gens), -1), out=x.reshape(m, -1))
+    return _taylor_power(x[:n], *plan)[-1]
 
 
 def propagate_unitary(
@@ -335,16 +338,27 @@ def _squarings(r: np.ndarray, squarings: int, spare: tuple = ()) -> list[np.ndar
 
 
 def _taylor_power(x: np.ndarray, degree: int, squarings: int) -> list[np.ndarray]:
-    """[r, r^2, ..., r^(2^squarings)] of a unitary map: r = c_m x + c_(m-1) eye, then r <- x r + c_k eye
-    (c_k = 1/k!), exp(x)'s Taylor polynomial by Horner, and its squarings, for a batch of real x,
-    spent on them."""
-    r = np.divide(x, float(math.factorial(degree)), out=_buffer("horner_a", x.shape))
-    tmp = _buffer("horner_b", x.shape)
-    _add_identity(r, 1.0 / math.factorial(degree - 1))
-    for k in range(degree - 2, -1, -1):
-        r, tmp = np.matmul(x, r, out=tmp), r
-        _add_identity(r, 1.0 / math.factorial(k))
-    return _squarings(r, squarings, (x, tmp))
+    """[r, r^2, ..., r^(2^squarings)] of a unitary map: r = sum_(k<=m) x^k / k! (m = degree), exp(x)'s
+    Taylor polynomial, and its squarings, for a batch of real x, by Paterson-Stockmeyer.  With the
+    powers P = [eye, x, ..., x^b], b = ceil(sqrt(m)), one GEMM of the coefficients 1/k! with P gives
+    the blocks B_j = sum_(i<b) x^i / (jb+i)! (the last up to x^b), and Horner runs over them in x^b:
+    r <- x^b r + B_j.  b - 1 + ceil(m/b) - 1 matmuls instead of m - 1, and no identity pass."""
+    b = math.isqrt(degree - 1) + 1
+    q = -(-degree // b) - 1  # Horner steps; the last block has degree m - qb in [1, b]
+    coefficients = np.zeros((q + 1, b + 1))
+    for k in range(degree + 1):
+        j = min(k // b, q)
+        coefficients[j, k - j * b] = 1.0 / math.factorial(k)
+    powers = _buffer("taylor_powers", (b + 1, *x.shape))
+    powers[0], powers[1] = np.eye(x.shape[-1]), x
+    for i in range(2, b + 1):
+        np.matmul(powers[1], powers[i - 1], out=powers[i])
+    blocks = _buffer("taylor_blocks", (q + 1, *x.shape))
+    np.matmul(coefficients, powers.reshape(b + 1, -1), out=blocks.reshape(q + 1, -1))
+    r = blocks[q]
+    for j in range(q - 1, -1, -1):  # into B_j, the product through the spent identity
+        r = np.add(blocks[j], np.matmul(powers[b], r, out=powers[0]), out=blocks[j])
+    return _squarings(r, squarings, (*powers, *blocks[1:]))  # not blocks[0], which holds r
 
 
 def _taylor_power_adjoint(x: np.ndarray, yt: np.ndarray, levels: list, generator: np.ndarray,
@@ -411,25 +425,34 @@ def _rk4_coefficients(system: SpinSystem, dissipator: bytes, step: float):
     return blocks, _read_only(r.reshape(len(terms), -1))
 
 
-def segment_lindblad_maps(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int,
-                          rows: slice = slice(None)) -> tuple[np.ndarray, ...]:
-    """Per-segment real Liouvillians L, RK4 substep maps R, R^2, R^4, ... and
-    segment maps M = R^substeps (substeps a power of two), in the coordinates of
-    ``SystemOperators.coordinates``, for the segments in rows (all by default;
-    each row is the same bits either way).
-
-    With a constant generator one RK4 step is the 4th-order Taylor polynomial of
-    exp(h L), a fixed polynomial in w = h u: all R are one GEMM of the monomials of
-    w with ``_rk4_coefficients``.  Returns (L, R, ..., M), each (N, d^2, d^2), M at
-    [-1], in a workspace (an ascent's, or the forward-only walk's) its buffer.
-    """
+def segment_liouvillians(system: SpinSystem, noise: NoiseModel, table: PulseTable) -> np.ndarray:
+    """Per-segment real Liouvillians L = A + sum_c u_c G_c (A: drift plus dissipator), (N, d^2, d^2)
+    in the coordinates of ``SystemOperators.coordinates``; in a workspace, its buffer.  Only the
+    dissipative gradient reads them: the maps come from the amplitudes alone."""
     ops = system_operators(system)
-    amps, gens = table.flat_amplitudes()[rows], ops.control_generators
-    (n, k), dd, step = amps.shape, gens.shape[1], table.dt / substeps
+    amps, gens = table.flat_amplitudes(), ops.control_generators
+    (n, k), dd = amps.shape, gens.shape[1]
     lv = _buffer("lindblad_generator", (n, dd, dd))
     # the product np.tensordot(amps, gens, axes=1) forms, written into lv
     np.dot(amps, gens.reshape(k, -1), out=lv.reshape(n, -1))
     lv += ops.drift_generator + noise.dissipator
+    return lv
+
+
+def segment_lindblad_maps(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int,
+                          rows: slice = slice(None)) -> list[np.ndarray]:
+    """Per-segment RK4 substep maps R, R^2, R^4, ... and segment maps M = R^substeps
+    (substeps a power of two), in the coordinates of ``SystemOperators.coordinates``,
+    for the segments in rows (all by default; each row is the same bits either way).
+
+    With a constant generator L (``segment_liouvillians``) one RK4 step is the 4th-order
+    Taylor polynomial of exp(h L), a fixed polynomial in w = h u: all R are one GEMM of
+    the monomials of w with ``_rk4_coefficients``, and L is never formed.  Returns
+    [R, ..., M], each (N, d^2, d^2), M at [-1], in a workspace (an ascent's, or the
+    forward-only walk's) its buffer.
+    """
+    amps, dd = table.flat_amplitudes()[rows], system.dimension**2
+    (n, k), step = amps.shape, table.dt / substeps
     blocks, coefficients = _rk4_coefficients(system, noise.dissipator.tobytes(), step)
     m = max(n, 2)  # a one-row product would run as a GEMV, whose bits differ from the GEMM's rows
     monomials = np.ones((len(coefficients), m))  # a row each, so the rows below are copied whole
@@ -438,7 +461,7 @@ def segment_lindblad_maps(system: SpinSystem, noise: NoiseModel, table: PulseTab
         np.multiply(monomials[parents], monomials[last], out=monomials[lo : lo + len(parents)])
     r = np.matmul(monomials.T, coefficients, out=_buffer("rk4_maps", (m, dd * dd))).reshape(m, dd, dd)
     _add_identity(r, 1.0)  # after the GEMM, so that R rounds as Horner's last step does
-    return (lv, *_squarings(r[:n], substeps.bit_length() - 1))
+    return _squarings(r[:n], substeps.bit_length() - 1)
 
 
 def propagate_lindblad(system: SpinSystem, pulse, rho0: np.ndarray, noise: NoiseModel, *,

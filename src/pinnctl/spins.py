@@ -3,7 +3,8 @@
 All Hamiltonians are in angular frequency (rad/s); configuration values are
 in Hz and the 2*pi conversion happens here, once, during drift construction.
 Each system's operators are built here once (``system_operators``); their
-Liouville-space form, real in an orthonormal Hermitian basis, on first use.
+Liouville-space form, real in an orthonormal Hermitian basis, and the real
+form of -i times each, on first use.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ class SystemOperators:
     order, grouped spins summed.  drift_norm, control_norms: spectral norms
     of H0 and of each control operator.  The Liouville-space generators are
     built on first use, in the coordinates x_k = Tr(B_k rho) of an orthonormal
-    Hermitian basis, where they are real.  Every array is read-only: callers
-    share them.
+    Hermitian basis, where they are real, and so are the real forms of -i H0
+    and -i O_c.  Every array is read-only: callers share them.
     """
 
     drift: np.ndarray
@@ -135,6 +136,13 @@ class SystemOperators:
         basis = self.hermitian_basis
         gens = [_real_superoperator(basis, liouvillian(o)) for o in self.controls]
         return _read_only(np.stack(gens))
+
+    @functools.cached_property
+    def unitary_generators(self) -> np.ndarray:
+        """Real (1 + 2M, 2d, 2d) forms [[Im A, Re A], [-Re A, Im A]] of -i A for A = H0, then each
+        control operator in control-stack order: -i H_s dt is [dt, dt u_s] times this stack."""
+        ops = np.concatenate([self.drift[None], self.controls])
+        return _read_only(np.block([[ops.imag, ops.real], [-ops.real, ops.imag]]))
 
     def coordinates(self, rho: np.ndarray) -> np.ndarray:
         """Real coordinates x_k = Tr(B_k rho) of a Hermitian (d, d) matrix."""

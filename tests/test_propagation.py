@@ -25,6 +25,7 @@ from pinnctl.propagation import (
     propagate_unitary,
     segment_hamiltonians,
     segment_lindblad_maps,
+    segment_liouvillians,
     segment_unitaries,
     segment_unitary_maps,
     taylor_plan,
@@ -319,10 +320,10 @@ class TestSegmentLindbladMaps:
         for c_k in (1 / 2, 1.0, 1.0):
             r = np.matmul(hl, r) + c_k * eye
         got = segment_lindblad_maps(system, noise, table, substeps)
-        assert len(got) == 2 + substeps.bit_length() - 1
-        assert np.array_equal(got[0], lv)
-        assert np.max(np.abs(got[1] - r)) <= 4 * np.finfo(float).eps * np.max(np.abs(r))
-        for level, square in zip(got[1:], got[2:]):
+        assert len(got) == 1 + substeps.bit_length() - 1
+        assert np.array_equal(segment_liouvillians(system, noise, table), lv)
+        assert np.max(np.abs(got[0] - r)) <= 4 * np.finfo(float).eps * np.max(np.abs(r))
+        for level, square in zip(got, got[1:]):
             assert np.array_equal(square, np.matmul(level, level))
 
 
@@ -338,6 +339,16 @@ class TestTaylorPower:
             power = np.matmul(x, power)
         got = _taylor_power(x.copy(), degree, 0)[0]
         assert np.max(np.abs(got - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("squarings", range(1, 6))
+    @pytest.mark.parametrize("degree", [1, 2, 4, 7, 13])
+    def test_each_level_is_the_square_of_the_one_before(self, degree, squarings):
+        # the squarings write into the spent powers and blocks, never into the one holding r
+        x = np.random.default_rng(degree + 10 * squarings).normal(0, 0.05, size=(5, 8, 8))
+        levels = _taylor_power(x, degree, squarings)
+        assert len(levels) == squarings + 1
+        for level, square in zip(levels, levels[1:]):
+            assert np.array_equal(square, np.matmul(level, level))
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("squarings", range(6))
@@ -664,7 +675,7 @@ class TestChunkedWalk:
     @pytest.mark.parametrize("n", [255, 256, 257, 4097])
     def test_one_map_build_per_chunk_for_a_sampled_trajectory(self, n, monkeypatch):
         builds = []
-        for name in ("segment_hamiltonians", "segment_lindblad_maps"):
+        for name in ("segment_unitary_maps", "segment_lindblad_maps"):
             original = getattr(propagation, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
@@ -679,7 +690,7 @@ class TestChunkedWalk:
         propagate_lindblad(system, table, rho0, noise_operators(system, "local", 0.05),
                            sample_times=times)
         chunks = -(-n // _CHUNK)
-        assert builds == ["segment_hamiltonians"] * chunks + ["segment_lindblad_maps"] * chunks
+        assert builds == ["segment_unitary_maps"] * chunks + ["segment_lindblad_maps"] * chunks
 
     def test_one_coefficient_build_per_walk(self, monkeypatch):
         # the RK4 coefficient matrix is formed once per system, noise model and substep length,
@@ -701,6 +712,10 @@ class TestChunkedWalk:
         assert (info.misses, info.hits) == (1, 2 * 17 - 1)
 
 
+THREE_SPINS = SpinSystem(3, ((0,), (1, 2)), couplings=((0, 1, 48.2), (1, 2, 8.75)),
+                         offsets_hz=(0.0, 40.0, -25.0))
+
+
 def real_form(u):
     """[[Re U, -Im U], [Im U, Re U]] of each matrix of an (N, d, d) batch."""
     return np.concatenate([np.concatenate([u.real, -u.imag], axis=2),
@@ -718,6 +733,14 @@ class TestSegmentUnitaryMaps:
                      id="one-segment"),
         pytest.param(PRESETS["defm"], PulseTable(
             0.02, np.random.default_rng(5).normal(0, 3000, size=(32768, 2, 2))), False, id="32768"),
+        pytest.param(PRESETS["tcp"], PulseTable(
+            0.05, np.random.default_rng(6).normal(0, 300, size=(4096, 1, 2))), False, id="tcp"),
+        pytest.param(PRESETS["tcp"], PulseTable(
+            0.05, np.random.default_rng(6).normal(0, 300, size=(8, 1, 2))), True, id="tcp-squared"),
+        pytest.param(THREE_SPINS, PulseTable(
+            0.02, np.random.default_rng(7).normal(0, 1000, size=(4096, 2, 2))), False, id="3-spin"),
+        pytest.param(THREE_SPINS, PulseTable(
+            0.02, np.random.default_rng(7).normal(0, 1000, size=(16, 2, 2))), True, id="3-spin-squared"),
     ])
     def test_each_map_matches_the_eigendecomposition(self, system, table, squares):
         degree, squarings = taylor_plan(system, table)
@@ -729,10 +752,12 @@ class TestSegmentUnitaryMaps:
                             - real_form(units)), axis=(1, 2))
         assert np.all(err <= 1e-14 * scale)
 
-    @pytest.mark.parametrize("n", [257, 4097])
-    def test_chunk_maps_are_the_rows_of_one_full_build(self, n):
-        system = PRESETS["defm"]
-        table = PulseTable(0.02, np.random.default_rng(n).normal(0, 3000, size=(n, 2, 2)))
+    @pytest.mark.parametrize("name, n", [("defm", 257), ("defm", 4097), ("tcp", 257)])
+    def test_chunk_maps_are_the_rows_of_one_full_build(self, name, n):
+        # n 257 ends in a one-row chunk, whose generator product is padded to two rows
+        system = PRESETS[name]
+        amps = np.random.default_rng(n).normal(0, 3000, size=(n, system.n_channels, 2))
+        table = PulseTable(0.02, amps)
         plan = taylor_plan(system, table)
         full = segment_unitary_maps(system, table, plan)
         with _workspace():  # as the walk builds them
@@ -751,6 +776,21 @@ class TestSegmentUnitaryMaps:
         u = propagate_unitary(system, table).final
         assert np.max(np.abs(u - ref)) <= 1e-12
         assert np.linalg.norm(u.conj().T @ u - np.eye(4)) <= 1e-10
+
+    def test_forward_walk_builds_no_hamiltonian(self, monkeypatch):
+        # the generators come from the real-form stack, never from a complex H_s
+        def segment_hamiltonians(*args, **kwargs):
+            raise AssertionError("segment_hamiltonians called")
+
+        monkeypatch.setattr(propagation, "segment_hamiltonians", segment_hamiltonians)
+        defm, tcp = PRESETS["defm"], PRESETS["tcp"]
+        table = PulseTable(0.02, np.random.default_rng(2).normal(0, 3000, size=(300, 2, 2)))
+        lls = PulseTable(0.05, np.random.default_rng(3).normal(0, 300, size=(300, 1, 2)))
+        times = [0.0, 0.01, 0.02]
+        assert len(propagate_unitary(defm, table, sample_times=times).trajectory) == 3
+        propagate_density(tcp, lls, thermal_deviation(), sample_times=times)
+        propagate_lindblad(tcp, lls, thermal_deviation(), noise_operators(tcp, "local", 0.02))
+        assert 0.0 <= evaluate_fidelity(defm, table, cnot_objective()) <= 1.0
 
     def test_forward_propagators_do_not_call_eigh(self, monkeypatch):
         def eigh(*args, **kwargs):

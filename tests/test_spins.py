@@ -161,6 +161,24 @@ class TestCachedOperators:
         with pytest.raises(ValueError):
             ops += 1.0
 
+    @pytest.mark.parametrize("n_spins", [1, 2, 3])
+    def test_unitary_generators_are_the_real_forms_of_a_kron_build(self, n_spins):
+        system = SpinSystem(n_spins, ((0,), tuple(range(1, n_spins)))[: min(n_spins, 2)],
+                            couplings=tuple((k, k + 1, 10.0 + k) for k in range(n_spins - 1)),
+                            offsets_hz=tuple(20.0 * k - 15.0 for k in range(n_spins)))
+        ops = [self.fresh_drift(system)] + [
+            sum(spin_half_operator(n_spins, s, axis) for s in group)
+            for group in system.channels for axis in "xy"
+        ]
+        gens = system_operators(system).unitary_generators
+        assert gens.shape == (len(ops), 2**(n_spins + 1), 2**(n_spins + 1))
+        for gen, op in zip(gens, ops):
+            a = -1j * op  # [[Re, -Im], [Im, Re]] of -i A
+            assert np.array_equal(gen, np.block([[a.real, -a.imag], [a.imag, a.real]]))
+        assert system_operators(system).unitary_generators is gens
+        with pytest.raises(ValueError):
+            gens[0, 0, 0] = 1.0
+
     def test_liouville_generators_built_on_first_use(self):
         system = SpinSystem(2, ((0, 1),), couplings=((0, 1, 3.0),), offsets_hz=(1.0, -1.0))
         ops = system_operators(system)
