@@ -752,7 +752,8 @@ class TestSegmentUnitaryMaps:
                             - real_form(units)), axis=(1, 2))
         assert np.all(err <= 1e-14 * scale)
 
-    @pytest.mark.parametrize("name, n", [("defm", 257), ("defm", 4097), ("tcp", 257)])
+    @pytest.mark.parametrize("name, n", [("defm", 257), ("defm", 4097), ("tcp", 257)],
+                             ids=["257", "4097", "tcp-257"])
     def test_chunk_maps_are_the_rows_of_one_full_build(self, name, n):
         # n 257 ends in a one-row chunk, whose generator product is padded to two rows
         system = PRESETS[name]
