@@ -372,8 +372,7 @@ def cmd_trajectory(args) -> int:
         params, system, thermal_deviation(), basis, n_samples=args.samples, noise=noise,
         n_fine=DEFAULT_N_FINE,
     )
-    fileio.write_trajectory_csv(times, values, labels, args.out)
-    fileio._write_sidecar(args.out, {
+    fileio.write_trajectory_csv(times, values, labels, args.out, {
         "basis": args.basis, "samples": len(times), "segments": DEFAULT_N_FINE,
         "gamma": 0.0 if noise is None else noise.gamma,
         "noise_kind": None if noise is None else noise.kind,

@@ -1,7 +1,8 @@
 """Tabular file formats: pulse CSV, shaped amplitude/phase export, sweep results.
 
 All numeric output uses shortest round-trip decimals (exact on re-parse) except
-the shaped-pulse format, which is fixed to 6 decimal places by convention.
+the shaped-pulse format, which is fixed to 6 decimal places by convention.  Each
+result writer (sweep, spectrum, trajectory) writes its JSON sidecar <csv>.meta.json.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ def write_shaped_pulse(table: PulseTable, amp_scale: float, path) -> None:
 
 def write_sweep_csv(sweep: SweepResult, path) -> None:
     _write_csv(path, [sweep.axis_name, "fidelity", "infidelity"], (
-        [_fmt(x), _fmt(f), _fmt(1.0 - f)] for x, f in zip(sweep.axis_values, sweep.fidelity)
+        [_fmt(x), _fmt(f), _fmt(i)]
+        for x, f, i in zip(sweep.axis_values, sweep.fidelity, sweep.infidelity)
     ))
     _write_sidecar(path, {"axis": sweep.axis_name, **sweep.metadata})
 
@@ -118,10 +120,13 @@ def write_spectrum_csv(spec: SpectrumResult, path) -> None:
     )
 
 
-def write_trajectory_csv(times: np.ndarray, values: np.ndarray, labels: list[str], path) -> None:
+def write_trajectory_csv(times: np.ndarray, values: np.ndarray, labels: list[str], path,
+                         metadata: dict) -> None:
+    """One row per sample time: t_s, then one value per label; metadata goes to the sidecar."""
     _write_csv(path, ["t_s"] + labels, (
         [_fmt(t)] + [_fmt(v) for v in values[i]] for i, t in enumerate(times)
     ))
+    _write_sidecar(path, metadata)
 
 
 def write_fidelity_trace_csv(iterations, path) -> None:

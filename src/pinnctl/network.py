@@ -2,7 +2,8 @@
 
 The network takes the normalized time t/T as its single input, applies tanh
 in every hidden layer, and emits amp_scale * tanh(.) at the output so every
-amplitude stays inside [-amp_scale, +amp_scale].
+amplitude stays inside [-amp_scale, +amp_scale].  ``sample_pulse`` is the one
+sampler of a network onto a segment grid, for forward analyses and training alike.
 """
 
 from __future__ import annotations
@@ -84,6 +85,10 @@ class PulseTable:
     def __post_init__(self):
         if self.samples.ndim != 3 or self.samples.shape[2] != 2:
             raise ValueError("samples must have shape (n_segments, channels, 2)")
+        if self.n_segments < 1:
+            raise ValueError("a pulse table needs at least one segment")
+        if not np.all(np.isfinite(self.samples)):
+            raise ValueError("pulse table samples must be finite")
         real("duration", self.duration, "positive and finite")
 
     @property
@@ -205,13 +210,14 @@ def segment_times(duration: float, n_segments: int) -> np.ndarray:
     return (np.arange(n_segments) + 0.5) * (duration / n_segments)
 
 
-def sample_pulse(params: NetworkParams, n_segments: int) -> PulseTable:
-    """Discretize the network onto n_segments piecewise-constant segments."""
+def sample_pulse(params: NetworkParams, n_segments: int, tape: list | None = None) -> PulseTable:
+    """Discretize the network onto n_segments piecewise-constant segments.
+
+    A list given as ``tape`` is filled by the one ``forward_batch`` pass, for
+    ``backprop_pulse`` of a gradient w.r.t. the table's flat amplitudes."""
     integer("n_segments", n_segments, 1)
-    t = segment_times(params.time_scale, n_segments)
-    u = forward_batch(params, t)
-    samples = u.reshape(n_segments, params.n_channels, 2)
-    return PulseTable(duration=params.time_scale, samples=samples)
+    u = forward_batch(params, segment_times(params.time_scale, n_segments), tape)
+    return PulseTable(params.time_scale, u.reshape(n_segments, params.n_channels, 2))
 
 
 def params_to_dict(params: NetworkParams) -> dict:
@@ -286,8 +292,4 @@ def load_params(path, expected_channels: int | None = None) -> NetworkParams:
 
 def apply_update(params: NetworkParams, delta_w, delta_b) -> NetworkParams:
     """Return a copy with weights+delta_w, biases+delta_b."""
-    return replace(
-        params,
-        weights=tuple(w + dw for w, dw in zip(params.weights, delta_w)),
-        biases=tuple(b + db for b, db in zip(params.biases, delta_b)),
-    )
+    return params.with_vector(params.vector() + NetworkParams.flatten(delta_w, delta_b))

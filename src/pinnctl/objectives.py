@@ -1,6 +1,8 @@
 """Gate/state fidelity functionals and exact gradients w.r.t. network parameters.
 
-Gradients are reverse-mode derivatives of the discretized dynamics; both take the maps' product
+The network-space gradient is the table gradient of the network's samples
+(``network.sample_pulse``), backpropagated through the tape of that one forward pass.  The
+gradients are reverse-mode derivatives of the discretized dynamics; both take the maps' product
 up to every segment from one blocked sqrt(N) scan.  The unitary path takes its prefix products
 (``propagation.prefix_products``, scanned in real form) and each exponential's Frechet derivative
 in its eigenbasis (Daleckii-Krein), whose batched complex products are each one real matmul
@@ -19,13 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks import hermitian, real
-from .network import (
-    NetworkParams,
-    PulseTable,
-    backprop_pulse,
-    forward_batch,
-    segment_times,
-)
+from .network import NetworkParams, PulseTable, backprop_pulse, sample_pulse
 from .propagation import (
     DEFAULT_N_FINE,
     DEFAULT_SUBSTEP_TOL,
@@ -229,11 +225,8 @@ def _unitary_pulse_gradient(
         np.matmul(a_mat.reshape(n * d, d), k_total, out=ak.reshape(n * d, d))
     a_h = np.conj(a_mat, out=_buffer("gradient_a_h", shape, complex)).transpose(0, 2, 1)
     m_mat = _complex_matmul(ak, a_h, _buffer("gradient_m", shape, complex))
-    y = np.subtract(evals[:, :, None], evals[:, None, :], out=_buffer("gradient_sinc_y", shape))
-    y *= dt / (2.0 * np.pi)
-    y *= np.pi  # S = np.sinc(y / pi) as np.sinc forms it (zeros made eps), in workspace buffers
-    y[y == 0] = np.finfo(float).eps
-    m_mat *= np.divide(np.sin(y, out=_buffer("gradient_sinc", shape)), y, out=y)
+    # S_ab = sin(y) / y at y = (l_a - l_b) dt / 2, which np.sinc takes as y / pi
+    m_mat *= np.sinc((evals[:, :, None] - evals[:, None, :]) * (dt / (2.0 * np.pi)))
     # back to the lab frame, G = V M V^dag (M without its factor -i dt), in the spent A and AK
     g_mat = _complex_matmul(_complex_matmul(vecs, m_mat, a_mat), vecs_h, ak)
     # dF/du_c = 2 Re Tr(-i dt G O_c) = 2 dt Im Tr(G O_c)
@@ -314,13 +307,8 @@ def loss_and_gradient(
     Returns (value, (grad_w, grad_b)).
     """
     params.check_channels(system.n_channels)
-    ts = segment_times(params.time_scale, n_fine)
     tape = []
-    amps = forward_batch(params, ts, tape)
-    table = PulseTable(
-        duration=params.time_scale,
-        samples=amps.reshape(n_fine, params.n_channels, 2),
-    )
+    table = sample_pulse(params, n_fine, tape)
     # substep count from amp_scale, not the realized amplitudes, so the
     # discretized objective is differentiable in the parameters
     fid, du = pulse_table_gradient(

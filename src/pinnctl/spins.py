@@ -46,6 +46,8 @@ class SpinSystem:
             raise ValueError(f"n_spins must be in [1, {MAX_SPINS}], got {self.n_spins}")
         # tuples throughout, so that a system given lists still keys the operator cache
         object.__setattr__(self, "channels", tuple(tuple(g) for g in self.channels))
+        if not self.channels:
+            raise ValueError("a register needs at least one control channel")
         object.__setattr__(self, "couplings", tuple(
             (i, j, real("coupling J_hz", j_hz)) for i, j, j_hz in self.couplings))
         object.__setattr__(self, "offsets_hz", tuple(real("offsets_hz", o) for o in self.offsets_hz))
@@ -206,7 +208,7 @@ def system_operators(system: SpinSystem) -> SystemOperators:
     for k, off_hz in enumerate(system.offsets_hz):
         if off_hz != 0.0:
             h0 += 2.0 * np.pi * off_hz * spin_half_operator(n, k, "z")
-    # one (X_k, Y_k) pair per channel group; a register without channels still has a drift
+    # one (X_k, Y_k) pair per channel group
     controls = np.zeros((2 * system.n_channels, dim, dim), dtype=complex)
     for c, group in enumerate(system.channels):
         for s in group:

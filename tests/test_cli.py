@@ -161,6 +161,17 @@ class TestSweep:
         assert err.startswith(f"error: {named}") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_system_without_channels_is_one_line_error(self, tcp_params, tmp_path, capsys):
+        (tmp_path / "system.json").write_text('{"spins": 2, "channels": []}')
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", "discretization", "--params", tcp_params, "--target", "lls",
+                   "--system", str(tmp_path / "system.json"), "--segments", "4,8",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: a register needs at least one control channel\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("amp_scale, rc", [(1e6, 0), (1e300, 1), (1.7e308, 1)])
     def test_huge_amplitude_scale_is_finite_or_one_line_error(self, tmp_path, capsys,
                                                                amp_scale, rc):

@@ -104,11 +104,13 @@ class TestTraceCsv:
         times = np.array([0.0, 0.5, 1.0])
         values = np.arange(6.0).reshape(3, 2)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(times, values, ["a", "b"], path)
+        meta = {"basis": "singlet-triplet", "samples": 3, "gamma": 0.0, "noise_kind": None}
+        write_trajectory_csv(times, values, ["a", "b"], path, meta)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t_s", "a", "b"]
         assert [float(x) for x in rows[2]] == [0.5, 2.0, 3.0]
+        assert json.loads((tmp_path / "traj.csv.meta.json").read_text()) == meta
 
     def test_fidelity_trace(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -426,6 +426,15 @@ class TestPulseTable:
             PulseTable(1.0, np.zeros((4, 2)))
         with pytest.raises(ValueError):
             PulseTable(0.0, np.zeros((4, 1, 2)))
+        with pytest.raises(ValueError, match="^a pulse table needs at least one segment$"):
+            PulseTable(1.0, np.zeros((0, 1, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        samples = np.zeros((4, 2, 2))
+        samples[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="^pulse table samples must be finite$"):
+            PulseTable(1.0, samples)
 
 
 class TestInputGain:

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 from math import factorial
 
@@ -6,7 +7,7 @@ import pytest
 from dataclasses import replace
 
 from pinnctl import objectives
-from pinnctl.network import PulseTable, apply_update, init_params
+from pinnctl.network import PulseTable, apply_update, backprop_pulse, init_params, sample_pulse
 from pinnctl.objectives import (
     SHAPE_WINDOW,
     ObjectiveSpec,
@@ -617,6 +618,35 @@ class TestLossAndGradient:
         p = init_params((1, 4, 2), 1.0, 0.02, seed=0)
         with pytest.raises(ValueError):
             loss_and_gradient(p, PRESETS["defm"], cnot_objective(), 16)
+
+    @pytest.mark.parametrize("case", ["gate", "shaped", "dissipative"])
+    @pytest.mark.parametrize("in_workspace", [False, True], ids=["fresh", "workspace"])
+    def test_is_the_table_gradient_of_the_sampled_pulse(self, case, in_workspace, monkeypatch):
+        # the training table is sample_pulse's, and its amplitude gradient is pulse_table_gradient's
+        system, obj, sizes, amp_scale, duration = {
+            "gate": (PRESETS["defm"], cnot_objective(), (1, 12, 12, 4), 2 * np.pi * 500, 0.02),
+            "shaped": (PRESETS["tcp"], lls_objective(shape_weight=1.0), (1, 12, 12, 2),
+                       2 * np.pi * 200, 0.1),
+            "dissipative": (PRESETS["tcp"], replace(lls_objective(), noise=noise_operators(
+                PRESETS["tcp"], "local", 0.05)), (1, 12, 12, 2), 2 * np.pi * 60, 0.15),
+        }[case]
+        p, n = init_params(sizes, amp_scale, duration, seed=5), 128
+        upstreams = []
+
+        def recorded(params, upstream, tape):
+            upstreams.append(upstream.copy())
+            return backprop_pulse(params, upstream, tape)
+
+        monkeypatch.setattr(objectives, "backprop_pulse", recorded)
+        with _workspace() if in_workspace else contextlib.nullcontext():
+            fid, (gw, gb) = loss_and_gradient(p, system, obj, n)
+            tape = []
+            ref_fid, du = pulse_table_gradient(system, sample_pulse(p, n, tape), obj,
+                                               amp_bound=p.amp_scale)
+            ref_gw, ref_gb = backprop_pulse(p, du, tape)
+        assert fid == ref_fid
+        assert np.array_equal(upstreams[0], du)
+        assert all(np.array_equal(a, b) for a, b in zip(gw + gb, ref_gw + ref_gb))
 
 
 class TestLindbladWorkspace:

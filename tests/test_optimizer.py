@@ -464,7 +464,6 @@ class TestForwardsPerStep:
     @pytest.fixture
     def calls(self, monkeypatch):
         import pinnctl.network
-        import pinnctl.objectives
         import pinnctl.optimizer
 
         calls = []
@@ -474,7 +473,7 @@ class TestForwardsPerStep:
             calls.append(1)
             return forward(*args, **kwargs)
 
-        for module in (pinnctl.network, pinnctl.objectives, pinnctl.optimizer):
+        for module in (pinnctl.network, pinnctl.optimizer):
             monkeypatch.setattr(module, "forward_batch", counted)
         return calls
 

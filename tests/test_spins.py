@@ -298,6 +298,8 @@ class TestSystemConfig:
             SpinSystem(2, channels=((0,),), couplings=((0, 5, 1.0),))
         with pytest.raises(ValueError, match="^offsets_hz length must equal n_spins$"):
             SpinSystem(2, channels=((0,),), offsets_hz=(1.0,))
+        with pytest.raises(ValueError, match="^a register needs at least one control channel$"):
+            SpinSystem(2, channels=())
 
     @pytest.mark.parametrize("field, kwargs", [
         ("J_hz", {"couplings": ((0, 1, float("nan")),)}),
