@@ -205,6 +205,8 @@ def fit_network_to_table(
     start: the physics never enters, so it is cheap, and the fitted network
     starts inside the basin of the table's transfer route.
     """
+    integer("n_samples", n_samples, 1)
+    integer("n_iters", n_iters, 1)
     if abs(params0.time_scale - table.duration) > 1e-12 * table.duration:
         raise ValueError("network time_scale and table duration differ")
     if params0.n_channels != table.n_channels:

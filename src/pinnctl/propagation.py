@@ -2,25 +2,27 @@
 
 The forward-only propagators walk the segments in chunks of at most _CHUNK, folding each chunk's
 maps into the state by a pairwise product tree before the next chunk is built, so their memory is
-O(chunk), not O(N).  Their unitary maps are exp(-i H dt) by Taylor polynomial and squaring in the
-real form [[Re U, -Im U], [Im U, Re U]], acting on the state [Re U; Im U]: no eigendecomposition
-and no complex H: a chunk's generators are one GEMM over the real forms of -i H0 and -i O_c
-(``SystemOperators.unitary_generators``).  ``_taylor_power`` forms each such polynomial by
-Paterson-Stockmeyer, about 2 sqrt(m) matmuls at degree m, and keeps every squaring
-(``_squarings``).  Only the unitary gradient eigendecomposes (``segment_unitaries``, for
-Daleckii-Krein); its batched complex products are each one real matmul (``_complex_matmul``).  One
-blocked sqrt(N) scan (``_blocked_states``) gives both gradients the product of the maps up to every
-segment: the unitary P_s = U_s ... U_1, run from the identity over the real forms of the U_s (the
-product after segment s is U(T) P_s^dagger), and the dissipative states, whose costates run back
-over its block maps (``state_costate_sweeps``).  The master equation runs in the real coordinates
-of an orthonormal Hermitian basis, where its generators are real d^2 x d^2 matrices.  An RK4
-substep map is a fixed polynomial in its amplitudes: one GEMM over their monomials, with a matrix
-built once per system, noise and step (``_rk4_coefficients``), gives a chunk's, so the forward walk
-never forms the Liouvillians, which only the gradient reads (``segment_liouvillians``).
-``_taylor_power_adjoint`` is the reverse pass of a Taylor polynomial of any degree and its
-squarings: it takes the cotangent as factors (x y^T for a Lindblad segment), runs the Horner half
-on them first, which commutes with the squarings, then doubles them down the squarings while their
-width stays within d^2, and only then steps densely.
+O(chunk), not O(N).  Every per-segment array (Hamiltonians, Liouvillians, unitary generators, RK4
+maps) is one GEMM of per-segment features with a per-system stack, plus an offset (``_affine``).
+The unitary maps are exp(-i H dt) by Taylor polynomial (``_taylor_power``, Paterson-Stockmeyer,
+about 2 sqrt(m) matmuls at degree m) and squaring (``_squarings``, every level kept) in the real
+form [[Re U, -Im U], [Im U, Re U]], acting on the state [Re U; Im U]: no eigendecomposition and no
+complex H, the generators coming from the real forms of -i H0 and -i O_c
+(``SystemOperators.unitary_generators``).  Only the unitary gradient eigendecomposes (for
+Daleckii-Krein, ``segment_unitaries``); its batched complex products are each one real matmul
+(``_complex_matmul``).  One blocked sqrt(N) scan (``_blocked_states``) gives both gradients the
+product of the maps up to every segment: the unitary P_s = U_s ... U_1, run from the identity over
+the real forms of the U_s (the product after segment s is U(T) P_s^dagger), and the dissipative
+states, whose costates run back over its block maps (``state_costate_sweeps``).  The master
+equation runs in the real coordinates of an orthonormal Hermitian basis, where its generators are
+real d^2 x d^2 matrices.  An RK4 substep map is a fixed polynomial in its amplitudes: the features
+are their monomials, the stack a matrix built once per system, noise and step
+(``_rk4_coefficients``), so the forward walk never forms the Liouvillians, which only the gradient
+reads (``segment_liouvillians``).
+``_taylor_power_adjoint``, the dissipative gradient's reverse pass of the RK4 maps and their
+squarings, takes a segment's cotangent as its factors x y^T, runs the Horner half on them first,
+which commutes with the squarings, then doubles them down the squarings while their width stays
+within d^2, and only then steps densely.
 Inside an ascent the segment arrays are buffers of its workspace (``workspace._buffer``), valid
 until the next call; outside one they are fresh.  The forward walk (``_sweep_segments``) opens a
 workspace of its own, whose buffers each chunk reuses.  numpy only; Dormand-Prince is a test oracle.
@@ -89,16 +91,22 @@ def _as_pulse(system: SpinSystem, pulse, n_fine: int | None) -> PulseTable:
     return table
 
 
-def segment_hamiltonians(
-    system: SpinSystem, table: PulseTable, rows: slice = slice(None)
-) -> np.ndarray:
-    """Batched H_s = H0 + sum_c u_cx X_c + u_cy Y_c, shape (N, dim, dim), for the
-    segments in rows (all by default); in a workspace, its buffer."""
-    ops = control_operator_stack(system)
-    amps = table.flat_amplitudes()[rows]
-    h = _buffer("hamiltonians", (len(amps), *ops.shape[1:]), complex)
-    np.dot(amps, ops.reshape(len(ops), -1), out=h.reshape(len(amps), -1))
-    return np.add(h, drift_hamiltonian(system), out=h)
+def _affine(features: np.ndarray, stack: np.ndarray, key: str, offset=None) -> np.ndarray:
+    """features @ stack + offset, (N, *stack.shape[1:]), for features (N, K) and a stack (K, ...):
+    one GEMM into the buffer for key, then the offset, if given, added in place.  A single row is
+    computed as two, since a one-row product runs as a GEMV, whose bits differ from a GEMM row's."""
+    n, k = features.shape
+    if n == 1:
+        features = np.repeat(features, 2, axis=0)
+    out = _buffer(key, (len(features), *stack.shape[1:]), stack.dtype)
+    np.matmul(features, stack.reshape(k, -1), out=out.reshape(len(features), -1))
+    return out[:n] if offset is None else np.add(out[:n], offset, out=out[:n])
+
+
+def segment_hamiltonians(system: SpinSystem, table: PulseTable) -> np.ndarray:
+    """Batched H_s = H0 + sum_c u_cx X_c + u_cy Y_c, (N, dim, dim); in a workspace, its buffer."""
+    return _affine(table.flat_amplitudes(), control_operator_stack(system), "hamiltonians",
+                   drift_hamiltonian(system))
 
 
 def segment_unitaries(h_batch: np.ndarray, dt: float):
@@ -263,12 +271,10 @@ def segment_unitary_maps(system: SpinSystem, table: PulseTable, plan: tuple[int,
     c = dt / 2^squarings, are one GEMM of [c, c u_s] with ``SystemOperators.unitary_generators``."""
     gens = system_operators(system).unitary_generators
     amps, c = table.flat_amplitudes()[rows], table.dt / 2 ** plan[1]
-    n, m = len(amps), max(len(amps), 2)  # a one-row product would run as a GEMV, with other bits
-    coefficients = np.full((m, len(gens)), c)
-    np.multiply(amps, c, out=coefficients[:n, 1:])
-    x = _buffer("unitary_generator", (m, *gens.shape[1:]))
-    np.matmul(coefficients, gens.reshape(len(gens), -1), out=x.reshape(m, -1))
-    return _taylor_power(x[:n], *plan)[-1]
+    coefficients = np.full((len(amps), len(gens)), c)
+    np.multiply(amps, c, out=coefficients[:, 1:])
+    x = _affine(coefficients, gens, "unitary_generator")
+    return _squarings(_taylor_power(x, plan[0]), plan[1])[-1]
 
 
 def propagate_unitary(
@@ -322,26 +328,19 @@ def lindblad_substeps(
     return m
 
 
-def _add_identity(batch: np.ndarray, c: float):
-    """batch[s] += c * eye for an (N, d, d) batch, in place through the flat view of its diagonals."""
-    n, d, _ = batch.shape
-    batch.reshape(n, d * d)[:, :: d + 1] += c
-
-
-def _squarings(r: np.ndarray, squarings: int, spare: tuple = ()) -> list[np.ndarray]:
-    """[r, r^2, ..., r^(2^squarings)], kept for the adjoint: squares into spare, then a buffer each."""
+def _squarings(r: np.ndarray, squarings: int) -> list[np.ndarray]:
+    """[r, r^2, ..., r^(2^squarings)], each level in a buffer of its own, kept for the adjoint."""
     levels = [r]
     for i in range(squarings):
-        out = spare[i] if i < len(spare) else _buffer(f"taylor_level_{i + 1}", r.shape)
-        levels.append(np.matmul(levels[-1], levels[-1], out=out))
+        levels.append(np.matmul(levels[-1], levels[-1], out=_buffer(f"taylor_level_{i + 1}", r.shape)))
     return levels
 
 
-def _taylor_power(x: np.ndarray, degree: int, squarings: int) -> list[np.ndarray]:
-    """[r, r^2, ..., r^(2^squarings)] of a unitary map: r = sum_(k<=m) x^k / k! (m = degree), exp(x)'s
-    Taylor polynomial, and its squarings, for a batch of real x, by Paterson-Stockmeyer.  With the
-    powers P = [eye, x, ..., x^b], b = ceil(sqrt(m)), one GEMM of the coefficients 1/k! with P gives
-    the blocks B_j = sum_(i<b) x^i / (jb+i)! (the last up to x^b), and Horner runs over them in x^b:
+def _taylor_power(x: np.ndarray, degree: int) -> np.ndarray:
+    """r = sum_(k<=m) x^k / k! (m = degree), exp(x)'s Taylor polynomial, for a batch of real x, by
+    Paterson-Stockmeyer, in a workspace its buffer.  With the powers P = [eye, x, ..., x^b],
+    b = ceil(sqrt(m)), one GEMM of the coefficients 1/k! with P gives the blocks
+    B_j = sum_(i<b) x^i / (jb+i)! (the last up to x^b), and Horner runs over them in x^b:
     r <- x^b r + B_j.  b - 1 + ceil(m/b) - 1 matmuls instead of m - 1, and no identity pass."""
     b = math.isqrt(degree - 1) + 1
     q = -(-degree // b) - 1  # Horner steps; the last block has degree m - qb in [1, b]
@@ -358,14 +357,14 @@ def _taylor_power(x: np.ndarray, degree: int, squarings: int) -> list[np.ndarray
     r = blocks[q]
     for j in range(q - 1, -1, -1):  # into B_j, the product through the spent identity
         r = np.add(blocks[j], np.matmul(powers[b], r, out=powers[0]), out=blocks[j])
-    return _squarings(r, squarings, (*powers, *blocks[1:]))  # not blocks[0], which holds r
+    return r
 
 
 def _taylor_power_adjoint(x: np.ndarray, yt: np.ndarray, levels: list, generator: np.ndarray,
                           step: float, degree: int):
-    """Reverse pass of levels = _taylor_power(step * L, degree, squarings) for a batch of generators L:
-    from the cotangent of M = levels[-1] as factors, dF = Tr(X Yt dM) with X (N, D, r) and Yt (N, r, D),
-    W with dF = Tr(W dL), in a workspace its buffer.
+    """Reverse pass of levels = _squarings(R, s) for the RK4 maps R = sum_(k<=m) (step L)^k / k! of a
+    batch of generators L (m = degree): from the cotangent of M = levels[-1] as factors, dF = Tr(X Yt dM)
+    with X (N, D, r) and Yt (N, r, D), W with dF = Tr(W dL), in a workspace its buffer.
 
     W = sum_(a+b<m) c_(a+b+1) L^b Z L^a (m = degree, c_k = step^k / k!), Z the cotangent of
     R = levels[0], is B (C kron I_r) A for B = [X, LX, ..., L^(m-1) X], A = [Yt; Yt L; ...; Yt L^(m-1)]
@@ -430,13 +429,8 @@ def segment_liouvillians(system: SpinSystem, noise: NoiseModel, table: PulseTabl
     in the coordinates of ``SystemOperators.coordinates``; in a workspace, its buffer.  Only the
     dissipative gradient reads them: the maps come from the amplitudes alone."""
     ops = system_operators(system)
-    amps, gens = table.flat_amplitudes(), ops.control_generators
-    (n, k), dd = amps.shape, gens.shape[1]
-    lv = _buffer("lindblad_generator", (n, dd, dd))
-    # the product np.tensordot(amps, gens, axes=1) forms, written into lv
-    np.dot(amps, gens.reshape(k, -1), out=lv.reshape(n, -1))
-    lv += ops.drift_generator + noise.dissipator
-    return lv
+    return _affine(table.flat_amplitudes(), ops.control_generators, "lindblad_generator",
+                   ops.drift_generator + noise.dissipator)
 
 
 def segment_lindblad_maps(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int,
@@ -454,14 +448,13 @@ def segment_lindblad_maps(system: SpinSystem, noise: NoiseModel, table: PulseTab
     amps, dd = table.flat_amplitudes()[rows], system.dimension**2
     (n, k), step = amps.shape, table.dt / substeps
     blocks, coefficients = _rk4_coefficients(system, noise.dissipator.tobytes(), step)
-    m = max(n, 2)  # a one-row product would run as a GEMV, whose bits differ from the GEMM's rows
-    monomials = np.ones((len(coefficients), m))  # a row each, so the rows below are copied whole
-    np.multiply(amps.T, step, out=monomials[1 : k + 1, :n])
+    monomials = np.ones((len(coefficients), n))  # a row each, so the rows below are copied whole
+    np.multiply(amps.T, step, out=monomials[1 : k + 1])
     for lo, parents, last in blocks:  # each degree from the one below
         np.multiply(monomials[parents], monomials[last], out=monomials[lo : lo + len(parents)])
-    r = np.matmul(monomials.T, coefficients, out=_buffer("rk4_maps", (m, dd * dd))).reshape(m, dd, dd)
-    _add_identity(r, 1.0)  # after the GEMM, so that R rounds as Horner's last step does
-    return _squarings(r[:n], substeps.bit_length() - 1)
+    r = _affine(monomials.T, coefficients, "rk4_maps")
+    r[:, :: dd + 1] += 1.0  # R's diagonal, after the GEMM, so that R rounds as Horner's last step does
+    return _squarings(r.reshape(n, dd, dd), substeps.bit_length() - 1)
 
 
 def propagate_lindblad(system: SpinSystem, pulse, rho0: np.ndarray, noise: NoiseModel, *,

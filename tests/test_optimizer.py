@@ -388,6 +388,13 @@ class TestFitNetworkToTable:
         p = init_params((1, 8, 4), 100.0, 0.005, seed=0)  # bound too tight
         with pytest.raises(ValueError):
             fit_network_to_table(p, table, n_iters=1)
+        p = init_params((1, 8, 4), 2 * np.pi * 500, 0.005, seed=0)
+        for n_samples in (0, -3, 2.5, True):
+            with pytest.raises(ValueError, match="n_samples must be an integer"):
+                fit_network_to_table(p, table, n_samples=n_samples, n_iters=1)
+        for n_iters in (0, -1, 1.5):
+            with pytest.raises(ValueError, match="n_iters must be an integer"):
+                fit_network_to_table(p, table, n_iters=n_iters)
 
     def test_fits_staircase(self):
         from pinnctl.network import forward_batch, segment_times

@@ -15,6 +15,7 @@ from pinnctl.propagation import (
     _CHUNK,
     DEFAULT_SUBSTEP_TOL,
     _ordered_product,
+    _squarings,
     _sweep_segments,
     _taylor_power,
     _taylor_power_adjoint,
@@ -337,15 +338,14 @@ class TestTaylorPower:
         for k in range(degree + 1):
             ref += power / factorial(k)
             power = np.matmul(x, power)
-        got = _taylor_power(x.copy(), degree, 0)[0]
+        got = _taylor_power(x.copy(), degree)
         assert np.max(np.abs(got - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("squarings", range(1, 6))
     @pytest.mark.parametrize("degree", [1, 2, 4, 7, 13])
     def test_each_level_is_the_square_of_the_one_before(self, degree, squarings):
-        # the squarings write into the spent powers and blocks, never into the one holding r
         x = np.random.default_rng(degree + 10 * squarings).normal(0, 0.05, size=(5, 8, 8))
-        levels = _taylor_power(x, degree, squarings)
+        levels = _squarings(_taylor_power(x, degree), squarings)
         assert len(levels) == squarings + 1
         for level, square in zip(levels, levels[1:]):
             assert np.array_equal(square, np.matmul(level, level))
@@ -360,7 +360,7 @@ class TestTaylorPower:
         rng, d, step = np.random.default_rng(10 * degree + squarings), 16, 0.01
         gen = rng.normal(0, 50 / d, size=(3, d, d))
         x, yt = rng.normal(size=(3, d, rank)), rng.normal(size=(3, rank, d))
-        levels = _taylor_power(step * gen, degree, squarings)
+        levels = _squarings(_taylor_power(step * gen, degree), squarings)
         r_pow = [np.broadcast_to(np.eye(d), gen.shape)]
         for _ in range(2**squarings):
             r_pow.append(np.matmul(levels[0], r_pow[-1]))
@@ -614,6 +614,12 @@ class TestOracle:
         assert np.linalg.norm(pwc - oracle) < 1e-6
 
 
+def table_rows(table, rows):
+    """The segments in rows as a table of their own, at the table's dt up to rounding."""
+    samples = table.samples[rows]
+    return PulseTable(table.dt * len(samples), samples)
+
+
 def chunk_edge_times(n, duration):
     """t=0, t=T and the boundaries just before, at and just after every chunk edge."""
     edges = [b + k for b in range(_CHUNK, n, _CHUNK) for k in (-1, 0, 1)]
@@ -663,13 +669,17 @@ class TestChunkedWalk:
         table = PulseTable(0.05, np.random.default_rng(n).normal(0, 300, size=(n, system.n_channels, 2)))
         noise = noise_operators(system, "global", 0.05)
         full_maps = segment_lindblad_maps(system, noise, table, 8)
-        full_units = segment_unitaries(segment_hamiltonians(system, table), table.dt)
-        for lo in range(0, n, _CHUNK):
+        full_h, full_lv = segment_hamiltonians(system, table), segment_liouvillians(system, noise, table)
+        full_units = segment_unitaries(full_h, table.dt)
+        for lo in range(0, n, _CHUNK):  # n 257 ends in a one-row chunk
             rows = slice(lo, min(lo + _CHUNK, n))
+            part_table = table_rows(table, rows)
             for part, full in zip(segment_lindblad_maps(system, noise, table, 8, rows), full_maps):
                 assert np.array_equal(part, full[rows])
-            units = segment_unitaries(segment_hamiltonians(system, table, rows), table.dt)
-            for part, full in zip(units, full_units):
+            h = segment_hamiltonians(system, part_table)
+            assert np.array_equal(h, full_h[rows])
+            assert np.array_equal(segment_liouvillians(system, noise, part_table), full_lv[rows])
+            for part, full in zip(segment_unitaries(h, table.dt), full_units):
                 assert np.array_equal(part, full[rows])
 
     @pytest.mark.parametrize("n", [255, 256, 257, 4097])
@@ -771,7 +781,7 @@ class TestSegmentUnitaryMaps:
         table = sample_pulse(init_params((1, 16, 16, 4), 2 * np.pi * 1000, 0.02, seed=8), 32768)
 
         def units(rows):
-            return segment_unitaries(segment_hamiltonians(system, table, rows), table.dt)[2]
+            return segment_unitaries(segment_hamiltonians(system, table_rows(table, rows)), table.dt)[2]
 
         ref = _sweep_segments(table, units, np.eye(4, dtype=complex), None, np.copy).final
         u = propagate_unitary(system, table).final
