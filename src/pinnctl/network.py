@@ -4,6 +4,8 @@ The network takes the normalized time t/T as its single input, applies tanh
 in every hidden layer, and emits amp_scale * tanh(.) at the output so every
 amplitude stays inside [-amp_scale, +amp_scale].  ``sample_pulse`` is the one
 sampler of a network onto a segment grid, for forward analyses and training alike.
+A forward analysis samples without a tape, in row blocks, so its memory is the
+table plus one block's layers; training keeps every row's layers for backprop.
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .checks import REALS, integer, real
-from .workspace import _buffer
+from .workspace import _buffer, _workspace
+
+# Rows per block of a forward pass without a tape (256 to 4096 time alike): sampling a
+# network onto N segments then holds one block's layers besides its (N, 2M) table.
+_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -157,22 +163,36 @@ def forward_batch(params: NetworkParams, t, tape: list | None = None) -> np.ndar
     (hidden layers, then the output layer before amp_scale), which is
     sufficient for an exact reverse pass since d tanh = 1 - tanh^2.  Each layer
     is formed in place in one buffer (in a workspace, the layer's), so a tape
-    filled there lasts until the next forward pass.
+    filled there lasts until the next forward pass.  Without a tape the rows go
+    in blocks of _ROWS through one workspace of their own, so the layers take
+    O(block x width) memory; the rows are the taped pass's bits, except that past
+    a few thousand rows that pass's GEMMs can take other BLAS kernels.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     # written so that NaN, which compares false, fails the check
     if not np.all((t >= -1e-12) & (t <= params.time_scale * (1 + 1e-12))):
         raise ValueError("time outside the control window [0, T]")
-    a = (t / params.time_scale)[:, None]
     if tape is not None:
-        tape.append(a)
+        return params.amp_scale * _layers(params, t, tape)
+    out = np.empty((len(t), params.layer_sizes[-1]))
+    # a lone last row joins the block before it: a one-row product runs as a GEMV, with other bits
+    stops = [*range(_ROWS, len(t) - 1, _ROWS), len(t)]
+    with _workspace():
+        for lo, hi in zip([0, *stops], stops):
+            np.multiply(_layers(params, t[lo:hi], []), params.amp_scale, out=out[lo:hi])
+    return out
+
+
+def _layers(params: NetworkParams, t: np.ndarray, tape: list) -> np.ndarray:
+    """The output layer's tanh at times t, appending the input column and every tanh output to tape."""
+    a = (t / params.time_scale)[:, None]
+    tape.append(a)
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = _buffer(f"layer{l}", (len(t), len(b)))
         # one time input: the first layer is a broadcast product, bit-equal to a k=1 matmul
         a = np.tanh(np.add((np.multiply if l == 0 else np.matmul)(a, w, out=z), b, out=z), out=z)
-        if tape is not None:
-            tape.append(a)
-    return params.amp_scale * a
+        tape.append(a)
+    return a
 
 
 def backprop_pulse(

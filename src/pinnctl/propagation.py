@@ -2,10 +2,11 @@
 
 The forward-only propagators walk the segments in chunks of at most _CHUNK, folding each chunk's
 maps into the state by a pairwise product tree before the next chunk is built, so their memory is
-O(chunk), not O(N).  Every per-segment array (Hamiltonians, Liouvillians, unitary generators, RK4
-maps) is one GEMM of per-segment features with a per-system stack, plus an offset (``_affine``).
+O(chunk), not O(N), besides the table (a network is sampled in row blocks, ``forward_batch``).
+Every per-segment array (Hamiltonians, Liouvillians, unitary generators, RK4 maps) is one GEMM of
+per-segment features with a per-system stack, plus an offset (``_affine``).
 The unitary maps are exp(-i H dt) by Taylor polynomial (``_taylor_power``, Paterson-Stockmeyer,
-about 2 sqrt(m) matmuls at degree m) and squaring (``_squarings``, every level kept) in the real
+about 2 sqrt(m) matmuls at degree m) and squaring (``_squarings``, in two buffers) in the real
 form [[Re U, -Im U], [Im U, Re U]], acting on the state [Re U; Im U]: no eigendecomposition and no
 complex H, the generators coming from the real forms of -i H0 and -i O_c
 (``SystemOperators.unitary_generators``).  Only the unitary gradient eigendecomposes (for
@@ -18,7 +19,7 @@ equation runs in the real coordinates of an orthonormal Hermitian basis, where i
 real d^2 x d^2 matrices.  An RK4 substep map is a fixed polynomial in its amplitudes: the features
 are their monomials, the stack a matrix built once per system, noise and step
 (``_rk4_coefficients``), so the forward walk never forms the Liouvillians, which only the gradient
-reads (``segment_liouvillians``).
+reads (``segment_liouvillians``); it keeps only the last squaring level, the gradient every level.
 ``_taylor_power_adjoint``, the dissipative gradient's reverse pass of the RK4 maps and their
 squarings, takes a segment's cotangent as its factors x y^T, runs the Horner half on them first,
 which commutes with the squarings, then doubles them down the squarings while their width stays
@@ -274,7 +275,7 @@ def segment_unitary_maps(system: SpinSystem, table: PulseTable, plan: tuple[int,
     coefficients = np.full((len(amps), len(gens)), c)
     np.multiply(amps, c, out=coefficients[:, 1:])
     x = _affine(coefficients, gens, "unitary_generator")
-    return _squarings(_taylor_power(x, plan[0]), plan[1])[-1]
+    return _squarings(_taylor_power(x, plan[0]), plan[1], keep=False)[-1]
 
 
 def propagate_unitary(
@@ -328,11 +329,14 @@ def lindblad_substeps(
     return m
 
 
-def _squarings(r: np.ndarray, squarings: int) -> list[np.ndarray]:
-    """[r, r^2, ..., r^(2^squarings)], each level in a buffer of its own, kept for the adjoint."""
+def _squarings(r: np.ndarray, squarings: int, keep: bool = True) -> list[np.ndarray]:
+    """[r, r^2, ..., r^(2^squarings)], each level in a buffer of its own, kept for the adjoint; or,
+    not kept, only [r^(2^squarings)], the levels taking turns in two buffers."""
     levels = [r]
     for i in range(squarings):
-        levels.append(np.matmul(levels[-1], levels[-1], out=_buffer(f"taylor_level_{i + 1}", r.shape)))
+        square = np.matmul(levels[-1], levels[-1],
+                           out=_buffer(f"taylor_level_{i + 1 if keep else i % 2 + 1}", r.shape))
+        levels = [*levels, square] if keep else [square]
     return levels
 
 
@@ -434,10 +438,11 @@ def segment_liouvillians(system: SpinSystem, noise: NoiseModel, table: PulseTabl
 
 
 def segment_lindblad_maps(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int,
-                          rows: slice = slice(None)) -> list[np.ndarray]:
+                          rows: slice = slice(None), keep: bool = True) -> list[np.ndarray]:
     """Per-segment RK4 substep maps R, R^2, R^4, ... and segment maps M = R^substeps
     (substeps a power of two), in the coordinates of ``SystemOperators.coordinates``,
-    for the segments in rows (all by default; each row is the same bits either way).
+    for the segments in rows (all by default; each row is the same bits either way);
+    not kept (the forward walk's), only [M], squared in two buffers (``_squarings``).
 
     With a constant generator L (``segment_liouvillians``) one RK4 step is the 4th-order
     Taylor polynomial of exp(h L), a fixed polynomial in w = h u: all R are one GEMM of
@@ -454,7 +459,7 @@ def segment_lindblad_maps(system: SpinSystem, noise: NoiseModel, table: PulseTab
         np.multiply(monomials[parents], monomials[last], out=monomials[lo : lo + len(parents)])
     r = _affine(monomials.T, coefficients, "rk4_maps")
     r[:, :: dd + 1] += 1.0  # R's diagonal, after the GEMM, so that R rounds as Horner's last step does
-    return _squarings(r.reshape(n, dd, dd), substeps.bit_length() - 1)
+    return _squarings(r.reshape(n, dd, dd), substeps.bit_length() - 1, keep)
 
 
 def propagate_lindblad(system: SpinSystem, pulse, rho0: np.ndarray, noise: NoiseModel, *,
@@ -465,5 +470,5 @@ def propagate_lindblad(system: SpinSystem, pulse, rho0: np.ndarray, noise: Noise
     table = _as_pulse(system, pulse, n_fine)
     m_sub, ops = lindblad_substeps(system, table, noise, DEFAULT_SUBSTEP_TOL), system_operators(system)
     return _sweep_segments(
-        table, lambda rows: segment_lindblad_maps(system, noise, table, m_sub, rows)[-1],
+        table, lambda rows: segment_lindblad_maps(system, noise, table, m_sub, rows, keep=False)[-1],
         ops.coordinates(rho0), sample_times, ops.density)

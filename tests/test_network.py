@@ -1,5 +1,7 @@
 import json
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinnctl.network import (
+    _ROWS,
     NetworkParams,
     PulseTable,
     apply_update,
@@ -18,10 +21,12 @@ from pinnctl.network import (
     params_to_dict,
     sample_pulse,
     save_params,
+    segment_times,
 )
 from pinnctl.workspace import _WORKSPACE, _workspace
 
 U_MAX = 2 * np.pi * 1000.0
+ARTIFACTS = Path(__file__).parent / "artifacts"
 
 
 def one_node_params(amp_scale=1.0, time_scale=1.0):
@@ -135,6 +140,15 @@ class TestForward:
         for bad in ([0.5, np.nan], np.inf, -np.inf):
             with pytest.raises(ValueError, match="outside the control window"):
                 forward_batch(p, bad)
+
+    @pytest.mark.parametrize("n", [1, 2, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 1, 4096, 6000])
+    @pytest.mark.parametrize("name", ["cnot_defm", "lls_tcp"])
+    def test_rows_in_blocks_are_the_bits_of_one_taped_pass(self, name, n):
+        # without a tape the rows go in blocks of _ROWS, a lone last row joining the block before
+        # it (2 R + 1); past about 6500 rows the one taped GEMM can take another BLAS kernel
+        p = load_params(ARTIFACTS / f"{name}.json")
+        t = segment_times(p.time_scale, n)
+        assert np.array_equal(forward_batch(p, t), forward_batch(p, t, []))
 
     @pytest.mark.parametrize("sizes", [(1, 2), (1, 4, 2), (1, 40, 40, 4), (1, 60, 60, 60, 2)])
     def test_tape_equals_the_separate_taped_forward(self, sizes):
@@ -309,6 +323,18 @@ class TestNetworkWorkspace:
         # one buffer per layer (the tape) and two for the whole reverse pass
         assert len(first) == len(self.SIZES) - 1 + 2
 
+    def test_pass_without_a_tape_leaves_the_workspace_alone(self):
+        # its blocks run in a workspace of their own, so the next taped pass still
+        # allocates no buffer, though the untaped one had more rows
+        p, t, up = self.setup(256)
+        with _workspace():
+            self.passes(p, t, up)
+            first = dict(_WORKSPACE.buffers)
+            forward_batch(p, np.linspace(0.0, 0.02, 3 * _ROWS))
+            self.passes(p, t, up)
+            assert _WORKSPACE.buffers.keys() == first.keys()
+            assert all(_WORKSPACE.buffers[k] is buf for k, buf in first.items())
+
 
 def _locate(arrays, flat_idx):
     sizes = [a.size for a in arrays]
@@ -348,6 +374,18 @@ class TestSamplePulse:
             errs.append(np.max(np.abs(u_pwc - u_exact)))
         assert errs[1] < errs[0]
         assert errs[1] < 1e-3 * p.amp_scale
+
+    def test_traced_peak_is_the_table_and_grid_plus_a_block(self):
+        # the layers of one block of _ROWS rows take 1.4 MiB; all 2^16 rows at once took 60.6 MiB
+        p, n = load_params(ARTIFACTS / "lls_tcp.json"), 2**16
+        sample_pulse(p, 8)
+        tracemalloc.start()
+        try:
+            table = sample_pulse(p, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.samples.nbytes + n * 8 + 2 * 2**20
 
     @given(st.integers(min_value=1, max_value=64))
     @settings(max_examples=20, deadline=None)

@@ -2,6 +2,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.linalg import expm as scipy_expm
 
 from pinnctl import propagation, workspace
 from pinnctl.analysis import basis_trajectory
-from pinnctl.network import PulseTable, init_params, sample_pulse
+from pinnctl.network import PulseTable, init_params, load_params, sample_pulse
 from pinnctl.objectives import evaluate_fidelity, pulse_table_gradient
 from pinnctl.propagation import (
     _CHUNK,
@@ -263,9 +264,13 @@ class TestProductTree:
         pytest.param(lambda n: propagate_unitary(
             PRESETS["defm"], init_params((1, 8, 8, 4), 2 * np.pi * 500, 0.02, seed=1), n_fine=n,
         ), 32768, 4 * 4 * 16, id="unitary-32768"),
+        pytest.param(lambda n: propagate_unitary(
+            PRESETS["defm"], init_params((1, 40, 40, 4), 2 * np.pi * 500, 0.02, seed=1), n_fine=n,
+        ), 32768, 4 * 8, id="network-32768"),
     ])
     def test_traced_peak_within_six_batches(self, call, n, row_bytes):
-        # the segment-map build peaks at four (Lindblad) or fewer (N, d, d) arrays;
+        # the segment-map build peaks at four (Lindblad) or fewer (N, d, d) arrays, and a
+        # sampled network at its (N, 2M) table, its layers formed in blocks of rows;
         # a temporary kept alive there too long breaks this
         tracemalloc.start()
         try:
@@ -349,6 +354,9 @@ class TestTaylorPower:
         assert len(levels) == squarings + 1
         for level, square in zip(levels, levels[1:]):
             assert np.array_equal(square, np.matmul(level, level))
+        with _workspace():  # not kept: the levels take turns in two buffers
+            last = _squarings(_taylor_power(x, degree), squarings, keep=False)
+        assert len(last) == 1 and np.array_equal(last[0], levels[-1])
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("squarings", range(6))
@@ -676,6 +684,9 @@ class TestChunkedWalk:
             part_table = table_rows(table, rows)
             for part, full in zip(segment_lindblad_maps(system, noise, table, 8, rows), full_maps):
                 assert np.array_equal(part, full[rows])
+            with _workspace():  # as the walk builds them
+                (last,) = segment_lindblad_maps(system, noise, table, 8, rows, keep=False)
+                assert np.array_equal(last, full_maps[-1][rows])
             h = segment_hamiltonians(system, part_table)
             assert np.array_equal(h, full_h[rows])
             assert np.array_equal(segment_liouvillians(system, noise, part_table), full_lv[rows])
@@ -862,6 +873,21 @@ class TestForwardMemory:
         finally:
             tracemalloc.stop()
         assert peak <= self.BOUND
+
+    def test_chunk_squarings_take_two_buffers(self):
+        # 64 substeps square each 256-segment chunk's RK4 maps 6 times, 0.5 MiB a level;
+        # keeping every level peaked at 3.9 MiB
+        system, noise = PRESETS["tcp"], noise_operators(PRESETS["tcp"], "local", 0.02)
+        p = load_params(Path(__file__).parent / "artifacts" / "lls_tcp_local_g0.02.json")
+        assert lindblad_substeps(system, sample_pulse(p, 512), noise, DEFAULT_SUBSTEP_TOL) == 64
+        propagate_lindblad(system, p, thermal_deviation(), noise, n_fine=512)  # caches filled
+        tracemalloc.start()
+        try:
+            propagate_lindblad(system, p, thermal_deviation(), noise, n_fine=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.4 * 2**20
 
 
 def forward_results():
