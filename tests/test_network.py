@@ -376,9 +376,8 @@ class TestSamplePulse:
         assert errs[1] < 1e-3 * p.amp_scale
 
     def test_traced_peak_is_the_table_and_grid_plus_a_block(self):
-        # the layers of one block of _ROWS rows take 1.4 MiB; all 2^16 rows at once took 60.6 MiB
+        # the layers of one block of _ROWS rows take 1.4 MiB; all 2^16 rows at once would take 60.6
         p, n = load_params(ARTIFACTS / "lls_tcp.json"), 2**16
-        sample_pulse(p, 8)
         tracemalloc.start()
         try:
             table = sample_pulse(p, n)

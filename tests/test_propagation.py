@@ -876,7 +876,7 @@ class TestForwardMemory:
 
     def test_chunk_squarings_take_two_buffers(self):
         # 64 substeps square each 256-segment chunk's RK4 maps 6 times, 0.5 MiB a level;
-        # keeping every level peaked at 3.9 MiB
+        # keeping every level would peak at 3.9 MiB
         system, noise = PRESETS["tcp"], noise_operators(PRESETS["tcp"], "local", 0.02)
         p = load_params(Path(__file__).parent / "artifacts" / "lls_tcp_local_g0.02.json")
         assert lindblad_substeps(system, sample_pulse(p, 512), noise, DEFAULT_SUBSTEP_TOL) == 64
