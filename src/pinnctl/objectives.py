@@ -1,17 +1,17 @@
 """Gate/state fidelity functionals and exact gradients w.r.t. network parameters.
 
-The network-space gradient is the table gradient of the network's samples
-(``network.sample_pulse``), backpropagated through the tape of that one forward pass.  The
-gradients are reverse-mode derivatives of the discretized dynamics; both take the maps' product
-up to every segment from one blocked sqrt(N) scan.  The unitary path takes its prefix products
-(``propagation.prefix_products``, scanned in real form) and each exponential's Frechet derivative
-in its eigenbasis (Daleckii-Krein), whose batched complex products are each one real matmul
-(``propagation._complex_matmul``), chained into the network backprop.  The dissipative path takes
-its RK4 maps (one GEMM over the amplitude monomials, ``propagation.segment_lindblad_maps``), their
-states and, over the same block maps, costates (``propagation.state_costate_sweeps``), then each
-map's reverse pass in real arithmetic (``propagation._taylor_power_adjoint``) on the factors x_s, y_s
-of its rank-one cotangent x_s y_s^T, in chunks of ``_CHUNK`` segments.  Both, and the network's
-passes, write temporaries into the ascent's workspace (``workspace._buffer``); gradients are fresh.
+The network-space gradient is the table gradient of the network's samples (``network.sample_pulse``),
+backpropagated through the tape of that one forward pass.  The gradients are reverse-mode derivatives
+of the discretized dynamics; both take the maps' product up to every segment from one blocked sqrt(N)
+scan.  The unitary path takes its prefix products (``propagation.prefix_products``, scanned in real
+form) and each exponential's Frechet derivative in its eigenbasis (Daleckii-Krein), whose batched
+complex products are each one real matmul (``propagation._complex_matmul``).  The dissipative path
+takes its RK4 maps (one GEMM over the amplitude monomials, ``propagation.segment_lindblad_maps``),
+their states and, over the same block maps, costates (``propagation.state_costate_sweeps``), then
+each map's reverse pass in real arithmetic (``propagation._taylor_power_adjoint``) on the factors
+x_s, y_s of its rank-one cotangent x_s y_s^T, in chunks of ``_CHUNK`` segments, each building its
+Liouvillians, which then take its W.  Both, and the network's passes, write temporaries into the
+ascent's workspace (``workspace._buffer``); gradients are fresh.
 """
 
 from __future__ import annotations
@@ -244,18 +244,18 @@ def _lindblad_pulse_gradient(
 ) -> tuple[float, np.ndarray]:
     """Unnormalized overlap and amplitude-table gradient for the dissipative path."""
     ops = system_operators(system)
-    lv = segment_liouvillians(system, objective.noise, table)
     levels = segment_lindblad_maps(system, objective.noise, table, substeps)
 
     # states x_s entering segment s and costates y_s leaving it
     xs, ys, overlap = state_costate_sweeps(
         levels[-1], ops.coordinates(objective.initial), ops.coordinates(objective.target))
-    du = np.empty((len(lv), len(ops.control_generators)))
-    for i in range(0, len(lv), _CHUNK):  # the reverse pass by chunks: its temporaries are O(chunk)
+    du = np.empty((len(xs), len(ops.control_generators)))
+    for i in range(0, len(xs), _CHUNK):  # the reverse pass by chunks: its temporaries are O(chunk)
         rows = slice(i, i + _CHUNK)
         # dF = Tr(Z_s dM_s) with Z_s = x_s y_s^T, passed as its factors, back through the squarings
         w_mat = _taylor_power_adjoint(xs[rows, :, None], ys[rows, None, :], [m[rows] for m in levels],
-                                      lv[rows], table.dt / substeps, 4)
+                                      segment_liouvillians(system, objective.noise, table, rows),
+                                      table.dt / substeps, 4)
         # dF/du_c = Tr(G_c W)
         du[rows] = np.tensordot(w_mat, ops.control_generators, axes=([1, 2], [2, 1]))
     return overlap, du

@@ -4,11 +4,11 @@ The forward-only propagators walk the segments in chunks of at most _CHUNK, fold
 maps into the state by a pairwise product tree before the next chunk is built, so their memory is
 O(chunk), not O(N), besides the table (a network is sampled in row blocks, ``forward_batch``).
 Every per-segment array (Hamiltonians, Liouvillians, unitary generators, RK4 maps) is one GEMM of
-per-segment features with a per-system stack, plus an offset (``_affine``).
-The unitary maps are exp(-i H dt) by Taylor polynomial (``_taylor_power``, Paterson-Stockmeyer,
-about 2 sqrt(m) matmuls at degree m) and squaring (``_squarings``, in two buffers) in the real
-form [[Re U, -Im U], [Im U, Re U]], acting on the state [Re U; Im U]: no eigendecomposition and no
-complex H, the generators coming from the real forms of -i H0 and -i O_c
+per-segment features with a per-system stack, plus an offset (``_affine``).  The unitary maps are
+exp(-i H dt) by Taylor polynomial (``_taylor_power``, Paterson-Stockmeyer, about 2 sqrt(m) matmuls
+at degree m, the generator GEMM writing into its powers) and squaring (``_squarings``, in two
+buffers) in the real form [[Re U, -Im U], [Im U, Re U]], acting on the state [Re U; Im U]: no
+eigendecomposition and no complex H, the generators coming from the real forms of -i H0 and -i O_c
 (``SystemOperators.unitary_generators``).  Only the unitary gradient eigendecomposes (for
 Daleckii-Krein, ``segment_unitaries``); its batched complex products are each one real matmul
 (``_complex_matmul``).  One blocked sqrt(N) scan (``_blocked_states``) gives both gradients the
@@ -18,12 +18,12 @@ states, whose costates run back over its block maps (``state_costate_sweeps``). 
 equation runs in the real coordinates of an orthonormal Hermitian basis, where its generators are
 real d^2 x d^2 matrices.  An RK4 substep map is a fixed polynomial in its amplitudes: the features
 are their monomials, the stack a matrix built once per system, noise and step
-(``_rk4_coefficients``), so the forward walk never forms the Liouvillians, which only the gradient
-reads (``segment_liouvillians``); it keeps only the last squaring level, the gradient every level.
-``_taylor_power_adjoint``, the dissipative gradient's reverse pass of the RK4 maps and their
-squarings, takes a segment's cotangent as its factors x y^T, runs the Horner half on them first,
-which commutes with the squarings, then doubles them down the squarings while their width stays
-within d^2, and only then steps densely.
+(``_rk4_coefficients``): the forward walk never forms the Liouvillians, which the gradient builds
+one reverse-pass chunk at a time (``segment_liouvillians``); the walk keeps the last squaring
+level, the gradient every level.  ``_taylor_power_adjoint``, the reverse pass of the RK4 maps and
+their squarings, takes a segment's cotangent as its factors x y^T, runs the Horner half on them
+first, which commutes with the squarings, then doubles them down the squarings while their width
+stays within d^2, forms W in the chunk's spent Liouvillians, and only then steps densely.
 Inside an ascent the segment arrays are buffers of its workspace (``workspace._buffer``), valid
 until the next call; outside one they are fresh.  The forward walk (``_sweep_segments``) opens a
 workspace of its own, whose buffers each chunk reuses.  numpy only; Dormand-Prince is a test oracle.
@@ -92,14 +92,14 @@ def _as_pulse(system: SpinSystem, pulse, n_fine: int | None) -> PulseTable:
     return table
 
 
-def _affine(features: np.ndarray, stack: np.ndarray, key: str, offset=None) -> np.ndarray:
-    """features @ stack + offset, (N, *stack.shape[1:]), for features (N, K) and a stack (K, ...):
-    one GEMM into the buffer for key, then the offset, if given, added in place.  A single row is
-    computed as two, since a one-row product runs as a GEMV, whose bits differ from a GEMM row's."""
+def _affine(features: np.ndarray, stack: np.ndarray, key: str | np.ndarray, offset=None) -> np.ndarray:
+    """features @ stack + offset, (N, *stack.shape[1:]), for features (N, K) and a stack (K, ...): one
+    GEMM into the buffer for key (or into key, an array of max(N, 2) rows), then the offset, if given,
+    in place.  A single row is computed as two: a one-row product runs as a GEMV, with other bits."""
     n, k = features.shape
     if n == 1:
         features = np.repeat(features, 2, axis=0)
-    out = _buffer(key, (len(features), *stack.shape[1:]), stack.dtype)
+    out = _buffer(key, (len(features), *stack.shape[1:]), stack.dtype) if isinstance(key, str) else key
     np.matmul(features, stack.reshape(k, -1), out=out.reshape(len(features), -1))
     return out[:n] if offset is None else np.add(out[:n], offset, out=out[:n])
 
@@ -267,15 +267,14 @@ def taylor_plan(system: SpinSystem, table: PulseTable) -> tuple[int, int]:
 
 def segment_unitary_maps(system: SpinSystem, table: PulseTable, plan: tuple[int, int],
                          rows: slice = slice(None)) -> np.ndarray:
-    """Real forms of U_s = exp(-i H_s dt), (N, 2d, 2d), for the segments in rows, by the
-    plan of ``taylor_plan``; in a workspace, its buffer.  The generators c realform(-i H_s),
-    c = dt / 2^squarings, are one GEMM of [c, c u_s] with ``SystemOperators.unitary_generators``."""
+    """Real forms of U_s = exp(-i H_s dt), (N, 2d, 2d), for the segments in rows, by the plan of
+    ``taylor_plan``; in a workspace, its buffer.  The generators c realform(-i H_s), c = dt / 2^s,
+    are one GEMM of [c, c u_s] with ``SystemOperators.unitary_generators``, in ``_taylor_power``."""
     gens = system_operators(system).unitary_generators
     amps, c = table.flat_amplitudes()[rows], table.dt / 2 ** plan[1]
     coefficients = np.full((len(amps), len(gens)), c)
     np.multiply(amps, c, out=coefficients[:, 1:])
-    x = _affine(coefficients, gens, "unitary_generator")
-    return _squarings(_taylor_power(x, plan[0]), plan[1], keep=False)[-1]
+    return _squarings(_taylor_power(coefficients, gens, plan[0]), plan[1], keep=False)[-1]
 
 
 def propagate_unitary(
@@ -340,35 +339,41 @@ def _squarings(r: np.ndarray, squarings: int, keep: bool = True) -> list[np.ndar
     return levels
 
 
-def _taylor_power(x: np.ndarray, degree: int) -> np.ndarray:
-    """r = sum_(k<=m) x^k / k! (m = degree), exp(x)'s Taylor polynomial, for a batch of real x, by
-    Paterson-Stockmeyer, in a workspace its buffer.  With the powers P = [eye, x, ..., x^b],
-    b = ceil(sqrt(m)), one GEMM of the coefficients 1/k! with P gives the blocks
-    B_j = sum_(i<b) x^i / (jb+i)! (the last up to x^b), and Horner runs over them in x^b:
-    r <- x^b r + B_j.  b - 1 + ceil(m/b) - 1 matmuls instead of m - 1, and no identity pass."""
+@functools.lru_cache(maxsize=None)
+def _paterson_stockmeyer(degree: int) -> tuple[int, int, np.ndarray]:
+    """(b, q, C) of ``_taylor_power`` at degree m: b = ceil(sqrt(m)), q Horner steps, C[j, k - jb] = 1/k!."""
     b = math.isqrt(degree - 1) + 1
-    q = -(-degree // b) - 1  # Horner steps; the last block has degree m - qb in [1, b]
-    coefficients = np.zeros((q + 1, b + 1))
-    for k in range(degree + 1):
-        j = min(k // b, q)
-        coefficients[j, k - j * b] = 1.0 / math.factorial(k)
-    powers = _buffer("taylor_powers", (b + 1, *x.shape))
-    powers[0], powers[1] = np.eye(x.shape[-1]), x
+    q = -(-degree // b) - 1  # the last block, j = q, has degree m - qb in [1, b]
+    table = [[1.0 / math.factorial(k) if k <= degree and (k < j * b + b or j == q) else 0.0
+              for k in range(j * b, j * b + b + 1)] for j in range(q + 1)]
+    return b, q, _read_only(np.array(table))
+
+
+def _taylor_power(features: np.ndarray, stack: np.ndarray, degree: int) -> np.ndarray:
+    """r = sum_(k<=m) x^k / k! (m = degree), exp(x)'s Taylor polynomial, for the real batch
+    x = features @ stack, by Paterson-Stockmeyer, in a workspace its buffer.  x's GEMM (``_affine``)
+    fills slot 1 of the powers P = [eye, x, ..., x^b], b = ceil(sqrt(m)); one GEMM of the coefficients
+    1/k! (``_paterson_stockmeyer``) with P gives the blocks B_j = sum_(i<b) x^i / (jb+i)! (the last up
+    to x^b), and Horner runs over them in x^b: r <- x^b r + B_j.  b - 1 + ceil(m/b) - 1 matmuls."""
+    (b, q, coefficients), n, shape = _paterson_stockmeyer(degree), len(features), stack.shape[1:]
+    powers = _buffer("taylor_powers", (b + 1, max(n, 2), *shape))  # _affine computes one row as two
+    powers[0] = np.eye(shape[-1])
+    _affine(features, stack, powers[1])
     for i in range(2, b + 1):
         np.matmul(powers[1], powers[i - 1], out=powers[i])
-    blocks = _buffer("taylor_blocks", (q + 1, *x.shape))
+    blocks = _buffer("taylor_blocks", (q + 1, *powers.shape[1:]))
     np.matmul(coefficients, powers.reshape(b + 1, -1), out=blocks.reshape(q + 1, -1))
     r = blocks[q]
     for j in range(q - 1, -1, -1):  # into B_j, the product through the spent identity
         r = np.add(blocks[j], np.matmul(powers[b], r, out=powers[0]), out=blocks[j])
-    return r
+    return r[:n]
 
 
 def _taylor_power_adjoint(x: np.ndarray, yt: np.ndarray, levels: list, generator: np.ndarray,
                           step: float, degree: int):
     """Reverse pass of levels = _squarings(R, s) for the RK4 maps R = sum_(k<=m) (step L)^k / k! of a
     batch of generators L (m = degree): from the cotangent of M = levels[-1] as factors, dF = Tr(X Yt dM)
-    with X (N, D, r) and Yt (N, r, D), W with dF = Tr(W dL), in a workspace its buffer.
+    with X (N, D, r) and Yt (N, r, D), W with dF = Tr(W dL), formed in the generators: it consumes them.
 
     W = sum_(a+b<m) c_(a+b+1) L^b Z L^a (m = degree, c_k = step^k / k!), Z the cotangent of
     R = levels[0], is B (C kron I_r) A for B = [X, LX, ..., L^(m-1) X], A = [Yt; Yt L; ...; Yt L^(m-1)]
@@ -396,7 +401,7 @@ def _taylor_power_adjoint(x: np.ndarray, yt: np.ndarray, levels: list, generator
         np.matmul(s, b[..., :width], out=b[..., width : 2 * width])
         np.matmul(a[:, full - width :], s, out=a[:, full - 2 * width : full - width])
         width *= 2
-    w_mat, rest = np.matmul(b, a, out=_buffer("adjoint_w", (n, dd, dd))), levels[: squarings - factored]
+    w_mat, rest = np.matmul(b, a, out=generator), levels[: squarings - factored]
     if rest:  # the factors are spent: their buffers take the dense steps
         other, spare = _buffer("adjoint_b", (n, dd, dd)), _buffer("adjoint_a", (n, dd, dd))
         for s in reversed(rest):
@@ -428,12 +433,13 @@ def _rk4_coefficients(system: SpinSystem, dissipator: bytes, step: float):
     return blocks, _read_only(r.reshape(len(terms), -1))
 
 
-def segment_liouvillians(system: SpinSystem, noise: NoiseModel, table: PulseTable) -> np.ndarray:
+def segment_liouvillians(system: SpinSystem, noise: NoiseModel, table: PulseTable,
+                         rows: slice = slice(None)) -> np.ndarray:
     """Per-segment real Liouvillians L = A + sum_c u_c G_c (A: drift plus dissipator), (N, d^2, d^2)
-    in the coordinates of ``SystemOperators.coordinates``; in a workspace, its buffer.  Only the
-    dissipative gradient reads them: the maps come from the amplitudes alone."""
+    in the coordinates of ``SystemOperators.coordinates``, for the segments in rows; in a workspace,
+    its buffer.  Only the dissipative gradient reads them, one reverse-pass chunk at a time."""
     ops = system_operators(system)
-    return _affine(table.flat_amplitudes(), ops.control_generators, "lindblad_generator",
+    return _affine(table.flat_amplitudes()[rows], ops.control_generators, "lindblad_generator",
                    ops.drift_generator + noise.dissipator)
 
 

@@ -653,8 +653,10 @@ class TestLindbladWorkspace:
     """Inside an ascent the dissipative gradient writes its temporaries into
     buffers kept between calls; the arithmetic must not notice."""
 
-    # n_fine and substep count change from call to call: 8, 1, 64, 2, 128, 8 substeps
-    GRIDS = [(512, 0.05), (4096, 0.05), (64, 0.05), (2048, 0.05), (512, 0.005), (512, 0.05)]
+    # n_fine and substep count change from call to call: 8, 1, 64, 2, 128, 16, 8 substeps; n_fine
+    # 257 ends in a one-row chunk, whose Liouvillian is computed as two rows and then takes W
+    GRIDS = [(512, 0.05), (4096, 0.05), (64, 0.05), (2048, 0.05), (512, 0.005), (257, 0.05),
+             (512, 0.05)]
 
     @staticmethod
     def noisy(kind, gamma):
@@ -696,7 +698,7 @@ class TestLindbladWorkspace:
     @pytest.mark.parametrize("tol", [0.05, 0.005], ids=["8-substeps", "128-substeps"])
     def test_second_call_in_workspace_allocates_few_new_maps(self, tol):
         # the lindblad_retrain network; a step without the workspace traces
-        # 9.0 (8 substeps) and 13.0 (128 substeps) arrays of N (d^2 x d^2) floats
+        # 8.0 (8 substeps) and 12.0 (128 substeps) arrays of N (d^2 x d^2) floats
         n = 512
         p = init_params((1, 60, 60, 60, 2), 2 * np.pi * 60, 0.15, seed=3)
         obj = self.noisy("local", 0.05)
@@ -712,7 +714,7 @@ class TestLindbladWorkspace:
 
     def test_fresh_gradient_memory_does_not_grow_with_substeps(self):
         # one level per squaring and nothing per substep: 8 and 1024 substeps
-        # trace 8.3 and 15.3 arrays of N (d^2 x d^2) floats
+        # trace 7.3 and 14.3 arrays of N (d^2 x d^2) floats (ratio 1.97)
         system, obj = PRESETS["tcp"], self.noisy("local", 0.05)
         table = PulseTable(0.15, np.random.default_rng(7).normal(0, 300, size=(512, 1, 2)))
         peaks = []
@@ -725,10 +727,23 @@ class TestLindbladWorkspace:
                 tracemalloc.stop()
         assert peaks[1] <= 2 * peaks[0]
 
+    def test_fresh_gradient_at_one_substep_keeps_one_full_length_array(self):
+        # R is the one full-length array: the Liouvillians are built per chunk of the reverse
+        # pass and take its W, so 4096 rows trace 1.31 arrays of N (d^2 x d^2) floats
+        system, obj, n = PRESETS["tcp"], self.noisy("local", 0.05), 4096
+        table = PulseTable(0.15 * n / 512, np.random.default_rng(7).normal(0, 300, size=(n, 1, 2)))
+        tracemalloc.start()
+        try:
+            _lindblad_pulse_gradient(system, table, obj, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * 16**2 * 8
+
     @pytest.mark.parametrize("substeps", [8, 128])
     def test_fresh_gradient_memory_grows_by_the_maps_alone(self, substeps):
-        # only the generator, its step, the Horner pair and the squaring levels are full length;
-        # the reverse pass runs in chunks of rows, so doubling N adds squarings + 2 arrays
+        # only the squaring levels are full length; the Liouvillians and the reverse pass are
+        # built in chunks of rows, so doubling N adds squarings + 1 arrays (and 0.13 of small ones)
         system, obj = PRESETS["tcp"], self.noisy("local", 0.05)
         peaks = []
         for n in (512, 1024):

@@ -343,19 +343,19 @@ class TestTaylorPower:
         for k in range(degree + 1):
             ref += power / factorial(k)
             power = np.matmul(x, power)
-        got = _taylor_power(x.copy(), degree)
+        got = _taylor_power(np.eye(len(x)), x, degree)  # x = I x, exactly
         assert np.max(np.abs(got - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("squarings", range(1, 6))
     @pytest.mark.parametrize("degree", [1, 2, 4, 7, 13])
     def test_each_level_is_the_square_of_the_one_before(self, degree, squarings):
         x = np.random.default_rng(degree + 10 * squarings).normal(0, 0.05, size=(5, 8, 8))
-        levels = _squarings(_taylor_power(x, degree), squarings)
+        levels = _squarings(_taylor_power(np.eye(len(x)), x, degree), squarings)
         assert len(levels) == squarings + 1
         for level, square in zip(levels, levels[1:]):
             assert np.array_equal(square, np.matmul(level, level))
         with _workspace():  # not kept: the levels take turns in two buffers
-            last = _squarings(_taylor_power(x, degree), squarings, keep=False)
+            last = _squarings(_taylor_power(np.eye(len(x)), x, degree), squarings, keep=False)
         assert len(last) == 1 and np.array_equal(last[0], levels[-1])
 
     @pytest.mark.parametrize("rank", [1, 2])
@@ -368,7 +368,7 @@ class TestTaylorPower:
         rng, d, step = np.random.default_rng(10 * degree + squarings), 16, 0.01
         gen = rng.normal(0, 50 / d, size=(3, d, d))
         x, yt = rng.normal(size=(3, d, rank)), rng.normal(size=(3, rank, d))
-        levels = _squarings(_taylor_power(step * gen, degree), squarings)
+        levels = _squarings(_taylor_power(np.eye(len(gen)), step * gen, degree), squarings)
         r_pow = [np.broadcast_to(np.eye(d), gen.shape)]
         for _ in range(2**squarings):
             r_pow.append(np.matmul(levels[0], r_pow[-1]))
