@@ -1,10 +1,12 @@
 """One rule per property of an input from outside: a bool is not a number, an
-integer field holds an integer, no range admits NaN or infinity, and a state or
-an observable is Hermitian to round-off.  Each error names the input.
+integer field holds an integer, no range admits NaN or infinity, a state or an
+observable is Hermitian to round-off, and a JSON input file is UTF-8 JSON.  Each
+error names the input.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -46,3 +48,13 @@ def hermitian(name: str, m: np.ndarray) -> None:
     """ValueError unless m is Hermitian to round-off: ||m - m^dag|| <= 1e-10 max(1, ||m||)."""
     if np.linalg.norm(m - m.conj().T) > 1e-10 * max(1.0, np.linalg.norm(m)):
         raise ValueError(f"{name} must be Hermitian")
+
+
+def read_json(path, kind: str):
+    """The document in the JSON file at path, read as UTF-8; a ValueError "cannot parse <kind>
+    file <path>: ..." if the file is not UTF-8 or not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # a UnicodeDecodeError or a json.JSONDecodeError
+        raise ValueError(f"cannot parse {kind} file {path}: {exc}") from exc

@@ -7,6 +7,7 @@ reaching the fidelity threshold.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields, replace as dc_replace
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, fileio
-from .checks import integer
+from .checks import integer, read_json
 from .grape import GrapeConfig, grape_train
 from .network import PulseTable, init_params, load_params, sample_pulse, save_params
 from .objectives import _shape_window_checkpoints
@@ -116,8 +117,7 @@ def _load_run_config(args) -> dict:
     if args.preset:
         cfg = json.loads(json.dumps(RUN_PRESETS[args.preset]))
     elif args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        cfg = read_json(args.config, "run configuration")
     else:
         raise ConfigError("either --config or --preset is required")
     if not isinstance(cfg, dict) or not isinstance(cfg.get("optimizer", {}), dict):
@@ -155,17 +155,16 @@ def _build_run(cfg: dict):
             params0 = load_params(cfg["network"], expected_channels=system.n_channels)
         else:
             net = {"amp_scale_rad_s": DEFAULT_AMP_SCALE, "input_gain": 1.0, **cfg["network"]}
-            input_gain = net["input_gain"]
-            # checks the network settings, so no run fails on them after --out exists
-            params0 = init_params(net["layer_sizes"], net["amp_scale_rad_s"],
-                                  net["duration_s"], opt.seed, input_gain=input_gain)
+            init = functools.partial(init_params, net["layer_sizes"], net["amp_scale_rad_s"],
+                                     net["duration_s"], input_gain=net["input_gain"])
+            params0 = init(opt.seed)  # checks the network settings before --out exists
             params0.check_channels(system.n_channels)
     except (KeyError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid run configuration: {exc}") from exc
     except MemoryError as exc:  # numpy's message names the size asked for
         raise ConfigError(
             f"invalid run configuration: network too large to allocate: {exc}") from exc
-    sizes, amp_scale, duration = params0.layer_sizes, params0.amp_scale, params0.time_scale
+    amp_scale, duration = params0.amp_scale, params0.time_scale
     noise_cfg = cfg.get("noise")
     if noise_cfg:
         try:
@@ -199,7 +198,7 @@ def _build_run(cfg: dict):
         if grape_cfg.amp_limit >= amp_scale:
             raise ConfigError(f"warm_start.amp_limit_rad_s {grape_cfg.amp_limit:g} must be below "
                               f"network.amp_scale_rad_s {amp_scale:g}")
-        if input_gain != 1.0:
+        if net["input_gain"] != 1.0:
             raise ConfigError("a warm_start run does not apply network.input_gain; leave it at 1")
     try:  # the grids training runs on: each shaped stage's window, the noisy gradient's substeps
         if objective.shape_weight:
@@ -224,8 +223,7 @@ def _build_run(cfg: dict):
         if start is not None:
             record = train(start, system, objective, opt)
         else:
-            record = multi_start(system, objective, sizes, amp_scale, duration, opt, n_starts,
-                                 input_gain=input_gain)
+            record = multi_start(init, system, objective, opt, n_starts)
         record.context["config"] = cfg
         return record, grape_record
 
@@ -238,10 +236,10 @@ def synthesize(cfg: dict) -> tuple[RunRecord, RunRecord | None]:
     The whole configuration is validated first (ConfigError).  A `network`
     that names a parameter file is trained from where it is.  A warm_start
     block solves the objective segment-wise, fits the network to that pulse
-    and fine-tunes it; otherwise multi_start trains seeds seed..seed+n_starts-1
-    (n_starts defaults to 1), stops at the first that converges and names the
-    winning seed in the record's context.  A warm start that misses its
-    threshold is reported on stderr before the fine-tune starts.  Returns the
+    and fine-tunes it; otherwise multi_start trains the network block's initialiser
+    at seeds seed..seed+n_starts-1 (n_starts defaults to 1), stops at the first that
+    converges and names the winning seed in the record's context.  A warm start that
+    misses its threshold is reported on stderr before the fine-tune starts.  Returns the
     run record, its context holding `cfg`, and the warm start's GRAPE record or None.
     """
     return _build_run(cfg)()

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import SpectrumResult, SweepResult
-from .network import PulseTable
+from .network import PulseTable, segment_times
 
 
 def _fmt(x: float) -> str:
@@ -38,44 +38,46 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def write_pulse_csv(table: PulseTable, path) -> None:
-    """One row per segment midpoint: t_s, then x/y amplitude per channel."""
-    dt = table.dt
+    """One row per segment midpoint (``segment_times``): t_s, then x/y amplitude per channel."""
+    times = segment_times(table.duration, table.n_segments)
     _write_csv(path, pulse_csv_header(table.n_channels), (
-        [_fmt((s + 0.5) * dt)] + [_fmt(a) for a in amps]
-        for s, amps in enumerate(table.flat_amplitudes())
+        [_fmt(t)] + [_fmt(a) for a in amps] for t, amps in zip(times, table.flat_amplitudes())
     ))
 
 
 def read_pulse_csv(path) -> PulseTable:
     """Read a pulse CSV.  Row k's t_s must be the midpoint (k + 0.5) dt, with
     dt = 2 t_0 > 0, to a relative 1e-6 (room for rounded decimals), and every
-    amplitude must be finite."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])  # an empty file, or t_s alone, fails the header check
-        if len(header) < 3 or header[0] != "t_s" or (len(header) - 1) % 2 != 0:
-            raise ValueError(f"not a pulse CSV: unexpected header {header!r}")
-        n_channels = (len(header) - 1) // 2
-        rows = []
-        for row in reader:
-            where = f"pulse CSV line {reader.line_num}"
-            if len(row) != len(header):  # a blank line reads as no fields
-                raise ValueError(f"{where} has {len(row)} fields, expected {len(header)}")
-            try:
-                t, *amps = (float(x) for x in row)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            if not all(math.isfinite(a) for a in amps):
-                raise ValueError(f"{where}: non-finite amplitude in {row!r}")
-            if not rows:
-                dt = 2.0 * t  # the first midpoint is dt/2
-                if not dt > 0:
-                    raise ValueError(f"{where}: the first t_s must be positive, got {row[0]}")
-            mid = (len(rows) + 0.5) * dt
-            if not abs(t - mid) <= 1e-6 * mid:
-                raise ValueError(f"{where}: t_s {row[0]} is not the segment midpoint "
-                                 f"{mid!r} (dt = 2 x first t_s = {dt!r})")
-            rows.append(amps)
+    amplitude must be finite; a file that is not UTF-8 is an error naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh.readlines())  # decoded here, so a decode error is caught here
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot parse pulse CSV file {path}: {exc}") from exc
+    header = next(reader, [])  # an empty file, or t_s alone, fails the header check
+    if len(header) < 3 or header[0] != "t_s" or (len(header) - 1) % 2 != 0:
+        raise ValueError(f"not a pulse CSV: unexpected header {header!r}")
+    n_channels = (len(header) - 1) // 2
+    rows = []
+    for row in reader:
+        where = f"pulse CSV line {reader.line_num}"
+        if len(row) != len(header):  # a blank line reads as no fields
+            raise ValueError(f"{where} has {len(row)} fields, expected {len(header)}")
+        try:
+            t, *amps = (float(x) for x in row)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if not all(math.isfinite(a) for a in amps):
+            raise ValueError(f"{where}: non-finite amplitude in {row!r}")
+        if not rows:
+            dt = 2.0 * t  # the first midpoint is dt/2
+            if not dt > 0:
+                raise ValueError(f"{where}: the first t_s must be positive, got {row[0]}")
+        mid = (len(rows) + 0.5) * dt
+        if not abs(t - mid) <= 1e-6 * mid:
+            raise ValueError(f"{where}: t_s {row[0]} is not the segment midpoint "
+                             f"{mid!r} (dt = 2 x first t_s = {dt!r})")
+        rows.append(amps)
     if len(rows) < 1:
         raise ValueError("pulse CSV has no data rows")
     n = len(rows)

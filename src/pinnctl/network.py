@@ -3,9 +3,10 @@
 The network takes the normalized time t/T as its single input, applies tanh
 in every hidden layer, and emits amp_scale * tanh(.) at the output so every
 amplitude stays inside [-amp_scale, +amp_scale].  ``sample_pulse`` is the one
-sampler of a network onto a segment grid, for forward analyses and training alike.
-A forward analysis samples without a tape, in row blocks, so its memory is the
-table plus one block's layers; training keeps every row's layers for backprop.
+sampler of a network onto a segment grid, for forward analyses and training; the
+table fit evaluates its own dense grid through ``forward_batch``.  A forward
+analysis samples without a tape, in row blocks, so its memory is the table plus
+one block's layers; training keeps every row's layers for backprop.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checks import REALS, integer, real
+from .checks import REALS, integer, read_json, real
 from .workspace import _buffer, _workspace
 
 # Rows per block of a forward pass without a tape (256 to 4096 time alike): sampling a
@@ -299,12 +300,7 @@ def save_params(params: NetworkParams, path) -> None:
 
 
 def load_params(path, expected_channels: int | None = None) -> NetworkParams:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"cannot parse parameter file {path}: {exc}") from exc
-    params = params_from_dict(doc)
+    params = params_from_dict(read_json(path, "parameter"))
     if expected_channels is not None:
         params.check_channels(expected_channels)
     return params

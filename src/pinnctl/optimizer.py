@@ -21,7 +21,6 @@ from .network import (
     PulseTable,
     backprop_pulse,
     forward_batch,
-    init_params,
     params_to_dict,
     segment_times,
 )
@@ -231,27 +230,16 @@ def fit_network_to_table(
     return params0.with_vector(ascend(score, params0.vector(), config)[0])
 
 
-def multi_start(
-    system: SpinSystem,
-    objective: ObjectiveSpec,
-    layer_sizes,
-    amp_scale: float,
-    time_scale: float,
-    config: OptimizerConfig,
-    n_starts: int = 1,
-    *,
-    input_gain: float = 1.0,
-) -> RunRecord:
-    """Train from seeds seed..seed+n-1, stopping at the first run that reaches
-    the fidelity threshold; otherwise the best final fidelity wins, ties by
-    lower seed.
+def multi_start(init, system: SpinSystem, objective: ObjectiveSpec, config: OptimizerConfig,
+                n_starts: int = 1) -> RunRecord:
+    """Train the network init(seed) from seeds seed..seed+n-1, stopping at the
+    first run that reaches the fidelity threshold; otherwise the best final
+    fidelity wins, ties by lower seed.
     """
     integer("n_starts", n_starts, 1)
     best: RunRecord | None = None
-    for k in range(n_starts):
-        seed = config.seed + k
-        params0 = init_params(layer_sizes, amp_scale, time_scale, seed, input_gain=input_gain)
-        record = train(params0, system, objective, replace(config, seed=seed))
+    for seed in range(config.seed, config.seed + n_starts):
+        record = train(init(seed), system, objective, replace(config, seed=seed))
         record.context["seed"] = seed
         if best is None or record.final_fidelity > best.final_fidelity:
             best = record

@@ -277,27 +277,27 @@ def segment_unitary_maps(system: SpinSystem, table: PulseTable, plan: tuple[int,
     return _squarings(_taylor_power(coefficients, gens, plan[0]), plan[1], keep=False)[-1]
 
 
+def _unitary_walk(system: SpinSystem, pulse, n_fine: int | None, sample_times, read) -> EvolutionResult:
+    """The walk of the unitary maps from [Re U; Im U] = [I; 0]: read(U) at the end and each sample."""
+    table = _as_pulse(system, pulse, n_fine)
+    plan, d = taylor_plan(system, table), system.dimension
+    return _sweep_segments(table, lambda rows: segment_unitary_maps(system, table, plan, rows),
+                           np.eye(2 * d, d), sample_times, lambda x: read(x[:d] + 1j * x[d:]))
+
+
 def propagate_unitary(
     system: SpinSystem, pulse, *, n_fine: int | None = None, sample_times=None
 ) -> EvolutionResult:
     """U(T) as the ordered product of segment exponentials over the pulse."""
-    table = _as_pulse(system, pulse, n_fine)
-    plan, d = taylor_plan(system, table), system.dimension
-    return _sweep_segments(table, lambda rows: segment_unitary_maps(system, table, plan, rows),
-                           np.eye(2 * d, d), sample_times, lambda x: x[:d] + 1j * x[d:])  # [Re U; Im U]
+    return _unitary_walk(system, pulse, n_fine, sample_times, lambda u: u)
 
 
 def propagate_density(
     system: SpinSystem, pulse, rho0: np.ndarray, *, n_fine: int | None = None, sample_times=None
 ) -> EvolutionResult:
-    """rho(T) = U rho0 U^dagger on the same piecewise-constant grid."""
+    """rho(T) = U rho0 U^dagger on the same piecewise-constant grid: the unitary walk, each U read so."""
     _check_state(system, rho0)
-    res = propagate_unitary(system, pulse, n_fine=n_fine, sample_times=sample_times)
-    final = res.final @ rho0 @ res.final.conj().T
-    traj = None
-    if res.trajectory is not None:
-        traj = [(t, u @ rho0 @ u.conj().T) for t, u in res.trajectory]
-    return EvolutionResult(final=final, trajectory=traj)
+    return _unitary_walk(system, pulse, n_fine, sample_times, lambda u: u @ rho0 @ u.conj().T)
 
 
 def _check_substep_tol(tol) -> None:

@@ -10,12 +10,11 @@ form of -i times each, on first use.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import integer, real
+from .checks import integer, read_json, real
 
 MAX_SPINS = 4
 
@@ -332,5 +331,4 @@ def load_system(spec: str) -> SpinSystem:
         raise TypeError(f"a system is a preset name or a file path, got {spec!r}")
     if spec in PRESETS:
         return PRESETS[spec]
-    with open(spec) as fh:
-        return system_from_dict(json.load(fh))
+    return system_from_dict(read_json(spec, "system"))

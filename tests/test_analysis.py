@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pinnctl import analysis
 from pinnctl.analysis import (
     SweepResult,
     amplitude_error_sweep,
@@ -14,7 +15,9 @@ from pinnctl.analysis import (
 )
 from pinnctl.network import PulseTable, init_params, sample_pulse
 from pinnctl.objectives import ObjectiveSpec, evaluate_fidelity
-from pinnctl.propagation import DEFAULT_N_FINE, propagate_density, propagate_lindblad
+from pinnctl.propagation import (
+    DEFAULT_N_FINE, EvolutionResult, propagate_density, propagate_lindblad,
+)
 from pinnctl.spins import PRESETS, noise_operators
 from pinnctl.targets import cnot_objective, lls_objective, singlet_triplet_basis
 
@@ -137,6 +140,16 @@ class TestBasisTrajectory:
             res = propagate_lindblad(sys_, table, rho0, noise, sample_times=times)
         ref = [[np.vdot(psi, rho @ psi).real for psi in basis] for _, rho in res.trajectory]
         assert np.max(np.abs(values - np.array(ref))) <= 1e-15
+
+    def test_non_real_expectation_is_an_error(self, monkeypatch):
+        # a sampled state that is not Hermitian (here i I) gives a complex <psi|rho|psi>
+        def skew(system, table, rho0, *, sample_times):
+            return EvolutionResult(1j * np.eye(4), [(t, 1j * np.eye(4)) for t in sample_times])
+
+        monkeypatch.setattr(analysis, "propagate_density", skew)
+        table = PulseTable(0.01, np.zeros((8, 1, 2)))
+        with pytest.raises(FloatingPointError, match="expectation value is not real"):
+            basis_trajectory(table, PRESETS["tcp"], np.eye(4) / 4, singlet_triplet_basis(), 5)
 
     def test_rejects_unnormalized_basis(self):
         sys_ = PRESETS["tcp"]

@@ -20,6 +20,7 @@ from pinnctl.cli import main
 from pinnctl.fileio import read_pulse_csv
 from pinnctl.network import init_params, load_params, save_params
 from pinnctl.optimizer import OptimizerConfig, train
+from pinnctl.propagation import EvolutionResult
 from pinnctl.spins import PRESETS, noise_operators
 from pinnctl.targets import lls_objective
 
@@ -390,6 +391,19 @@ class TestTrajectory:
         assert err.startswith("error:") and err.count("\n") == 1 and named in err
         assert not out.exists()
 
+    def test_non_real_expectation_is_one_line_error(self, tcp_params, tmp_path, capsys,
+                                                     monkeypatch):
+        def skew(system, table, rho0, *, sample_times):
+            return EvolutionResult(1j * np.eye(4), [(t, 1j * np.eye(4)) for t in sample_times])
+
+        monkeypatch.setattr(pinnctl.analysis, "propagate_density", skew)
+        out = tmp_path / "traj.csv"
+        rc = main(["trajectory", "--params", tcp_params, "--system", "tcp", "--samples", "4",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: expectation value is not real\n"
+        assert list(tmp_path.iterdir()) == [Path(tcp_params)]  # no CSV, no sidecar
+
     def test_unknown_basis(self, tcp_params, tmp_path):
         rc = main(["trajectory", "--params", tcp_params, "--system", "tcp",
                    "--basis", "pauli", "--out", str(tmp_path / "x.csv")])
@@ -409,6 +423,45 @@ def test_dimension_mismatch_is_one_line_error(command, tcp_params, three_spin_sy
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "(4, 4)" in err and "(8, 8)" in err
+    assert not out.exists()
+
+
+BAD_JSON, NOT_UTF8 = b'{"spins": 2, ', b'{"spins": \xff}'
+
+
+# each input file, by where it is named, and the kind of file its error names
+INPUT_FILES = {"config": "run configuration", "config-system": "system",
+               "config-network": "parameter", "system": "system", "params": "parameter"}
+
+
+@pytest.mark.parametrize("source, kind, body", [
+    *(pytest.param(source, kind, body, id=f"{source}-{name}") for source, kind in INPUT_FILES.items()
+      for name, body in [("bad-json", BAD_JSON), ("not-utf-8", NOT_UTF8)]),
+    pytest.param("pulse", "pulse CSV", NOT_UTF8, id="pulse-not-utf-8"),
+])
+def test_unreadable_input_file_is_one_line_error_naming_it(source, kind, body, tcp_params,
+                                                           tmp_path, capsys):
+    bad, out = tmp_path / "input", tmp_path / "out"
+    bad.write_bytes(body)
+    cfg = {"system": "tcp", "objective": {"target": "lls"},
+           "network": {"layer_sizes": [1, 8, 2], "duration_s": 0.05},
+           "optimizer": {"max_iters": 1, "n_fine": 16}}
+    if source.startswith("config-"):
+        cfg[source.split("-")[1]] = str(bad)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = {
+        "config": ["synthesize", "--config", str(bad), "--out", str(out)],
+        "config-system": ["synthesize", "--config", str(cfg_path), "--out", str(out)],
+        "config-network": ["synthesize", "--config", str(cfg_path), "--out", str(out)],
+        "system": ["trajectory", "--params", tcp_params, "--system", str(bad), "--out", str(out)],
+        "params": ["sample", str(bad), "--segments", "4", "--out", str(out)],
+        "pulse": ["fft", str(bad), "--out", str(out)],
+    }[source]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"cannot parse {kind} file {bad}: " in err
     assert not out.exists()
 
 

@@ -14,7 +14,7 @@ from pinnctl.fileio import (
     write_sweep_csv,
     write_trajectory_csv,
 )
-from pinnctl.network import PulseTable
+from pinnctl.network import PulseTable, segment_times
 
 
 @pytest.fixture
@@ -30,6 +30,16 @@ class TestPulseCsv:
         back = read_pulse_csv(path)
         assert back.duration == table.duration
         assert np.array_equal(back.samples, table.samples)
+
+    @pytest.mark.parametrize("duration, n", [(0.02, 16), (0.005, 1), (0.15, 7), (0.3, 1000),
+                                             (0.15, 4096)])
+    def test_time_column_is_the_sampling_grid(self, duration, n, tmp_path):
+        # the t_s column is the grid sample_pulse samples a network on, to the last bit
+        path = tmp_path / "pulse.csv"
+        write_pulse_csv(PulseTable(duration, np.zeros((n, 1, 2))), path)
+        with open(path) as fh:
+            times = [float(row[0]) for row in list(csv.reader(fh))[1:]]
+        assert np.array_equal(times, segment_times(duration, n))
 
     def test_header(self, table, tmp_path):
         path = tmp_path / "pulse.csv"

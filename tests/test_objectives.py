@@ -5,6 +5,7 @@ from math import factorial
 import numpy as np
 import pytest
 from dataclasses import replace
+from functools import partial
 
 from pinnctl import objectives
 from pinnctl.network import PulseTable, apply_update, backprop_pulse, init_params, sample_pulse
@@ -684,7 +685,8 @@ class TestLindbladWorkspace:
         p = init_params((1, 6, 2), 2 * np.pi * 60, 0.15, seed=1)
 
         def go():
-            return multi_start(tcp, obj, (1, 6, 2), 2 * np.pi * 60, 0.15, cfg, 2).final_params
+            return multi_start(partial(init_params, (1, 6, 2), 2 * np.pi * 60, 0.15), tcp, obj,
+                               cfg, 2).final_params
 
         alone = go()
         with _workspace():
@@ -794,8 +796,8 @@ class TestUnitaryWorkspace:
         cfg = OptimizerConfig(learning_rate=3e-3, f_threshold=1.0, max_iters=2, n_fine=32)
 
         def go():
-            return multi_start(PRESETS["defm"], cnot_objective(), (1, 6, 4), 2 * np.pi * 500,
-                               0.02, cfg, 2).final_params
+            return multi_start(partial(init_params, (1, 6, 4), 2 * np.pi * 500, 0.02),
+                               PRESETS["defm"], cnot_objective(), cfg, 2).final_params
 
         alone = go()
         with _workspace():

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -316,14 +317,16 @@ class TestMultiStart:
             cfg,
         )
         multi = multi_start(
-            PRESETS["defm"], cnot_objective(), (1, 6, 6, 4), 2 * np.pi * 500, 0.005, cfg, 1
+            partial(init_params, (1, 6, 6, 4), 2 * np.pi * 500, 0.005), PRESETS["defm"],
+            cnot_objective(), cfg, 1
         )
         assert multi.iterations == direct.iterations
 
     def test_returns_best_of_three(self):
         cfg = quick_config(max_iters=10)
         best = multi_start(
-            PRESETS["defm"], cnot_objective(), (1, 6, 6, 4), 2 * np.pi * 500, 0.005, cfg, 3
+            partial(init_params, (1, 6, 6, 4), 2 * np.pi * 500, 0.005), PRESETS["defm"],
+            cnot_objective(), cfg, 3
         )
         for k in range(3):
             p0 = init_params((1, 6, 6, 4), 2 * np.pi * 500, 0.005, seed=cfg.seed + k)
@@ -334,16 +337,17 @@ class TestMultiStart:
 
     def test_deterministic_winner(self):
         cfg = quick_config(max_iters=8)
-        a = multi_start(PRESETS["defm"], cnot_objective(), (1, 6, 6, 4), 500.0, 0.005, cfg, 2)
-        b = multi_start(PRESETS["defm"], cnot_objective(), (1, 6, 6, 4), 500.0, 0.005, cfg, 2)
+        init = partial(init_params, (1, 6, 6, 4), 500.0, 0.005)
+        a = multi_start(init, PRESETS["defm"], cnot_objective(), cfg, 2)
+        b = multi_start(init, PRESETS["defm"], cnot_objective(), cfg, 2)
         assert a.context["seed"] == b.context["seed"]
         assert a.iterations == b.iterations
 
     @pytest.mark.parametrize("n_starts", [0, 2.5, True])
     def test_rejects_a_start_count_that_is_not_a_positive_integer(self, n_starts):
         with pytest.raises(ValueError, match="n_starts"):
-            multi_start(PRESETS["defm"], cnot_objective(), (1, 6, 6, 4), 500.0, 0.005,
-                        quick_config(max_iters=1), n_starts)
+            multi_start(partial(init_params, (1, 6, 6, 4), 500.0, 0.005), PRESETS["defm"],
+                        cnot_objective(), quick_config(max_iters=1), n_starts)
 
 
 class TestRecordSerialization:
