@@ -56,5 +56,5 @@ def read_json(path, kind: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:  # a UnicodeDecodeError or a json.JSONDecodeError
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past Python's digit limit
         raise ValueError(f"cannot parse {kind} file {path}: {exc}") from exc

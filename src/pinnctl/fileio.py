@@ -51,7 +51,7 @@ def read_pulse_csv(path) -> PulseTable:
     amplitude must be finite; a file that is not UTF-8 is an error naming it."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh.readlines())  # decoded here, so a decode error is caught here
+            reader = csv.reader(fh.readlines())  # read whole: the reader would decode past the try
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot parse pulse CSV file {path}: {exc}") from exc
     header = next(reader, [])  # an empty file, or t_s alone, fails the header check
