@@ -21,7 +21,7 @@ from .grape import GrapeConfig, grape_train
 from .network import PulseTable, init_params, load_params, sample_pulse, save_params
 from .objectives import _shape_window_checkpoints
 from .optimizer import (
-    OptimizerConfig, RunRecord, fit_network_to_table, multi_start, save_run_record, train,
+    OptimizerConfig, RunRecord, fit_network_to_table, multi_start, save_run_record,
 )
 from .propagation import DEFAULT_N_FINE, lindblad_substeps
 from .spins import load_system, noise_operators
@@ -131,9 +131,10 @@ def _load_run_config(args) -> dict:
 def _build_run(cfg: dict):
     """Validate a run configuration and return the run as a call with no arguments.
 
-    Every ConfigError is raised here, before any training starts; a key
-    outside RUN_CONFIG_KEYS is one.  The run returns (record, GRAPE run
-    record or None), with `cfg` in the record's context.
+    Every ConfigError is raised here, before any training starts: a key outside
+    RUN_CONFIG_KEYS, or a present block ({} included) that is not an object or
+    lacks a required key.  The run makes one multi_start call and returns
+    (record, GRAPE run record or None), with `cfg` in the record's context.
     """
     try:
         if not isinstance(cfg, dict):
@@ -165,23 +166,22 @@ def _build_run(cfg: dict):
         raise ConfigError(
             f"invalid run configuration: network too large to allocate: {exc}") from exc
     amp_scale, duration = params0.amp_scale, params0.time_scale
-    noise_cfg = cfg.get("noise")
-    if noise_cfg:
+    if "noise" in cfg:
         try:
-            noise = noise_operators(system, noise_cfg["kind"], noise_cfg["gamma"])
+            noise = noise_operators(system, **cfg["noise"])
             objective = dc_replace(objective, noise=noise)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid noise configuration: {exc}") from exc
-    ws_cfg = cfg.get("warm_start")
-    if given and ws_cfg:
+    warm = "warm_start" in cfg
+    if given and warm:
         raise ConfigError("a run from a given network takes no warm_start block")
-    if (given or ws_cfg) and n_starts > 1:
+    if (given or warm) and n_starts > 1:
         raise ConfigError("a given or warm start trains one start; n_starts must be 1")
-    if ws_cfg:
+    if warm:
         try:
             ws = {"n_segments": 64, "amp_limit_rad_s": 0.9 * amp_scale, "learning_rate": 10.0,
                   "shape_weight": obj_cfg["shape_weight"],
-                  "f_threshold": opt.f_threshold, "max_iters": 8000, **ws_cfg}
+                  "f_threshold": opt.f_threshold, "max_iters": 8000, **cfg["warm_start"]}
             ws_objective = named_target(obj_cfg["target"], shape_weight=ws["shape_weight"])
             grape_cfg = GrapeConfig(
                 n_segments=ws["n_segments"],
@@ -203,7 +203,7 @@ def _build_run(cfg: dict):
     try:  # the grids training runs on: each shaped stage's window, the noisy gradient's substeps
         if objective.shape_weight:
             _shape_window_checkpoints(opt.n_fine)
-        if ws_cfg and ws_objective.shape_weight:
+        if warm and ws_objective.shape_weight:
             _shape_window_checkpoints(grape_cfg.n_segments)
         if objective.dissipative:
             grid = PulseTable(duration, np.broadcast_to(0.0, (opt.n_fine, system.n_channels, 2)))
@@ -212,18 +212,15 @@ def _build_run(cfg: dict):
         raise ConfigError(f"invalid run configuration: {exc}") from exc
 
     def run() -> tuple[RunRecord, RunRecord | None]:
-        grape_record, start = None, params0 if given else None
-        if ws_cfg:
-            # solve segment-wise, regress params0 (input gain 1) onto that
-            # pulse, and fine-tune the network from there
+        grape_record, first = None, params0
+        if warm:  # solve segment-wise, then regress params0 (input gain 1) onto that pulse
             table, grape_record = grape_train(system, ws_objective, duration, grape_cfg)
             if not grape_record.converged:
                 print("warm start did not converge; continuing anyway", file=sys.stderr)
-            start = fit_network_to_table(params0, table)
-        if start is not None:
-            record = train(start, system, objective, opt)
-        else:
-            record = multi_start(init, system, objective, opt, n_starts)
+            first = fit_network_to_table(params0, table)
+        # the first seed trains that start; later seeds, in a fresh run only, are drawn
+        record = multi_start(lambda seed: first if seed == opt.seed else init(seed),
+                             system, objective, opt, n_starts)
         record.context["config"] = cfg
         return record, grape_record
 
@@ -233,14 +230,14 @@ def _build_run(cfg: dict):
 def synthesize(cfg: dict) -> tuple[RunRecord, RunRecord | None]:
     """Run a training recipe: a RUN_PRESETS entry, or the same schema read from JSON.
 
-    The whole configuration is validated first (ConfigError).  A `network`
-    that names a parameter file is trained from where it is.  A warm_start
-    block solves the objective segment-wise, fits the network to that pulse
-    and fine-tunes it; otherwise multi_start trains the network block's initialiser
-    at seeds seed..seed+n_starts-1 (n_starts defaults to 1), stops at the first that
-    converges and names the winning seed in the record's context.  A warm start that
-    misses its threshold is reported on stderr before the fine-tune starts.  Returns the
-    run record, its context holding `cfg`, and the warm start's GRAPE record or None.
+    The whole configuration is validated first (ConfigError).  A warm_start block solves
+    the objective segment-wise and fits the network to that pulse; then one multi_start
+    call trains seeds seed..seed+n_starts-1 (n_starts defaults to 1), the first from the
+    named parameter file, the fit or the network block's initial draw, later ones drawn
+    by its initialiser, stops at the first that converges and names the winning seed in
+    the record's context.  A warm start that misses its threshold is reported on stderr
+    before the fine-tune starts.  Returns the run record, its context holding `cfg`, and
+    the warm start's GRAPE record or None.
     """
     return _build_run(cfg)()
 

@@ -48,7 +48,7 @@ def write_pulse_csv(table: PulseTable, path) -> None:
 def read_pulse_csv(path) -> PulseTable:
     """Read a pulse CSV.  Row k's t_s must be the midpoint (k + 0.5) dt, with
     dt = 2 t_0 > 0, to a relative 1e-6 (room for rounded decimals), and every
-    amplitude must be finite; a file that is not UTF-8 is an error naming it."""
+    amplitude must be finite; each error names the file, and a content error its line."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh.readlines())  # read whole: the reader would decode past the try
@@ -56,11 +56,11 @@ def read_pulse_csv(path) -> PulseTable:
         raise ValueError(f"cannot parse pulse CSV file {path}: {exc}") from exc
     header = next(reader, [])  # an empty file, or t_s alone, fails the header check
     if len(header) < 3 or header[0] != "t_s" or (len(header) - 1) % 2 != 0:
-        raise ValueError(f"not a pulse CSV: unexpected header {header!r}")
+        raise ValueError(f"{path} is not a pulse CSV: unexpected header {header!r}")
     n_channels = (len(header) - 1) // 2
     rows = []
     for row in reader:
-        where = f"pulse CSV line {reader.line_num}"
+        where = f"pulse CSV {path} line {reader.line_num}"
         if len(row) != len(header):  # a blank line reads as no fields
             raise ValueError(f"{where} has {len(row)} fields, expected {len(header)}")
         try:
@@ -79,7 +79,7 @@ def read_pulse_csv(path) -> PulseTable:
                              f"{mid!r} (dt = 2 x first t_s = {dt!r})")
         rows.append(amps)
     if len(rows) < 1:
-        raise ValueError("pulse CSV has no data rows")
+        raise ValueError(f"pulse CSV {path} has no data rows")
     n = len(rows)
     samples = np.asarray(rows).reshape(n, n_channels, 2)
     return PulseTable(duration=dt * n, samples=samples)

@@ -200,9 +200,10 @@ def fit_network_to_table(
     """Least-squares fit of the network to a piecewise-constant pulse.
 
     Minimizes the mean squared amplitude error against the table held as a
-    staircase, sampled on a dense midpoint grid.  This is a supervised warm
-    start: the physics never enters, so it is cheap, and the fitted network
-    starts inside the basin of the table's transfer route.
+    staircase, sampled on a dense midpoint grid, max(n_samples, n_segments)
+    points, so that every segment counts.  This is a supervised warm start: the
+    physics never enters, so it is cheap, and the fitted network starts inside
+    the basin of the table's transfer route.
     """
     integer("n_samples", n_samples, 1)
     integer("n_iters", n_iters, 1)
@@ -210,7 +211,7 @@ def fit_network_to_table(
         raise ValueError("network time_scale and table duration differ")
     if params0.n_channels != table.n_channels:
         raise ValueError("network and table channel counts differ")
-    t = segment_times(table.duration, n_samples)
+    t = segment_times(table.duration, max(n_samples, table.n_segments))
     seg = np.minimum(
         (t / table.duration * table.n_segments).astype(int), table.n_segments - 1
     )
@@ -234,7 +235,8 @@ def multi_start(init, system: SpinSystem, objective: ObjectiveSpec, config: Opti
                 n_starts: int = 1) -> RunRecord:
     """Train the network init(seed) from seeds seed..seed+n-1, stopping at the
     first run that reaches the fidelity threshold; otherwise the best final
-    fidelity wins, ties by lower seed.
+    fidelity wins, ties by lower seed.  init is any start, such as a network
+    loaded or fitted for the first seed; each record's context names its seed.
     """
     integer("n_starts", n_starts, 1)
     best: RunRecord | None = None

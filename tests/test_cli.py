@@ -18,6 +18,7 @@ import pinnctl
 from pinnctl import cli
 from pinnctl.cli import main
 from pinnctl.fileio import read_pulse_csv
+from pinnctl.grape import GrapeConfig
 from pinnctl.network import init_params, load_params, save_params
 from pinnctl.optimizer import OptimizerConfig, train
 from pinnctl.propagation import EvolutionResult
@@ -39,6 +40,8 @@ PRESET_KEYS = [(name, path) for name in sorted(cli.RUN_PRESETS)
 SCALARS = st.one_of(st.booleans(), st.none(), st.text(max_size=4), st.integers(-2, 64),
                     st.floats(-1e3, 1e3), st.sampled_from([np.nan, np.inf, -np.inf]))
 OUTSIDE_VALUES = SCALARS | st.lists(SCALARS, max_size=4)
+# a value that removes its key from a test's base run configuration
+OMITTED = object()
 
 
 @pytest.fixture
@@ -275,14 +278,15 @@ class TestFft:
         pulse.write_text("")
         assert main(["fft", str(pulse), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: not a pulse CSV") and err.count("\n") == 1
+        assert err.startswith(f"error: {pulse} is not a pulse CSV") and err.count("\n") == 1
         assert not out.exists()
 
     def test_header_with_no_amplitude_pair_is_one_line_error(self, tmp_path, capsys):
         pulse, out = tmp_path / "times.csv", tmp_path / "spec.csv"
         pulse.write_text("t_s\n0.5\n1.5\n")
         assert main(["fft", str(pulse), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: not a pulse CSV: unexpected header ['t_s']\n"
+        assert capsys.readouterr().err == (f"error: {pulse} is not a pulse CSV: "
+                                           "unexpected header ['t_s']\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("body, line, fields", [
@@ -294,7 +298,7 @@ class TestFft:
         pulse.write_text("t_s,u1x_rad_s,u1y_rad_s\n" + body)
         assert main(["fft", str(pulse), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: pulse CSV line {line} has {fields} fields, expected 3\n"
+        assert err == f"error: pulse CSV {pulse} line {line} has {fields} fields, expected 3\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("times, line", [
@@ -310,7 +314,7 @@ class TestFft:
                          + "".join(f"{t!r},1.0,2.0\n" for t in times))
         assert main(["fft", str(pulse), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: pulse CSV line {line}: ") and err.count("\n") == 1
+        assert err.startswith(f"error: pulse CSV {pulse} line {line}: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("row", ["x,1.0,2.0", "0.0005,1.0,two"], ids=["time", "amplitude"])
@@ -319,7 +323,8 @@ class TestFft:
         pulse.write_text(f"t_s,u1x_rad_s,u1y_rad_s\n{row}\n")
         assert main(["fft", str(pulse), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: pulse CSV line 2: could not convert") and err.count("\n") == 1
+        assert err.startswith(f"error: pulse CSV {pulse} line 2: could not convert")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
@@ -329,7 +334,7 @@ class TestFft:
         assert main(["fft", str(pulse), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: pulse CSV line 3: non-finite amplitude")
+        assert captured.err.startswith(f"error: pulse CSV {pulse} line 3: non-finite amplitude")
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
@@ -676,6 +681,9 @@ class TestSynthesize:
         pytest.param([1], id="not-a-mapping"),
         pytest.param({"kind": "local"}, id="gamma-missing"),
         pytest.param({"kind": "local", "gamma": True}, id="gamma-bool"),
+        # a block that is present is read: an empty one or a null is no noiseless run
+        pytest.param({}, id="empty"),
+        pytest.param(None, id="null"),
     ])
     def test_bad_noise_block_is_one_line_error(self, tmp_path, capsys, noise):
         cfg = {
@@ -733,7 +741,7 @@ class TestSynthesize:
         ("objective", {"shape_weight": float("nan"), "target": "lls"}),
         # without a warm start, whose amp_limit check would catch it first
         (None, {"network": {"layer_sizes": [1, 8, 4], "duration_s": 0.02,
-                            "amp_scale_rad_s": float("inf")}, "warm_start": {}}),
+                            "amp_scale_rad_s": float("inf")}, "warm_start": OMITTED}),
         ("warm_start", {"amp_limit_rad_s": float("inf")}),
         # a bool or a string is not a number, and an integer field holds an integer
         ("optimizer", {"learning_rate": True}),
@@ -758,13 +766,13 @@ class TestSynthesize:
         # trajectory shaping under dissipation
         (None, {"system": "tcp", "objective": {"target": "lls", "shape_weight": 1.0},
                 "network": {"layer_sizes": [1, 8, 2], "duration_s": 0.05},
-                "noise": {"kind": "local", "gamma": 0.02}, "warm_start": {}}),
+                "noise": {"kind": "local", "gamma": 0.02}, "warm_start": OMITTED}),
         # a given network (a path relative to the working directory) is the one start
         (None, {"network": "defm.json"}),
-        (None, {"network": "defm.json", "warm_start": {}, "n_starts": 2}),
-        (None, {"network": "missing.json", "warm_start": {}}),
-        (None, {"network": "garbled.json", "warm_start": {}}),
-        (None, {"network": "tcp.json", "warm_start": {}}),
+        (None, {"network": "defm.json", "warm_start": OMITTED, "n_starts": 2}),
+        (None, {"network": "missing.json", "warm_start": OMITTED}),
+        (None, {"network": "garbled.json", "warm_start": OMITTED}),
+        (None, {"network": "tcp.json", "warm_start": OMITTED}),
         # grids that training would reject: a shape window with no checkpoint in the
         # fine-tune or in the warm start, and too many Lindblad substeps per segment
         (None, {**cli.RUN_PRESETS["tcp-lls"],
@@ -775,7 +783,10 @@ class TestSynthesize:
         (None, {"system": "tcp", "objective": {"target": "lls"},
                 "network": {"layer_sizes": [1, 8, 2], "duration_s": 0.15, "amp_scale_rad_s": 1e9},
                 "noise": {"kind": "local", "gamma": 0.02}, "optimizer": {"n_fine": 4},
-                "warm_start": {}}),
+                "warm_start": OMITTED}),
+        # a block that is present is read, so one that is not an object is an error
+        (None, {"warm_start": []}),
+        (None, {"warm_start": None}),
     ])
     def test_config_error_trains_nothing_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch, section, bad
@@ -783,7 +794,7 @@ class TestSynthesize:
         def no_training(*args, **kwargs):
             raise AssertionError("training ran before the configuration error")
 
-        for stage in ("train", "multi_start", "grape_train", "fit_network_to_table"):
+        for stage in ("multi_start", "grape_train", "fit_network_to_table"):
             monkeypatch.setattr(cli, stage, no_training)
         monkeypatch.chdir(tmp_path)
         save_params(init_params((1, 8, 4), 2 * np.pi * 1000, 0.02, seed=4), "defm.json")
@@ -797,6 +808,7 @@ class TestSynthesize:
             "warm_start": {"n_segments": 4, "max_iters": 2},
         }
         (cfg if section is None else cfg.setdefault(section, {})).update(bad)
+        cfg = {key: value for key, value in cfg.items() if value is not OMITTED}
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "o"
@@ -863,6 +875,50 @@ class TestSynthesize:
         assert record.context == {"seed": 5, "config": cfg}
         assert record.final_params.metadata["seed"] == 5
 
+    @pytest.mark.parametrize("n_starts", [1, 3])
+    def test_each_seed_draws_one_network(self, monkeypatch, n_starts):
+        draws = []
+        real_init_params = cli.init_params
+
+        def init_params(layer_sizes, amp_scale, time_scale, seed, **kwargs):
+            draws.append(seed)
+            return real_init_params(layer_sizes, amp_scale, time_scale, seed, **kwargs)
+
+        monkeypatch.setattr(cli, "init_params", init_params)
+        cfg = {
+            "system": "defm",
+            "objective": {"target": "cnot:0,1"},
+            "network": {"layer_sizes": [1, 4, 4], "duration_s": 0.02},
+            "optimizer": {"max_iters": 1, "n_fine": 16, "seed": 2},
+            "n_starts": n_starts,
+        }
+        record, _ = cli.synthesize(cfg)
+        assert not record.converged  # so every start trained
+        assert draws == list(range(2, 2 + n_starts))
+
+    def test_empty_warm_start_block_runs_grape_at_its_defaults(self, monkeypatch):
+        solved = []
+
+        class Solved(Exception):
+            pass
+
+        def grape_train(system, objective, duration, config):
+            solved.append(config)
+            raise Solved
+
+        monkeypatch.setattr(cli, "grape_train", grape_train)
+        cfg = {
+            "system": "defm",
+            "objective": {"target": "cnot:0,1"},
+            "network": {"layer_sizes": [1, 4, 4], "duration_s": 0.02, "amp_scale_rad_s": 1000.0},
+            "optimizer": {"max_iters": 2, "n_fine": 16, "seed": 1},
+            "warm_start": {},
+        }
+        with pytest.raises(Solved):
+            cli.synthesize(cfg)
+        assert solved == [GrapeConfig(n_segments=64, amp_limit=900.0, learning_rate=10.0,
+                                      f_threshold=0.99, max_iters=8000, seed=1, log_every=500)]
+
     def test_out_that_cannot_be_made_fails_before_training(self, tmp_path, capsys, monkeypatch):
         def no_training(*args, **kwargs):
             raise AssertionError("training ran before --out was made")
@@ -919,6 +975,7 @@ class TestSynthesize:
         record, grape_record = cli.synthesize(cfg)
         assert grape_record is not None and grape_record.iterations[-1][0] == 2
         assert not grape_record.converged
+        assert record.context == {"seed": 0, "config": cfg}
         save_params(record.final_params, tmp_path / "expected.json")
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -930,13 +987,13 @@ class TestSynthesize:
 
     def test_warm_start_verdict_comes_before_the_fine_tune(self, tmp_path, capsys, monkeypatch):
         err_at_train = []
-        real_train = cli.train
+        real_multi_start = cli.multi_start
 
-        def train(*args, **kwargs):
+        def multi_start(*args, **kwargs):
             err_at_train.append(capsys.readouterr().err)
-            return real_train(*args, **kwargs)
+            return real_multi_start(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "train", train)
+        monkeypatch.setattr(cli, "multi_start", multi_start)
         cfg = {
             "system": "defm",
             "objective": {"target": "cnot:0,1"},
@@ -969,7 +1026,7 @@ class TestSynthesize:
         expected = train(load_params(cfg["network"]), tcp, objective,
                          OptimizerConfig(**cfg["optimizer"]))
         assert grape_record is None
-        assert record.context == {"config": cfg}
+        assert record.context == {"seed": 0, "config": cfg}
         assert record.iterations == expected.iterations
         assert record.final_params.vector().tobytes() == expected.final_params.vector().tobytes()
 

@@ -470,6 +470,29 @@ class TestFitNetworkToTable:
             g = grads(arrays)
         assert all(np.array_equal(a, b) for a, b in zip([*fitted.weights, *fitted.biases], arrays))
 
+    @pytest.mark.parametrize("n_segments, n_points", [(64, 256), (256, 256), (300, 300),
+                                                      (512, 512)])
+    def test_every_segment_reaches_the_target(self, monkeypatch, n_segments, n_points):
+        # the grid the fit samples its target on, as its first forward pass sees it
+        import pinnctl.optimizer
+        from pinnctl.optimizer import fit_network_to_table
+
+        grids = []
+        forward = pinnctl.optimizer.forward_batch
+
+        def recorded(params, t, *args):
+            grids.append(t.copy())
+            return forward(params, t, *args)
+
+        monkeypatch.setattr(pinnctl.optimizer, "forward_batch", recorded)
+        table = self.table(duration=0.150, n_segments=n_segments)
+        fit_network_to_table(init_params((1, 8, 4), 2 * np.pi * 500, 0.150, seed=3), table,
+                             n_iters=1)
+        t = grids[0]
+        assert len(t) == n_points
+        assert np.array_equal(np.unique((t / 0.150 * n_segments).astype(int)),
+                              np.arange(n_segments))
+
 
 class TestForwardsPerStep:
     @pytest.fixture
