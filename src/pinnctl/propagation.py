@@ -10,7 +10,8 @@ at degree m, the generator GEMM writing into its powers) and squaring (``_squari
 buffers) in the real form [[Re U, -Im U], [Im U, Re U]], acting on the state [Re U; Im U]: no
 eigendecomposition and no complex H, the generators coming from the real forms of -i H0 and -i O_c
 (``SystemOperators.unitary_generators``).  Only the unitary gradient eigendecomposes (for
-Daleckii-Krein, ``segment_unitaries``); its batched complex products are each one real matmul
+Daleckii-Krein, ``segment_unitaries``), each H by a real eigh of D^dag H D, real symmetric in a
+diagonal phase gauge D; its batched complex products are each one real matmul
 (``_complex_matmul``).  One blocked sqrt(N) scan (``_blocked_states``) gives both gradients the
 product of the maps up to every segment: the unitary P_s = U_s ... U_1, run from the identity over
 the real forms of the U_s (the product after segment s is U(T) P_s^dagger), and the dissipative
@@ -113,9 +114,23 @@ def segment_hamiltonians(system: SpinSystem, table: PulseTable) -> np.ndarray:
 def segment_unitaries(h_batch: np.ndarray, dt: float):
     """Eigendecompose each segment Hamiltonian and form exp(-i H dt) = (V * phases) V^dag.
 
-    Returns (evals (N,d), vecs (N,d,d), unitaries (N,d,d), in a workspace its buffer).
+    Every H of ``segment_hamiltonians`` (a diagonal drift, single-spin x/y controls) is D S D^dag, S
+    real symmetric, D = diag(exp(i theta_m)), theta_m the sum of arg <2^k|H|0> over the set bits k of
+    m: V = D Q for S = Q diag(evals) Q^T by real eigh.  A batch outside that family, where some
+    |Im S_ab| exceeds 1e-12 |Re S_ab|, raises ValueError.
+    Returns (evals (N,d), vecs (N,d,d), unitaries (N,d,d), in a workspace their buffers).
     """
-    evals, vecs = np.linalg.eigh(h_batch)
+    n, d, _ = h_batch.shape
+    bits = (np.arange(d) >> np.arange((d - 1).bit_length())[:, None]) & 1  # [k, m]: bit k of m
+    gauge = np.exp(1j * (np.angle(h_batch[:, 1 << np.arange(len(bits)), 0]) @ bits))  # D's diagonal
+    s = np.multiply(np.conj(gauge)[:, :, None], h_batch, out=_buffer("unitary_gauged", (n, d, d), complex))
+    s *= gauge[:, None, :]
+    residue = np.abs(s.imag, out=_buffer("unitary_residue", (n, d, d)))
+    bound = np.abs(s.real, out=_buffer("unitary_bound", (n, d, d)))
+    if np.any(residue > np.multiply(bound, 1e-12, out=bound)):
+        raise ValueError("segment Hamiltonians must be a phase gauge of real symmetric matrices")
+    evals, q = np.linalg.eigh(s.real)
+    vecs = np.multiply(gauge[:, :, None], q, out=_buffer("unitary_vecs", (n, d, d), complex))
     phases = np.multiply(-1j, evals, out=_buffer("unitary_phases", evals.shape, complex))
     phases = np.exp(np.multiply(phases, dt, out=phases), out=phases)[:, None, :]
     scaled = np.multiply(vecs, phases, out=_buffer("unitary_scaled", vecs.shape, complex))

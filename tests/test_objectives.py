@@ -398,9 +398,11 @@ class TestUnitaryGradientReference:
 
 def complex_products_gradient(system, table, objective):
     """Unnormalized overlap and amplitude-table gradient by numpy's complex matmul throughout:
-    plain sequential prefix products, then the eigenbasis Daleckii-Krein block."""
+    plain sequential prefix products, then the eigenbasis Daleckii-Krein block.  The eigenpairs
+    are the gradient's own (``segment_unitaries``): this reference checks the product arithmetic,
+    and the eigensolver is held to numpy's complex eigh by the gauge tests of test_propagation."""
     dt = table.dt
-    evals, vecs = np.linalg.eigh(segment_hamiltonians(system, table))
+    evals, vecs, _ = segment_unitaries(segment_hamiltonians(system, table), dt)
     vecs_h = vecs.conj().transpose(0, 2, 1)
     units = np.matmul(vecs * np.exp(-1j * dt * evals)[:, None, :], vecs_h)
     pre = [np.eye(system.dimension, dtype=complex)]

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
 from pinnctl import propagation, workspace
@@ -841,6 +843,55 @@ class TestSegmentUnitaryMaps:
             else:
                 with pytest.raises(ValueError, match="exceeds 131072 rad"):
                     propagate_unitary(system, table)
+
+
+@st.composite
+def gauge_cases(draw):
+    """A system of 1-4 spins (random channel groups, some spins undriven, random couplings and
+    offsets) and a table of 1-40 segments whose amplitudes include exact zeros."""
+    n = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n).filter(
+        lambda ls: max(ls) >= 0))  # -1: undriven
+    channels = tuple(tuple(s for s in range(n) if labels[s] == c) for c in sorted({*labels} - {-1}))
+    hz = st.sampled_from([0.0, 8.75, -48.2]) | st.floats(-300.0, 300.0)
+    couplings = tuple((i, j, draw(hz)) for i in range(n) for j in range(i + 1, n) if draw(st.booleans()))
+    system = SpinSystem(n, channels, couplings, tuple(draw(st.lists(hz, min_size=n, max_size=n))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(0.0, draw(st.sampled_from([0.0, 30.0, 3000.0])),
+                      size=(draw(st.integers(1, 40)), len(channels), 2))
+    amps[rng.random(amps.shape) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+    return system, PulseTable(draw(st.sampled_from([1e-4, 0.02])), amps)
+
+
+class TestGaugeEigendecomposition:
+    """segment_unitaries eigendecomposes the real symmetric D^dag H D: the same spectrum and
+    exponentials as numpy's complex eigh of the batch, and a unitary eigenbasis."""
+
+    @given(gauge_cases())
+    @settings(max_examples=150)
+    def test_matches_complex_eigh(self, case):
+        system, table = case
+        h = segment_hamiltonians(system, table)
+        evals, vecs, units = segment_unitaries(h, table.dt)
+        ref_evals, ref_vecs = np.linalg.eigh(h)
+        ref_vecs_h = ref_vecs.conj().transpose(0, 2, 1)
+        ref_units = (ref_vecs * np.exp(-1j * table.dt * ref_evals)[:, None, :]) @ ref_vecs_h
+        scale = np.max(np.abs(ref_evals), axis=1)
+        assert np.all(np.max(np.abs(evals - ref_evals), axis=1) <= 1e-13 * scale)
+        assert np.max(np.abs(units - ref_units)) <= 1e-13 * max(1.0, np.max(scale) * table.dt)
+        eye = np.eye(system.dimension)
+        assert np.max(np.abs(vecs.conj().transpose(0, 2, 1) @ vecs - eye)) <= 1e-13
+
+    @pytest.mark.parametrize("system", [PRESETS["defm"], PRESETS["tcp"], THREE_SPINS],
+                             ids=["defm", "tcp", "3-spin"])
+    def test_two_spin_flip_term_raises(self, system):
+        # an I1x I2x term flips two spins at once: no diagonal gauge makes it real beside the drive
+        n, rng = system.n_spins, np.random.default_rng(3)
+        table = PulseTable(0.02, rng.normal(0, 600, size=(8, system.n_channels, 2)))
+        xx = spin_half_operator(n, 0, "x") @ spin_half_operator(n, 1, "x")
+        h = segment_hamiltonians(system, table) + 2 * np.pi * 10.0 * xx
+        with pytest.raises(ValueError, match="phase gauge of real symmetric"):
+            segment_unitaries(h, table.dt)
 
 
 class TestForwardMemory:
