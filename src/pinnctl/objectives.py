@@ -7,11 +7,12 @@ scan.  The unitary path takes its prefix products (``propagation.prefix_products
 form) and each exponential's Frechet derivative in its eigenbasis (Daleckii-Krein), whose batched
 complex products are each one real matmul (``propagation._complex_matmul``).  The dissipative path
 takes its RK4 maps (one GEMM over the amplitude monomials, ``propagation.segment_lindblad_maps``),
-their states and, over the same block maps, costates (``propagation.state_costate_sweeps``), then
-each map's reverse pass in real arithmetic (``propagation._taylor_power_adjoint``) on the factors
-x_s, y_s of its rank-one cotangent x_s y_s^T, in chunks of ``_CHUNK`` segments, each building its
-Liouvillians, which then take its W.  Both, and the network's passes, write temporaries into the
-ascent's workspace (``workspace._buffer``); gradients are fresh.
+their states and, over the same block maps, costates (``propagation.state_costate_sweeps``), then,
+in chunks of ``_CHUNK`` segments, each map's reverse pass in real arithmetic: back through the
+squarings on the factors x_s, y_s of its rank-one cotangent x_s y_s^T
+(``propagation._squarings_adjoint``), then through the RK4 map's monomials in the amplitudes
+(``propagation._rk4_map_gradient``), with no Liouvillian.  Both, and the network's passes, write
+temporaries into the ascent's workspace (``workspace._buffer``); gradients are fresh.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .propagation import (
     _CHUNK,
     _as_pulse,
     _complex_matmul,
-    _taylor_power_adjoint,
+    _rk4_map_gradient,
+    _squarings_adjoint,
     lindblad_substeps,
     prefix_products,
     propagate_density,
@@ -36,7 +38,6 @@ from .propagation import (
     propagate_unitary,
     segment_hamiltonians,
     segment_lindblad_maps,
-    segment_liouvillians,
     segment_unitaries,
     state_costate_sweeps,
 )
@@ -249,15 +250,12 @@ def _lindblad_pulse_gradient(
     # states x_s entering segment s and costates y_s leaving it
     xs, ys, overlap = state_costate_sweeps(
         levels[-1], ops.coordinates(objective.initial), ops.coordinates(objective.target))
-    du = np.empty((len(xs), len(ops.control_generators)))
+    du = np.empty((len(xs), 2 * system.n_channels))
     for i in range(0, len(xs), _CHUNK):  # the reverse pass by chunks: its temporaries are O(chunk)
         rows = slice(i, i + _CHUNK)
-        # dF = Tr(Z_s dM_s) with Z_s = x_s y_s^T, passed as its factors, back through the squarings
-        w_mat = _taylor_power_adjoint(xs[rows, :, None], ys[rows, None, :], [m[rows] for m in levels],
-                                      segment_liouvillians(system, objective.noise, table, rows),
-                                      table.dt / substeps, 4)
-        # dF/du_c = Tr(G_c W)
-        du[rows] = np.tensordot(w_mat, ops.control_generators, axes=([1, 2], [2, 1]))
+        # dF = Tr(Z_s dM_s), Z_s = x_s y_s^T as its factors, back through the squarings, then R
+        z = _squarings_adjoint(xs[rows, :, None], ys[rows, None, :], [m[rows] for m in levels])
+        du[rows] = _rk4_map_gradient(system, objective.noise, table, substeps, rows, z)
     return overlap, du
 
 

@@ -19,12 +19,11 @@ states, whose costates run back over its block maps (``state_costate_sweeps``). 
 equation runs in the real coordinates of an orthonormal Hermitian basis, where its generators are
 real d^2 x d^2 matrices.  An RK4 substep map is a fixed polynomial in its amplitudes: the features
 are their monomials, the stack a matrix built once per system, noise and step
-(``_rk4_coefficients``): the forward walk never forms the Liouvillians, which the gradient builds
-one reverse-pass chunk at a time (``segment_liouvillians``); the walk keeps the last squaring
-level, the gradient every level.  ``_taylor_power_adjoint``, the reverse pass of the RK4 maps and
-their squarings, takes a segment's cotangent as its factors x y^T, runs the Horner half on them
-first, which commutes with the squarings, then doubles them down the squarings while their width
-stays within d^2, forms W in the chunk's spent Liouvillians, and only then steps densely.
+(``_rk4_coefficients``), so no path forms a Liouvillian; the walk keeps the last squaring level,
+the gradient every level.  Its reverse pass doubles a segment's cotangent factors x y^T down the
+squarings while their width stays within d^2, then steps densely (``_squarings_adjoint``, for any
+squared map), and then takes the RK4 map's tangent: one GEMM with the monomials' coefficients and a
+gather over their derivatives (``_rk4_map_gradient``).
 Inside an ascent the segment arrays are buffers of its workspace (``workspace._buffer``), valid
 until the next call; outside one they are fresh.  The forward walk (``_sweep_segments``) opens a
 workspace of its own, whose buffers each chunk reuses.  numpy only; Dormand-Prince is a test oracle.
@@ -384,45 +383,29 @@ def _taylor_power(features: np.ndarray, stack: np.ndarray, degree: int) -> np.nd
     return r[:n]
 
 
-def _taylor_power_adjoint(x: np.ndarray, yt: np.ndarray, levels: list, generator: np.ndarray,
-                          step: float, degree: int):
-    """Reverse pass of levels = _squarings(R, s) for the RK4 maps R = sum_(k<=m) (step L)^k / k! of a
-    batch of generators L (m = degree): from the cotangent of M = levels[-1] as factors, dF = Tr(X Yt dM)
-    with X (N, D, r) and Yt (N, r, D), W with dF = Tr(W dL), formed in the generators: it consumes them.
-
-    W = sum_(a+b<m) c_(a+b+1) L^b Z L^a (m = degree, c_k = step^k / k!), Z the cotangent of
-    R = levels[0], is B (C kron I_r) A for B = [X, LX, ..., L^(m-1) X], A = [Yt; Yt L; ...; Yt L^(m-1)]
-    and C_ab = c_(a+b+1) (0 for a + b >= m).  R is a polynomial in L, so this Horner half commutes with
-    the squarings' Z <- S Z + Z S and runs first, on the rank-r factors.  Each squared level S, from
-    the top, then doubles the factors to ([B, S B], [A S; A]) while their width stays within D (the
-    rank test); W = B A, and the levels left step it densely down to R."""
-    n, dd, r = x.shape
-    width, squarings, factored = degree * r, len(levels) - 1, 0
-    while factored < squarings and width << (factored + 1) <= dd:
-        factored += 1
-    full = width << factored
+def _squarings_adjoint(x: np.ndarray, yt: np.ndarray, levels: list) -> np.ndarray:
+    """Reverse pass of levels = _squarings(R, s): from the cotangent of M = levels[-1] as factors,
+    dF = Tr(X Yt dM) with X (N, D, r) and Yt (N, r, D), the cotangent Z = sum_j R^j X Yt R^(2^s-1-j)
+    of R = levels[0], dF = Tr(Z dR), (N, D, D), in a workspace its buffer.  Each squared level S, from
+    the top, takes Z <- S Z + Z S, on the factors ([X, S X], [Yt S; Yt]): they double while their
+    width stays within D, and the levels left step their product densely, in their spent buffers."""
+    (n, dd, width), squarings = x.shape, len(levels) - 1
+    factored = min(squarings, (dd // width).bit_length() - 1)  # the most doublings within D
+    dense = levels[: squarings - factored]
+    full = dd if dense else width << factored
     # B fills the columns from the left and A the rows from the bottom, so no factor is copied
     b, a = _buffer("adjoint_b", (n, dd, full)), _buffer("adjoint_a", (n, full, dd))
-    powers, bottom = _buffer("adjoint_powers", (n, dd, width)), a[:, full - width :]
-    powers[..., :r], bottom[:, :r] = x, yt
-    for i in range(r, width, r):
-        np.matmul(generator, powers[..., i - r : i], out=powers[..., i : i + r])
-        np.matmul(bottom[:, i - r : i], generator, out=bottom[:, i : i + r])
-    c = [step**k / math.factorial(k) for k in range(1, degree + 1)]
-    hankel = [[c[i + j] if i + j < degree else 0.0 for j in range(degree)] for i in range(degree)]
-    # one product over every row of every segment, into the first columns of B
-    np.matmul(powers.reshape(-1, width), np.kron(hankel, np.eye(r)), out=b.reshape(-1, full)[:, :width])
+    b[..., :width], a[:, full - width :] = x, yt
     for s in reversed(levels[squarings - factored : -1]):
         np.matmul(s, b[..., :width], out=b[..., width : 2 * width])
         np.matmul(a[:, full - width :], s, out=a[:, full - 2 * width : full - width])
         width *= 2
-    w_mat, rest = np.matmul(b, a, out=generator), levels[: squarings - factored]
-    if rest:  # the factors are spent: their buffers take the dense steps
-        other, spare = _buffer("adjoint_b", (n, dd, dd)), _buffer("adjoint_a", (n, dd, dd))
-        for s in reversed(rest):
-            w_mat, other = np.matmul(s, w_mat, out=other), w_mat
-            w_mat += np.matmul(other, s, out=spare)
-    return w_mat
+    z = np.matmul(b[..., :width], a[:, full - width :], out=_buffer("adjoint_z", (n, dd, dd)))
+    for s in reversed(dense):
+        np.matmul(s, z, out=b)
+        b += np.matmul(z, s, out=a)
+        z, b = b, z
+    return z
 
 
 @functools.lru_cache(maxsize=16)
@@ -430,7 +413,9 @@ def _rk4_coefficients(system: SpinSystem, dissipator: bytes, step: float):
     """R - eye = sum_a w^a K_a, R = sum_(j<=4) (step L)^j / j!, L = A + sum_c u_c G_c (A: drift plus
     dissipator, whose bytes key the cache), over the monomials of w = step u up to degree 4, graded:
     1, w, then [(lo, parents, last)] per degree from 2, each a parent's times a degree-1 one.  K (P,
-    d^4) by Horner on the coefficient matrices, r <- (step L) (eye + r) / j, G_c taking a to a + e_c."""
+    d^4) by Horner on the coefficient matrices, r <- (step L) (eye + r) / j, G_c taking a to a + e_c.
+    The tangent: K in trace order (d^4, P), vec(Z) @ it giving Tr(Z K_a), and d w^a / d u_c = step
+    e_c(a) w^(a - e_c) per pair (a, c), e_c(a) > 0, as child a, parent a - e_c and a (pairs, 2M) weight."""
     ops = system_operators(system)
     gens, dd = ops.control_generators, ops.drift_generator.shape[0]
     drift = step * (ops.drift_generator + np.frombuffer(dissipator).reshape(dd, dd))
@@ -445,17 +430,24 @@ def _rk4_coefficients(system: SpinSystem, dissipator: bytes, step: float):
         r = xr / j
     split = {j: [(index[t[:-1]], index[t[-1:]]) for t in terms if len(t) == j] for j in (2, 3, 4)}
     blocks = tuple((index[(0,) * j], *_read_only(np.array(pairs)).T) for j, pairs in split.items())
-    return blocks, _read_only(r.reshape(len(terms), -1))
+    pairs = [(a, index[t[: t.index(c)] + t[t.index(c) + 1 :]], c, t.count(c))
+             for a, t in enumerate(terms) for c in sorted(set(t))]
+    children, parents, channels, counts = np.array(pairs).T
+    tangent = (r.transpose(2, 1, 0).reshape(dd * dd, len(terms)), children, parents,
+               np.eye(len(gens))[channels] * (step * counts)[:, None])
+    return blocks, _read_only(r.reshape(len(terms), -1)), tuple(map(_read_only, tangent))
 
 
-def segment_liouvillians(system: SpinSystem, noise: NoiseModel, table: PulseTable,
-                         rows: slice = slice(None)) -> np.ndarray:
-    """Per-segment real Liouvillians L = A + sum_c u_c G_c (A: drift plus dissipator), (N, d^2, d^2)
-    in the coordinates of ``SystemOperators.coordinates``, for the segments in rows; in a workspace,
-    its buffer.  Only the dissipative gradient reads them, one reverse-pass chunk at a time."""
-    ops = system_operators(system)
-    return _affine(table.flat_amplitudes()[rows], ops.control_generators, "lindblad_generator",
-                   ops.drift_generator + noise.dissipator)
+def _rk4_monomials(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int, rows: slice):
+    """The monomials of w = h u up to degree 4, (P, N), for the segments in rows (a row each, so
+    the rows below are copied whole), with the coefficient matrix and tangent of ``_rk4_coefficients``."""
+    amps, step = table.flat_amplitudes()[rows], table.dt / substeps
+    blocks, coefficients, tangent = _rk4_coefficients(system, noise.dissipator.tobytes(), step)
+    monomials = np.ones((len(coefficients), len(amps)))
+    np.multiply(amps.T, step, out=monomials[1 : amps.shape[1] + 1])
+    for lo, parents, last in blocks:  # each degree from the one below
+        np.multiply(monomials[parents], monomials[last], out=monomials[lo : lo + len(parents)])
+    return monomials, coefficients, tangent
 
 
 def segment_lindblad_maps(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int,
@@ -465,22 +457,26 @@ def segment_lindblad_maps(system: SpinSystem, noise: NoiseModel, table: PulseTab
     for the segments in rows (all by default; each row is the same bits either way);
     not kept (the forward walk's), only [M], squared in two buffers (``_squarings``).
 
-    With a constant generator L (``segment_liouvillians``) one RK4 step is the 4th-order
+    With a constant generator L = A + sum_c u_c G_c one RK4 step is the 4th-order
     Taylor polynomial of exp(h L), a fixed polynomial in w = h u: all R are one GEMM of
     the monomials of w with ``_rk4_coefficients``, and L is never formed.  Returns
     [R, ..., M], each (N, d^2, d^2), M at [-1], in a workspace (an ascent's, or the
     forward-only walk's) its buffer.
     """
-    amps, dd = table.flat_amplitudes()[rows], system.dimension**2
-    (n, k), step = amps.shape, table.dt / substeps
-    blocks, coefficients = _rk4_coefficients(system, noise.dissipator.tobytes(), step)
-    monomials = np.ones((len(coefficients), n))  # a row each, so the rows below are copied whole
-    np.multiply(amps.T, step, out=monomials[1 : k + 1])
-    for lo, parents, last in blocks:  # each degree from the one below
-        np.multiply(monomials[parents], monomials[last], out=monomials[lo : lo + len(parents)])
-    r = _affine(monomials.T, coefficients, "rk4_maps")
+    monomials, coefficients, _ = _rk4_monomials(system, noise, table, substeps, rows)
+    r, dd = _affine(monomials.T, coefficients, "rk4_maps"), system.dimension**2
     r[:, :: dd + 1] += 1.0  # R's diagonal, after the GEMM, so that R rounds as Horner's last step does
-    return _squarings(r.reshape(n, dd, dd), substeps.bit_length() - 1, keep)
+    return _squarings(r.reshape(-1, dd, dd), substeps.bit_length() - 1, keep)
+
+
+def _rk4_map_gradient(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int,
+                      rows: slice, z: np.ndarray) -> np.ndarray:
+    """dF/du (N, 2M) for the segments in rows from the cotangents Z (N, d^2, d^2) of their RK4 maps
+    R = I + sum_a w^a K_a, dF = Tr(Z dR): t_a = Tr(Z K_a) by one GEMM, then dF/du_c = sum_a step
+    e_c(a) w^(a - e_c) t_a by a gather over ``_rk4_coefficients``' derivative index; no L."""
+    monomials, _, (trace, children, parents, weights) = _rk4_monomials(system, noise, table, substeps, rows)
+    t = np.matmul(z.reshape(len(z), -1), trace, out=_buffer("rk4_traces", (len(z), trace.shape[1])))
+    return np.multiply(t[:, children], monomials[parents].T) @ weights
 
 
 def propagate_lindblad(system: SpinSystem, pulse, rho0: np.ndarray, noise: NoiseModel, *,

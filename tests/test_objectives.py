@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from dataclasses import replace
 from functools import partial
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinnctl import objectives
 from pinnctl.network import PulseTable, apply_update, backprop_pulse, init_params, sample_pulse
@@ -51,7 +53,7 @@ from pinnctl.targets import (
     thermal_deviation,
 )
 
-from oracles import shape_penalty
+from oracles import lindblad_gradient, shape_penalty
 
 
 def haar_ish_unitary(rng, dim):
@@ -476,9 +478,8 @@ class TestLindbladGradientReference:
     @pytest.mark.parametrize("substeps", [1, 2, 4, 8, 16, 32, 128])
     @pytest.mark.parametrize("kind", ["local", "global"])
     def test_matches_complex_reference_at_each_squaring_count(self, kind, substeps):
-        # 0-7 squarings: the levels in r alone, then the spent x and tmp, then a buffer of their own;
-        # the reverse pass doubles its width-4 factors down the top two (to 16 = d^2), then steps
-        # the rest densely: from 3 squarings on, both sides of its switch run
+        # 0-7 squarings: the reverse pass doubles its width-1 factors down the top four (to
+        # 16 = d^2), then steps the rest densely: from 5 squarings on, both sides of its switch run
         system = PRESETS["tcp"]
         obj = replace(lls_objective(), noise=noise_operators(system, kind, 0.05))
         table = PulseTable(0.02, np.random.default_rng(5).normal(0, 300, size=(16, 1, 2)))
@@ -486,6 +487,46 @@ class TestLindbladGradientReference:
         ref_fid, ref_grad = reference_lindblad_gradient(system, table, obj, substeps)
         assert abs(fid - ref_fid) < 1e-12 * abs(ref_fid)
         assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
+
+
+@st.composite
+def dissipative_cases(draw):
+    """A tcp- or defm-like 2-spin system (both spins on one channel, or one channel each) with
+    random coupling and offsets, local or global noise at gamma <= 0.1, a random state pair, and
+    a table of 1-600 segments at 1-128 substeps whose substep bound (rate + ||H||) h is at most
+    0.005-0.5, over a pulse short enough that the collapse rate times its length is at most 2 (a
+    state relaxed further leaves a gradient of round-off).  The kept levels take at most 4.9 MB:
+    N (squarings + 1) <= 2400."""
+    channels = draw(st.sampled_from([((0, 1),), ((0,), (1,))]))
+    j_hz = draw(st.sampled_from([8.75, 48.2]) | st.floats(1.0, 300.0)) * draw(st.sampled_from([1, -1]))
+    offsets = tuple(draw(st.sampled_from([0.0, 40.0]) | st.floats(-300.0, 300.0)) for _ in range(2))
+    system = SpinSystem(2, channels, ((0, 1, j_hz),), offsets)
+    noise = noise_operators(system, draw(st.sampled_from(["local", "global"])), draw(st.floats(1e-3, 0.1)))
+    squarings = draw(st.integers(0, 7))
+    n = draw(st.integers(1, min(600, 2400 // (squarings + 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(0.0, draw(st.sampled_from([30.0, 300.0, 3000.0])), size=(n, len(channels), 2))
+    ops = system_operators(system)
+    rate = noise.rate + ops.drift_norm + np.max(np.abs(amps.reshape(n, -1)) @ ops.control_norms)
+    dt = min(draw(st.sampled_from([0.005, 0.05, 0.5])) * 2**squarings / rate, 2.0 / (noise.rate * n))
+    pair = [a + a.conj().T for a in rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))]
+    objective = ObjectiveSpec(kind="state", target=pair[0], initial=pair[1], noise=noise)
+    return system, PulseTable(dt * n, amps), objective, 2**squarings
+
+
+class TestRK4Tangent:
+    """The dissipative gradient runs back through the squarings on the cotangent's factors and
+    then through the RK4 map's monomials, never forming L: it matches the reference in powers
+    of L (``oracles.lindblad_gradient``) across systems, noise, chunks and squaring counts."""
+
+    @given(dissipative_cases())
+    @settings(max_examples=120)
+    def test_matches_the_liouvillian_reference(self, case):
+        system, table, objective, substeps = case
+        overlap, grad = _lindblad_pulse_gradient(system, table, objective, substeps)
+        ref_overlap, ref_grad = lindblad_gradient(system, table, objective, substeps)
+        assert abs(overlap - ref_overlap) <= 1e-12 * max(abs(ref_overlap), 1.0)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
 
 class TestBlockedSweeps:
@@ -717,19 +758,19 @@ class TestLindbladWorkspace:
         assert peak <= 2.5 * n * 16**2 * 8
 
     def test_fresh_gradient_memory_does_not_grow_with_substeps(self):
-        # one level per squaring and nothing per substep: 8 and 1024 substeps
-        # trace 7.3 and 14.3 arrays of N (d^2 x d^2) floats (ratio 1.97)
-        system, obj = PRESETS["tcp"], self.noisy("local", 0.05)
-        table = PulseTable(0.15, np.random.default_rng(7).normal(0, 300, size=(512, 1, 2)))
-        peaks = []
+        # one level per squaring and nothing per substep: the kept levels R, R^2, ..., M plus a
+        # fixed 3.5 arrays of N (d^2 x d^2) floats.  8 and 1024 substeps (4 and 11 levels) trace
+        # 5.7 and 13.2 arrays; keeping 1 KiB per substep would add 1.0 array at 1024
+        system, obj, n = PRESETS["tcp"], self.noisy("local", 0.05), 512
+        table = PulseTable(0.15, np.random.default_rng(7).normal(0, 300, size=(n, 1, 2)))
         for substeps in (8, 1024):
             tracemalloc.start()
             try:
                 _lindblad_pulse_gradient(system, table, obj, substeps)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 2 * peaks[0]
+            assert peak <= (substeps.bit_length() + 3.5) * n * 16**2 * 8, substeps
 
     def test_fresh_gradient_at_one_substep_keeps_one_full_length_array(self):
         # R is the one full-length array: the Liouvillians are built per chunk of the reverse
