@@ -414,8 +414,8 @@ def _rk4_coefficients(system: SpinSystem, dissipator: bytes, step: float):
     dissipator, whose bytes key the cache), over the monomials of w = step u up to degree 4, graded:
     1, w, then [(lo, parents, last)] per degree from 2, each a parent's times a degree-1 one.  K (P,
     d^4) by Horner on the coefficient matrices, r <- (step L) (eye + r) / j, G_c taking a to a + e_c.
-    The tangent: K in trace order (d^4, P), vec(Z) @ it giving Tr(Z K_a), and d w^a / d u_c = step
-    e_c(a) w^(a - e_c) per pair (a, c), e_c(a) > 0, as child a, parent a - e_c and a (pairs, 2M) weight."""
+    The derivative index: d w^a / d u_c = step e_c(a) w^(a - e_c) per pair (a, c) with e_c(a) > 0,
+    as child a, parent a - e_c and a (pairs, 2M) weight."""
     ops = system_operators(system)
     gens, dd = ops.control_generators, ops.drift_generator.shape[0]
     drift = step * (ops.drift_generator + np.frombuffer(dissipator).reshape(dd, dd))
@@ -433,21 +433,20 @@ def _rk4_coefficients(system: SpinSystem, dissipator: bytes, step: float):
     pairs = [(a, index[t[: t.index(c)] + t[t.index(c) + 1 :]], c, t.count(c))
              for a, t in enumerate(terms) for c in sorted(set(t))]
     children, parents, channels, counts = np.array(pairs).T
-    tangent = (r.transpose(2, 1, 0).reshape(dd * dd, len(terms)), children, parents,
-               np.eye(len(gens))[channels] * (step * counts)[:, None])
-    return blocks, _read_only(r.reshape(len(terms), -1)), tuple(map(_read_only, tangent))
+    index = children, parents, np.eye(len(gens))[channels] * (step * counts)[:, None]
+    return blocks, _read_only(r.reshape(len(terms), -1)), tuple(map(_read_only, index))
 
 
 def _rk4_monomials(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int, rows: slice):
     """The monomials of w = h u up to degree 4, (P, N), for the segments in rows (a row each, so
-    the rows below are copied whole), with the coefficient matrix and tangent of ``_rk4_coefficients``."""
+    the rows below are copied whole), with the coefficients and derivative index of ``_rk4_coefficients``."""
     amps, step = table.flat_amplitudes()[rows], table.dt / substeps
-    blocks, coefficients, tangent = _rk4_coefficients(system, noise.dissipator.tobytes(), step)
+    blocks, coefficients, index = _rk4_coefficients(system, noise.dissipator.tobytes(), step)
     monomials = np.ones((len(coefficients), len(amps)))
     np.multiply(amps.T, step, out=monomials[1 : amps.shape[1] + 1])
     for lo, parents, last in blocks:  # each degree from the one below
         np.multiply(monomials[parents], monomials[last], out=monomials[lo : lo + len(parents)])
-    return monomials, coefficients, tangent
+    return monomials, coefficients, index
 
 
 def segment_lindblad_maps(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int,
@@ -471,11 +470,14 @@ def segment_lindblad_maps(system: SpinSystem, noise: NoiseModel, table: PulseTab
 
 def _rk4_map_gradient(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int,
                       rows: slice, z: np.ndarray) -> np.ndarray:
-    """dF/du (N, 2M) for the segments in rows from the cotangents Z (N, d^2, d^2) of their RK4 maps
-    R = I + sum_a w^a K_a, dF = Tr(Z dR): t_a = Tr(Z K_a) by one GEMM, then dF/du_c = sum_a step
-    e_c(a) w^(a - e_c) t_a by a gather over ``_rk4_coefficients``' derivative index; no L."""
-    monomials, _, (trace, children, parents, weights) = _rk4_monomials(system, noise, table, substeps, rows)
-    t = np.matmul(z.reshape(len(z), -1), trace, out=_buffer("rk4_traces", (len(z), trace.shape[1])))
+    """dF/du (N, 2M) for the segments in rows from the cotangents Z (N, D, D) of their RK4 maps
+    R = I + sum_a w^a K_a, dF = Tr(Z dR): t_a = Tr(Z K_a) = vec(Z) . vec(K_a^T) by one GEMM, then
+    dF/du_c = sum_a step e_c(a) w^(a - e_c) t_a by a gather over ``_rk4_coefficients``' derivative
+    index; no L.  The K_a^T are a copy (P, D^2) per call, not cached: the forward walk never reads them."""
+    monomials, k, (children, parents, weights) = _rk4_monomials(system, noise, table, substeps, rows)
+    (n, dd, _), p = z.shape, len(k)
+    kt = k.reshape(p, dd, dd).transpose(0, 2, 1).reshape(p, dd * dd)
+    t = np.matmul(z.reshape(n, -1), kt.T, out=_buffer("rk4_traces", (n, p)))
     return np.multiply(t[:, children], monomials[parents].T) @ weights
 
 

@@ -698,7 +698,7 @@ class TestLindbladWorkspace:
     buffers kept between calls; the arithmetic must not notice."""
 
     # n_fine and substep count change from call to call: 8, 1, 64, 2, 128, 16, 8 substeps; n_fine
-    # 257 ends in a one-row chunk, whose Liouvillian is computed as two rows and then takes W
+    # 257 ends in a one-row chunk of the reverse pass
     GRIDS = [(512, 0.05), (4096, 0.05), (64, 0.05), (2048, 0.05), (512, 0.005), (257, 0.05),
              (512, 0.05)]
 
@@ -760,7 +760,7 @@ class TestLindbladWorkspace:
     def test_fresh_gradient_memory_does_not_grow_with_substeps(self):
         # one level per squaring and nothing per substep: the kept levels R, R^2, ..., M plus a
         # fixed 3.5 arrays of N (d^2 x d^2) floats.  8 and 1024 substeps (4 and 11 levels) trace
-        # 5.7 and 13.2 arrays; keeping 1 KiB per substep would add 1.0 array at 1024
+        # 5.7 and 13.2 arrays; keeping 2 KiB per substep would add 2.0 arrays at 1024
         system, obj, n = PRESETS["tcp"], self.noisy("local", 0.05), 512
         table = PulseTable(0.15, np.random.default_rng(7).normal(0, 300, size=(n, 1, 2)))
         for substeps in (8, 1024):
@@ -773,8 +773,8 @@ class TestLindbladWorkspace:
             assert peak <= (substeps.bit_length() + 3.5) * n * 16**2 * 8, substeps
 
     def test_fresh_gradient_at_one_substep_keeps_one_full_length_array(self):
-        # R is the one full-length array: the Liouvillians are built per chunk of the reverse
-        # pass and take its W, so 4096 rows trace 1.31 arrays of N (d^2 x d^2) floats
+        # R is the one full-length array: the reverse pass runs per chunk and forms no
+        # Liouvillian, so 4096 rows trace 1.27 arrays of N (d^2 x d^2) floats
         system, obj, n = PRESETS["tcp"], self.noisy("local", 0.05), 4096
         table = PulseTable(0.15 * n / 512, np.random.default_rng(7).normal(0, 300, size=(n, 1, 2)))
         tracemalloc.start()
@@ -787,8 +787,8 @@ class TestLindbladWorkspace:
 
     @pytest.mark.parametrize("substeps", [8, 128])
     def test_fresh_gradient_memory_grows_by_the_maps_alone(self, substeps):
-        # only the squaring levels are full length; the Liouvillians and the reverse pass are
-        # built in chunks of rows, so doubling N adds squarings + 1 arrays (and 0.13 of small ones)
+        # only the squaring levels are full length; the reverse pass runs in chunks of rows,
+        # so doubling N adds squarings + 1 arrays (and 0.17 of small ones)
         system, obj = PRESETS["tcp"], self.noisy("local", 0.05)
         peaks = []
         for n in (512, 1024):
