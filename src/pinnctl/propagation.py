@@ -433,20 +433,20 @@ def _rk4_coefficients(system: SpinSystem, dissipator: bytes, step: float):
     pairs = [(a, index[t[: t.index(c)] + t[t.index(c) + 1 :]], c, t.count(c))
              for a, t in enumerate(terms) for c in sorted(set(t))]
     children, parents, channels, counts = np.array(pairs).T
-    index = children, parents, np.eye(len(gens))[channels] * (step * counts)[:, None]
-    return blocks, _read_only(r.reshape(len(terms), -1)), tuple(map(_read_only, index))
+    derivatives = children, parents, np.eye(len(gens))[channels] * (step * counts)[:, None]
+    return blocks, _read_only(r.reshape(len(terms), -1)), tuple(map(_read_only, derivatives))
 
 
 def _rk4_monomials(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int, rows: slice):
     """The monomials of w = h u up to degree 4, (P, N), for the segments in rows (a row each, so
     the rows below are copied whole), with the coefficients and derivative index of ``_rk4_coefficients``."""
     amps, step = table.flat_amplitudes()[rows], table.dt / substeps
-    blocks, coefficients, index = _rk4_coefficients(system, noise.dissipator.tobytes(), step)
+    blocks, coefficients, derivatives = _rk4_coefficients(system, noise.dissipator.tobytes(), step)
     monomials = np.ones((len(coefficients), len(amps)))
     np.multiply(amps.T, step, out=monomials[1 : amps.shape[1] + 1])
     for lo, parents, last in blocks:  # each degree from the one below
         np.multiply(monomials[parents], monomials[last], out=monomials[lo : lo + len(parents)])
-    return monomials, coefficients, index
+    return monomials, coefficients, derivatives
 
 
 def segment_lindblad_maps(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int,
@@ -474,9 +474,9 @@ def _rk4_map_gradient(system: SpinSystem, noise: NoiseModel, table: PulseTable, 
     R = I + sum_a w^a K_a, dF = Tr(Z dR): t_a = Tr(Z K_a) = vec(Z) . vec(K_a^T) by one GEMM, then
     dF/du_c = sum_a step e_c(a) w^(a - e_c) t_a by a gather over ``_rk4_coefficients``' derivative
     index; no L.  The K_a^T are a copy (P, D^2) per call, not cached: the forward walk never reads them."""
-    monomials, k, (children, parents, weights) = _rk4_monomials(system, noise, table, substeps, rows)
-    (n, dd, _), p = z.shape, len(k)
-    kt = k.reshape(p, dd, dd).transpose(0, 2, 1).reshape(p, dd * dd)
+    monomials, stack, (children, parents, weights) = _rk4_monomials(system, noise, table, substeps, rows)
+    (n, dd, _), p = z.shape, len(stack)
+    kt = stack.reshape(p, dd, dd).transpose(0, 2, 1).reshape(p, dd * dd)
     t = np.matmul(z.reshape(n, -1), kt.T, out=_buffer("rk4_traces", (n, p)))
     return np.multiply(t[:, children], monomials[parents].T) @ weights
 
