@@ -9,10 +9,10 @@ complex products are each one real matmul (``propagation._complex_matmul``).  Th
 takes its RK4 maps (one GEMM over the amplitude monomials, ``propagation.segment_lindblad_maps``),
 their states and, over the same block maps, costates (``propagation.state_costate_sweeps``), then,
 in chunks of ``_CHUNK`` segments, each map's reverse pass in real arithmetic: back through the
-squarings on the factors x_s, y_s of its rank-one cotangent x_s y_s^T
-(``propagation._squarings_adjoint``), then through the RK4 map's monomials in the amplitudes
-(``propagation._rk4_map_gradient``), with no Liouvillian.  Both, and the network's passes, write
-temporaries into the ascent's workspace (``workspace._buffer``); gradients are fresh.
+squarings on the factors x_s, y_s of its rank-one cotangent x_s y_s^T into the spent segment maps
+(``propagation._squarings_adjoint``), then through the RK4 map's monomials in the amplitudes, built
+once per gradient (``propagation._rk4_map_gradient``), with no Liouvillian.  Both, and the network's
+passes, write temporaries into the ascent's workspace (``workspace._buffer``); gradients are fresh.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .propagation import (
     _as_pulse,
     _complex_matmul,
     _rk4_map_gradient,
+    _rk4_monomials,
     _squarings_adjoint,
     lindblad_substeps,
     prefix_products,
@@ -250,12 +251,13 @@ def _lindblad_pulse_gradient(
     # states x_s entering segment s and costates y_s leaving it
     xs, ys, overlap = state_costate_sweeps(
         levels[-1], ops.coordinates(objective.initial), ops.coordinates(objective.target))
+    monomials, stack, derivatives = _rk4_monomials(system, objective.noise, table, substeps, slice(None))
     du = np.empty((len(xs), 2 * system.n_channels))
     for i in range(0, len(xs), _CHUNK):  # the reverse pass by chunks: its temporaries are O(chunk)
         rows = slice(i, i + _CHUNK)
-        # dF = Tr(Z_s dM_s), Z_s = x_s y_s^T as its factors, back through the squarings, then R
+        # dF = Tr(Z_s dM_s), Z_s = x_s y_s^T as its factors, back through the squarings over M, then R
         z = _squarings_adjoint(xs[rows, :, None], ys[rows, None, :], [m[rows] for m in levels])
-        du[rows] = _rk4_map_gradient(system, objective.noise, table, substeps, rows, z)
+        du[rows] = _rk4_map_gradient(monomials[:, rows], stack, derivatives, z)
     return overlap, du
 
 

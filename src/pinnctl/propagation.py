@@ -18,12 +18,12 @@ the real forms of the U_s (the product after segment s is U(T) P_s^dagger), and 
 states, whose costates run back over its block maps (``state_costate_sweeps``).  The master
 equation runs in the real coordinates of an orthonormal Hermitian basis, where its generators are
 real d^2 x d^2 matrices.  An RK4 substep map is a fixed polynomial in its amplitudes: the features
-are their monomials, the stack a matrix built once per system, noise and step
-(``_rk4_coefficients``), so no path forms a Liouvillian; the walk keeps the last squaring level,
-the gradient every level.  Its reverse pass doubles a segment's cotangent factors x y^T down the
-squarings while their width stays within d^2, then steps densely (``_squarings_adjoint``, for any
-squared map), and then takes the RK4 map's tangent: one GEMM with the monomials' coefficients and a
-gather over their derivatives (``_rk4_map_gradient``).
+are their monomials, the stack a matrix built once per system, noise and step (``_rk4_coefficients``),
+so no path forms a Liouvillian; the walk keeps the last squaring level, the gradient every level.
+Its reverse pass doubles a segment's cotangent factors x y^T down the squarings while their width
+stays within d^2, then steps densely, the cotangent Z written over the spent segment maps M
+(``_squarings_adjoint``, for any squared map), and then takes the RK4 map's tangent: one GEMM with
+the monomials' coefficients and a gather over their derivatives (``_rk4_map_gradient``).
 Inside an ascent the segment arrays are buffers of its workspace (``workspace._buffer``), valid
 until the next call; outside one they are fresh.  The forward walk (``_sweep_segments``) opens a
 workspace of its own, whose buffers each chunk reuses.  numpy only; Dormand-Prince is a test oracle.
@@ -386,9 +386,9 @@ def _taylor_power(features: np.ndarray, stack: np.ndarray, degree: int) -> np.nd
 def _squarings_adjoint(x: np.ndarray, yt: np.ndarray, levels: list) -> np.ndarray:
     """Reverse pass of levels = _squarings(R, s): from the cotangent of M = levels[-1] as factors,
     dF = Tr(X Yt dM) with X (N, D, r) and Yt (N, r, D), the cotangent Z = sum_j R^j X Yt R^(2^s-1-j)
-    of R = levels[0], dF = Tr(Z dR), (N, D, D), in a workspace its buffer.  Each squared level S, from
-    the top, takes Z <- S Z + Z S, on the factors ([X, S X], [Yt S; Yt]): they double while their
-    width stays within D, and the levels left step their product densely, in their spent buffers."""
+    of R = levels[0], dF = Tr(Z dR), (N, D, D).  Each squared level S, from the top, takes Z <- S Z
+    + Z S, on the factors ([X, S X], [Yt S; Yt]) while their width stays within D; their product goes
+    over M (consumed; no lower level is written), then steps densely, in turn in M and X's spent buffer."""
     (n, dd, width), squarings = x.shape, len(levels) - 1
     factored = min(squarings, (dd // width).bit_length() - 1)  # the most doublings within D
     dense = levels[: squarings - factored]
@@ -400,7 +400,7 @@ def _squarings_adjoint(x: np.ndarray, yt: np.ndarray, levels: list) -> np.ndarra
         np.matmul(s, b[..., :width], out=b[..., width : 2 * width])
         np.matmul(a[:, full - width :], s, out=a[:, full - 2 * width : full - width])
         width *= 2
-    z = np.matmul(b[..., :width], a[:, full - width :], out=_buffer("adjoint_z", (n, dd, dd)))
+    z = np.matmul(b[..., :width], a[:, full - width :], out=levels[-1])
     for s in reversed(dense):
         np.matmul(s, z, out=b)
         b += np.matmul(z, s, out=a)
@@ -468,14 +468,12 @@ def segment_lindblad_maps(system: SpinSystem, noise: NoiseModel, table: PulseTab
     return _squarings(r.reshape(-1, dd, dd), substeps.bit_length() - 1, keep)
 
 
-def _rk4_map_gradient(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int,
-                      rows: slice, z: np.ndarray) -> np.ndarray:
-    """dF/du (N, 2M) for the segments in rows from the cotangents Z (N, D, D) of their RK4 maps
-    R = I + sum_a w^a K_a, dF = Tr(Z dR): t_a = Tr(Z K_a) = vec(Z) . vec(K_a^T) by one GEMM, then
-    dF/du_c = sum_a step e_c(a) w^(a - e_c) t_a by a gather over ``_rk4_coefficients``' derivative
-    index; no L.  The K_a^T are a copy (P, D^2) per call, not cached: the forward walk never reads them."""
-    monomials, stack, (children, parents, weights) = _rk4_monomials(system, noise, table, substeps, rows)
-    (n, dd, _), p = z.shape, len(stack)
+def _rk4_map_gradient(monomials: np.ndarray, stack: np.ndarray, derivatives, z: np.ndarray) -> np.ndarray:
+    """dF/du (N, 2M) from the cotangents Z (N, D, D) of RK4 maps R = I + sum_a w^a K_a, dF = Tr(Z dR), and
+    their monomials (P, N), stack and derivative index (``_rk4_monomials``): t_a = Tr(Z K_a) = vec(Z) .
+    vec(K_a^T) by one GEMM, then dF/du_c = sum_a step e_c(a) w^(a - e_c) t_a by a gather over the index;
+    no L.  The K_a^T are a copy (P, D^2) per call, not cached: the forward walk never reads them."""
+    (n, dd, _), p, (children, parents, weights) = z.shape, len(stack), derivatives
     kt = stack.reshape(p, dd, dd).transpose(0, 2, 1).reshape(p, dd * dd)
     t = np.matmul(z.reshape(n, -1), kt.T, out=_buffer("rk4_traces", (n, p)))
     return np.multiply(t[:, children], monomials[parents].T) @ weights

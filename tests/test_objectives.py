@@ -759,8 +759,9 @@ class TestLindbladWorkspace:
 
     def test_fresh_gradient_memory_does_not_grow_with_substeps(self):
         # one level per squaring and nothing per substep: the kept levels R, R^2, ..., M plus a
-        # fixed 3.5 arrays of N (d^2 x d^2) floats.  8 and 1024 substeps (4 and 11 levels) trace
-        # 5.7 and 13.2 arrays; keeping 2 KiB per substep would add 2.0 arrays at 1024
+        # fixed 1.5 arrays of N (d^2 x d^2) floats, since each chunk's cotangent Z goes over the
+        # spent M.  8 and 1024 substeps (4 and 11 levels) trace 4.75 and 12.23 arrays; keeping
+        # 2 KiB per substep would add 2.0 arrays at 1024
         system, obj, n = PRESETS["tcp"], self.noisy("local", 0.05), 512
         table = PulseTable(0.15, np.random.default_rng(7).normal(0, 300, size=(n, 1, 2)))
         for substeps in (8, 1024):
@@ -770,11 +771,12 @@ class TestLindbladWorkspace:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= (substeps.bit_length() + 3.5) * n * 16**2 * 8, substeps
+            assert peak <= (substeps.bit_length() + 1.5) * n * 16**2 * 8, substeps
 
     def test_fresh_gradient_at_one_substep_keeps_one_full_length_array(self):
-        # R is the one full-length array: the reverse pass runs per chunk and forms no
-        # Liouvillian, so 4096 rows trace 1.27 arrays of N (d^2 x d^2) floats
+        # R is the one full-length array: the reverse pass runs per chunk, writes each chunk's Z
+        # over R's spent rows and forms no Liouvillian, so 4096 rows trace 1.23 arrays of
+        # N (d^2 x d^2) floats
         system, obj, n = PRESETS["tcp"], self.noisy("local", 0.05), 4096
         table = PulseTable(0.15 * n / 512, np.random.default_rng(7).normal(0, 300, size=(n, 1, 2)))
         tracemalloc.start()

@@ -366,7 +366,9 @@ class TestTaylorPower:
     @pytest.mark.parametrize("degree", [4, 13])
     def test_reverse_pass_matches_the_dense_sum(self, degree, squarings, rank):
         # Z = sum_j R^j X Yt R^(2^k-1-j): the factors (width 1 or 2) double up to D = 16 and the
-        # squarings past that (from 5 or 4 on) run densely
+        # squarings past that (from 5 or 4 on) run densely.  Z is written over the top level, which
+        # is consumed, and each dense step swaps it with the factors' buffer: one dense step (rank 1
+        # at 5 squarings, rank 2 at 4) leaves Z there, two (rank 2 at 5) back in the top level
         rng, d, step = np.random.default_rng(10 * degree + squarings), 16, 0.01
         gen = rng.normal(0, 50 / d, size=(3, d, d))
         x, yt = rng.normal(size=(3, d, rank)), rng.normal(size=(3, rank, d))
@@ -376,8 +378,12 @@ class TestTaylorPower:
             r_pow.append(np.matmul(levels[0], r_pow[-1]))
         z = x @ yt
         ref = sum(r_pow[j] @ z @ r_pow[2**squarings - 1 - j] for j in range(2**squarings))
+        below = [level.copy() for level in levels[:-1]]
         got = _squarings_adjoint(x, yt, levels)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert all(np.array_equal(level, kept) for level, kept in zip(levels, below))
+        dense = squarings - min(squarings, 5 - rank)
+        assert np.shares_memory(got, levels[-1]) == (dense % 2 == 0)
 
 
 class TestPropagateUnitary:
