@@ -24,7 +24,7 @@ from .workspace import _buffer, _workspace
 _ROWS = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkParams:
     """Weights and biases of the ansatz; the entire encoded pulse."""
 
@@ -33,7 +33,7 @@ class NetworkParams:
     biases: tuple[np.ndarray, ...]  # biases[l] has shape (n_{l+1},)
     amp_scale: float  # rad/s
     time_scale: float  # seconds (= total pulse duration T)
-    metadata: dict = field(default_factory=dict, compare=False)
+    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         sizes = self.layer_sizes
@@ -82,7 +82,7 @@ class NetworkParams:
                              f"2 x {n_channels} system channels")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseTable:
     """A concrete sampling of a control profile: n_segments x channels x (x, y)."""
 

@@ -6,13 +6,10 @@ of the discretized dynamics; both take the maps' product up to every segment fro
 scan.  The unitary path takes its prefix products (``propagation.prefix_products``, scanned in real
 form) and each exponential's Frechet derivative in its eigenbasis (Daleckii-Krein), whose batched
 complex products are each one real matmul (``propagation._complex_matmul``).  The dissipative path
-takes its RK4 maps (one GEMM over the amplitude monomials, ``propagation.segment_lindblad_maps``),
-their states and, over the same block maps, costates (``propagation.state_costate_sweeps``), then,
-in chunks of ``_CHUNK`` segments, each map's reverse pass in real arithmetic: back through the
-squarings on the factors x_s, y_s of its rank-one cotangent x_s y_s^T into the spent segment maps
-(``propagation._squarings_adjoint``), then through the RK4 map's monomials in the amplitudes, built
-once per gradient (``propagation._rk4_map_gradient``), with no Liouvillian.  Both, and the network's
-passes, write temporaries into the ascent's workspace (``workspace._buffer``); gradients are fresh.
+is ``propagation.lindblad_table_gradient``, beside the maps it differentiates: the master equation's
+coordinates, chunks and reverse pass are propagation's, and this module hands it the noise, the table
+and the state pair.  Both, and the network's passes, write temporaries into the ascent's workspace
+(``workspace._buffer``); gradients are fresh.
 """
 
 from __future__ import annotations
@@ -26,30 +23,25 @@ from .network import NetworkParams, PulseTable, backprop_pulse, sample_pulse
 from .propagation import (
     DEFAULT_N_FINE,
     DEFAULT_SUBSTEP_TOL,
-    _CHUNK,
     _as_pulse,
     _complex_matmul,
-    _rk4_map_gradient,
-    _rk4_monomials,
-    _squarings_adjoint,
     lindblad_substeps,
+    lindblad_table_gradient,
     prefix_products,
     propagate_density,
     propagate_lindblad,
     propagate_unitary,
     segment_hamiltonians,
-    segment_lindblad_maps,
     segment_unitaries,
-    state_costate_sweeps,
 )
-from .spins import NoiseModel, SpinSystem, control_operator_stack, system_operators
+from .spins import NoiseModel, SpinSystem, control_operator_stack
 from .workspace import _buffer
 
 # trajectory shaping penalizes the checkpoints in this mid-sequence window (fractions of T)
 SHAPE_WINDOW = (0.25, 0.75)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectiveSpec:
     """What to optimize: a target unitary or a state-transfer pair."""
 
@@ -64,7 +56,7 @@ class ObjectiveSpec:
     shape_weight: float = 0.0
     shape_observables: tuple | None = None
     # overlap -> normalized fidelity (1/d^2 or 1/transfer bound), set from the fields above
-    norm_factor: float = field(init=False, repr=False, compare=False)
+    norm_factor: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("gate", "state"):
@@ -238,29 +230,6 @@ def _unitary_pulse_gradient(
     return overlap, du
 
 
-def _lindblad_pulse_gradient(
-    system: SpinSystem,
-    table: PulseTable,
-    objective: ObjectiveSpec,
-    substeps: int,
-) -> tuple[float, np.ndarray]:
-    """Unnormalized overlap and amplitude-table gradient for the dissipative path."""
-    ops = system_operators(system)
-    levels = segment_lindblad_maps(system, objective.noise, table, substeps)
-
-    # states x_s entering segment s and costates y_s leaving it
-    xs, ys, overlap = state_costate_sweeps(
-        levels[-1], ops.coordinates(objective.initial), ops.coordinates(objective.target))
-    monomials, stack, derivatives = _rk4_monomials(system, objective.noise, table, substeps, slice(None))
-    du = np.empty((len(xs), 2 * system.n_channels))
-    for i in range(0, len(xs), _CHUNK):  # the reverse pass by chunks: its temporaries are O(chunk)
-        rows = slice(i, i + _CHUNK)
-        # dF = Tr(Z_s dM_s), Z_s = x_s y_s^T as its factors, back through the squarings over M, then R
-        z = _squarings_adjoint(xs[rows, :, None], ys[rows, None, :], [m[rows] for m in levels])
-        du[rows] = _rk4_map_gradient(monomials[:, rows], stack, derivatives, z)
-    return overlap, du
-
-
 def pulse_table_gradient(
     system: SpinSystem,
     table: PulseTable,
@@ -279,7 +248,8 @@ def pulse_table_gradient(
     _as_pulse(system, table, None)  # the channel check of every forward evaluation
     if objective.dissipative:
         substeps = lindblad_substeps(system, table, objective.noise, substep_tol, amp_bound)
-        overlap, du = _lindblad_pulse_gradient(system, table, objective, substeps)
+        overlap, du = lindblad_table_gradient(system, objective.noise, table, substeps,
+                                              objective.initial, objective.target)
     else:
         overlap, du = _unitary_pulse_gradient(system, table, objective)
     scale = objective.norm_factor

@@ -20,10 +20,11 @@ equation runs in the real coordinates of an orthonormal Hermitian basis, where i
 real d^2 x d^2 matrices.  An RK4 substep map is a fixed polynomial in its amplitudes: the features
 are their monomials, the stack a matrix built once per system, noise and step (``_rk4_coefficients``),
 so no path forms a Liouvillian; the walk keeps the last squaring level, the gradient every level.
-Its reverse pass doubles a segment's cotangent factors x y^T down the squarings while their width
+The dissipative table gradient is here, beside its maps (``lindblad_table_gradient``): by chunks,
+its reverse pass doubles a segment's cotangent factors x y^T down the squarings while their width
 stays within d^2, then steps densely, the cotangent Z written over the spent segment maps M
 (``_squarings_adjoint``, for any squared map), and then takes the RK4 map's tangent: one GEMM with
-the monomials' coefficients and a gather over their derivatives (``_rk4_map_gradient``).
+the monomials' coefficients and a gather over their derivatives.
 Inside an ascent the segment arrays are buffers of its workspace (``workspace._buffer``), valid
 until the next call; outside one they are fresh.  The forward walk (``_sweep_segments``) opens a
 workspace of its own, whose buffers each chunk reuses.  numpy only; Dormand-Prince is a test oracle.
@@ -468,15 +469,30 @@ def segment_lindblad_maps(system: SpinSystem, noise: NoiseModel, table: PulseTab
     return _squarings(r.reshape(-1, dd, dd), substeps.bit_length() - 1, keep)
 
 
-def _rk4_map_gradient(monomials: np.ndarray, stack: np.ndarray, derivatives, z: np.ndarray) -> np.ndarray:
-    """dF/du (N, 2M) from the cotangents Z (N, D, D) of RK4 maps R = I + sum_a w^a K_a, dF = Tr(Z dR), and
-    their monomials (P, N), stack and derivative index (``_rk4_monomials``): t_a = Tr(Z K_a) = vec(Z) .
-    vec(K_a^T) by one GEMM, then dF/du_c = sum_a step e_c(a) w^(a - e_c) t_a by a gather over the index;
-    no L.  The K_a^T are a copy (P, D^2) per call, not cached: the forward walk never reads them."""
-    (n, dd, _), p, (children, parents, weights) = z.shape, len(stack), derivatives
+def lindblad_table_gradient(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int,
+                            initial: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """The overlap Tr(target rho(T)) of the dissipative evolution from initial, unnormalized, and its
+    exact gradient w.r.t. the amplitude table, (N, 2M).  The maps keep every level (``segment_lindblad_maps``)
+    and the sweeps give the states x_s entering segment s and costates y_s leaving it, in the coordinates
+    of ``SystemOperators.coordinates``.  Then, by chunks of _CHUNK rows, so that no temporary grows with N,
+    each cotangent Z_s = x_s y_s^T of dF = Tr(Z_s dM_s) goes back through the squarings over the spent M
+    (``_squarings_adjoint``) to R = I + sum_a w^a K_a, and t_a = Tr(Z K_a) = vec(Z) . vec(K_a^T) is one
+    GEMM, dF/du_c = sum_a step e_c(a) w^(a - e_c) t_a a gather over the derivative index, with the
+    monomials built once (``_rk4_monomials``); no L.  The K_a^T are a copy (P, D^2) per call, not cached:
+    the forward walk never reads them."""
+    ops = system_operators(system)
+    levels = segment_lindblad_maps(system, noise, table, substeps)
+    xs, ys, overlap = state_costate_sweeps(levels[-1], ops.coordinates(initial), ops.coordinates(target))
+    monomials, stack, (children, parents, weights) = _rk4_monomials(system, noise, table, substeps, slice(None))
+    (n, dd), p = xs.shape, len(stack)
     kt = stack.reshape(p, dd, dd).transpose(0, 2, 1).reshape(p, dd * dd)
-    t = np.matmul(z.reshape(n, -1), kt.T, out=_buffer("rk4_traces", (n, p)))
-    return np.multiply(t[:, children], monomials[parents].T) @ weights
+    du = np.empty((n, 2 * system.n_channels))
+    for i in range(0, n, _CHUNK):
+        rows = slice(i, i + _CHUNK)
+        z = _squarings_adjoint(xs[rows, :, None], ys[rows, None, :], [m[rows] for m in levels])
+        t = np.matmul(z.reshape(len(z), -1), kt.T, out=_buffer("rk4_traces", (len(z), p)))
+        du[rows] = np.multiply(t[:, children], monomials[parents, rows].T) @ weights
+    return overlap, du
 
 
 def propagate_lindblad(system: SpinSystem, pulse, rho0: np.ndarray, noise: NoiseModel, *,

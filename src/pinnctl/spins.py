@@ -75,7 +75,7 @@ class SpinSystem:
         return len(self.channels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Uniform-coefficient collapse model with strength gamma * drift_norm."""
 

@@ -8,7 +8,7 @@ the trajectory-shaping penalty whose cotangent the shaped gradient uses.
 ``segment_liouvillians`` builds each segment's real Liouvillian from its
 Hamiltonian, and ``lindblad_gradient`` is the dissipative gradient in powers
 of those Liouvillians, the reference of the monomial tangent that
-``objectives._lindblad_pulse_gradient`` runs.
+``propagation.lindblad_table_gradient`` runs.
 """
 
 from __future__ import annotations

@@ -61,3 +61,17 @@ def test_network_imports_no_module_above_it():
     below = imported_below("network")
     assert "workspace" in below
     assert not below & {"network", "propagation", "objectives", "optimizer"}
+
+
+def imported_names(name: str, module: str) -> set[str]:
+    """The names that src/pinnctl/<name>.py imports from its sibling <module> (from .module import ...)."""
+    return {alias.name for node in ast.walk(ast.parse((SRC / "pinnctl" / f"{name}.py").read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level and node.module == module
+            for alias in node.names}
+
+
+def test_objectives_knows_no_lindblad_representation():
+    # the dissipative gradient's coordinates, chunks and reverse pass live in propagation
+    assert {n for n in imported_names("objectives", "propagation") if n.startswith("_")} == {
+        "_as_pulse", "_complex_matmul"}
+    assert imported_names("objectives", "spins") <= {"NoiseModel", "SpinSystem", "control_operator_stack"}

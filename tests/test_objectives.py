@@ -21,12 +21,14 @@ from pinnctl.objectives import (
     state_fidelity,
     transfer_bound,
 )
-from pinnctl.objectives import _lindblad_pulse_gradient, _shape_cotangent
+from pinnctl.objectives import _shape_cotangent
 from pinnctl.optimizer import OptimizerConfig, multi_start
+from pinnctl import propagation
 from pinnctl.propagation import (
     _buffer,
     _workspace,
     lindblad_substeps,
+    lindblad_table_gradient,
     propagate_density,
     propagate_unitary,
     prefix_products,
@@ -54,6 +56,10 @@ from pinnctl.targets import (
 )
 
 from oracles import lindblad_gradient, shape_penalty
+
+
+def dissipative_gradient(system, table, obj, substeps):
+    return lindblad_table_gradient(system, obj.noise, table, substeps, obj.initial, obj.target)
 
 
 def haar_ish_unitary(rng, dim):
@@ -179,6 +185,18 @@ class TestObjectiveSpec:
                 "initial": thermal_deviation(), **fields[field]}
         with pytest.raises(ValueError, match=f"^{field} must be Hermitian$"):
             ObjectiveSpec(**spec)
+
+
+def test_array_holding_records_compare_and_hash_by_identity():
+    # a generated __eq__ would compare their numpy arrays, and raise on the truth value
+    makers = [lambda: PulseTable(0.02, np.zeros((4, 1, 2))),
+              lambda: init_params((1, 4, 2), 1.0, 0.02, seed=0),
+              lambda: noise_operators(PRESETS["tcp"], "local", 0.05),
+              lls_objective]
+    for make in makers:
+        a, b = make(), make()
+        assert (a == a) is True and (a == b) is False and (a != b) is True
+        assert hash(a) == hash(a) and len({a, b, replace(a)}) == 3
 
 
 class TestOneRulePerInput:
@@ -483,7 +501,7 @@ class TestLindbladGradientReference:
         system = PRESETS["tcp"]
         obj = replace(lls_objective(), noise=noise_operators(system, kind, 0.05))
         table = PulseTable(0.02, np.random.default_rng(5).normal(0, 300, size=(16, 1, 2)))
-        fid, grad = _lindblad_pulse_gradient(system, table, obj, substeps)
+        fid, grad = dissipative_gradient(system, table, obj, substeps)
         ref_fid, ref_grad = reference_lindblad_gradient(system, table, obj, substeps)
         assert abs(fid - ref_fid) < 1e-12 * abs(ref_fid)
         assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
@@ -523,7 +541,7 @@ class TestRK4Tangent:
     @settings(max_examples=120)
     def test_matches_the_liouvillian_reference(self, case):
         system, table, objective, substeps = case
-        overlap, grad = _lindblad_pulse_gradient(system, table, objective, substeps)
+        overlap, grad = dissipative_gradient(system, table, objective, substeps)
         ref_overlap, ref_grad = lindblad_gradient(system, table, objective, substeps)
         assert abs(overlap - ref_overlap) <= 1e-12 * max(abs(ref_overlap), 1.0)
         assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
@@ -561,7 +579,7 @@ class TestBlockedSweeps:
     @pytest.mark.parametrize("kind", ["local", "global"])
     def test_matches_complex_reference(self, kind, substeps, n):
         system, table, obj = self.case(kind, n)
-        fid, grad = _lindblad_pulse_gradient(system, table, obj, substeps)
+        fid, grad = dissipative_gradient(system, table, obj, substeps)
         ref_fid, ref_grad = reference_lindblad_gradient(system, table, obj, substeps)
         assert abs(fid - ref_fid) < 1e-12 * abs(ref_fid)
         assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
@@ -585,21 +603,21 @@ class TestBlockedSweeps:
         x0, y0 = ops.coordinates(obj.initial), ops.coordinates(obj.target)
         for got, ref in zip(state_costate_sweeps(maps, x0, y0), self.plain_sweeps(maps, x0, y0)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        fid, grad = _lindblad_pulse_gradient(system, table, obj, 8)
-        monkeypatch.setattr(objectives, "state_costate_sweeps", self.plain_sweeps)
-        ref_fid, ref_grad = _lindblad_pulse_gradient(system, table, obj, 8)
+        fid, grad = dissipative_gradient(system, table, obj, 8)
+        monkeypatch.setattr(propagation, "state_costate_sweeps", self.plain_sweeps)
+        ref_fid, ref_grad = dissipative_gradient(system, table, obj, 8)
         assert abs(fid - ref_fid) <= 1e-13 * abs(ref_fid)
         assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * np.max(np.abs(ref_grad))
 
     @pytest.mark.parametrize("n", [3, 37, 512])
     def test_bit_identical_in_a_workspace_and_on_a_second_call(self, n):
         system, table, obj = self.case("local", n)
-        fresh = _lindblad_pulse_gradient(system, table, obj, 8)
+        fresh = dissipative_gradient(system, table, obj, 8)
         with _workspace():
-            _lindblad_pulse_gradient(*self.case("global", 500), 8)  # other buffer shapes first
-            first = _lindblad_pulse_gradient(system, table, obj, 8)
+            dissipative_gradient(*self.case("global", 500), 8)  # other buffer shapes first
+            first = dissipative_gradient(system, table, obj, 8)
             first = first[0], first[1].copy()
-            second = _lindblad_pulse_gradient(system, table, obj, 8)
+            second = dissipative_gradient(system, table, obj, 8)
         for fid, grad in (first, second):
             assert fid == fresh[0]
             assert np.array_equal(grad, fresh[1])
@@ -610,9 +628,9 @@ class TestBlockedSweeps:
         rng = np.random.default_rng(37)
         gate = PRESETS["defm"], PulseTable(0.02, rng.normal(0, 600, size=(37, 2, 2))), cnot_objective()
         noisy = self.case("global", 500)
-        fresh = [pulse_table_gradient(*gate), _lindblad_pulse_gradient(*noisy, 8)]
+        fresh = [pulse_table_gradient(*gate), dissipative_gradient(*noisy, 8)]
         with _workspace():
-            mixed = [pulse_table_gradient(*gate), _lindblad_pulse_gradient(*noisy, 8),
+            mixed = [pulse_table_gradient(*gate), dissipative_gradient(*noisy, 8),
                      pulse_table_gradient(*gate)]
         for (fid, grad), (ref_fid, ref_grad) in zip(mixed, fresh + fresh[:1]):
             assert fid == ref_fid
@@ -767,7 +785,7 @@ class TestLindbladWorkspace:
         for substeps in (8, 1024):
             tracemalloc.start()
             try:
-                _lindblad_pulse_gradient(system, table, obj, substeps)
+                dissipative_gradient(system, table, obj, substeps)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -781,7 +799,7 @@ class TestLindbladWorkspace:
         table = PulseTable(0.15 * n / 512, np.random.default_rng(7).normal(0, 300, size=(n, 1, 2)))
         tracemalloc.start()
         try:
-            _lindblad_pulse_gradient(system, table, obj, 1)
+            dissipative_gradient(system, table, obj, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -797,7 +815,7 @@ class TestLindbladWorkspace:
             table = PulseTable(0.15 * n / 512, np.random.default_rng(7).normal(0, 300, size=(n, 1, 2)))
             tracemalloc.start()
             try:
-                _lindblad_pulse_gradient(system, table, obj, substeps)
+                dissipative_gradient(system, table, obj, substeps)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
