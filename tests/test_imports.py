@@ -1,6 +1,7 @@
 """The package needs numpy alone at runtime: scipy is a test dependency
 (tests/oracles.py), so importing pinnctl must not load it.  The ascent
-workspace sits at the bottom of the import graph, below network."""
+workspace sits at the bottom of the import graph, below network, and
+objectives imports none of the master equation's internals from propagation."""
 
 import ast
 import os
