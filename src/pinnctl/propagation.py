@@ -3,8 +3,8 @@
 The forward-only propagators walk the segments in chunks of at most _CHUNK, folding each chunk's
 maps into the state by a pairwise product tree before the next chunk is built, so their memory is
 O(chunk), not O(N), besides the table (a network is sampled in row blocks, ``forward_batch``).
-Every per-segment array (Hamiltonians, Liouvillians, unitary generators, RK4 maps) is one GEMM of
-per-segment features with a per-system stack, plus an offset (``_affine``).  The unitary maps are
+Every per-segment GEMM (Hamiltonians, unitary generators, RK4 maps and tangent traces) is ``_affine``:
+per-segment features times a per-system stack, plus any offset, into a buffer.  The unitary maps are
 exp(-i H dt) by Taylor polynomial (``_taylor_power``, Paterson-Stockmeyer, about 2 sqrt(m) matmuls
 at degree m, the generator GEMM writing into its powers) and squaring (``_squarings``, in two
 buffers) in the real form [[Re U, -Im U], [Im U, Re U]], acting on the state [Re U; Im U]: no
@@ -19,12 +19,13 @@ states, whose costates run back over its block maps (``state_costate_sweeps``). 
 equation runs in the real coordinates of an orthonormal Hermitian basis, where its generators are
 real d^2 x d^2 matrices.  An RK4 substep map is a fixed polynomial in its amplitudes: the features
 are their monomials, the stack a matrix built once per system, noise and step (``_rk4_coefficients``),
-so no path forms a Liouvillian; the walk keeps the last squaring level, the gradient every level.
+so no path forms a Liouvillian.  One function builds the maps and monomials (``_rk4_maps``): the walk's
+builder keeps the last squaring level (``segment_lindblad_maps``), the gradient every level.
 The dissipative table gradient is here, beside its maps (``lindblad_table_gradient``): by chunks,
 its reverse pass doubles a segment's cotangent factors x y^T down the squarings while their width
 stays within d^2, then steps densely, the cotangent Z written over the spent segment maps M
-(``_squarings_adjoint``, for any squared map), and then takes the RK4 map's tangent: one GEMM with
-the monomials' coefficients and a gather over their derivatives.
+(``_squarings_adjoint``, for any squared map), and then takes the RK4 map's tangent: one ``_affine``
+GEMM with the monomials' coefficients and a gather over their derivatives.
 Inside an ascent the segment arrays are buffers of its workspace (``workspace._buffer``), valid
 until the next call; outside one they are fresh.  The forward walk (``_sweep_segments``) opens a
 workspace of its own, whose buffers each chunk reuses.  numpy only; Dormand-Prince is a test oracle.
@@ -438,59 +439,56 @@ def _rk4_coefficients(system: SpinSystem, dissipator: bytes, step: float):
     return blocks, _read_only(r.reshape(len(terms), -1)), tuple(map(_read_only, derivatives))
 
 
-def _rk4_monomials(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int, rows: slice):
-    """The monomials of w = h u up to degree 4, (P, N), for the segments in rows (a row each, so
-    the rows below are copied whole), with the coefficients and derivative index of ``_rk4_coefficients``."""
+def _rk4_maps(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int, rows: slice):
+    """The RK4 substep maps R = I + sum_a w^a K_a, (N, d^2, d^2), of the segments in rows, in a workspace
+    their buffer: one GEMM (``_affine``) of the monomials of w = h u up to degree 4, (P, N), a row each
+    (so the rows below are copied whole), with the K_a of ``_rk4_coefficients``, then the identity.
+    The only build of R and the monomials.  Returns (R, monomials, coefficients, derivative index)."""
     amps, step = table.flat_amplitudes()[rows], table.dt / substeps
     blocks, coefficients, derivatives = _rk4_coefficients(system, noise.dissipator.tobytes(), step)
     monomials = np.ones((len(coefficients), len(amps)))
     np.multiply(amps.T, step, out=monomials[1 : amps.shape[1] + 1])
     for lo, parents, last in blocks:  # each degree from the one below
         np.multiply(monomials[parents], monomials[last], out=monomials[lo : lo + len(parents)])
-    return monomials, coefficients, derivatives
+    r, dd = _affine(monomials.T, coefficients, "rk4_maps"), system.dimension**2
+    r[:, :: dd + 1] += 1.0  # R's diagonal, after the GEMM, so that R rounds as Horner's last step does
+    return r.reshape(-1, dd, dd), monomials, coefficients, derivatives
 
 
 def segment_lindblad_maps(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int,
-                          rows: slice = slice(None), keep: bool = True) -> list[np.ndarray]:
-    """Per-segment RK4 substep maps R, R^2, R^4, ... and segment maps M = R^substeps
-    (substeps a power of two), in the coordinates of ``SystemOperators.coordinates``,
-    for the segments in rows (all by default; each row is the same bits either way);
-    not kept (the forward walk's), only [M], squared in two buffers (``_squarings``).
-
-    With a constant generator L = A + sum_c u_c G_c one RK4 step is the 4th-order
-    Taylor polynomial of exp(h L), a fixed polynomial in w = h u: all R are one GEMM of
-    the monomials of w with ``_rk4_coefficients``, and L is never formed.  Returns
-    [R, ..., M], each (N, d^2, d^2), M at [-1], in a workspace (an ascent's, or the
-    forward-only walk's) its buffer.
-    """
-    monomials, coefficients, _ = _rk4_monomials(system, noise, table, substeps, rows)
-    r, dd = _affine(monomials.T, coefficients, "rk4_maps"), system.dimension**2
-    r[:, :: dd + 1] += 1.0  # R's diagonal, after the GEMM, so that R rounds as Horner's last step does
-    return _squarings(r.reshape(-1, dd, dd), substeps.bit_length() - 1, keep)
+                          rows: slice = slice(None)) -> np.ndarray:
+    """Segment maps M = R^substeps (substeps a power of two), (N, d^2, d^2), in the coordinates of
+    ``SystemOperators.coordinates``, for the segments in rows (all by default; each row is the same
+    bits either way): the forward walk's builder.  With a constant generator L = A + sum_c u_c G_c
+    one RK4 step is the 4th-order Taylor polynomial of exp(h L), a fixed polynomial in w = h u, so
+    R is one GEMM (``_rk4_maps``) and L is never formed; R is squared in two buffers (``_squarings``),
+    and M is, in a workspace (an ascent's, or the walk's), its buffer."""
+    r = _rk4_maps(system, noise, table, substeps, rows)[0]
+    return _squarings(r, substeps.bit_length() - 1, keep=False)[-1]
 
 
 def lindblad_table_gradient(system: SpinSystem, noise: NoiseModel, table: PulseTable, substeps: int,
                             initial: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """The overlap Tr(target rho(T)) of the dissipative evolution from initial, unnormalized, and its
-    exact gradient w.r.t. the amplitude table, (N, 2M).  The maps keep every level (``segment_lindblad_maps``)
-    and the sweeps give the states x_s entering segment s and costates y_s leaving it, in the coordinates
-    of ``SystemOperators.coordinates``.  Then, by chunks of _CHUNK rows, so that no temporary grows with N,
+    exact gradient w.r.t. the amplitude table, (N, 2M).  One RK4 build (``_rk4_maps``) gives R, the
+    monomials and the derivative index; every squaring level of R is kept (``_squarings``), and the
+    sweeps give the states x_s entering segment s and costates y_s leaving it, in the coordinates of
+    ``SystemOperators.coordinates``.  Then, by chunks of _CHUNK rows, so that no temporary grows with N,
     each cotangent Z_s = x_s y_s^T of dF = Tr(Z_s dM_s) goes back through the squarings over the spent M
     (``_squarings_adjoint``) to R = I + sum_a w^a K_a, and t_a = Tr(Z K_a) = vec(Z) . vec(K_a^T) is one
-    GEMM, dF/du_c = sum_a step e_c(a) w^(a - e_c) t_a a gather over the derivative index, with the
-    monomials built once (``_rk4_monomials``); no L.  The K_a^T are a copy (P, D^2) per call, not cached:
-    the forward walk never reads them."""
+    GEMM (``_affine``), dF/du_c = sum_a step e_c(a) w^(a - e_c) t_a a gather over the derivative index;
+    no L.  The K_a^T are a copy (D^2, P) per call, not cached: the forward walk never reads them."""
     ops = system_operators(system)
-    levels = segment_lindblad_maps(system, noise, table, substeps)
+    r, monomials, stack, (children, parents, weights) = _rk4_maps(system, noise, table, substeps, slice(None))
+    levels = _squarings(r, substeps.bit_length() - 1)
     xs, ys, overlap = state_costate_sweeps(levels[-1], ops.coordinates(initial), ops.coordinates(target))
-    monomials, stack, (children, parents, weights) = _rk4_monomials(system, noise, table, substeps, slice(None))
     (n, dd), p = xs.shape, len(stack)
-    kt = stack.reshape(p, dd, dd).transpose(0, 2, 1).reshape(p, dd * dd)
+    kt = stack.reshape(p, dd, dd).transpose(2, 1, 0).reshape(dd * dd, p)  # [ij, a] = K_a[j, i]
     du = np.empty((n, 2 * system.n_channels))
     for i in range(0, n, _CHUNK):
         rows = slice(i, i + _CHUNK)
         z = _squarings_adjoint(xs[rows, :, None], ys[rows, None, :], [m[rows] for m in levels])
-        t = np.matmul(z.reshape(len(z), -1), kt.T, out=_buffer("rk4_traces", (len(z), p)))
+        t = _affine(z.reshape(len(z), -1), kt, "rk4_traces")
         du[rows] = np.multiply(t[:, children], monomials[parents, rows].T) @ weights
     return overlap, du
 
@@ -503,5 +501,5 @@ def propagate_lindblad(system: SpinSystem, pulse, rho0: np.ndarray, noise: Noise
     table = _as_pulse(system, pulse, n_fine)
     m_sub, ops = lindblad_substeps(system, table, noise, DEFAULT_SUBSTEP_TOL), system_operators(system)
     return _sweep_segments(
-        table, lambda rows: segment_lindblad_maps(system, noise, table, m_sub, rows, keep=False)[-1],
+        table, lambda rows: segment_lindblad_maps(system, noise, table, m_sub, rows),
         ops.coordinates(rho0), sample_times, ops.density)

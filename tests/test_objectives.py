@@ -563,12 +563,13 @@ class TestBlockedSweeps:
         return xs, ys, float(y0 @ x)
 
     @staticmethod
-    def case(kind, n):
+    def case(kind, n, initial="target"):
         # the segment length of the 16-segment cases, and the singlet order kept rather than
-        # made, so that even one segment has an overlap of order 1
+        # made, so that even one segment has an overlap of order 1; "off_target" adds the thermal
+        # deviation, so that the initial state and the target differ
         system = PRESETS["tcp"]
-        obj = replace(lls_objective(), initial=singlet_order_operator(),
-                      noise=noise_operators(system, kind, 0.05))
+        rho0 = singlet_order_operator() + (thermal_deviation() if initial == "off_target" else 0)
+        obj = replace(lls_objective(), initial=rho0, noise=noise_operators(system, kind, 0.05))
         table = PulseTable(0.02 * n / 16, np.random.default_rng(n).normal(0, 300, size=(n, 1, 2)))
         return system, table, obj
 
@@ -577,8 +578,9 @@ class TestBlockedSweeps:
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 17, 37, 300])
     @pytest.mark.parametrize("substeps", [2, 8])
     @pytest.mark.parametrize("kind", ["local", "global"])
-    def test_matches_complex_reference(self, kind, substeps, n):
-        system, table, obj = self.case(kind, n)
+    @pytest.mark.parametrize("initial", ["target", "off_target"])
+    def test_matches_complex_reference(self, initial, kind, substeps, n):
+        system, table, obj = self.case(kind, n, initial)
         fid, grad = dissipative_gradient(system, table, obj, substeps)
         ref_fid, ref_grad = reference_lindblad_gradient(system, table, obj, substeps)
         assert abs(fid - ref_fid) < 1e-12 * abs(ref_fid)
@@ -589,7 +591,7 @@ class TestBlockedSweeps:
     def test_matches_a_plain_sweep(self, kind, n):
         system, table, obj = self.case(kind, n)
         ops = system_operators(system)
-        maps = segment_lindblad_maps(system, obj.noise, table, 8)[-1]
+        maps = segment_lindblad_maps(system, obj.noise, table, 8)
         x0, y0 = ops.coordinates(obj.initial), ops.coordinates(obj.target)
         for got, ref in zip(state_costate_sweeps(maps, x0, y0), self.plain_sweeps(maps, x0, y0)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -599,7 +601,7 @@ class TestBlockedSweeps:
         # b = 22 and 23 full blocks, remainder 6
         system, table, obj = self.case(kind, 512)
         ops = system_operators(system)
-        maps = segment_lindblad_maps(system, obj.noise, table, 8)[-1]
+        maps = segment_lindblad_maps(system, obj.noise, table, 8)
         x0, y0 = ops.coordinates(obj.initial), ops.coordinates(obj.target)
         for got, ref in zip(state_costate_sweeps(maps, x0, y0), self.plain_sweeps(maps, x0, y0)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -18,6 +18,7 @@ from pinnctl.propagation import (
     _CHUNK,
     DEFAULT_SUBSTEP_TOL,
     _ordered_product,
+    _rk4_maps,
     _squarings,
     _squarings_adjoint,
     _sweep_segments,
@@ -204,7 +205,7 @@ def tcp_lindblad_maps(n, seed=0):
     table = PulseTable(0.05, np.random.default_rng(seed).normal(0, 300, size=(n, 1, 2)))
     noise = noise_operators(PRESETS["tcp"], "local", 0.05)
     substeps = lindblad_substeps(PRESETS["tcp"], table, noise, 0.005)
-    return segment_lindblad_maps(PRESETS["tcp"], noise, table, substeps)[-1]
+    return segment_lindblad_maps(PRESETS["tcp"], noise, table, substeps)
 
 
 class TestProductTree:
@@ -327,8 +328,9 @@ class TestSegmentLindbladMaps:
         r = hl / 24.0 + eye / 6.0  # Horner on the coefficients 1/k!
         for c_k in (1 / 2, 1.0, 1.0):
             r = np.matmul(hl, r) + c_k * eye
-        got = segment_lindblad_maps(system, noise, table, substeps)
+        got = _squarings(_rk4_maps(system, noise, table, substeps, slice(None))[0], substeps.bit_length() - 1)
         assert len(got) == 1 + substeps.bit_length() - 1
+        assert np.array_equal(segment_lindblad_maps(system, noise, table, substeps), got[-1])
         ref_lv = segment_liouvillians(system, noise, table)
         assert np.max(np.abs(ref_lv - lv)) <= 1e-12 * np.max(np.abs(lv))
         assert np.max(np.abs(got[0] - r)) <= 4 * np.finfo(float).eps * np.max(np.abs(r))
@@ -666,7 +668,7 @@ class TestChunkedWalk:
         times = chunk_edge_times(n, table.duration)
         res = propagate_lindblad(system, table, rho0, noise, sample_times=times)
         substeps = lindblad_substeps(system, table, noise, propagation.DEFAULT_SUBSTEP_TOL)
-        maps = segment_lindblad_maps(system, noise, table, substeps)[-1]
+        maps = segment_lindblad_maps(system, noise, table, substeps)
         ops = system_operators(system)
         ref_final, ref_rows = loop_sweep(maps, ops.coordinates(rho0), times, table.duration)
         assert np.max(np.abs(res.final - ops.density(ref_final))) <= 1e-13
@@ -679,16 +681,16 @@ class TestChunkedWalk:
         system = PRESETS[name]
         table = PulseTable(0.05, np.random.default_rng(n).normal(0, 300, size=(n, system.n_channels, 2)))
         noise = noise_operators(system, "global", 0.05)
-        full_maps = segment_lindblad_maps(system, noise, table, 8)
+        full_maps = _squarings(_rk4_maps(system, noise, table, 8, slice(None))[0], 3)
         full_h, full_lv = segment_hamiltonians(system, table), segment_liouvillians(system, noise, table)
         full_units = segment_unitaries(full_h, table.dt)
         for lo in range(0, n, _CHUNK):  # n 257 ends in a one-row chunk
             rows = slice(lo, min(lo + _CHUNK, n))
             part_table = table_rows(table, rows)
-            for part, full in zip(segment_lindblad_maps(system, noise, table, 8, rows), full_maps):
+            for part, full in zip(_squarings(_rk4_maps(system, noise, table, 8, rows)[0], 3), full_maps):
                 assert np.array_equal(part, full[rows])
             with _workspace():  # as the walk builds them
-                (last,) = segment_lindblad_maps(system, noise, table, 8, rows, keep=False)
+                last = segment_lindblad_maps(system, noise, table, 8, rows)
                 assert np.array_equal(last, full_maps[-1][rows])
             h = segment_hamiltonians(system, part_table)
             assert np.array_equal(h, full_h[rows])
@@ -734,6 +736,23 @@ class TestChunkedWalk:
         info = propagation._rk4_coefficients.cache_info()
         assert len(builds) == 2 * 17 and len(set(builds)) == 1
         assert (info.misses, info.hits) == (1, 2 * 17 - 1)
+
+    def test_one_rk4_build_per_gradient(self, monkeypatch):
+        # the gradient's maps, monomials and derivative index come from one build, for every chunk
+        # of its reverse pass; it builds no walk maps besides
+        builds = []
+        for name in ("_rk4_maps", "segment_lindblad_maps"):
+            original = getattr(propagation, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                builds.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(propagation, name, counted)
+        system, table = PRESETS["tcp"], self.tcp_table(513)
+        propagation.lindblad_table_gradient(system, noise_operators(system, "local", 0.05), table, 8,
+                                            thermal_deviation(), thermal_deviation())
+        assert builds == ["_rk4_maps"]
 
 
 THREE_SPINS = SpinSystem(3, ((0,), (1, 2)), couplings=((0, 1, 48.2), (1, 2, 8.75)),
