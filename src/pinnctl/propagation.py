@@ -11,11 +11,13 @@ buffers) in the real form [[Re U, -Im U], [Im U, Re U]], acting on the state [Re
 eigendecomposition and no complex H, the generators coming from the real forms of -i H0 and -i O_c
 (``SystemOperators.unitary_generators``).  Only the unitary gradient eigendecomposes (for
 Daleckii-Krein, ``segment_unitaries``), each H by a real eigh of D^dag H D, real symmetric in a
-diagonal phase gauge D; its batched complex products are each one real matmul
-(``_complex_matmul``).  One blocked sqrt(N) scan (``_blocked_states``) gives both gradients the
-product of the maps up to every segment: the unitary P_s = U_s ... U_1, run from the identity over
-the real forms of the U_s (the product after segment s is U(T) P_s^dagger), and the dissipative
-states, whose costates run back over its block maps (``state_costate_sweeps``).  The master
+diagonal phase gauge D, or, for two spins without offsets, whose D^dag H D commutes with the spin
+flip, by a closed-form rotation of each of its two 2x2 parity blocks (``_flip_parity_eigh``); its
+batched complex products are each one real matmul (``_complex_matmul``).  One blocked sqrt(N) scan
+(``_blocked_states``) gives both gradients the product of the maps up to every segment: the
+unitary P_s = U_s ... U_1, run from the identity over the real forms of the U_s (the product after
+segment s is U(T) P_s^dagger), and the dissipative states, whose costates run back over its block
+maps (``state_costate_sweeps``).  The master
 equation runs in the real coordinates of an orthonormal Hermitian basis, where its generators are
 real d^2 x d^2 matrices.  An RK4 substep map is a fixed polynomial in its amplitudes: the features
 are their monomials, the stack a matrix built once per system, noise and step (``_rk4_coefficients``),
@@ -118,8 +120,12 @@ def segment_unitaries(h_batch: np.ndarray, dt: float):
     Every H of ``segment_hamiltonians`` (a diagonal drift, single-spin x/y controls) is D S D^dag, S
     real symmetric, D = diag(exp(i theta_m)), theta_m the sum of arg <2^k|H|0> over the set bits k of
     m: V = D Q for S = Q diag(evals) Q^T by real eigh.  A batch outside that family, where some
-    |Im S_ab| exceeds 1e-12 |Re S_ab|, raises ValueError.
-    Returns (evals (N,d), vecs (N,d,d), unitaries (N,d,d), in a workspace their buffers).
+    |Im S_ab| exceeds 1e-12 |Re S_ab|, raises ValueError.  When d = 4 and S = F S F to round-off
+    (|S - F S F| <= 1e-12 |S| in every entry), F the spin flip m -> 3 - m, as for every segment
+    of a drift without offsets, S splits into two 2x2 parity blocks, each diagonalized in closed
+    form (``_flip_parity_eigh``) instead of by eigh; U is then formed from the basis Q sqrt 2 and
+    an exact 1/2, whose norms carry no rounded sqrt(1/2).  Every other batch takes eigh.
+    Returns (evals (N,d), vecs (N,d,d), unitaries (N,d,d); in a workspace the last two are buffers).
     """
     n, d, _ = h_batch.shape
     bits = (np.arange(d) >> np.arange((d - 1).bit_length())[:, None]) & 1  # [k, m]: bit k of m
@@ -130,13 +136,68 @@ def segment_unitaries(h_batch: np.ndarray, dt: float):
     bound = np.abs(s.real, out=_buffer("unitary_bound", (n, d, d)))
     if np.any(residue > np.multiply(bound, 1e-12, out=bound)):
         raise ValueError("segment Hamiltonians must be a phase gauge of real symmetric matrices")
-    evals, q = np.linalg.eigh(s.real)
-    vecs = np.multiply(gauge[:, :, None], q, out=_buffer("unitary_vecs", (n, d, d), complex))
+    # no offsets in the drift: S commutes with the spin flip F, m -> 3 - m, and has two parity blocks
+    flipped = s.real[:, ::-1, ::-1]
+    if d == 4 and np.all(np.abs(np.subtract(s.real, flipped, out=residue), out=residue) <= bound):
+        evals, basis, q = _flip_parity_eigh(s.real)
+    else:
+        evals, q = np.linalg.eigh(s.real)
+        basis = q
+    vecs = np.multiply(gauge[:, :, None], basis, out=_buffer("unitary_vecs", (n, d, d), complex))
     phases = np.multiply(-1j, evals, out=_buffer("unitary_phases", evals.shape, complex))
     phases = np.exp(np.multiply(phases, dt, out=phases), out=phases)[:, None, :]
+    if basis is not q:  # columns of norm sqrt 2
+        phases *= 0.5
     scaled = np.multiply(vecs, phases, out=_buffer("unitary_scaled", vecs.shape, complex))
     vecs_h = np.conj(vecs, out=_buffer("unitary_vecs_h", vecs.shape, complex)).transpose(0, 2, 1)
-    return evals, vecs, _complex_matmul(scaled, vecs_h, _buffer("unitaries", vecs.shape, complex))
+    units = _complex_matmul(scaled, vecs_h, _buffer("unitaries", vecs.shape, complex))
+    if basis is not q:
+        np.multiply(gauge[:, :, None], q, out=vecs)
+    return evals, vecs, units
+
+
+@functools.cache
+def _parity_maps() -> tuple[np.ndarray, np.ndarray]:
+    """The two GEMM stacks of ``_flip_parity_eigh``, from the parity bases E_p = [e0 + p e3,
+    e1 + p e2], p = +1 (even) and -1 (odd).  (16, 6): the entries of S to the mean, half-difference
+    and off-diagonal of each block E_p^T S E_p / 2.  (12, 36): the features [cos t, sin t, their
+    unit copies, mean, radius] of the two blocks, (6, 2), to the 9 entries of each column (even -,
+    even +, odd -, odd +): E_p (a, b) for (a, b) = (-sin t, cos t) or (cos t, sin t), the same for
+    the unit copies, and the eigenvalue mean -+ radius."""
+    embed = np.array([[[1, 0], [0, 1], [0, p], [p, 0]] for p in (1, -1)])  # [block, m, i]
+    pp = np.einsum("kai,kbj->ijkab", embed, embed) / 4  # [i, j, block] -> S's coefficients
+    blocks = np.stack([pp[0, 0] + pp[1, 1], pp[0, 0] - pp[1, 1], pp[0, 1] + pp[1, 0]]).reshape(6, 16)
+    turn = np.array([[[0, -1], [1, 0]], np.eye(2)])  # [-+, (a, b), (cos, sin)]
+    columns = np.zeros((6, 2, 2, 2, 9))  # [feature, block, block, -+, entry]
+    for k in range(2):
+        columns[0:2, k, k, :, 0:4] = columns[2:4, k, k, :, 4:8] = np.einsum("mi,jif->fjm", embed[k], turn)
+        columns[4, k, k, :, 8], columns[5, k, k, :, 8] = 1.0, (-1.0, 1.0)
+    return _read_only(np.ascontiguousarray(blocks.T)), _read_only(columns.reshape(12, 36))
+
+
+def _flip_parity_eigh(s: np.ndarray):
+    """The eigendecomposition of a real symmetric batch S (N, 4, 4) with S = F S F, F the flip
+    m -> 3 - m: the eigenvalues ascending, as eigh's; the eigenbasis times sqrt 2, whose entries
+    carry no rounded sqrt(1/2), for U; and the eigenbasis Q.  Each parity block [[m + h, b],
+    [b, m - h]] (one GEMM, ``_parity_maps``) is diagonalized by one symmetric Schur rotation
+    (Golub and Van Loan, Matrix Computations, sec. 8.5): the eigenvalues m -+ hypot(h, b) with the
+    vectors (-sin t, cos t) and (cos t, sin t), t = atan2(b, h) / 2.  Q is cos t and sin t times
+    sqrt(1/2) after one Newton-Schulz step, v <- v (3 - |v|^2) / 2, so that its column norms, like
+    the scaled basis's, carry no rounding bias into long products.  A second GEMM lays out the
+    columns, a gather sorts them."""
+    n, (to_blocks, to_columns) = len(s), _parity_maps()
+    blocks = _affine(s.reshape(n, 16), to_blocks, "parity_blocks").reshape(n, 3, 2)
+    mean, half, off = blocks.transpose(1, 0, 2)
+    angle = np.arctan2(off, half)
+    angle *= 0.5
+    cos, sin = np.cos(angle), np.sin(angle)
+    ucos, usin = cos * math.sqrt(0.5), sin * math.sqrt(0.5)
+    grow = 1.5 - (ucos * ucos + usin * usin)  # 3/2 - |v|^2 / 2
+    features = np.stack([cos, sin, ucos * grow, usin * grow, mean, np.hypot(half, off)], 1)
+    columns = _affine(features.reshape(n, 12), to_columns, "parity_columns").reshape(4 * n, 9)
+    order = np.argsort(columns[:, 8].reshape(n, 4), axis=1)
+    rows = np.take(columns, order + 4 * np.arange(n)[:, None], axis=0).transpose(0, 2, 1)
+    return rows[:, 8], rows[:, :4], rows[:, 4:8]
 
 
 def _complex_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
@@ -883,14 +883,28 @@ def gauge_cases(draw):
     return system, PulseTable(draw(st.sampled_from([1e-4, 0.02])), amps)
 
 
+def equal_moduli_table(n, seed):
+    """A defm table with |u1| = |u2| on every segment: u2 is u1 turned by 90 degrees, so the odd
+    parity block of D^dag H D is diagonal."""
+    u1 = np.random.default_rng(seed).normal(0, 3000, size=(n, 2))
+    return PulseTable(0.02, np.stack([u1, u1[:, ::-1] * [-1.0, 1.0]], 1))
+
+
 class TestGaugeEigendecomposition:
     """segment_unitaries eigendecomposes the real symmetric D^dag H D: the same spectrum and
-    exponentials as numpy's complex eigh of the batch, and a unitary eigenbasis."""
+    exponentials as numpy's complex eigh of the batch, and a unitary eigenbasis.  Two spins
+    without offsets take the closed-form parity blocks instead of eigh; the examples reach them."""
 
     @given(gauge_cases())
+    @example((PRESETS["defm"], zero_pulse(0.02, 16, 2)))  # both blocks diag(+-pi J / 2): degenerate
+    @example((PRESETS["defm"], PulseTable(0.02, np.random.default_rng(5).normal(0, 3000, size=(40, 2, 2)))))
+    @example((PRESETS["defm"], equal_moduli_table(40, 6)))
     @settings(max_examples=150)
     def test_matches_complex_eigh(self, case):
-        system, table = case
+        self.assert_matches_complex_eigh(*case)
+
+    @staticmethod
+    def assert_matches_complex_eigh(system, table):
         h = segment_hamiltonians(system, table)
         evals, vecs, units = segment_unitaries(h, table.dt)
         ref_evals, ref_vecs = np.linalg.eigh(h)
@@ -901,6 +915,20 @@ class TestGaugeEigendecomposition:
         assert np.max(np.abs(units - ref_units)) <= 1e-13 * max(1.0, np.max(scale) * table.dt)
         eye = np.eye(system.dimension)
         assert np.max(np.abs(vecs.conj().transpose(0, 2, 1) @ vecs - eye)) <= 1e-13
+
+    @pytest.mark.parametrize("system, eighs", [
+        (PRESETS["defm"], 0), (PRESETS["tcp"], 1), (replace(PRESETS["defm"], offsets_hz=(10.0, 0.0)), 1),
+        (replace(PRESETS["defm"], offsets_hz=(0.0, 1e-6)), 1),
+    ], ids=["defm", "tcp", "defm-offset", "defm-microhertz-offset"])
+    def test_eigh_only_without_flip_symmetry(self, system, eighs, monkeypatch):
+        # a single-spin offset breaks the flip symmetry, however small against the drive
+        table = PulseTable(0.02, np.random.default_rng(4).normal(0, 3000, size=(64, system.n_channels, 2)))
+        h, calls, original = segment_hamiltonians(system, table), [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or original(a))
+        segment_unitaries(h, table.dt)
+        assert calls == [h.shape] * eighs
+        monkeypatch.undo()
+        self.assert_matches_complex_eigh(system, table)
 
     @pytest.mark.parametrize("system", [PRESETS["defm"], PRESETS["tcp"], THREE_SPINS],
                              ids=["defm", "tcp", "3-spin"])
