@@ -88,20 +88,12 @@ def read_pulse_csv(path) -> PulseTable:
 def write_shaped_pulse(table: PulseTable, amp_scale: float, path) -> None:
     """Amplitude/phase export: per channel, amplitude as percent of amp_scale
     (6 decimals) and phase in degrees wrapped to [0, 360)."""
-    header = []
-    for c in range(table.n_channels):
-        header += [f"amp{c + 1}_pct", f"phase{c + 1}_deg"]
-
-    def row(s):
-        out = []
-        for c in range(table.n_channels):
-            ux, uy = table.samples[s, c, 0], table.samples[s, c, 1]
-            amp = np.hypot(ux / amp_scale, uy / amp_scale) * 100.0  # finite for |u| <= amp_scale
-            phase = np.degrees(np.arctan2(uy, ux)) % 360.0
-            out += [f"{amp:.6f}", f"{phase:.6f}"]
-        return out
-
-    _write_csv(path, header, map(row, range(table.n_segments)))
+    ux, uy = table.samples[..., 0], table.samples[..., 1]
+    amp = np.hypot(ux / amp_scale, uy / amp_scale) * 100.0  # finite for |u| <= amp_scale
+    phase = np.degrees(np.arctan2(uy, ux)) % 360.0
+    header = [h for c in range(1, table.n_channels + 1) for h in (f"amp{c}_pct", f"phase{c}_deg")]
+    rows = np.stack([amp, phase], axis=-1).reshape(table.n_segments, -1)  # amp1, phase1, amp2, ...
+    _write_csv(path, header, ([f"{x:.6f}" for x in row] for row in rows))
 
 
 def write_sweep_csv(sweep: SweepResult, path) -> None:

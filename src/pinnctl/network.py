@@ -22,6 +22,10 @@ from .workspace import _buffer, _workspace
 # Rows per block of a forward pass without a tape (256 to 4096 time alike): sampling a
 # network onto N segments then holds one block's layers besides its (N, 2M) table.
 _ROWS = 1024
+# Rows per block of a weight gradient's in-order sum: each block's product runs on one BLAS
+# thread, so the sum has the same bits at any thread count.  The forward blocks keep _ROWS:
+# on the LLS network, 256-row forward blocks are not the bits of a taped pass of 513 rows or more.
+_SUM_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +222,10 @@ def backprop_pulse(
         # this layer's tanh output a: delta * (1.0 - a**2), the factor formed in the other buffer
         factor = np.square(tape[l + 1], out=_buffer(keys[1], delta.shape))
         delta = np.multiply(delta, np.subtract(1.0, factor, out=factor), out=delta)
-        grad_w[l] = tape[l].T @ delta
+        # in order over row blocks, so the bits do not follow the BLAS thread count
+        grad_w[l] = tape[l][:_SUM_ROWS].T @ delta[:_SUM_ROWS]
+        for lo in range(_SUM_ROWS, len(delta), _SUM_ROWS):
+            grad_w[l] += tape[l][lo:lo + _SUM_ROWS].T @ delta[lo:lo + _SUM_ROWS]
         grad_b[l] = delta.sum(axis=0)
         if l > 0:  # the next delta goes where the factor was
             delta = np.matmul(delta, params.weights[l].T, out=_buffer(keys[1], tape[l].shape))

@@ -64,6 +64,24 @@ class TestPulseSpectrum:
         with pytest.raises(ValueError, match="spectrum of channel 1 overflows"):
             pulse_spectrum(PulseTable(0.003, samples))
 
+    def test_overflow_names_the_channel_that_overflows(self):
+        # channel 1 is finite; the one FFT over every channel must still name channel 2
+        samples = np.ones((3, 2, 2))
+        samples[:, 1] = [[1e308, -1e308], [1e308, -1e308], [-1e308, 1e308]]
+        with pytest.raises(ValueError, match="spectrum of channel 2 overflows"):
+            pulse_spectrum(PulseTable(0.003, samples))
+
+    def test_each_channel_is_its_own_spectrum(self):
+        # a zero channel between two busy ones: every row and width is that of the channel alone
+        table = random_table(257, 3, seed=9)
+        table.samples[:, 1] = 0.0
+        spec = pulse_spectrum(table)
+        assert spec.energy_bandwidth_99[1] == 0.0
+        for c in range(3):
+            alone = pulse_spectrum(PulseTable(table.duration, table.samples[:, c:c + 1].copy()))
+            assert np.array_equal(spec.magnitude[c], alone.magnitude[0])
+            assert spec.energy_bandwidth_99[c] == alone.energy_bandwidth_99[0]
+
 
 class TestDiscretizationSweep:
     def test_converges_to_fine_grid_fidelity(self):

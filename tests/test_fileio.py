@@ -82,6 +82,29 @@ class TestShapedPulse:
         phases = [float(r[i]) for r in rows for i in (1, 3)]
         assert all(0.0 <= p < 360.0 for p in phases)
 
+    def test_three_channels_are_the_per_element_formula_byte_for_byte(self, tmp_path):
+        amp_scale = 1000.0
+        # +-0 amplitudes, then the four axis phases at half scale, each channel one row apart
+        axis = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0],
+                [500.0, 0.0], [0.0, 500.0], [-500.0, 0.0], [0.0, -500.0]]
+        samples = np.array([[axis[(s + c) % 8] for c in range(3)] for s in range(8)])
+        samples = np.concatenate([samples, np.random.default_rng(3).normal(0, 400, (9, 3, 2))])
+        path = tmp_path / "pulse.shp"
+        write_shaped_pulse(PulseTable(0.01, samples), amp_scale, path)
+        lines = ["amp1_pct,phase1_deg,amp2_pct,phase2_deg,amp3_pct,phase3_deg"]
+        for segment in samples:
+            fields = []
+            for ux, uy in segment:
+                amp = np.hypot(ux / amp_scale, uy / amp_scale) * 100.0
+                fields += [f"{amp:.6f}", f"{np.degrees(np.arctan2(uy, ux)) % 360.0:.6f}"]
+            lines.append(",".join(fields))
+        assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+        # channel 1: a zero's phase follows the signs (atan2(+-0, -0) is +-180 degrees), then the axes
+        assert [line.split(",")[:2] for line in lines[1:9]] == [
+            [amp, f"{phase}.000000"] for amp, phase in
+            [("0.000000", 0), ("0.000000", 180), ("0.000000", 0), ("0.000000", 180),
+             ("50.000000", 0), ("50.000000", 90), ("50.000000", 180), ("50.000000", 270)]]
+
 
 class TestSweepCsv:
     def test_contents_and_sidecar(self, tmp_path):
