@@ -50,8 +50,8 @@ def pulse_spectrum(pulse: PulseTable) -> SpectrumResult:
     bad = np.flatnonzero(~(total < np.inf))  # NaN-safe; a non-finite entry makes the sum non-finite
     if bad.size:
         raise ValueError(f"the spectrum of channel {bad[0] + 1} overflows: amplitudes too large")
-    # per channel, the count of cumulative energies from 0 Hz out below 99 %: a zero channel's 0
-    # reads the 0 Hz bin, which the stable sort puts first
+    # each cut counts the cumulative energies (from 0 Hz out) below 99 %: a zero channel counts
+    # none and reads the 0 Hz bin, which the stable sort puts first
     order = np.argsort(np.abs(freqs), kind="stable")
     cut = np.count_nonzero(np.cumsum(energy[:, order], axis=1) < 0.99 * total[:, None], axis=1)
     return SpectrumResult(freqs, mags, 2.0 * np.abs(freqs[order[cut]]))

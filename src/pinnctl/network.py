@@ -222,7 +222,6 @@ def backprop_pulse(
         # this layer's tanh output a: delta * (1.0 - a**2), the factor formed in the other buffer
         factor = np.square(tape[l + 1], out=_buffer(keys[1], delta.shape))
         delta = np.multiply(delta, np.subtract(1.0, factor, out=factor), out=delta)
-        # in order over row blocks, so the bits do not follow the BLAS thread count
         grad_w[l] = tape[l][:_SUM_ROWS].T @ delta[:_SUM_ROWS]
         for lo in range(_SUM_ROWS, len(delta), _SUM_ROWS):
             grad_w[l] += tape[l][lo:lo + _SUM_ROWS].T @ delta[lo:lo + _SUM_ROWS]
